@@ -1,6 +1,6 @@
 """Cross-checking the fast solvers against brute force on a small instance.
 
-The greedy tie-set solver and the branch-and-bound MILP are the load-bearing
+The greedy tie-set solver and the integer follower are the load-bearing
 pieces; this script confronts both with exhaustive enumeration on a shrunken
 copy of the case study (12 units instead of 1000) where counting every
 allocation is cheap, then does the same for the bilevel layer against a
@@ -31,7 +31,7 @@ def main():
     case = calibrate_case_study()
     small = Scenario(demand=12, routes=case.routes, modifiers=case.modifiers)
 
-    print("-- lower level: greedy vs branch-and-bound vs enumeration --")
+    print("-- lower level: greedy vs integer follower vs enumeration --")
     policies = [
         PolicyVector.zero(),
         PolicyVector(tax_rate=Decimal("4.3")),
@@ -43,9 +43,9 @@ def main():
         ref = enumerate_lower(small, policy)
         _, canonical = solve_lower_greedy(small, policy)
         greedy_cost = evaluate_allocation(small, canonical, policy).industry_cost
-        bnb_cost = solve_lower_milp(small, policy).industry_cost
+        integer_cost = solve_lower_milp(small, policy).industry_cost
         tag = f"tax {policy.tax_rate}, {len(policy.subsidy_rates)} subsidized"
-        ok = greedy_cost == ref.best.industry_cost == bnb_cost
+        ok = greedy_cost == ref.best.industry_cost == integer_cost
         print(f"  {tag:<28} cost {ref.best.industry_cost:>9.4f} "
               f"({ref.count} allocations, {len(ref.optima)} optima) agree={ok}")
         assert ok

@@ -24,6 +24,7 @@ from .engine import (
     PsoParams,
     _fitness,
     _natural_value,
+    cheapest_route,
     domain_informed_points,
     evaluate_policy,
     optimize,
@@ -38,12 +39,6 @@ from .model import (
     apply_modifiers,
     to_decimal,
 )
-
-
-def cheapest_route(scenario: Scenario) -> RouteSpec:
-    """Pre-policy follower choice; ties resolve to the lexicographically
-    first route id, matching the follower's canonical tie-break."""
-    return min(scenario.routes, key=lambda r: (r.unit_cost, r.route_id))
 
 
 def subsidy_threshold(scenario: Scenario, target_route_id: str) -> Decimal:
@@ -303,18 +298,22 @@ def _parameter_sweep(parameter, value, records) -> ParameterSweep:
     )
 
 
+def _sensitivity(parameter, shift, values, budgets, objective, mode, engine, params):
+    """One budget sweep per value, each on the scenario shift(value)."""
+    return [_parameter_sweep(parameter, value,
+                             budget_sweep(shift(value), objective, budgets, mode=mode,
+                                          engine=engine, params=params))
+            for value in values]
+
+
 def sensitivity_distance(scenario: Scenario, distances, budgets, objective,
                          mode: str = COMBINED, engine: str = "closed-form",
                          params: PsoParams = None):
     """Budget sweeps across wash-loop transport distances (miles)."""
     loss = scenario.modifiers.glass_loss_fraction
-    sweeps = []
-    for distance in distances:
-        shifted = apply_modifiers(scenario, to_decimal(distance, "distance"), loss)
-        records = budget_sweep(shifted, objective, budgets, mode=mode,
-                               engine=engine, params=params)
-        sweeps.append(_parameter_sweep("glass_wash_distance", distance, records))
-    return sweeps
+    return _sensitivity("glass_wash_distance",
+                        lambda distance: apply_modifiers(scenario, distance, loss),
+                        distances, budgets, objective, mode, engine, params)
 
 
 def sensitivity_loss(scenario: Scenario, losses, budgets, objective,
@@ -322,13 +321,9 @@ def sensitivity_loss(scenario: Scenario, losses, budgets, objective,
                      params: PsoParams = None):
     """Budget sweeps across wash-loop breakage fractions."""
     distance = scenario.modifiers.glass_wash_distance
-    sweeps = []
-    for loss in losses:
-        shifted = apply_modifiers(scenario, distance, to_decimal(loss, "loss"))
-        records = budget_sweep(shifted, objective, budgets, mode=mode,
-                               engine=engine, params=params)
-        sweeps.append(_parameter_sweep("glass_loss_fraction", loss, records))
-    return sweeps
+    return _sensitivity("glass_loss_fraction",
+                        lambda loss: apply_modifiers(scenario, distance, loss),
+                        losses, budgets, objective, mode, engine, params)
 
 
 # --- coffee-packaging case study -------------------------------------------

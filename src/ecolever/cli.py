@@ -5,9 +5,9 @@ Subcommands: run (one bilevel solve), sweep (budget series), sensitivity
 against brute-force enumeration), calibrate (emit the bundled case study).
 
 Exit codes: 0 success, 1 bad input (validation or calibration), 2 solver
-failure (infeasible, unbounded, numeric trouble, resource bounds), 3
-verification mismatch. Errors go to stderr as one-line JSON. Outputs carry no
-timestamps, so a rerun with the same arguments is byte-identical.
+failure (infeasible, resource bounds), 3 verification mismatch. Errors go to
+stderr as one-line JSON. Outputs carry no timestamps, so a rerun with the same
+arguments is byte-identical.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ def cmd_verify(args) -> int:
         milp = solve_lower_milp(capped, policy)
         if milp.industry_cost != capped_reference.best.industry_cost:
             _emit_error("VerificationError",
-                        f"trial {trial}: branch-and-bound cost {milp.industry_cost} != "
+                        f"trial {trial}: integer follower cost {milp.industry_cost} != "
                         f"enumerated {capped_reference.best.industry_cost}")
             return EXIT_VERIFY
         checks += 3

@@ -28,6 +28,7 @@ from .model import (
     FEASIBILITY_TOLERANCE,
     LowerResult,
     PolicyVector,
+    RouteSpec,
     Scenario,
     ZERO,
     evaluate_allocation,
@@ -243,7 +244,9 @@ def vector_to_policy(scenario: Scenario, x) -> PolicyVector:
     return PolicyVector(tax_rate=tax, subsidy_rates=rates)
 
 
-def _cheapest(scenario: Scenario):
+def cheapest_route(scenario: Scenario) -> RouteSpec:
+    """Pre-policy follower choice; ties resolve to the lexicographically
+    first route id, matching the follower's canonical tie-break."""
     return min(scenario.routes, key=lambda r: (r.unit_cost, r.route_id))
 
 
@@ -259,7 +262,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     upward so the funds balance errs on the feasible side.
     """
     budget = to_decimal(budget, "budget")
-    base = _cheapest(scenario)
+    base = cheapest_route(scenario)
     e_least_total = base.unit_emissions * scenario.demand
     points = [PolicyVector.zero()]
     for rid in sorted(r.route_id for r in scenario.routes if r.subsidizable):

@@ -29,24 +29,8 @@ class InfeasibleError(EcoleverError):
     """The problem instance admits no feasible solution."""
 
 
-class UnboundedError(EcoleverError):
-    """The linear program is unbounded below."""
-
-
-class NumericFailureError(EcoleverError):
-    """A solver exceeded its anti-cycling or iteration budget without converging."""
-
-
-class ResourceLimitError(EcoleverError):
-    """A solver hit its node/iteration cap; carries the best incumbent found so far."""
-
-    def __init__(self, message, incumbent=None):
-        super().__init__(message)
-        self.incumbent = incumbent
-
-
 class ResourceBoundError(EcoleverError):
-    """An exhaustive oracle was asked to enumerate more points than its hard bound."""
+    """An exhaustive search was asked to enumerate more points than its hard bound."""
 
 
 class NoThresholdError(EcoleverError):

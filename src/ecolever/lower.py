@@ -4,30 +4,19 @@ The industry reacts to a fixed policy by routing all demand at minimum net
 cost. In the pure per-unit-linear case the optimum is a greedy argmin over
 per-unit net costs, with ties resolved leader-favorably (and funds-aware) by
 `optimistic_select`. Scenarios with technology activation costs or capacity
-limits go through a small branch-and-bound over LP relaxations instead.
+limits go through an enumeration of the active fixed-cost technologies, each
+followed by a capacity-bounded greedy fill.
 
-Greedy paths and tie selection run in exact decimal arithmetic; the simplex
-and branch-and-bound machinery is float-based with explicit tolerances, and
-integer incumbents are re-priced exactly before being compared or returned.
+Every solver here runs in exact decimal arithmetic.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from decimal import Decimal
 
-import numpy as np
-
-from .errors import (
-    InfeasibleError,
-    NumericFailureError,
-    ResourceLimitError,
-    UnboundedError,
-    ValidationError,
-)
+from .errors import InfeasibleError, ResourceBoundError, ValidationError
 from .model import (
     Allocation,
     FEASIBILITY_TOLERANCE,
@@ -149,318 +138,49 @@ def optimistic_select(scenario: Scenario, policy: PolicyVector, tie: TieSet,
     return Allocation({fallback.route_id: demand})
 
 
-# ---------------------------------------------------------------------------
-# Linear programming: dense two-phase primal simplex.
-# ---------------------------------------------------------------------------
-
-LESS_EQUAL = "<="
-EQUAL = "="
-GREATER_EQUAL = ">="
-_RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+MAX_FIXED_TECHNOLOGIES = 16
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """min objective . x subject to row constraints and variable bounds.
+def solve_lower_milp(scenario: Scenario, policy: PolicyVector) -> LowerResult:
+    """Exact follower optimum for scenarios with fixed costs or capacities.
 
-    rows are (coefficients, relation, rhs) triples with relation in
-    {"<=", "=", ">="}. bounds are (lower, upper) pairs per variable; lower
-    must be finite, upper may be None for +inf.
+    Let F be the technologies that carry an activation cost. Once the subset
+    of F allowed to run is fixed, filling demand in ascending (net unit cost,
+    route id) order, each route up to its capacity, is optimal and gives
+    whole units. Every subset is filled, in (size, itertools.combinations)
+    order, and charged its own fixed costs; the first strictly cheapest one
+    wins. A subset that pays for a technology its fill leaves idle is never
+    cheaper than the same subset without it, so the winner's charge is the
+    exact industry cost of its fill. Exact ties between routes go to the
+    lower route id, the rule of solve_lower_greedy's canonical allocation.
+
+    Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES and
+    InfeasibleError when no subset can absorb the demand.
     """
-
-    objective: tuple
-    rows: tuple
-    bounds: tuple
-
-    def __post_init__(self):
-        v = []
-        obj = tuple(float(x) for x in self.objective)
-        object.__setattr__(self, "objective", obj)
-        n = len(obj)
-        rows = []
-        for i, (coeffs, rel, rhs) in enumerate(self.rows):
-            coeffs = tuple(float(x) for x in coeffs)
-            if len(coeffs) != n:
-                v.append(f"row {i}: expected {n} coefficients, got {len(coeffs)}")
-            if rel not in _RELATIONS:
-                v.append(f"row {i}: unknown relation {rel!r}")
-            rows.append((coeffs, rel, float(rhs)))
-        object.__setattr__(self, "rows", tuple(rows))
-        bounds = []
-        for j, (lo, hi) in enumerate(self.bounds):
-            lo = float(lo)
-            hi = None if hi is None else float(hi)
-            if not math.isfinite(lo):
-                v.append(f"bound {j}: lower bound must be finite")
-            if hi is not None and hi < lo:
-                v.append(f"bound {j}: upper bound below lower bound")
-            bounds.append((lo, hi))
-        object.__setattr__(self, "bounds", tuple(bounds))
-        if len(bounds) != n:
-            v.append(f"expected {n} bounds, got {len(bounds)}")
-        if v:
-            raise ValidationError(v)
-
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class SimplexResult:
-    status: str
-    x: tuple = ()
-    objective: float = math.nan
-
-
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0:
-            T[i] -= T[i, col] * T[row]
-    basis[row] = col
-
-
-def _iterate(T, basis, tol, max_iterations, forbidden, bland_after=2000):
-    """Run primal simplex on tableau T (last row = reduced costs, last col = rhs).
-
-    Dantzig pricing switches to Bland's rule after `bland_after` pivots so any
-    cycling degeneracy resolves; beyond max_iterations a numeric failure is
-    raised. Returns "optimal" or "unbounded".
-    """
-    m = T.shape[0] - 1
-    for it in range(max_iterations):
-        z = T[-1, :-1]
-        eligible = [j for j in range(T.shape[1] - 1)
-                    if j not in forbidden and z[j] < -tol]
-        if not eligible:
-            return OPTIMAL
-        if it < bland_after:
-            col = min(eligible, key=lambda j: (z[j], j))
-        else:
-            col = eligible[0]
-        ratios = [(T[i, -1] / T[i, col], basis[i], i)
-                  for i in range(m) if T[i, col] > tol]
-        if not ratios:
-            return UNBOUNDED
-        _, _, row = min(ratios)
-        _pivot(T, basis, row, col)
-    raise NumericFailureError(
-        f"simplex did not converge within {max_iterations} pivots")
-
-
-def simplex_solve(lp: LinearProgram, tolerance: float = 1e-9,
-                  max_iterations: int = 10000) -> SimplexResult:
-    """Two-phase dense simplex for small LPs.
-
-    Variables are shifted to their lower bounds; finite upper bounds become
-    extra rows. Returns a SimplexResult with status optimal / infeasible /
-    unbounded; x and objective are populated only on optimal.
-    """
-    n = len(lp.objective)
-    lo = np.array([b[0] for b in lp.bounds])
-    c = np.array(lp.objective)
-
-    rows = []
-    for coeffs, rel, rhs in lp.rows:
-        a = np.array(coeffs)
-        rows.append((a, rel, rhs - float(a @ lo)))
-    for j, (l, h) in enumerate(lp.bounds):
-        if h is not None:
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append((e, LESS_EQUAL, h - l))
-
-    # Normalize rhs >= 0, then attach slack/surplus/artificial columns.
-    norm = []
-    for a, rel, rhs in rows:
-        if rhs < 0:
-            a, rhs = -a, -rhs
-            rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
-        norm.append((a, rel, rhs))
-    m = len(norm)
-    n_slack = sum(1 for _, rel, _ in norm if rel == LESS_EQUAL)
-    n_surp = sum(1 for _, rel, _ in norm if rel == GREATER_EQUAL)
-    n_art = sum(1 for _, rel, _ in norm if rel != LESS_EQUAL)
-    N = n + n_slack + n_surp + n_art
-
-    T = np.zeros((m + 1, N + 1))
-    basis = [0] * m
-    art_cols = []
-    s_at, p_at, a_at = n, n + n_slack, n + n_slack + n_surp
-    for i, (a, rel, rhs) in enumerate(norm):
-        T[i, :n] = a
-        T[i, -1] = rhs
-        if rel == LESS_EQUAL:
-            T[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        else:
-            if rel == GREATER_EQUAL:
-                T[i, p_at] = -1.0
-                p_at += 1
-            T[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-
-    if art_cols:
-        # Phase 1: minimize the artificial sum, priced against the start basis.
-        for jcol in art_cols:
-            T[-1, jcol] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                T[-1, :] -= T[i, :]
-        status = _iterate(T, basis, tolerance, max_iterations, forbidden=set())
-        if T[-1, -1] < -tolerance:
-            return SimplexResult(status=INFEASIBLE)
-        # Pivot leftover artificials out of the basis, dropping redundant rows.
-        drop = []
-        for i in range(m):
-            if basis[i] in art_cols:
-                piv = next((j for j in range(N) if j not in art_cols
-                            and abs(T[i, j]) > tolerance), None)
-                if piv is None:
-                    drop.append(i)
-                else:
-                    _pivot(T, basis, i, piv)
-        if drop:
-            keep = [i for i in range(m) if i not in drop] + [m]
-            T = T[keep]
-            basis = [basis[i] for i in range(m) if i not in drop]
-            m = len(basis)
-
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    for i in range(m):
-        if T[-1, basis[i]] != 0.0:
-            T[-1, :] -= T[-1, basis[i]] * T[i, :]
-    status = _iterate(T, basis, tolerance, max_iterations, forbidden=set(art_cols))
-    if status == UNBOUNDED:
-        return SimplexResult(status=UNBOUNDED)
-
-    y = np.zeros(N)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
-    x = y[:n] + lo
-    return SimplexResult(status=OPTIMAL, x=tuple(x), objective=float(c @ x))
-
-
-# ---------------------------------------------------------------------------
-# Branch and bound over the LP relaxation.
-# ---------------------------------------------------------------------------
-
-_INT_TOL = 1e-6
-_PRUNE_SLACK = 1e-9
-
-
-@dataclass
-class _Node:
-    bound: float
-    seq: int
-    lo: tuple
-    hi: tuple
-    x: tuple
-
-    def __lt__(self, other):
-        return (self.bound, self.seq) < (other.bound, other.seq)
-
-
-def solve_lower_milp(scenario: Scenario, policy: PolicyVector,
-                     node_limit: int = 20000,
-                     gap_tolerance: Decimal = Decimal("1e-6")) -> LowerResult:
-    """Branch-and-bound follower optimum for scenarios with fixed costs or capacities.
-
-    Best-bound node selection, most-fractional branching, absolute gap closed
-    to `gap_tolerance`. Integer incumbents are re-priced in exact decimals, so
-    on pure-linear scenarios the returned objective matches solve_lower_greedy
-    exactly. Raises InfeasibleError when capacities cannot absorb demand and
-    ResourceLimitError (carrying the incumbent) past node_limit.
-    """
+    fixed = scenario.technology_fixed_costs
+    if len(fixed) > MAX_FIXED_TECHNOLOGIES:
+        raise ResourceBoundError(
+            f"{len(fixed)} fixed-cost technologies exceed {MAX_FIXED_TECHNOLOGIES}")
     validate_policy(scenario, policy)
-    if scenario.demand == 0:
-        return evaluate_allocation(scenario, Allocation({}), policy)
-
-    rids = scenario.route_ids()
-    techs = sorted(t for t in scenario.technology_fixed_costs)
-    n_r, n_y = len(rids), len(techs)
-    tech_of = {rid: scenario.route(rid).technology_id for rid in rids}
-
-    obj = [float(net_unit_cost(scenario.route(rid), policy)) for rid in rids]
-    obj += [float(scenario.technology_fixed_costs[t]) for t in techs]
-
-    rows = [(tuple(1.0 if j < n_r else 0.0 for j in range(n_r + n_y)), EQUAL,
-             float(scenario.demand))]
-    for k, rid in enumerate(rids):
-        t = tech_of[rid]
-        if t in scenario.technology_fixed_costs:
-            link = [0.0] * (n_r + n_y)
-            link[k] = 1.0
-            link[n_r + techs.index(t)] = -float(min(scenario.capacity_of(rid), scenario.demand))
-            rows.append((tuple(link), LESS_EQUAL, 0.0))
-
-    lo0 = tuple([0.0] * (n_r + n_y))
-    hi0 = tuple([float(min(scenario.capacity_of(rid), scenario.demand)) for rid in rids]
-                + [1.0] * n_y)
-
-    def relax(lo, hi):
-        lp = LinearProgram(objective=tuple(obj), rows=tuple(rows),
-                           bounds=tuple(zip(lo, hi)))
-        return simplex_solve(lp)
-
-    root = relax(lo0, hi0)
-    if root.status == UNBOUNDED:
-        raise UnboundedError("lower-level relaxation is unbounded")
-    if root.status != OPTIMAL:
+    priced = sorted((net_unit_cost(r, policy), r.route_id, r.technology_id)
+                    for r in scenario.routes)
+    techs = sorted(fixed)
+    best_cost = best_units = None
+    for size in range(len(techs) + 1):
+        for active in itertools.combinations(techs, size):
+            cost = sum((fixed[t] for t in active), ZERO)
+            units = {}
+            remaining = scenario.demand
+            for unit_cost, rid, tech in priced:
+                if remaining == 0:
+                    break
+                if tech in fixed and tech not in active:
+                    continue
+                units[rid] = min(remaining, scenario.capacity_of(rid))
+                cost += unit_cost * units[rid]
+                remaining -= units[rid]
+            if remaining == 0 and (best_cost is None or cost < best_cost):
+                best_cost, best_units = cost, units
+    if best_units is None:
         raise InfeasibleError("no allocation satisfies demand within capacities")
-
-    best_alloc = None
-    best_cost = None  # exact Decimal incumbent
-
-    def try_incumbent(x):
-        nonlocal best_alloc, best_cost
-        units = {rid: int(round(x[k])) for k, rid in enumerate(rids)}
-        alloc = Allocation({rid: u for rid, u in units.items() if u})
-        if alloc.total() != scenario.demand:
-            return
-        cost = evaluate_allocation(scenario, alloc, policy).industry_cost
-        if best_cost is None or cost < best_cost:
-            best_alloc, best_cost = alloc, cost
-
-    heap = []
-    seq = itertools.count()
-    heapq.heappush(heap, _Node(root.objective, next(seq), lo0, hi0, root.x))
-    nodes = 0
-    while heap:
-        node = heapq.heappop(heap)
-        if best_cost is not None and node.bound >= float(best_cost) - float(gap_tolerance):
-            break  # best-bound heap: every remaining node is at least as bad
-        nodes += 1
-        if nodes > node_limit:
-            incumbent = (evaluate_allocation(scenario, best_alloc, policy)
-                         if best_alloc is not None else None)
-            raise ResourceLimitError(
-                f"branch-and-bound exceeded {node_limit} nodes", incumbent=incumbent)
-        fracs = [abs(v - round(v)) for v in node.x]
-        j = max(range(len(fracs)), key=lambda k: (fracs[k], -k))
-        if fracs[j] <= _INT_TOL:
-            try_incumbent(node.x)
-            continue
-        v = node.x[j]
-        for lo_j, hi_j in ((node.lo[j], math.floor(v)), (math.ceil(v), node.hi[j])):
-            lo = list(node.lo)
-            hi = list(node.hi)
-            lo[j], hi[j] = float(max(node.lo[j], lo_j)), float(min(node.hi[j], hi_j))
-            if lo[j] > hi[j]:
-                continue
-            sol = relax(tuple(lo), tuple(hi))
-            if sol.status != OPTIMAL:
-                continue
-            if best_cost is not None and sol.objective >= float(best_cost) - _PRUNE_SLACK:
-                continue
-            heapq.heappush(heap, _Node(sol.objective, next(seq), tuple(lo), tuple(hi), sol.x))
-
-    if best_alloc is None:
-        raise InfeasibleError("branch-and-bound found no integer allocation")
-    return evaluate_allocation(scenario, best_alloc, policy)
+    return evaluate_allocation(scenario, Allocation(best_units), policy)

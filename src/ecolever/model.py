@@ -327,17 +327,6 @@ def _active_fixed_costs(scenario: Scenario, allocation: Allocation) -> Decimal:
                 if tech in active), ZERO)
 
 
-def evaluate_cost(scenario: Scenario, allocation: Allocation, policy: PolicyVector) -> Decimal:
-    """Industry total cost: unit costs + activation costs + tax - subsidies."""
-    validate_allocation(scenario, allocation)
-    validate_policy(scenario, policy)
-    unit_part = sum((scenario.route(rid).unit_cost * n
-                     for rid, n in allocation.units.items()), ZERO)
-    tax = policy.tax_rate * evaluate_emissions(scenario, allocation)
-    sub = evaluate_subsidy(scenario, allocation, policy)
-    return unit_part + _active_fixed_costs(scenario, allocation) + tax - sub
-
-
 def evaluate_circularity(scenario: Scenario, allocation: Allocation) -> Decimal:
     """Demand-weighted mean circularity of an allocation."""
     validate_allocation(scenario, allocation)

@@ -81,6 +81,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _typed(data: dict, key, kind, name, violations):
+    """data[key], or an empty `kind` when absent; a value of another JSON
+    type is recorded in violations and read as empty."""
+    value = data.get(key, kind())
+    if isinstance(value, kind):
+        return value
+    violations.append(f"{name} must be {'an object' if kind is dict else 'a list'}")
+    return kind()
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     v = []
     if not isinstance(data, dict):
@@ -98,8 +108,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     if v:
         raise ValidationError(v)
 
+    mods_raw = _typed(data, "modifiers", dict, "modifiers", v)
+    fixed_raw = _typed(data, "technology_fixed_costs", dict, "technology_fixed_costs", v)
+    caps_raw = _typed(data, "capacity_limits", dict, "capacity_limits", v)
     routes = []
-    for i, raw in enumerate(data["routes"]):
+    for i, raw in enumerate(_typed(data, "routes", list, "routes", v)):
         if not isinstance(raw, dict):
             v.append(f"routes[{i}] must be an object")
             continue
@@ -119,14 +132,14 @@ def scenario_from_dict(data: dict) -> Scenario:
                 unit_cost=to_decimal(raw["unit_cost"], f"routes[{i}].unit_cost"),
                 unit_emissions=to_decimal(raw["unit_emissions"], f"routes[{i}].unit_emissions"),
                 unit_circularity=to_decimal(raw["unit_circularity"], f"routes[{i}].unit_circularity"),
-                recovered_outputs=tuple(raw.get("recovered_outputs", ())),
+                recovered_outputs=tuple(_typed(raw, "recovered_outputs", list,
+                                               f"routes[{i}].recovered_outputs", v)),
                 subsidizable=bool(raw.get("subsidizable", True)),
-                tags=tuple(raw.get("tags", ())),
-                stages=tuple(raw.get("stages", ())),
+                tags=tuple(_typed(raw, "tags", list, f"routes[{i}].tags", v)),
+                stages=tuple(_typed(raw, "stages", list, f"routes[{i}].stages", v)),
             ))
         except ValidationError as exc:
             v.extend(exc.violations)
-    mods_raw = data.get("modifiers", {})
     modifiers = SensitivityModifiers()
     if mods_raw:
         for key in mods_raw:
@@ -140,7 +153,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                 distance_emission_coeff=to_decimal(mods_raw.get("distance_emission_coeff", 0), "distance_emission_coeff"),
                 loss_cost_coeff=to_decimal(mods_raw.get("loss_cost_coeff", 0), "loss_cost_coeff"),
                 loss_emission_coeff=to_decimal(mods_raw.get("loss_emission_coeff", 0), "loss_emission_coeff"),
-                affected_route_ids=tuple(mods_raw.get("affected_route_ids", ())),
+                affected_route_ids=tuple(_typed(mods_raw, "affected_route_ids", list,
+                                                "modifiers.affected_route_ids", v)),
             )
         except ValidationError as exc:
             v.extend(exc.violations)
@@ -151,8 +165,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         routes=tuple(routes),
         modifiers=modifiers,
         technology_fixed_costs={t: to_decimal(c, f"technology_fixed_costs[{t}]")
-                                for t, c in data.get("technology_fixed_costs", {}).items()},
-        capacity_limits=dict(data.get("capacity_limits", {})),
+                                for t, c in fixed_raw.items()},
+        capacity_limits=dict(caps_raw),
     )
 
 

@@ -21,6 +21,7 @@ from ecolever import (
     write_sweep_csv,
 )
 from ecolever.analysis import sensitivity_loss
+from ecolever.cli import main
 from ecolever.scenario_io import scenario_from_dict, scenario_to_dict
 
 
@@ -74,6 +75,40 @@ def test_load_rejects_unknown_keys_and_floats(case, tmp_path):
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(data)
     assert "unit_cost" in str(err.value)
+
+
+def _set_field(data, path, value):
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+@pytest.mark.parametrize("named, path, value", [
+    pytest.param(named, path, value, id=named) for named, path, value in [
+        ("routes", ("routes",), 5),
+        ("modifiers", ("modifiers",), [1]),
+        ("technology_fixed_costs", ("technology_fixed_costs",), ["landfill_site"]),
+        ("capacity_limits", ("capacity_limits",), 12),
+        ("routes[0].tags", ("routes", 0, "tags"), 7),
+        ("routes[0].recovered_outputs", ("routes", 0, "recovered_outputs"), {"pet": 1}),
+        ("routes[0].stages", ("routes", 0, "stages"), None),
+        ("modifiers.affected_route_ids", ("modifiers", "affected_route_ids"), 3),
+    ]
+])
+def test_load_rejects_fields_of_the_wrong_json_type(case, tmp_path, capsys, named, path, value):
+    data = scenario_to_dict(case)
+    _set_field(data, path, value)
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert named in str(err.value)
+
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(json.dumps(data))
+    code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(lines) == 1
+    assert named in json.loads(lines[0])["detail"]
 
 
 def test_load_missing_file_is_a_validation_error(tmp_path):

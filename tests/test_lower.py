@@ -1,22 +1,19 @@
+import time
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ecolever import (
-    Allocation,
-    InfeasibleError,
-    LinearProgram,
     Objective,
     PolicyVector,
+    ResourceBoundError,
     RouteSpec,
     Scenario,
-    UnboundedError,
     enumerate_lower,
     evaluate_allocation,
     net_unit_cost,
     optimistic_select,
-    simplex_solve,
     solve_lower_greedy,
     solve_lower_milp,
 )
@@ -108,96 +105,7 @@ def test_greedy_rejects_non_linear_scenarios(trio):
         solve_lower_greedy(capped, PolicyVector.zero())
 
 
-# --- simplex ----------------------------------------------------------------
-
-def test_simplex_basic_optimum():
-    # min -x - 2y  s.t. x + y <= 4, x <= 3, y <= 2
-    lp = LinearProgram(
-        objective=[-1, -2],
-        rows=[([1, 1], "<=", 4), ([1, 0], "<=", 3), ([0, 1], "<=", 2)],
-        bounds=[(0, None), (0, None)],
-    )
-    res = simplex_solve(lp)
-    assert res.status == "optimal"
-    assert res.x[0] == pytest.approx(2.0, abs=1e-8)
-    assert res.x[1] == pytest.approx(2.0, abs=1e-8)
-    assert res.objective == pytest.approx(-6.0, abs=1e-8)
-
-
-def test_simplex_equality_and_ge_rows():
-    # min x + y  s.t. x + y = 5, x >= 2
-    lp = LinearProgram(
-        objective=[1, 1],
-        rows=[([1, 1], "=", 5), ([1, 0], ">=", 2)],
-        bounds=[(0, None), (0, None)],
-    )
-    res = simplex_solve(lp)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(5.0, abs=1e-8)
-    assert res.x[0] >= 2 - 1e-9
-
-
-def test_simplex_detects_infeasible():
-    lp = LinearProgram(
-        objective=[1],
-        rows=[([1], "<=", 1), ([1], ">=", 3)],
-        bounds=[(0, None)],
-    )
-    assert simplex_solve(lp).status == "infeasible"
-
-
-def test_simplex_detects_unbounded():
-    lp = LinearProgram(objective=[-1], rows=[([1], ">=", 1)], bounds=[(0, None)])
-    assert simplex_solve(lp).status == "unbounded"
-
-
-def test_simplex_honors_variable_bounds():
-    # min -x  s.t. 1 <= x <= 2.5
-    lp = LinearProgram(objective=[-1], rows=[], bounds=[(1, 2.5)])
-    res = simplex_solve(lp)
-    assert res.status == "optimal"
-    assert res.x[0] == pytest.approx(2.5, abs=1e-9)
-
-
-def test_simplex_degenerate_does_not_cycle():
-    # classic degenerate corner: several redundant constraints through origin
-    lp = LinearProgram(
-        objective=[-0.75, 150, -0.02, 6],
-        rows=[
-            ([0.25, -60, -0.04, 9], "<=", 0),
-            ([0.5, -90, -0.02, 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
-        ],
-        bounds=[(0, None)] * 4,
-    )
-    res = simplex_solve(lp)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-0.05, abs=1e-8)
-
-
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_simplex_solution_is_feasible(seed):
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    n, m = 3, 4
-    A = rng.uniform(-1, 2, size=(m, n))
-    b = rng.uniform(1, 5, size=m)
-    c = rng.uniform(-2, 2, size=n)
-    lp = LinearProgram(
-        objective=list(c),
-        rows=[(list(A[i]), "<=", float(b[i])) for i in range(m)],
-        bounds=[(0, 3)] * n,
-    )
-    res = simplex_solve(lp)
-    # box keeps it bounded, origin keeps it feasible
-    assert res.status == "optimal"
-    x = np.array(res.x)
-    assert np.all(x >= -1e-7) and np.all(x <= 3 + 1e-7)
-    assert np.all(A @ x <= b + 1e-6)
-    assert res.objective == pytest.approx(float(c @ x), abs=1e-6)
-
-
-# --- branch and bound --------------------------------------------------------
+# --- integer follower -------------------------------------------------------
 
 def test_milp_matches_enumeration_with_caps_and_fixed_costs(capped_case):
     policy = PolicyVector(tax_rate=Decimal("2.5"),
@@ -213,6 +121,7 @@ def test_milp_handles_pure_linear_too(small_case):
     tie, canonical = solve_lower_greedy(small_case, policy)
     direct = evaluate_allocation(small_case, canonical, policy)
     assert fast.industry_cost == direct.industry_cost
+    assert fast.allocation == canonical
 
 
 def test_milp_respects_capacities(capped_case):
@@ -237,3 +146,51 @@ def test_milp_infeasible_when_caps_cannot_meet_demand(trio):
     with pytest.raises(Exception):
         Scenario(demand=100, routes=trio.routes,
                  capacity_limits={r.route_id: 10 for r in trio.routes})
+
+
+@st.composite
+def shared_technology_catalogs(draw):
+    """Capped catalogs whose routes share a few technologies, with fixed
+    costs that may be zero, at enumeration-friendly demand."""
+    demand = draw(st.integers(0, 10))
+    n = draw(st.integers(2, 6))
+    cents = st.integers(-20, 60).map(lambda c: Decimal(c) / 100)
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p",
+                  technology_id=f"t{draw(st.integers(0, 2))}",
+                  unit_cost=draw(cents),
+                  unit_emissions=Decimal(draw(st.integers(0, 30))) / 100,
+                  unit_circularity=Decimal(draw(st.integers(0, 20))) / 10)
+        for i in range(n))
+    techs = sorted({r.technology_id for r in routes})
+    fixed = {t: Decimal(draw(st.integers(0, 300))) / 100
+             for t in techs if draw(st.booleans())}
+    caps = {r.route_id: draw(st.integers(0, demand))
+            for r in routes[:-1] if draw(st.booleans())}
+    scenario = Scenario(demand=demand, routes=routes,
+                        technology_fixed_costs=fixed, capacity_limits=caps)
+    subsidized = draw(st.lists(st.sampled_from([r.route_id for r in routes]),
+                               unique=True, max_size=2))
+    policy = PolicyVector(tax_rate=Decimal(draw(st.integers(0, 400))) / 100,
+                          subsidy_rates={rid: Decimal(draw(st.integers(1, 40))) / 100
+                                         for rid in subsidized})
+    return scenario, policy
+
+
+@given(shared_technology_catalogs())
+def test_milp_matches_enumeration_when_routes_share_technologies(instance):
+    scenario, policy = instance
+    result = solve_lower_milp(scenario, policy)
+    reference = enumerate_lower(scenario, policy)
+    assert result.industry_cost == reference.best.industry_cost
+    assert result.allocation in reference.optima
+
+
+def test_milp_refuses_too_many_fixed_cost_technologies():
+    routes = tuple(_route(f"r{i:02d}", "0.01", "0.01", "1") for i in range(17))
+    scn = Scenario(demand=1, routes=routes,
+                   technology_fixed_costs={r.technology_id: Decimal("0.1") for r in routes})
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError):
+        solve_lower_milp(scn, PolicyVector.zero())
+    assert time.perf_counter() - start < 0.5
