@@ -43,10 +43,9 @@ def main():
         closed_s = time.perf_counter() - t0
         describe("swarm", swarm, swarm_s)
         describe("closed", closed, closed_s)
-        # the swarm may sit a hair below the analytic corner: industry
-        # indifference and the funds check both carry small tolerances, and
-        # the search will happily spend them. Outcome and pathway must match;
-        # rates agree to within those tolerances.
+        # the swarm may sit a hair below the analytic corner: the funds check
+        # carries a small tolerance and the search will happily spend it.
+        # Outcome and pathway must match; rates agree to within that tolerance.
         assert swarm.upper_value == closed.upper_value
         assert swarm.response.allocation.units == closed.response.allocation.units
         gap = abs(swarm.policy.tax_rate - closed.policy.tax_rate)

@@ -22,11 +22,9 @@ from .engine import (
     MODES,
     Objective,
     PsoParams,
-    _fitness,
-    _natural_value,
+    best_policy,
     cheapest_route,
     domain_informed_points,
-    evaluate_policy,
     optimize,
 )
 from .errors import EcoleverError, NoThresholdError, CalibrationError, ValidationError
@@ -181,14 +179,7 @@ def closed_form_optimize(scenario: Scenario, objective, budget,
         raise ValidationError([f"unknown mode: {mode!r}"])
     candidates = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
                   else domain_informed_points(scenario, budget, mode))
-    best = None
-    for policy in candidates:
-        value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
-        key = (not feasible, _fitness(objective, value, policy))
-        if best is None or key < best[0]:
-            best = (key, policy, result, feasible)
-    _, policy, result, feasible = best
-    upper = _natural_value(objective, result)
+    policy, upper, result, feasible = best_policy(scenario, objective, budget, candidates)
     return BilevelOutcome(policy=policy, response=result, upper_value=upper,
                           feasible=feasible, evaluations=len(candidates),
                           trace=((0, upper),), objective=objective,

@@ -35,11 +35,11 @@ from .engine import (
     MODES,
     Objective,
     PsoParams,
-    _fitness,
+    best_policy,
     default_bounds,
     optimize,
 )
-from .errors import CalibrationError, EcoleverError, ValidationError
+from .errors import EcoleverError, ValidationError
 from .lower import optimistic_select, solve_lower_greedy, solve_lower_milp
 from .model import PolicyVector, Scenario, evaluate_allocation, to_decimal
 from .oracle import GridAxis, enumerate_lower, grid_bilevel
@@ -337,18 +337,15 @@ def cmd_verify(args) -> int:
     sub_ids = [r.route_id for r in scenario.routes if r.subsidizable][:2]
     for budget in (Decimal(0), Decimal(30)):
         closed = closed_form_optimize(scenario, Objective.MIN_GHG, budget)
-        grid = grid_bilevel(
+        grid_policy, grid_value, _, _ = grid_bilevel(
             scenario, Objective.MIN_GHG, budget,
             tax_axis=GridAxis(lo=Decimal(0), hi=Decimal(5), steps=11),
             subsidy_axes={rid: GridAxis(lo=Decimal(0), hi=Decimal("0.08"), steps=9)
                           for rid in sub_ids},
         )
-        grid_policy, grid_value, _, grid_feasible = grid
-        closed_key = (not closed.feasible,
-                      _fitness(Objective.MIN_GHG, closed.upper_value, closed.policy))
-        grid_key = (not grid_feasible,
-                    _fitness(Objective.MIN_GHG, grid_value, grid_policy))
-        if closed_key > grid_key:
+        winner, _, _, _ = best_policy(scenario, Objective.MIN_GHG, budget,
+                                      [closed.policy, grid_policy])
+        if winner is not closed.policy:
             _emit_error("VerificationError",
                         f"budget {budget}: grid search beat the analytic corners "
                         f"({grid_value} < {closed.upper_value})")
@@ -383,7 +380,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_INPUT
     try:
         return args.handler(args)
-    except (ValidationError, CalibrationError) as exc:
+    except ValidationError as exc:
         violations = getattr(exc, "violations", None)
         _emit_error(type(exc).__name__, str(exc), violations)
         return EXIT_INPUT

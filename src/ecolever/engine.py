@@ -64,14 +64,13 @@ def _maximizing(objective) -> bool:
     return objective == Objective.MAX_CIRCULARITY
 
 
-def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective,
-                    budget, penalty_weight: Decimal = PENALTY_WEIGHT):
+def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget):
     """Evaluate one leader decision: solve the follower, then score the leader.
 
     Returns (value, LowerResult, feasible). `value` is the leader objective of
     the induced response in natural units; when the response's subsidy outlay
     exceeds budget + tax income (beyond tolerance), the violation times
-    penalty_weight is added against the optimization direction and feasible
+    PENALTY_WEIGHT is added against the optimization direction and feasible
     is False.
     """
     budget = to_decimal(budget, "budget")
@@ -88,7 +87,7 @@ def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective,
     feasible = violation <= FEASIBILITY_TOLERANCE
     value = _natural_value(objective, result)
     if not feasible:
-        penalty = penalty_weight * violation
+        penalty = PENALTY_WEIGHT * violation
         value = value - penalty if _maximizing(objective) else value + penalty
     return value, result, feasible
 
@@ -96,6 +95,22 @@ def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective,
 def _fitness(objective, value, policy: PolicyVector):
     head = -value if _maximizing(objective) else value
     return (head, policy.tax_rate, policy.total_rates())
+
+
+def best_policy(scenario: Scenario, objective, budget, policies):
+    """Evaluate each of one or more policies and keep the leader's best.
+
+    Feasible policies rank before infeasible ones, then by fitness; the first
+    of equals wins. Returns (policy, natural value, LowerResult, feasible).
+    """
+    best_key = None
+    for policy in policies:
+        value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
+        key = (not feasible, _fitness(objective, value, policy))
+        if best_key is None or key < best_key:
+            best_key, best = key, (policy, result, feasible)
+    policy, result, feasible = best
+    return policy, _natural_value(objective, result), result, feasible
 
 
 @dataclass(frozen=True)
@@ -300,7 +315,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
 
 
 def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
-             mode: str = COMBINED, penalty_weight: Decimal = PENALTY_WEIGHT) -> BilevelOutcome:
+             mode: str = COMBINED) -> BilevelOutcome:
     """Search policy space for the leader's best feasible decision.
 
     Analytic seed policies are evaluated exactly and also seed the first
@@ -318,8 +333,7 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
 
     if objective == Objective.MOST_PROFITABLE:
         zero = PolicyVector.zero()
-        value, result, feasible = evaluate_policy(scenario, zero, objective, budget,
-                                                  penalty_weight)
+        value, result, feasible = evaluate_policy(scenario, zero, objective, budget)
         return BilevelOutcome(policy=zero, response=result, upper_value=value,
                               feasible=feasible, evaluations=1,
                               trace=((0, value),), objective=objective,
@@ -336,8 +350,7 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
 
     def consider(policy: PolicyVector):
         nonlocal evaluations
-        value, result, feasible = evaluate_policy(scenario, policy, objective,
-                                                  budget, penalty_weight)
+        value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
         evaluations += 1
         fit = _fitness(objective, value, policy)
         if best["fitness"] is None or fit < best["fitness"]:
@@ -373,8 +386,7 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
         offset += params.iterations + 1
 
     policy = best["policy"]
-    _, incumbent, _ = evaluate_policy(scenario, policy, objective, budget,
-                                      penalty_weight)
+    _, incumbent, _ = evaluate_policy(scenario, policy, objective, budget)
     idle = {rid for rid in policy.subsidy_rates
             if incumbent.allocation.units_for(rid) == 0}
     if idle:
@@ -387,8 +399,7 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
                            if rid not in idle})
         consider(trimmed)
         policy = best["policy"]
-    value, result, feasible = evaluate_policy(scenario, policy, objective,
-                                              budget, penalty_weight)
+    _, result, feasible = evaluate_policy(scenario, policy, objective, budget)
     upper = _natural_value(objective, result)
     # Trace values are the penalized minimization head; report naturally.
     sign = Decimal(-1) if _maximizing(objective) else Decimal(1)

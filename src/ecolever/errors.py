@@ -21,10 +21,6 @@ class InvalidAllocationError(EcoleverError):
     """An allocation references unknown routes, breaks mass balance, or exceeds a capacity."""
 
 
-class UndefinedIndexError(EcoleverError):
-    """A demand-normalized index was requested for a zero-demand scenario."""
-
-
 class InfeasibleError(EcoleverError):
     """The problem instance admits no feasible solution."""
 
@@ -37,9 +33,5 @@ class NoThresholdError(EcoleverError):
     """No finite tax rate can induce the requested technology switch."""
 
 
-class CalibrationError(EcoleverError):
+class CalibrationError(ValidationError):
     """Calibration anchors are mutually inconsistent; lists the violated relations."""
-
-    def __init__(self, violations):
-        self.violations = [str(v) for v in violations]
-        super().__init__("; ".join(self.violations))

@@ -7,7 +7,9 @@ per-unit net costs, with ties resolved leader-favorably (and funds-aware) by
 limits go through an enumeration of the active fixed-cost technologies, each
 followed by a capacity-bounded greedy fill.
 
-Every solver here runs in exact decimal arithmetic.
+Every solver here runs in exact decimal arithmetic, and two routes tie only
+when their net unit costs are exactly equal, the rule `enumerate_lower` uses
+too, so every path answers with a true cost minimum.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import (
     PolicyVector,
     RouteSpec,
     Scenario,
-    TIE_TOLERANCE,
     ZERO,
     evaluate_allocation,
     to_decimal,
@@ -41,7 +42,7 @@ def net_unit_cost(route: RouteSpec, policy: PolicyVector) -> Decimal:
 
 @dataclass(frozen=True)
 class TieSet:
-    """Routes whose net unit costs sit within tie tolerance of the minimum."""
+    """Routes whose net unit costs equal the minimum exactly."""
 
     route_ids: tuple
     net_unit_cost: Decimal
@@ -50,8 +51,7 @@ class TieSet:
         object.__setattr__(self, "route_ids", tuple(sorted(self.route_ids)))
 
 
-def solve_lower_greedy(scenario: Scenario, policy: PolicyVector,
-                       tie_tolerance: Decimal = TIE_TOLERANCE):
+def solve_lower_greedy(scenario: Scenario, policy: PolicyVector):
     """Exact follower optimum for pure-linear scenarios.
 
     Returns (TieSet, canonical Allocation). The canonical allocation puts all
@@ -67,7 +67,7 @@ def solve_lower_greedy(scenario: Scenario, policy: PolicyVector,
     validate_policy(scenario, policy)
     costs = {r.route_id: net_unit_cost(r, policy) for r in scenario.routes}
     best = min(costs.values())
-    tie_ids = sorted(rid for rid, c in costs.items() if c - best <= tie_tolerance)
+    tie_ids = sorted(rid for rid, c in costs.items() if c == best)
     tie = TieSet(route_ids=tie_ids, net_unit_cost=best)
     units = {tie_ids[0]: scenario.demand} if scenario.demand else {}
     return tie, Allocation(units=units)

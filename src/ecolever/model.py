@@ -16,15 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 
-from .errors import (
-    InvalidAllocationError,
-    UndefinedIndexError,
-    ValidationError,
-)
+from .errors import InvalidAllocationError, ValidationError
 
-# Shared tolerances. Tie detection is far tighter than funds feasibility so a
-# quantized rate sitting on an indifference line never leaks into infeasibility.
-TIE_TOLERANCE = Decimal("1e-9")
+# Follower ties are exact Decimal equality. Only the funds balance carries a
+# tolerance, so a quantized rate on a budget line does not read as infeasible.
 FEASIBILITY_TOLERANCE = Decimal("1e-6")
 RATE_QUANTUM = Decimal("1e-12")
 CIRCULARITY_MAX = Decimal(2)
@@ -303,55 +298,33 @@ def validate_policy(scenario: Scenario, policy: PolicyVector) -> None:
         raise ValidationError(v)
 
 
-def evaluate_emissions(scenario: Scenario, allocation: Allocation) -> Decimal:
-    """Total kg-CO2e of an allocation."""
-    validate_allocation(scenario, allocation)
-    return sum((scenario.route(rid).unit_emissions * n
-                for rid, n in allocation.units.items()), ZERO)
-
-
-def evaluate_subsidy(scenario: Scenario, allocation: Allocation, policy: PolicyVector) -> Decimal:
-    """Government subsidy outlay: sum of rate * units over subsidized routes."""
-    validate_allocation(scenario, allocation)
-    validate_policy(scenario, policy)
-    return sum((policy.subsidy_for(rid) * n
-                for rid, n in allocation.units.items()), ZERO)
-
-
-def _active_fixed_costs(scenario: Scenario, allocation: Allocation) -> Decimal:
-    if not scenario.technology_fixed_costs:
-        return ZERO
-    active = {scenario.route(rid).technology_id
-              for rid, n in allocation.units.items() if n > 0}
-    return sum((cost for tech, cost in scenario.technology_fixed_costs.items()
-                if tech in active), ZERO)
-
-
-def evaluate_circularity(scenario: Scenario, allocation: Allocation) -> Decimal:
-    """Demand-weighted mean circularity of an allocation."""
-    validate_allocation(scenario, allocation)
-    if scenario.demand == 0:
-        raise UndefinedIndexError("circularity is undefined at zero demand")
-    total = sum((scenario.route(rid).unit_circularity * n
-                 for rid, n in allocation.units.items()), ZERO)
-    return total / Decimal(scenario.demand)
-
-
 def evaluate_allocation(scenario: Scenario, allocation: Allocation,
                         policy: PolicyVector) -> LowerResult:
-    """Bundle every follower-side total for one allocation under one policy."""
-    emissions = evaluate_emissions(scenario, allocation)
-    outlay = evaluate_subsidy(scenario, allocation, policy)
+    """Every follower-side total for one allocation under one policy.
+
+    Validates both inputs once, then accumulates in one pass. Fixed costs are
+    charged for each technology the allocation uses; circularity is the
+    demand-weighted mean, reported as 0 at zero demand.
+    """
+    validate_allocation(scenario, allocation)
+    validate_policy(scenario, policy)
+    emissions = outlay = unit_part = circularity = ZERO
+    active = set()
+    for rid, n in allocation.units.items():
+        route = scenario.route(rid)
+        emissions += route.unit_emissions * n
+        outlay += policy.subsidy_for(rid) * n
+        unit_part += route.unit_cost * n
+        circularity += route.unit_circularity * n
+        active.add(route.technology_id)
+    fixed = sum((cost for tech, cost in scenario.technology_fixed_costs.items()
+                 if tech in active), ZERO)
     tax_payment = policy.tax_rate * emissions
-    unit_part = sum((scenario.route(rid).unit_cost * n
-                     for rid, n in allocation.units.items()), ZERO)
-    cost = unit_part + _active_fixed_costs(scenario, allocation) + tax_payment - outlay
-    circ = evaluate_circularity(scenario, allocation) if scenario.demand else ZERO
     return LowerResult(
         allocation=allocation,
-        industry_cost=cost,
+        industry_cost=unit_part + fixed + tax_payment - outlay,
         total_emissions=emissions,
-        circularity_index=circ,
+        circularity_index=circularity / Decimal(scenario.demand) if scenario.demand else ZERO,
         subsidy_outlay=outlay,
         tax_payment=tax_payment,
     )

@@ -8,11 +8,12 @@ problems big enough that enumeration would silently take hours.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .engine import Objective, _fitness, _natural_value, evaluate_policy
+from .engine import Objective, best_policy
 from .errors import ResourceBoundError
 from .model import (
     PolicyVector,
@@ -130,21 +131,6 @@ def grid_bilevel(scenario: Scenario, objective, budget, tax_axis: GridAxis,
         raise ResourceBoundError(f"grid of {total} points exceeds {MAX_GRID_POINTS}")
 
     axes = [tax_axis.points()] + [subsidy_axes[rid].points() for rid in sub_ids]
-    best = None
-
-    def scan(i, chosen):
-        nonlocal best
-        if i == len(axes):
-            rates = {rid: v for rid, v in zip(sub_ids, chosen[1:]) if v != 0}
-            policy = PolicyVector(tax_rate=chosen[0], subsidy_rates=rates)
-            value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
-            key = (not feasible, _fitness(objective, value, policy))
-            if best is None or key < best[0]:
-                best = (key, policy, result, feasible)
-            return
-        for v in axes[i]:
-            scan(i + 1, chosen + (v,))
-
-    scan(0, ())
-    _, policy, result, feasible = best
-    return policy, _natural_value(objective, result), result, feasible
+    policies = (PolicyVector(tax_rate=tax, subsidy_rates=dict(zip(sub_ids, rates)))
+                for tax, *rates in itertools.product(*axes))
+    return best_policy(scenario, objective, budget, policies)

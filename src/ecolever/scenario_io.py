@@ -33,6 +33,7 @@ _MODIFIER_FIELDS = ("glass_wash_distance", "glass_loss_fraction",
                     "distance_cost_coeff", "distance_emission_coeff",
                     "loss_cost_coeff", "loss_emission_coeff",
                     "affected_route_ids")
+_ROUTE_ID_FIELDS = ("route_id", "product_id", "technology_id")
 _TOP_FIELDS = ("format", "version", "demand", "routes", "modifiers",
                "technology_fixed_costs", "capacity_limits")
 
@@ -119,10 +120,18 @@ def scenario_from_dict(data: dict) -> Scenario:
         for key in raw:
             if key not in _ROUTE_FIELDS:
                 v.append(f"routes[{i}]: unknown key {key!r}")
-        missing = [k for k in ("route_id", "product_id", "technology_id", "unit_cost",
-                               "unit_emissions", "unit_circularity") if k not in raw]
+        missing = [k for k in _ROUTE_ID_FIELDS + ("unit_cost", "unit_emissions",
+                                                  "unit_circularity") if k not in raw]
         if missing:
             v.append(f"routes[{i}]: missing {', '.join(missing)}")
+            continue
+        wrong = [f"routes[{i}].{k} must be a string"
+                 for k in _ROUTE_ID_FIELDS if not isinstance(raw[k], str)]
+        subsidizable = raw.get("subsidizable", True)
+        if not isinstance(subsidizable, bool):
+            wrong.append(f"routes[{i}].subsidizable must be true or false")
+        if wrong:
+            v.extend(wrong)
             continue
         try:
             routes.append(RouteSpec(
@@ -134,7 +143,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 unit_circularity=to_decimal(raw["unit_circularity"], f"routes[{i}].unit_circularity"),
                 recovered_outputs=tuple(_typed(raw, "recovered_outputs", list,
                                                f"routes[{i}].recovered_outputs", v)),
-                subsidizable=bool(raw.get("subsidizable", True)),
+                subsidizable=subsidizable,
                 tags=tuple(_typed(raw, "tags", list, f"routes[{i}].tags", v)),
                 stages=tuple(_typed(raw, "stages", list, f"routes[{i}].stages", v)),
             ))

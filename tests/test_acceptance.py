@@ -294,9 +294,9 @@ def test_criterion_10_solver_equivalence_battery():
         reference = enumerate_lower(scn, policy).best.industry_cost
         _, canonical = solve_lower_greedy(scn, policy)
         greedy_cost = evaluate_allocation(scn, canonical, policy).industry_cost
-        bnb_cost = solve_lower_milp(scn, policy).industry_cost
+        integer_cost = solve_lower_milp(scn, policy).industry_cost
         assert greedy_cost == reference, f"trial {trial}: greedy off"
-        assert bnb_cost == reference, f"trial {trial}: branch-and-bound off"
+        assert integer_cost == reference, f"trial {trial}: integer follower off"
 
     for trial in range(20):
         routes = _random_routes(rng, int(rng.integers(2, 7)))
@@ -310,8 +310,8 @@ def test_criterion_10_solver_equivalence_battery():
                        technology_fixed_costs=fixed, capacity_limits=caps)
         policy = _random_policy(rng, routes)
         reference = enumerate_lower(scn, policy).best.industry_cost
-        bnb_cost = solve_lower_milp(scn, policy).industry_cost
-        assert bnb_cost == reference, f"capped trial {trial}: branch-and-bound off"
+        integer_cost = solve_lower_milp(scn, policy).industry_cost
+        assert integer_cost == reference, f"capped trial {trial}: integer follower off"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _pass(10, f"220 randomized instances agree exactly, {elapsed:.1f}s")

@@ -17,6 +17,7 @@ from ecolever import (
     dominant_route,
     evaluate_policy,
     fit_slope,
+    net_unit_cost,
     required_budget_for_fixed_tax,
     sensitivity_distance,
     sensitivity_loss,
@@ -25,6 +26,7 @@ from ecolever import (
     tax_threshold,
 )
 from ecolever.analysis import GLASS_ROUTE, LANDFILL_ROUTE, STRAP_ROUTE
+from ecolever.engine import MODES
 
 
 def _route(rid, cost, emissions, circ):
@@ -142,6 +144,18 @@ def test_closed_form_matches_pso_on_the_toy(pair):
                      params=PsoParams(swarm_size=8, iterations=20, restarts=1, seed=0))
     assert closed.policy == swarm.policy
     assert closed.upper_value == swarm.upper_value
+
+
+def test_closed_form_response_is_a_follower_optimum(case):
+    # every route the answer uses prices exactly at the minimum net cost
+    for objective in Objective:
+        for mode in MODES:
+            for budget in range(-60, 101, 20):
+                out = closed_form_optimize(case, objective, budget, mode=mode)
+                costs = {r.route_id: net_unit_cost(r, out.policy) for r in case.routes}
+                cheapest = min(costs.values())
+                assert all(costs[rid] == cheapest for rid in out.response.allocation.units), \
+                    (objective, mode, budget)
 
 
 def test_budget_sweep_records_are_complete(pair):

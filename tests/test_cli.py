@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from ecolever import ValidationError
+from ecolever import CalibrationError, ValidationError, cli
 from ecolever.cli import main, parse_value_list
 
 
@@ -117,6 +117,17 @@ def test_invalid_scenario_file_exits_1(tmp_path, capsys):
     assert code == 1
     payload = json.loads(stderr.strip())
     assert "violations" in payload
+
+
+def test_calibration_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(anchors):
+        raise CalibrationError(["strap_cost off by 1"])
+    monkeypatch.setattr(cli, "calibrate_case_study", fail)
+    code, _, stderr = run_cli(["calibrate", "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    payload = json.loads(stderr.strip())
+    assert payload["error"] == "CalibrationError"
+    assert payload["violations"] == ["strap_cost off by 1"]
 
 
 def test_help_exits_0(capsys):

@@ -94,6 +94,10 @@ def _set_field(data, path, value):
         ("routes[0].recovered_outputs", ("routes", 0, "recovered_outputs"), {"pet": 1}),
         ("routes[0].stages", ("routes", 0, "stages"), None),
         ("modifiers.affected_route_ids", ("modifiers", "affected_route_ids"), 3),
+        ("routes[0].route_id", ("routes", 0, "route_id"), [1]),
+        ("routes[0].product_id", ("routes", 0, "product_id"), 4),
+        ("routes[0].technology_id", ("routes", 0, "technology_id"), {"t": 1}),
+        ("routes[0].subsidizable", ("routes", 0, "subsidizable"), "no"),
     ]
 ])
 def test_load_rejects_fields_of_the_wrong_json_type(case, tmp_path, capsys, named, path, value):

@@ -12,11 +12,13 @@ from ecolever import (
     Scenario,
     enumerate_lower,
     evaluate_allocation,
+    evaluate_policy,
     net_unit_cost,
     optimistic_select,
     solve_lower_greedy,
     solve_lower_milp,
 )
+from ecolever.analysis import LANDFILL_ROUTE, STRAP_ROUTE
 from ecolever.model import FEASIBILITY_TOLERANCE
 
 
@@ -53,6 +55,27 @@ def test_greedy_detects_exact_ties(trio):
     tie, alloc = solve_lower_greedy(trio, PolicyVector(tax_rate=Decimal("0.5")))
     assert tie.route_ids == ("clean_mid", "dirty_cheap")
     assert alloc.units == {"clean_mid": 100}  # lexicographically first member
+
+
+def test_greedy_near_tie_is_not_a_tie():
+    # a prices 5e-10 above b: not a tie, so all demand goes to b on every path
+    scn = Scenario(demand=10, routes=(_route("a", "0.0500000005", "0", "1"),
+                                      _route("b", "0.05", "0", "1")))
+    policy = PolicyVector.zero()
+    tie, canonical = solve_lower_greedy(scn, policy)
+    assert tie.route_ids == ("b",)
+    assert canonical.units == {"b": 10}
+    assert solve_lower_milp(scn, policy).allocation == canonical
+    assert enumerate_lower(scn, policy).optima == (canonical,)
+
+
+def test_near_tie_policy_does_not_buy_the_landfill_switch(case):
+    # landfill prices 6.8e-10 per unit above strap under this policy, so the
+    # follower stays on strap whatever the leader would prefer
+    policy = PolicyVector(tax_rate=Decimal("0.949564108309"),
+                          subsidy_rates={LANDFILL_ROUTE: Decimal("0.047449719492")})
+    _, result, _ = evaluate_policy(case, policy, Objective.MIN_GHG, 0)
+    assert result.allocation.units == {STRAP_ROUTE: case.demand}
 
 
 def test_optimistic_select_respects_funds(trio):

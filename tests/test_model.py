@@ -15,8 +15,9 @@ from ecolever import (
     quantize_rate,
     to_decimal,
 )
-from ecolever.errors import InvalidAllocationError, UndefinedIndexError
-from ecolever.model import evaluate_circularity, validate_allocation, validate_policy
+from ecolever import model
+from ecolever.errors import InvalidAllocationError
+from ecolever.model import validate_allocation, validate_policy
 
 
 def _route(rid, cost, emissions, circ, **kw):
@@ -135,12 +136,28 @@ def test_fixed_costs_charged_only_for_active_technologies():
 
 def test_circularity_undefined_at_zero_demand():
     scn = Scenario(demand=0, routes=(_route("a", "0.05", "0.1", "1.0"),))
-    with pytest.raises(UndefinedIndexError):
-        evaluate_circularity(scn, Allocation(units={}))
-    # the bundled evaluator reports zero instead of failing
+    # the evaluator reports zero instead of failing
     result = evaluate_allocation(scn, Allocation(units={}), PolicyVector.zero())
     assert result.circularity_index == 0
     assert result.industry_cost == 0
+
+
+def test_evaluate_allocation_validates_each_input_once(duo, monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(model, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("validate_allocation", "validate_policy"):
+        monkeypatch.setattr(model, name, counting(name))
+    evaluate_allocation(duo, Allocation(units={"a": 3, "b": 7}),
+                        PolicyVector(tax_rate=Decimal(2), subsidy_rates={"b": Decimal("0.01")}))
+    assert sorted(calls) == ["validate_allocation", "validate_policy"]
 
 
 @given(
