@@ -2,12 +2,14 @@
 follower solver nested inside every evaluation.
 
 The leader fixes (tax rate, subsidy rates); the follower's cost-minimizing
-allocation is solved exactly; the leader's objective of that response is the
-fitness. Infeasible policies (subsidy outlay beyond budget plus tax income)
-are penalized, never repaired. Fitness values are lexicographic tuples
-(penalized objective, tax rate, total subsidy rate): the tail components
-break ties among equally good policies toward the least-intervention corner,
-which is also where the closed-form budget lines live.
+allocation is solved exactly; `rank` orders the evaluated policies. It is
+the one order every search here uses: funds shortfall first (subsidy outlay
+beyond budget plus tax income, exact, zero when the policy pays for
+itself), then the leader's objective, then tax rate, then total subsidy
+rate. A policy within funds therefore beats every policy beyond them, with
+no penalty weight and no tolerance, and the tail breaks ties toward the
+least-intervention corner, which is also where the closed-form budget lines
+live.
 
 Everything here is deterministic for a fixed seed: the swarm RNG is a seeded
 numpy Generator, positions are quantized onto an exact decimal grid before
@@ -25,7 +27,6 @@ import numpy as np
 from .errors import ValidationError
 from .lower import optimistic_select, solve_lower_greedy, solve_lower_milp
 from .model import (
-    FEASIBILITY_TOLERANCE,
     LowerResult,
     PolicyVector,
     RouteSpec,
@@ -35,8 +36,6 @@ from .model import (
     quantize_rate,
     to_decimal,
 )
-
-PENALTY_WEIGHT = Decimal(10000)
 
 COMBINED = "combined"
 TAX_ONLY = "tax-only"
@@ -68,10 +67,9 @@ def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget)
     """Evaluate one leader decision: solve the follower, then score the leader.
 
     Returns (value, LowerResult, feasible). `value` is the leader objective of
-    the induced response in natural units; when the response's subsidy outlay
-    exceeds budget + tax income (beyond tolerance), the violation times
-    PENALTY_WEIGHT is added against the optimization direction and feasible
-    is False.
+    the induced response in natural units. feasible says the subsidy outlay
+    stays within budget + tax income exactly, i.e. the response's shortfall
+    in `rank` is zero.
     """
     budget = to_decimal(budget, "budget")
     if scenario.is_pure_linear():
@@ -83,34 +81,38 @@ def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget)
         result = evaluate_allocation(scenario, allocation, policy)
     else:
         result = solve_lower_milp(scenario, policy)
-    violation = result.subsidy_outlay - (budget + result.tax_payment)
-    feasible = violation <= FEASIBILITY_TOLERANCE
-    value = _natural_value(objective, result)
-    if not feasible:
-        penalty = PENALTY_WEIGHT * violation
-        value = value - penalty if _maximizing(objective) else value + penalty
-    return value, result, feasible
+    feasible = result.subsidy_outlay <= budget + result.tax_payment
+    return _natural_value(objective, result), result, feasible
 
 
-def _fitness(objective, value, policy: PolicyVector):
+def rank(objective, budget, policy: PolicyVector, value, result: LowerResult):
+    """The leader's order on evaluated policies; smaller ranks first.
+
+    Returns (shortfall, objective head, tax rate, total subsidy rate), where
+    shortfall = max(0, subsidy outlay - budget - tax income) in exact Decimal
+    and the head is `value`, negated when the leader maximizes. Any policy
+    within funds ranks before every policy beyond them, and among the latter
+    the smaller shortfall ranks first (Deb's feasibility rules, 2000).
+    """
+    shortfall = result.subsidy_outlay - budget - result.tax_payment
     head = -value if _maximizing(objective) else value
-    return (head, policy.tax_rate, policy.total_rates())
+    return (shortfall if shortfall > 0 else ZERO, head, policy.tax_rate,
+            policy.total_rates())
 
 
 def best_policy(scenario: Scenario, objective, budget, policies):
-    """Evaluate each of one or more policies and keep the leader's best.
-
-    Feasible policies rank before infeasible ones, then by fitness; the first
-    of equals wins. Returns (policy, natural value, LowerResult, feasible).
+    """Evaluate each of one or more policies and keep the first that ranks
+    lowest in `rank`. Returns (policy, natural value, LowerResult, feasible).
     """
+    budget = to_decimal(budget, "budget")
     best_key = None
     for policy in policies:
-        value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
-        key = (not feasible, _fitness(objective, value, policy))
+        value, result, _ = evaluate_policy(scenario, policy, objective, budget)
+        key = rank(objective, budget, policy, value, result)
         if best_key is None or key < best_key:
-            best_key, best = key, (policy, result, feasible)
-    policy, result, feasible = best
-    return policy, _natural_value(objective, result), result, feasible
+            best_key, best = key, (policy, value, result)
+    policy, value, result = best
+    return policy, value, result, best_key[0] == 0
 
 
 @dataclass(frozen=True)
@@ -316,14 +318,16 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
 
 def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
              mode: str = COMBINED) -> BilevelOutcome:
-    """Search policy space for the leader's best feasible decision.
+    """Search policy space for the leader's best decision in `rank` order.
 
     Analytic seed policies are evaluated exactly and also seed the first
     restart's swarm; later restarts draw fresh positions from reseeded
-    generators. The best feasible policy across all evaluations wins; if
-    nothing feasible was seen the least-penalized point is returned flagged
-    infeasible. The trace carries (global iteration, best-so-far value) and
-    never worsens.
+    generators. Every evaluation, seed or swarm, is ranked by `rank`, and the
+    swarm's fitness is that same key, so the incumbent is the lowest-ranked
+    policy seen: feasible whenever any evaluated policy was, otherwise the
+    one with the smallest funds shortfall, flagged infeasible. The trace
+    carries (global iteration, incumbent value in natural units); the
+    incumbent never worsens in `rank` order.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
@@ -332,9 +336,9 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
         raise ValidationError([f"unknown mode: {mode!r}"])
 
     if objective == Objective.MOST_PROFITABLE:
-        zero = PolicyVector.zero()
-        value, result, feasible = evaluate_policy(scenario, zero, objective, budget)
-        return BilevelOutcome(policy=zero, response=result, upper_value=value,
+        policy, value, result, feasible = best_policy(
+            scenario, objective, budget, [PolicyVector.zero()])
+        return BilevelOutcome(policy=policy, response=result, upper_value=value,
                               feasible=feasible, evaluations=1,
                               trace=((0, value),), objective=objective,
                               mode=mode, budget=budget)
@@ -345,18 +349,17 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
             f"bounds must cover {len(policy_dimensions(scenario))} dimensions"])
     run_params = replace(params, bounds=bounds)
 
-    best = {"fitness": None, "policy": None}
+    incumbent = None  # (rank key, policy, value, LowerResult) ranked lowest so far
     evaluations = 0
 
     def consider(policy: PolicyVector):
-        nonlocal evaluations
-        value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
+        nonlocal incumbent, evaluations
+        value, result, _ = evaluate_policy(scenario, policy, objective, budget)
         evaluations += 1
-        fit = _fitness(objective, value, policy)
-        if best["fitness"] is None or fit < best["fitness"]:
-            best["fitness"] = fit
-            best["policy"] = policy
-        return fit
+        key = rank(objective, budget, policy, value, result)
+        if incumbent is None or key < incumbent[0]:
+            incumbent = (key, policy, value, result)
+        return key
 
     def pso_evaluator(x):
         return consider(vector_to_policy(scenario, x))
@@ -373,38 +376,33 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
         vec = [float(pol.tax_rate)] + [float(pol.subsidy_for(rid)) for rid in dims[1:]]
         seed_positions.append(np.clip(np.array(vec), lo, hi))
 
-    running = best["fitness"][0]
+    running = incumbent[0]
     trace = [(0, running)]
     offset = 1
     for restart in range(params.restarts):
         rng = np.random.default_rng(params.seed + restart)
         run = pso_run(pso_evaluator, run_params, rng=rng,
                       seed_positions=seed_positions if restart == 0 else None)
-        for t, fit in run.trace:
-            running = min(running, fit[0])
+        for t, key in run.trace:
+            running = min(running, key)
             trace.append((offset + t, running))
         offset += params.iterations + 1
 
-    policy = best["policy"]
-    _, incumbent, _ = evaluate_policy(scenario, policy, objective, budget)
-    idle = {rid for rid in policy.subsidy_rates
-            if incumbent.allocation.units_for(rid) == 0}
+    _, policy, _, result = incumbent
+    idle = {rid for rid in policy.subsidy_rates if result.allocation.units_for(rid) == 0}
     if idle:
         # A subsidy nobody draws only inflates the policy; dropping it cannot
-        # change the follower's choice, so the trimmed variant wins the
-        # lexicographic tie-break whenever it evaluates no worse.
-        trimmed = PolicyVector(
+        # change the follower's choice, so the trimmed variant ranks first
+        # on rank's tail whenever it evaluates no worse.
+        consider(PolicyVector(
             tax_rate=policy.tax_rate,
             subsidy_rates={rid: rate for rid, rate in policy.subsidy_rates.items()
-                           if rid not in idle})
-        consider(trimmed)
-        policy = best["policy"]
-    _, result, feasible = evaluate_policy(scenario, policy, objective, budget)
-    upper = _natural_value(objective, result)
-    # Trace values are the penalized minimization head; report naturally.
+                           if rid not in idle}))
+    key, policy, value, result = incumbent
+    # Trace keys hold the minimization head; report naturally.
     sign = Decimal(-1) if _maximizing(objective) else Decimal(1)
-    natural_trace = tuple((i, sign * v) for i, v in trace)
-    return BilevelOutcome(policy=policy, response=result, upper_value=upper,
-                          feasible=feasible, evaluations=evaluations,
+    natural_trace = tuple((i, sign * k[1]) for i, k in trace)
+    return BilevelOutcome(policy=policy, response=result, upper_value=value,
+                          feasible=key[0] == 0, evaluations=evaluations,
                           trace=natural_trace, objective=objective,
                           mode=mode, budget=budget)

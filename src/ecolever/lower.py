@@ -21,7 +21,6 @@ from decimal import Decimal
 from .errors import InfeasibleError, ResourceBoundError, ValidationError
 from .model import (
     Allocation,
-    FEASIBILITY_TOLERANCE,
     LowerResult,
     PolicyVector,
     RouteSpec,
@@ -107,21 +106,20 @@ def optimistic_select(scenario: Scenario, policy: PolicyVector, tie: TieSet,
     value = {r.route_id: _leader_unit_value(r, leader_objective) for r in routes}
     weight = {r.route_id: policy.subsidy_for(r.route_id) - policy.tax_rate * r.unit_emissions
               for r in routes}
-    cap = funds + FEASIBILITY_TOLERANCE
 
     candidates = []
     for r in routes:
-        if weight[r.route_id] * demand <= cap:
+        if weight[r.route_id] * demand <= funds:
             candidates.append({r.route_id: demand})
     for r1, r2 in itertools.combinations(routes, 2):
         w1, w2 = weight[r1.route_id], weight[r2.route_id]
         if w1 == w2:
             continue  # mixtures are never cheaper than the better single route
-        n1 = (cap - w2 * demand) / (w1 - w2)
+        n1 = (funds - w2 * demand) / (w1 - w2)
         n1 = int(n1.to_integral_value(rounding="ROUND_FLOOR" if w1 > w2 else "ROUND_CEILING"))
         n1 = max(0, min(demand, n1))
         mix = {r1.route_id: n1, r2.route_id: demand - n1}
-        if w1 * n1 + w2 * (demand - n1) <= cap:
+        if w1 * n1 + w2 * (demand - n1) <= funds:
             candidates.append(mix)
 
     def score(units):

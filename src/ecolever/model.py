@@ -13,14 +13,11 @@ with `quantize_rate` first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 
 from .errors import InvalidAllocationError, ValidationError
 
-# Follower ties are exact Decimal equality. Only the funds balance carries a
-# tolerance, so a quantized rate on a budget line does not read as infeasible.
-FEASIBILITY_TOLERANCE = Decimal("1e-6")
 RATE_QUANTUM = Decimal("1e-12")
 CIRCULARITY_MAX = Decimal(2)
 
@@ -342,36 +339,11 @@ def apply_modifiers(scenario: Scenario, distance, loss) -> Scenario:
     loss = to_decimal(loss, "loss")
     d_delta = distance - m.glass_wash_distance
     l_delta = loss - m.glass_loss_fraction
-    routes = []
-    for r in scenario.routes:
-        if r.route_id in m.affected_route_ids and (d_delta or l_delta):
-            routes.append(RouteSpec(
-                route_id=r.route_id,
-                product_id=r.product_id,
-                technology_id=r.technology_id,
+    routes = tuple(
+        replace(r,
                 unit_cost=r.unit_cost + m.distance_cost_coeff * d_delta + m.loss_cost_coeff * l_delta,
-                unit_emissions=r.unit_emissions + m.distance_emission_coeff * d_delta + m.loss_emission_coeff * l_delta,
-                unit_circularity=r.unit_circularity,
-                recovered_outputs=r.recovered_outputs,
-                subsidizable=r.subsidizable,
-                tags=r.tags,
-                stages=r.stages,
-            ))
-        else:
-            routes.append(r)
-    new_mods = SensitivityModifiers(
-        glass_wash_distance=distance,
-        glass_loss_fraction=loss,
-        distance_cost_coeff=m.distance_cost_coeff,
-        distance_emission_coeff=m.distance_emission_coeff,
-        loss_cost_coeff=m.loss_cost_coeff,
-        loss_emission_coeff=m.loss_emission_coeff,
-        affected_route_ids=m.affected_route_ids,
-    )
-    return Scenario(
-        demand=scenario.demand,
-        routes=tuple(routes),
-        modifiers=new_mods,
-        technology_fixed_costs=dict(scenario.technology_fixed_costs),
-        capacity_limits=dict(scenario.capacity_limits),
-    )
+                unit_emissions=r.unit_emissions + m.distance_emission_coeff * d_delta + m.loss_emission_coeff * l_delta)
+        if r.route_id in m.affected_route_ids and (d_delta or l_delta) else r
+        for r in scenario.routes)
+    return replace(scenario, routes=routes,
+                   modifiers=replace(m, glass_wash_distance=distance, glass_loss_fraction=loss))

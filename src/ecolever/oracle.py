@@ -119,7 +119,8 @@ def grid_bilevel(scenario: Scenario, objective, budget, tax_axis: GridAxis,
     """Dense scan of the leader's policy grid; the exhaustive counterpart to
     the swarm search. subsidy_axes maps route id -> GridAxis (absent routes
     stay unsubsidized). Returns (policy, value, result, feasible) of the
-    lexicographically best point, preferring feasible ones.
+    first grid point that ranks lowest in `engine.rank`: funds shortfall,
+    then objective, then tax rate, then total subsidy rate.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -26,13 +27,8 @@ from .model import (
 FORMAT_NAME = "ecolever-scenario"
 FORMAT_VERSION = 1
 
-_ROUTE_FIELDS = ("route_id", "product_id", "technology_id", "unit_cost",
-                 "unit_emissions", "unit_circularity", "recovered_outputs",
-                 "subsidizable", "tags", "stages")
-_MODIFIER_FIELDS = ("glass_wash_distance", "glass_loss_fraction",
-                    "distance_cost_coeff", "distance_emission_coeff",
-                    "loss_cost_coeff", "loss_emission_coeff",
-                    "affected_route_ids")
+_ROUTE_FIELDS = tuple(f.name for f in fields(RouteSpec))
+_MODIFIER_FIELDS = tuple(f.name for f in fields(SensitivityModifiers))
 _ROUTE_ID_FIELDS = ("route_id", "product_id", "technology_id")
 _TOP_FIELDS = ("format", "version", "demand", "routes", "modifiers",
                "technology_fixed_costs", "capacity_limits")
@@ -46,36 +42,22 @@ def _decimal_out(value: Decimal) -> str:
     return str(value)
 
 
+def _field_out(value):
+    """A dataclass field as JSON: Decimals as strings, tuples as lists."""
+    if isinstance(value, Decimal):
+        return _decimal_out(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    routes = []
-    for r in scenario.routes:
-        routes.append({
-            "route_id": r.route_id,
-            "product_id": r.product_id,
-            "technology_id": r.technology_id,
-            "unit_cost": _decimal_out(r.unit_cost),
-            "unit_emissions": _decimal_out(r.unit_emissions),
-            "unit_circularity": _decimal_out(r.unit_circularity),
-            "recovered_outputs": list(r.recovered_outputs),
-            "subsidizable": r.subsidizable,
-            "tags": list(r.tags),
-            "stages": list(r.stages),
-        })
     m = scenario.modifiers
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "demand": scenario.demand,
-        "routes": routes,
-        "modifiers": {
-            "glass_wash_distance": _decimal_out(m.glass_wash_distance),
-            "glass_loss_fraction": _decimal_out(m.glass_loss_fraction),
-            "distance_cost_coeff": _decimal_out(m.distance_cost_coeff),
-            "distance_emission_coeff": _decimal_out(m.distance_emission_coeff),
-            "loss_cost_coeff": _decimal_out(m.loss_cost_coeff),
-            "loss_emission_coeff": _decimal_out(m.loss_emission_coeff),
-            "affected_route_ids": list(m.affected_route_ids),
-        },
+        "routes": [{f: _field_out(getattr(r, f)) for f in _ROUTE_FIELDS}
+                   for r in scenario.routes],
+        "modifiers": {f: _field_out(getattr(m, f)) for f in _MODIFIER_FIELDS},
         "technology_fixed_costs": {t: _decimal_out(c) for t, c
                                    in sorted(scenario.technology_fixed_costs.items())},
         "capacity_limits": {r: c for r, c in sorted(scenario.capacity_limits.items())},
@@ -155,13 +137,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             if key not in _MODIFIER_FIELDS:
                 v.append(f"modifiers: unknown key {key!r}")
         try:
+            decimals = {f: to_decimal(mods_raw.get(f, 0), f)
+                        for f in _MODIFIER_FIELDS if f != "affected_route_ids"}
             modifiers = SensitivityModifiers(
-                glass_wash_distance=to_decimal(mods_raw.get("glass_wash_distance", 0), "glass_wash_distance"),
-                glass_loss_fraction=to_decimal(mods_raw.get("glass_loss_fraction", 0), "glass_loss_fraction"),
-                distance_cost_coeff=to_decimal(mods_raw.get("distance_cost_coeff", 0), "distance_cost_coeff"),
-                distance_emission_coeff=to_decimal(mods_raw.get("distance_emission_coeff", 0), "distance_emission_coeff"),
-                loss_cost_coeff=to_decimal(mods_raw.get("loss_cost_coeff", 0), "loss_cost_coeff"),
-                loss_emission_coeff=to_decimal(mods_raw.get("loss_emission_coeff", 0), "loss_emission_coeff"),
+                **decimals,
                 affected_route_ids=tuple(_typed(mods_raw, "affected_route_ids", list,
                                                 "modifiers.affected_route_ids", v)),
             )

@@ -19,7 +19,8 @@ from ecolever import (
     optimize,
     pso_run,
 )
-from ecolever.engine import policy_dimensions, vector_to_policy
+from ecolever.analysis import closed_form_optimize
+from ecolever.engine import best_policy, policy_dimensions, vector_to_policy
 
 
 def _route(rid, cost, emissions, circ):
@@ -37,12 +38,12 @@ def pair():
 
 
 def test_evaluate_policy_feasible_and_infeasible(pair):
-    # full-switch subsidy with no funding is penalized
+    # full-switch subsidy with no funding is flagged, its value left natural
     policy = PolicyVector(subsidy_rates={"clean": Decimal("0.05")})
     value, result, feasible = evaluate_policy(pair, policy, Objective.MIN_GHG, 0)
     assert not feasible
     assert result.allocation.units == {"clean": 100}
-    assert value > result.total_emissions  # penalty added in the minimizing direction
+    assert value == result.total_emissions
     # the same policy with full funding is clean
     value2, result2, feasible2 = evaluate_policy(pair, policy, Objective.MIN_GHG, 5)
     assert feasible2 and value2 == result2.total_emissions == Decimal("2.00")
@@ -52,7 +53,19 @@ def test_evaluate_policy_penalty_direction_for_maximization(pair):
     policy = PolicyVector(subsidy_rates={"clean": Decimal("0.05")})
     value, result, feasible = evaluate_policy(pair, policy, Objective.MAX_CIRCULARITY, 0)
     assert not feasible
-    assert value < result.circularity_index  # penalty subtracted when maximizing
+    assert value == result.circularity_index
+
+
+def test_evaluate_policy_funds_balance_is_exact(pair):
+    # tax 0.4 on clean's 2 kg brings in 0.8; a subsidy 1e-11 over 0.008
+    # pays out 0.800000001, so funds fall 1e-9 short
+    policy = PolicyVector(tax_rate=Decimal("0.4"),
+                          subsidy_rates={"clean": Decimal("0.00800000001")})
+    value, result, feasible = evaluate_policy(pair, policy, Objective.MIN_GHG, 0)
+    assert result.allocation.units == {"clean": 100}
+    assert result.subsidy_outlay - result.tax_payment == Decimal("1e-9")
+    assert not feasible
+    assert value == Decimal("2.00")
 
 
 def test_evaluate_policy_rejects_float_budget(pair):
@@ -150,6 +163,37 @@ def test_optimize_lexicographic_tie_break_prefers_less_intervention(pair):
                        initial_points=(heavier,))
     out = optimize(pair, Objective.MIN_GHG, 0, params=params)
     assert out.policy.tax_rate == Decimal("0.4")
+
+
+def test_optimize_ranks_like_best_policy_on_a_capped_pair():
+    # clean's cap does not bind, but it sends the follower down the integer
+    # path, where the (tax 0.4, subsidy 0.008) corner ties and goes to base
+    capped = Scenario(demand=100, capacity_limits={"clean": 100}, routes=(
+        _route("base", "0.01", "0.10", "1.0"),
+        _route("clean", "0.05", "0.02", "1.5"),
+    ))
+    near_miss = PolicyVector(tax_rate=Decimal("0.4"),
+                             subsidy_rates={"clean": Decimal("0.008000015")})
+    params = PsoParams(swarm_size=4, iterations=0, restarts=1,
+                       initial_points=(near_miss,))
+    out = optimize(capped, Objective.MIN_GHG, 0, params=params)
+    candidates = domain_informed_points(capped, Decimal(0), COMBINED) + [near_miss]
+    policy, value, result, feasible = best_policy(capped, Objective.MIN_GHG, 0, candidates)
+    assert feasible and out.feasible
+    assert (out.policy, out.upper_value, out.response) == (policy, value, result)
+    assert out.policy != near_miss
+
+
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+def test_optimize_lands_on_the_closed_form_corner(case, objective):
+    # one restart of the default swarm is enough to find policies that sit
+    # within a hair of the corner's funds balance; none may beat it
+    params = PsoParams(swarm_size=10, iterations=200, restarts=1, seed=0)
+    swarm = optimize(case, objective, 0, params=params)
+    closed = closed_form_optimize(case, objective, 0)
+    assert swarm.feasible and closed.feasible
+    assert swarm.policy == closed.policy
+    assert swarm.upper_value == closed.upper_value
 
 
 def test_optimize_most_profitable_shortcut(pair):

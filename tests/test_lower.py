@@ -19,7 +19,6 @@ from ecolever import (
     solve_lower_milp,
 )
 from ecolever.analysis import LANDFILL_ROUTE, STRAP_ROUTE
-from ecolever.model import FEASIBILITY_TOLERANCE
 
 
 def _route(rid, cost, emissions, circ):
@@ -88,7 +87,16 @@ def test_optimistic_select_respects_funds(trio):
     assert picked.units_for("clean_mid") == 25
     assert picked.total() == 100
     spent = evaluate_allocation(trio, picked, policy)
-    assert spent.subsidy_outlay <= Decimal("1") + FEASIBILITY_TOLERANCE
+    assert spent.subsidy_outlay <= Decimal("1")
+
+
+def test_optimistic_select_caps_at_funds_exactly(trio):
+    # 25 units at 0.04 cost 1.00, 1e-7 more than the funds: only 24 fit
+    policy = PolicyVector(subsidy_rates={"clean_mid": Decimal("0.04")})
+    tie, _ = solve_lower_greedy(trio, policy)
+    picked = optimistic_select(trio, policy, tie, Objective.MIN_GHG, Decimal("0.9999999"))
+    assert picked.units_for("clean_mid") == 24
+    assert picked.total() == 100
 
 
 def test_optimistic_select_prefers_leader_direction(trio):
