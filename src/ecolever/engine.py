@@ -160,10 +160,11 @@ class PsoRun:
 def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoRun:
     """Global-best PSO over the box in params.bounds.
 
-    evaluator maps a position vector to any orderable fitness (floats and
-    tuples both work); smaller is better. Velocities are clamped to the box
-    width and positions reflect off the walls. The returned trace of
-    (iteration, best-so-far) never worsens.
+    evaluator maps a position, given as a list of Python floats (one per
+    dimension), to any orderable fitness (floats and tuples both work);
+    smaller is better. Velocities are clamped to the box width and positions
+    reflect off the walls. The returned trace of (iteration, best-so-far)
+    never worsens.
     """
     if params.bounds is None:
         raise ValidationError(["pso_run requires params.bounds"])
@@ -179,7 +180,7 @@ def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoR
             X[k] = np.clip(np.asarray(pos, dtype=float), lo, hi)
     V = np.zeros((n, d))
 
-    fit = [evaluator(X[i]) for i in range(n)]
+    fit = [evaluator(row) for row in X.tolist()]
     evaluations = n
     P = X.copy()
     pfit = list(fit)
@@ -199,8 +200,8 @@ def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoR
             X = np.where(X > hi, 2 * hi - X, X)
             X = np.where(X < lo, 2 * lo - X, X)
         X = np.clip(X, lo, hi)
-        for i in range(n):
-            f = evaluator(X[i])
+        for i, row in enumerate(X.tolist()):
+            f = evaluator(row)
             evaluations += 1
             if f < pfit[i]:
                 pfit[i] = f
@@ -230,7 +231,7 @@ class BilevelOutcome:
 
 def policy_dimensions(scenario: Scenario):
     """Dimension names for the search box: tax first, then subsidizable routes."""
-    return ["tax"] + sorted(r.route_id for r in scenario.routes if r.subsidizable)
+    return ["tax", *scenario.subsidizable_ids()]
 
 
 def default_bounds(scenario: Scenario, mode: str = COMBINED, tax_max: float = 10.0):
@@ -250,15 +251,20 @@ def default_bounds(scenario: Scenario, mode: str = COMBINED, tax_max: float = 10
 
 
 def vector_to_policy(scenario: Scenario, x) -> PolicyVector:
-    """Quantize a raw swarm position onto the exact decimal rate grid."""
-    dims = policy_dimensions(scenario)
-    tax = quantize_rate(max(float(x[0]), 0.0))
-    rates = {}
-    for k, rid in enumerate(dims[1:], start=1):
-        r = quantize_rate(max(float(x[k]), 0.0))
-        if r != 0:
-            rates[rid] = r
-    return PolicyVector(tax_rate=tax, subsidy_rates=rates)
+    """Quantize a raw swarm position onto the exact decimal rate grid.
+
+    x holds one float per `policy_dimensions` entry (a list or a numpy row);
+    negative coordinates clamp to zero. Only positive subsidy coordinates are
+    quantized, since the rest round to a zero rate that PolicyVector drops; a
+    NaN fails `<= 0.0` too and reaches PolicyVector, which refuses it.
+    """
+    ids = scenario.subsidizable_ids()
+    if len(x) != len(ids) + 1:
+        raise ValidationError([
+            f"position has {len(x)} coordinates; expected {len(ids) + 1}: "
+            f"tax, then one per subsidizable route"])
+    rates = {rid: quantize_rate(float(v)) for rid, v in zip(ids, x[1:]) if not v <= 0.0}
+    return PolicyVector(tax_rate=quantize_rate(max(float(x[0]), 0.0)), subsidy_rates=rates)
 
 
 def cheapest_route(scenario: Scenario) -> RouteSpec:
@@ -282,7 +288,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     base = cheapest_route(scenario)
     e_least_total = base.unit_emissions * scenario.demand
     points = [PolicyVector.zero()]
-    for rid in sorted(r.route_id for r in scenario.routes if r.subsidizable):
+    for rid in scenario.subsidizable_ids():
         route = scenario.route(rid)
         gap = route.unit_cost - base.unit_cost
         if gap <= 0:
@@ -321,8 +327,10 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
     """Search policy space for the leader's best decision in `rank` order.
 
     Analytic seed policies are evaluated exactly and also seed the first
-    restart's swarm; later restarts draw fresh positions from reseeded
-    generators. Every evaluation, seed or swarm, is ranked by `rank`, and the
+    restart's swarm; a seed position whose quantized policy is the seed
+    itself takes the seed's rank key instead of a second evaluation. Later
+    restarts draw fresh positions from reseeded generators. Every
+    evaluation, seed or swarm, is ranked by `rank`, and the
     swarm's fitness is that same key, so the incumbent is the lowest-ranked
     policy seen: feasible whenever any evaluated policy was, otherwise the
     one with the smallest funds shortfall, flagged infeasible. The trace
@@ -361,8 +369,17 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
             incumbent = (key, policy, value, result)
         return key
 
+    # (seed policy, rank key) by the first restart's position for that seed;
+    # each entry is spent on that position's first evaluation.
+    seeded = {}
+
     def pso_evaluator(x):
-        return consider(vector_to_policy(scenario, x))
+        policy = vector_to_policy(scenario, x)
+        if seeded:
+            seed, key = seeded.pop(tuple(x), (None, None))
+            if seed == policy:
+                return key  # the seed round-trips: it was ranked exactly above
+        return consider(policy)
 
     seeds = list(domain_informed_points(scenario, budget, mode))
     if params.initial_points:
@@ -370,11 +387,13 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     seed_positions = []
-    dims = policy_dimensions(scenario)
+    ids = scenario.subsidizable_ids()
     for pol in seeds:
-        consider(pol)  # exact evaluation, never lost to float round-trips
-        vec = [float(pol.tax_rate)] + [float(pol.subsidy_for(rid)) for rid in dims[1:]]
+        key = consider(pol)  # exact evaluation, never lost to float round-trips
+        vec = [float(pol.tax_rate)] + [float(pol.subsidy_for(rid)) for rid in ids]
         seed_positions.append(np.clip(np.array(vec), lo, hi))
+        if len(seed_positions) <= params.swarm_size:
+            seeded.setdefault(tuple(seed_positions[-1].tolist()), (pol, key))
 
     running = incumbent[0]
     trace = [(0, running)]

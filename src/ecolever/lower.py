@@ -36,7 +36,7 @@ def net_unit_cost(route: RouteSpec, policy: PolicyVector) -> Decimal:
     """Per-unit cost the industry sees on a route once tax and subsidy apply."""
     return (route.unit_cost
             + policy.tax_rate * route.unit_emissions
-            - policy.subsidy_for(route.route_id))
+            - policy.subsidy_rates.get(route.route_id, ZERO))
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,15 @@ def solve_lower_greedy(scenario: Scenario, policy: PolicyVector):
             ["solve_lower_greedy requires a pure-linear scenario "
              "(no fixed costs, no capacity limits); use solve_lower_milp"])
     validate_policy(scenario, policy)
-    costs = {r.route_id: net_unit_cost(r, policy) for r in scenario.routes}
-    best = min(costs.values())
-    tie_ids = sorted(rid for rid, c in costs.items() if c == best)
+    best, tie_ids = None, []
+    for route in scenario.routes:
+        cost = net_unit_cost(route, policy)
+        if best is None or cost < best:
+            best, tie_ids = cost, [route.route_id]
+        elif cost == best:
+            tie_ids.append(route.route_id)
     tie = TieSet(route_ids=tie_ids, net_unit_cost=best)
-    units = {tie_ids[0]: scenario.demand} if scenario.demand else {}
+    units = {tie.route_ids[0]: scenario.demand} if scenario.demand else {}
     return tie, Allocation(units=units)
 
 

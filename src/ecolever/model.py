@@ -25,15 +25,18 @@ ZERO = Decimal(0)
 
 
 def to_decimal(value, name="value", violations=None):
-    """Coerce int/str/Decimal to Decimal; floats are refused.
+    """Coerce int/str/Decimal to a finite Decimal; floats, NaN and infinities
+    are refused.
 
     When a `violations` list is supplied, problems are appended there and ZERO
     is returned, letting callers gather every error before raising.
     """
     err = None
     if isinstance(value, Decimal):
-        return value
-    if isinstance(value, bool):
+        if value.is_finite():
+            return value
+        err = f"{name}: not a finite number: {value}"
+    elif isinstance(value, bool):
         err = f"{name}: booleans are not numeric"
     elif isinstance(value, int):
         return Decimal(value)
@@ -42,7 +45,7 @@ def to_decimal(value, name="value", violations=None):
                f"pass a string or use quantize_rate()")
     elif isinstance(value, str):
         try:
-            return Decimal(value)
+            return to_decimal(Decimal(value), name, violations)
         except InvalidOperation:
             err = f"{name}: not a decimal literal: {value!r}"
     else:
@@ -175,7 +178,12 @@ class Scenario:
                 v.append("capacity limits cannot absorb total demand")
         if v:
             raise ValidationError(v)
-        object.__setattr__(self, "_by_id", {r.route_id: r for r in self.routes})
+        by_id = {r.route_id: r for r in self.routes}
+        ids = tuple(sorted(by_id))
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_route_ids", ids)
+        object.__setattr__(self, "_subsidizable_ids",
+                           tuple(rid for rid in ids if by_id[rid].subsidizable))
 
     def route(self, route_id: str) -> RouteSpec:
         try:
@@ -183,9 +191,13 @@ class Scenario:
         except KeyError:
             raise InvalidAllocationError(f"unknown route_id: {route_id!r}") from None
 
-    def route_ids(self):
+    def route_ids(self) -> tuple:
         """Route ids in canonical (lexicographic) order."""
-        return sorted(self._by_id)
+        return self._route_ids
+
+    def subsidizable_ids(self) -> tuple:
+        """Ids of the routes that may carry a subsidy, in canonical order."""
+        return self._subsidizable_ids
 
     def is_pure_linear(self) -> bool:
         """True when per-unit terms fully determine cost (no fixed costs, no capacities)."""
@@ -287,9 +299,10 @@ def validate_allocation(scenario: Scenario, allocation: Allocation) -> None:
 def validate_policy(scenario: Scenario, policy: PolicyVector) -> None:
     v = []
     for rid in policy.subsidy_rates:
-        if rid not in scenario._by_id:
+        route = scenario._by_id.get(rid)
+        if route is None:
             v.append(f"subsidy_rates[{rid}]: unknown route")
-        elif not scenario.route(rid).subsidizable:
+        elif not route.subsidizable:
             v.append(f"subsidy_rates[{rid}]: route is not subsidizable")
     if v:
         raise ValidationError(v)
@@ -305,12 +318,13 @@ def evaluate_allocation(scenario: Scenario, allocation: Allocation,
     """
     validate_allocation(scenario, allocation)
     validate_policy(scenario, policy)
+    by_id, subsidies = scenario._by_id, policy.subsidy_rates
     emissions = outlay = unit_part = circularity = ZERO
     active = set()
     for rid, n in allocation.units.items():
-        route = scenario.route(rid)
+        route = by_id[rid]
         emissions += route.unit_emissions * n
-        outlay += policy.subsidy_for(rid) * n
+        outlay += subsidies.get(rid, ZERO) * n
         unit_part += route.unit_cost * n
         circularity += route.unit_circularity * n
         active.add(route.technology_id)
@@ -321,7 +335,7 @@ def evaluate_allocation(scenario: Scenario, allocation: Allocation,
         allocation=allocation,
         industry_cost=unit_part + fixed + tax_payment - outlay,
         total_emissions=emissions,
-        circularity_index=circularity / Decimal(scenario.demand) if scenario.demand else ZERO,
+        circularity_index=circularity / scenario.demand if scenario.demand else ZERO,
         subsidy_outlay=outlay,
         tax_payment=tax_payment,
     )

@@ -7,6 +7,7 @@ import pytest
 
 from ecolever import CalibrationError, ValidationError, cli
 from ecolever.cli import main, parse_value_list
+from ecolever.scenario_io import scenario_to_dict
 
 
 def run_cli(args, capsys):
@@ -93,6 +94,24 @@ def test_bad_budget_spec_exits_1(tmp_path, capsys):
     assert code == 1
     payload = json.loads(stderr.strip())
     assert payload["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--budget", "nan"],
+    ["run", "--budget", "inf"],
+    ["sweep", "--budgets=1,snan"],
+    ["run", "--scenario", "nan_cost.scenario"],
+], ids=["run-budget-nan", "run-budget-inf", "sweep-budgets-snan", "scenario-unit-cost-nan"])
+def test_non_finite_input_exits_1_with_one_json_line(case, tmp_path, capsys, args):
+    data = scenario_to_dict(case)
+    data["routes"][0]["unit_cost"] = "NaN"
+    (tmp_path / "nan_cost.scenario").write_text(json.dumps(data))
+    args = [str(tmp_path / a) if a.endswith(".scenario") else a for a in args]
+    code, _, stderr = run_cli(args + ["--iterations", "2", "--restarts", "1",
+                                      "--out", str(tmp_path / "o")], capsys)
+    lines = stderr.strip().splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -2,6 +2,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ecolever import (
     COMBINED,
@@ -18,7 +19,9 @@ from ecolever import (
     evaluate_policy,
     optimize,
     pso_run,
+    quantize_rate,
 )
+from ecolever import engine
 from ecolever.analysis import closed_form_optimize
 from ecolever.engine import best_policy, policy_dimensions, vector_to_policy
 
@@ -80,6 +83,41 @@ def test_policy_dimensions_and_vector_round_trip(pair):
     assert policy.subsidy_rates == {"clean": Decimal("0.04")}
     # negatives clamp to zero instead of failing validation
     assert vector_to_policy(pair, [-1e-9, -0.5, 0.0]) == PolicyVector.zero()
+
+
+def test_vector_to_policy_rejects_a_position_of_the_wrong_length(pair):
+    for x in ([0.25, 0.0], [0.25, 0.0, 0.04, 0.01], np.zeros(2)):
+        with pytest.raises(ValidationError) as err:
+            vector_to_policy(pair, x)
+        assert "expected 3" in str(err.value)
+
+
+def _reference_vector_to_policy(scenario, x):
+    """Quantize every coordinate, then drop the zero subsidies."""
+    rates = {}
+    for rid, v in zip(policy_dimensions(scenario)[1:], x[1:]):
+        rate = quantize_rate(max(float(v), 0.0))
+        if rate != 0:
+            rates[rid] = rate
+    return PolicyVector(tax_rate=quantize_rate(max(float(x[0]), 0.0)), subsidy_rates=rates)
+
+
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.4e-12, 0.5e-12, 0.6e-12, 1.5e-12,
+                     -0.6e-12, 0.18186, 10.0, 11.5, 1e6]),
+    st.floats(min_value=-20.0, max_value=1e6, allow_nan=False),
+)
+
+
+@given(st.lists(_COORDINATES, min_size=8, max_size=8))
+def test_vector_to_policy_matches_quantizing_every_coordinate(case, x):
+    expected = _reference_vector_to_policy(case, x)
+    for position in (x, np.array(x)):
+        policy = vector_to_policy(case, position)
+        assert policy == expected
+        assert str(policy.tax_rate) == str(expected.tax_rate)
+        assert ({rid: str(r) for rid, r in policy.subsidy_rates.items()}
+                == {rid: str(r) for rid, r in expected.subsidy_rates.items()})
 
 
 def test_default_bounds_encode_mode(pair):
@@ -194,6 +232,20 @@ def test_optimize_lands_on_the_closed_form_corner(case, objective):
     assert swarm.feasible and closed.feasible
     assert swarm.policy == closed.policy
     assert swarm.upper_value == closed.upper_value
+
+
+def test_optimize_evaluates_each_distinct_policy_once(case, monkeypatch):
+    # the analytic seeds are ranked exactly and also seed the first restart's
+    # swarm; a seed whose rates sit on the rate grid needs no second look
+    seen = []
+
+    def counting(scenario, policy, objective, budget):
+        seen.append((policy.tax_rate, tuple(sorted(policy.subsidy_rates.items()))))
+        return evaluate_policy(scenario, policy, objective, budget)
+
+    monkeypatch.setattr(engine, "evaluate_policy", counting)
+    out = optimize(case, "min-ghg", 0, PsoParams(swarm_size=10, iterations=0, restarts=1))
+    assert len(seen) == len(set(seen)) == out.evaluations == 17
 
 
 def test_optimize_most_profitable_shortcut(pair):

@@ -217,6 +217,44 @@ def test_milp_matches_enumeration_when_routes_share_technologies(instance):
     assert result.allocation in reference.optima
 
 
+@st.composite
+def catalogs_with_planted_ties(draw):
+    """Pure-linear catalogs in which a drawn group of routes prices at one
+    exact net cost under the drawn policy, some written with extra zeros."""
+    n = draw(st.integers(2, 7))
+    tax = Decimal(draw(st.integers(0, 400))) / 100
+    subsidies = {f"r{i}": Decimal(draw(st.integers(1, 40))) / 100
+                 for i in range(n) if draw(st.booleans())}
+    emissions = [Decimal(draw(st.integers(0, 30))) / 100 for _ in range(n)]
+    tied = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n))
+    level = Decimal(draw(st.integers(-20, 60))) / 100
+    routes = []
+    for i in range(n):
+        rid = f"r{i}"
+        if i in tied:
+            cost = level - tax * emissions[i] + subsidies.get(rid, Decimal(0))
+            if draw(st.booleans()):
+                cost = cost.quantize(Decimal("1e-6"))  # same value, other exponent
+        else:
+            cost = Decimal(draw(st.integers(-20, 60))) / 100
+        routes.append(RouteSpec(route_id=rid, product_id="p", technology_id=f"t{i}",
+                                unit_cost=cost, unit_emissions=emissions[i],
+                                unit_circularity=Decimal(1)))
+    scenario = Scenario(demand=draw(st.integers(0, 50)), routes=tuple(draw(st.permutations(routes))))
+    return scenario, PolicyVector(tax_rate=tax, subsidy_rates=subsidies)
+
+
+@given(catalogs_with_planted_ties())
+def test_greedy_tie_set_is_every_route_at_the_minimum_net_cost(instance):
+    scenario, policy = instance
+    costs = {r.route_id: net_unit_cost(r, policy) for r in scenario.routes}
+    best = min(costs.values())
+    tie, canonical = solve_lower_greedy(scenario, policy)
+    assert tie.net_unit_cost == best
+    assert tie.route_ids == tuple(sorted(rid for rid, c in costs.items() if c == best))
+    assert canonical.units == ({tie.route_ids[0]: scenario.demand} if scenario.demand else {})
+
+
 def test_milp_refuses_too_many_fixed_cost_technologies():
     routes = tuple(_route(f"r{i:02d}", "0.01", "0.01", "1") for i in range(17))
     scn = Scenario(demand=1, routes=routes,

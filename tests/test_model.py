@@ -51,6 +51,24 @@ def test_to_decimal_rejects_floats_and_junk():
     assert violations and "rate" in violations[0]
 
 
+@pytest.mark.parametrize("value", [
+    "NaN", "-nan", "sNaN", "Infinity", "-inf",
+    Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity"),
+], ids=lambda v: f"{type(v).__name__}-{v}")
+def test_to_decimal_rejects_non_finite_values(value):
+    with pytest.raises(ValidationError) as err:
+        to_decimal(value, "rate")
+    assert "rate" in str(err.value)
+    violations = []
+    assert to_decimal(value, "rate", violations) == 0 and len(violations) == 1
+    with pytest.raises(ValidationError):
+        _route("a", value, "0.1", "1")
+    with pytest.raises(ValidationError):
+        PolicyVector(tax_rate=value)
+    with pytest.raises(ValidationError):
+        PolicyVector(subsidy_rates={"a": value})
+
+
 def test_quantize_rate_is_idempotent_on_grid():
     q = quantize_rate(Decimal("0.94956413325031133"))
     assert q == Decimal("0.949564133250")
