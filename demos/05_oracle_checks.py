@@ -1,10 +1,10 @@
 """Cross-checking the fast solvers against brute force on a small instance.
 
-The greedy tie-set solver and the integer follower are the load-bearing
-pieces; this script confronts both with exhaustive enumeration on a shrunken
-copy of the case study (12 units instead of 1000) where counting every
-allocation is cheap, then does the same for the bilevel layer against a
-dense policy grid.
+The follower is the load-bearing piece: this script confronts its one entry
+point, `solve_lower`, with exhaustive enumeration on a shrunken copy of the
+case study (12 units instead of 1000) where counting every allocation is
+cheap, with and without capacities and fixed costs, then does the same for
+the bilevel layer against a dense policy grid.
 
 Run: python3 demos/05_oracle_checks.py
 """
@@ -19,10 +19,9 @@ from ecolever import (
     Scenario,
     calibrate_case_study,
     enumerate_lower,
-    evaluate_allocation,
+    enumerate_optimistic,
     grid_bilevel,
-    solve_lower_greedy,
-    solve_lower_milp,
+    solve_lower,
 )
 from ecolever.analysis import closed_form_optimize
 
@@ -30,8 +29,11 @@ from ecolever.analysis import closed_form_optimize
 def main():
     case = calibrate_case_study()
     small = Scenario(demand=12, routes=case.routes, modifiers=case.modifiers)
+    capped = Scenario(demand=12, routes=case.routes, modifiers=case.modifiers,
+                      technology_fixed_costs={"landfill_site": Decimal("0.2")},
+                      capacity_limits={rid: 6 for rid in case.route_ids()})
 
-    print("-- lower level: greedy vs integer follower vs enumeration --")
+    print("-- lower level: solve_lower vs enumeration, funds 0 --")
     policies = [
         PolicyVector.zero(),
         PolicyVector(tax_rate=Decimal("4.3")),
@@ -39,16 +41,16 @@ def main():
                      subsidy_rates={"multilayer_landfill": Decimal("0.047")}),
         PolicyVector(subsidy_rates={"glass_wash_reuse": Decimal("0.067")}),
     ]
-    for policy in policies:
-        ref = enumerate_lower(small, policy)
-        _, canonical = solve_lower_greedy(small, policy)
-        greedy_cost = evaluate_allocation(small, canonical, policy).industry_cost
-        integer_cost = solve_lower_milp(small, policy).industry_cost
-        tag = f"tax {policy.tax_rate}, {len(policy.subsidy_rates)} subsidized"
-        ok = greedy_cost == ref.best.industry_cost == integer_cost
-        print(f"  {tag:<28} cost {ref.best.industry_cost:>9.4f} "
-              f"({ref.count} allocations, {len(ref.optima)} optima) agree={ok}")
-        assert ok
+    for scenario, label in ((small, "uncapped"), (capped, "capped")):
+        for policy in policies:
+            ref = enumerate_lower(scenario, policy)
+            ok = all(solve_lower(scenario, policy, objective, 0).allocation
+                     == enumerate_optimistic(scenario, policy, objective, 0)
+                     for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY))
+            tag = f"{label}, tax {policy.tax_rate}, {len(policy.subsidy_rates)} subsidized"
+            print(f"  {tag:<38} cost {ref.best.industry_cost:>9.4f} "
+                  f"({ref.count} allocations, {len(ref.optima)} optima) agree={ok}")
+            assert ok
     print()
 
     print("-- upper level: analytic corners vs dense policy grid --")

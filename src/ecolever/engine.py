@@ -18,6 +18,7 @@ evaluation, and analytic seed policies are evaluated in exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_CEILING
 from enum import Enum
@@ -25,14 +26,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .lower import optimistic_select, solve_lower_greedy, solve_lower_milp
+from .lower import solve_lower
 from .model import (
     LowerResult,
     PolicyVector,
     RouteSpec,
     Scenario,
     ZERO,
-    evaluate_allocation,
     quantize_rate,
     to_decimal,
 )
@@ -72,15 +72,7 @@ def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget)
     in `rank` is zero.
     """
     budget = to_decimal(budget, "budget")
-    if scenario.is_pure_linear():
-        tie, canonical = solve_lower_greedy(scenario, policy)
-        if objective == Objective.MOST_PROFITABLE or len(tie.route_ids) == 1:
-            allocation = canonical
-        else:
-            allocation = optimistic_select(scenario, policy, tie, objective, budget)
-        result = evaluate_allocation(scenario, allocation, policy)
-    else:
-        result = solve_lower_milp(scenario, policy)
+    result = solve_lower(scenario, policy, objective, budget)
     feasible = result.subsidy_outlay <= budget + result.tax_payment
     return _natural_value(objective, result), result, feasible
 
@@ -141,7 +133,9 @@ class PsoParams:
         if self.bounds is not None:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
             object.__setattr__(self, "bounds", bounds)
-            if any(hi < lo for lo, hi in bounds):
+            if not all(math.isfinite(b) for pair in bounds for b in pair):
+                v.append("each bound must be finite")
+            elif any(hi < lo for lo, hi in bounds):
                 v.append("each bound must satisfy lo <= hi")
         if self.initial_points is not None:
             object.__setattr__(self, "initial_points", tuple(self.initial_points))

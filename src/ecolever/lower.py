@@ -1,13 +1,26 @@
-"""Exact solvers for the industry's cost-minimizing technology allocation.
+"""The follower: the industry's cost-minimizing whole-unit allocation, with
+its ties resolved in the leader's favor.
 
-The industry reacts to a fixed policy by routing all demand at minimum net
-cost. In the pure per-unit-linear case the optimum is a greedy argmin over
-per-unit net costs, with ties resolved leader-favorably (and funds-aware) by
-`optimistic_select`. Scenarios with technology activation costs or capacity
-limits go through an enumeration of the active fixed-cost technologies, each
-followed by a capacity-bounded greedy fill.
+`solve_lower` is the one entry point, for every scenario. Let F be the
+technologies that carry an activation cost. Once the subset of F allowed to
+run is fixed, filling demand in ascending (net unit cost, route id) order,
+each route up to its capacity, is a cost-minimal allocation in whole units;
+every subset is filled and charged its own fixed costs. A pure-linear
+scenario (no F, no capacities) is the one-subset case in which the cheapest
+route takes everything.
 
-Every solver here runs in exact decimal arithmetic, and two routes tie only
+The follower's optimal allocations are the faces of the cost-minimal
+subsets: routes priced below a subset's marginal price sit at capacity, and
+the routes at that price share the rest within their capacities. Industry is
+indifferent among them, so the leader chooses (the optimistic convention of
+Dempe, Foundations of Bilevel Programming, 2002): the allocation ranked first
+by (leader value, subsidy outlay, canonical key) among those within the
+public funds, or among all of them when none fits. On one face that choice
+is a bounded knapsack with one equality (Kellerer, Pferschy and Pisinger,
+Knapsack Problems, 2004), solved in closed form for two routes and by an
+exact branch-and-bound for more.
+
+Every number here is an exact Decimal or integer, and two routes tie only
 when their net unit costs are exactly equal, the rule `enumerate_lower` uses
 too, so every path answers with a true cost minimum.
 """
@@ -15,8 +28,11 @@ too, so every path answers with a true cost minimum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InfeasibleError, ResourceBoundError, ValidationError
 from .model import (
@@ -26,10 +42,13 @@ from .model import (
     RouteSpec,
     Scenario,
     ZERO,
-    evaluate_allocation,
+    price_allocation,
     to_decimal,
     validate_policy,
 )
+
+MAX_FIXED_TECHNOLOGIES = 16
+MOST_PROFITABLE = "most-profitable"
 
 
 def net_unit_cost(route: RouteSpec, policy: PolicyVector) -> Decimal:
@@ -50,30 +69,104 @@ class TieSet:
         object.__setattr__(self, "route_ids", tuple(sorted(self.route_ids)))
 
 
-def solve_lower_greedy(scenario: Scenario, policy: PolicyVector):
-    """Exact follower optimum for pure-linear scenarios.
+def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
+                funds) -> LowerResult:
+    """The follower's optimal allocation that the leader prefers, priced.
 
-    Returns (TieSet, canonical Allocation). The canonical allocation puts all
-    demand on the lexicographically first tie member; leader-aware tie
-    resolution is `optimistic_select`'s job.
+    An allocation fits the funds when its subsidy outlay is at most funds
+    plus its tax payment. Among the follower's optimal allocations this
+    returns the first by (leader value, subsidy outlay, canonical key) among
+    those that fit, or among all of them when none fits; the canonical key
+    prefers more units on the lower route id. most-profitable ranks every
+    optimum alike and takes the canonical fill of the first cost-minimal
+    subset. The policy is validated once, here.
+
+    Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES and
+    InfeasibleError when no subset can absorb the demand.
     """
-    if not scenario.routes:
-        raise InfeasibleError("no routes to allocate demand to")
-    if not scenario.is_pure_linear():
-        raise ValidationError(
-            ["solve_lower_greedy requires a pure-linear scenario "
-             "(no fixed costs, no capacity limits); use solve_lower_milp"])
+    funds = to_decimal(funds, "funds")
     validate_policy(scenario, policy)
-    best, tie_ids = None, []
-    for route in scenario.routes:
-        cost = net_unit_cost(route, policy)
-        if best is None or cost < best:
-            best, tie_ids = cost, [route.route_id]
-        elif cost == best:
-            tie_ids.append(route.route_id)
-    tie = TieSet(route_ids=tie_ids, net_unit_cost=best)
-    units = {tie.route_ids[0]: scenario.demand} if scenario.demand else {}
-    return tie, Allocation(units=units)
+    priced, fills = _cheapest_fills(scenario, policy)
+    units = fills[0][1]
+    # a face holds more than the fill only if another route shares its price
+    if leader_objective != MOST_PROFITABLE and scenario.demand and (
+            len(fills) > 1 or list(map(itemgetter(0), priced)).count(fills[0][2]) > 1):
+        faces = [_face(scenario, priced, *fill) for fill in fills]
+        units = _select(scenario, policy, leader_objective, funds, faces)
+    return price_allocation(scenario, Allocation(units), policy)
+
+
+def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
+    """Fill every active subset of F, in (size, itertools.combinations) order,
+    and keep the cost-minimal ones.
+
+    Returns (priced, fills): priced lists (net unit cost, route id,
+    technology id) for every route, and fills holds (active subset,
+    canonical units, marginal price) for each cost-minimal subset, first
+    found first; the marginal price is that of the route where the fill
+    stops. A subset that pays for a technology its fill leaves idle is never
+    cheaper than the same subset without it, so the minimum charge is the
+    exact industry cost.
+    """
+    fixed = scenario.technology_fixed_costs
+    if len(fixed) > MAX_FIXED_TECHNOLOGIES:
+        raise ResourceBoundError(
+            f"{len(fixed)} fixed-cost technologies exceed {MAX_FIXED_TECHNOLOGIES}")
+    tax, subsidies = policy.tax_rate, policy.subsidy_rates
+    priced = [(r.unit_cost + tax * r.unit_emissions - subsidies.get(r.route_id, ZERO),
+               r.route_id, r.technology_id)
+              for r in scenario.routes]  # net_unit_cost, inlined: once per route per call
+    demand, caps = scenario.demand, scenario.capacity_limits
+    # uncapped and without fixed costs, the cheapest route takes everything
+    order = sorted(priced) if fixed or caps else [min(priced)]
+    techs = sorted(fixed)
+    best_cost, fills = None, []
+    for size in range(len(techs) + 1):
+        for active in itertools.combinations(techs, size):
+            cost = sum(map(fixed.get, active), ZERO)
+            units, remaining, marginal = {}, demand, None
+            for net, rid, tech in order:
+                if tech in fixed and tech not in active:
+                    continue
+                take = min(remaining, caps.get(rid, demand))
+                if take:
+                    units[rid] = take
+                    cost += net * take
+                    remaining -= take
+                marginal = net
+                if remaining == 0:
+                    break
+            if remaining:
+                continue
+            if best_cost is None or cost < best_cost:
+                best_cost, fills = cost, [(active, units, marginal)]
+            elif cost == best_cost:
+                fills.append((active, units, marginal))
+    if not fills:
+        raise InfeasibleError("no allocation satisfies demand within capacities")
+    return priced, fills
+
+
+def _face(scenario: Scenario, priced, active, units, marginal):
+    """One cost-minimal subset's face as (pinned units, bounds, rest): the
+    routes priced below the marginal price keep their units, and the rest of
+    demand may go to the routes at it, each up to its bound. bounds is keyed
+    in route-id order, holds only routes that can take a unit, and is empty
+    when the fill is the face's only point."""
+    fixed = scenario.technology_fixed_costs
+    at_margin = [rid for net, rid, tech in priced
+                 if net == marginal and (tech not in fixed or tech in active)]
+    if len(at_margin) > 1:
+        pinned = {rid: n for rid, n in units.items() if rid not in at_margin}
+        rest = scenario.demand - sum(pinned.values())
+        bounds = {}
+        for rid in sorted(at_margin):
+            bound = min(scenario.capacity_of(rid), rest)
+            if bound:
+                bounds[rid] = bound
+        if len(bounds) > 1 and sum(bounds.values()) > rest:
+            return pinned, bounds, rest
+    return units, {}, 0
 
 
 def _leader_unit_value(route: RouteSpec, leader_objective) -> Decimal:
@@ -82,107 +175,221 @@ def _leader_unit_value(route: RouteSpec, leader_objective) -> Decimal:
         return route.unit_emissions
     if leader_objective == "max-circularity":
         return -route.unit_circularity
-    if leader_objective == "most-profitable":
-        return ZERO  # no preference; canonical order decides
+    if leader_objective == MOST_PROFITABLE:
+        return ZERO  # no preference; outlay and canonical key decide
     raise ValidationError([f"unknown leader objective: {leader_objective!r}"])
+
+
+def _select(scenario: Scenario, policy: PolicyVector, leader_objective, funds,
+            faces) -> dict:
+    """The leader's pick over the union of faces, as units: first by (leader
+    value, subsidy outlay, canonical key) among the allocations within
+    funds, or among all of them when none fits."""
+    tax, subsidies = policy.tax_rate, policy.subsidy_rates
+
+    def weight(rid):  # funds drawn per unit: subsidy paid less tax collected
+        return subsidies.get(rid, ZERO) - tax * scenario.route(rid).unit_emissions
+
+    def value(rid):
+        return _leader_unit_value(scenario.route(rid), leader_objective)
+
+    picks, fallbacks = [], []
+    for pinned, bounds, rest in faces:
+        ids, upper = list(bounds), list(bounds.values())
+        left = funds - sum((weight(rid) * n for rid, n in pinned.items()), ZERO)
+        if len(ids) == 2:
+            cost = [(value(rid), subsidies.get(rid, ZERO)) for rid in ids]
+            pick = _best_pair(cost, [weight(rid) for rid in ids], upper, rest, left)
+        else:
+            cost = _fold(_integers([value(rid) for rid in ids]),
+                         _integers([subsidies.get(rid, ZERO) for rid in ids]), rest)
+            *weights, budget = _integers([weight(rid) for rid in ids] + [left])
+            pick = _branch_and_bound(cost, weights, upper, rest, budget)
+        if pick is not None:
+            picks.append((pinned, ids, pick))
+        elif not picks:
+            order = sorted(range(len(ids)), key=cost.__getitem__)
+            fallbacks.append((pinned, ids, _fill(order, [0] * len(ids), upper, rest)))
+    candidates = [{**pinned, **{rid: n for rid, n in zip(ids, pick) if n}}
+                  for pinned, ids, pick in picks or fallbacks]
+    if len(candidates) == 1:
+        return candidates[0]
+
+    def leader_order(units):
+        return (sum((value(rid) * n for rid, n in units.items()), ZERO),
+                sum((subsidies.get(rid, ZERO) * n for rid, n in units.items()), ZERO),
+                tuple(sorted((rid, -n) for rid, n in units.items())))
+
+    return min(candidates, key=leader_order)
+
+
+def _integers(values) -> list:
+    """Exact decimals scaled by one common factor to integers."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios]
+
+
+def _fold(value, outlay, rest) -> list:
+    """One integer cost per route, in route-id order, whose sum over whole
+    splits of `rest` units orders them by (leader value, subsidy outlay,
+    canonical key): each term outweighs every difference the terms after it
+    can make, and the key term -(rest + 1) ** (k - 1 - i) ranks splits by
+    their units on the routes in order, the first route weighing most."""
+    if not value:
+        return []
+    key_span = (rest + 1) ** len(value)
+    outlay_span = (rest * (max(outlay) - min(outlay)) + 1) * key_span
+    return [v * outlay_span + o * key_span - (rest + 1) ** (len(value) - 1 - i)
+            for i, (v, o) in enumerate(zip(value, outlay))]
+
+
+def _fill(order, lo, hi, left) -> list:
+    """lo plus `left` more whole units on the routes in `order`, each up to
+    its hi."""
+    units = list(lo)
+    for i in order:
+        room = hi[i] - lo[i]
+        if room >= left:
+            units[i] += left
+            break
+        units[i] += room
+        left -= room
+    return units
+
+
+def _best_pair(cost, weight, upper, rest, funds):
+    """Two routes in closed form, in exact decimals: the first route's units
+    x range over an interval that the funds line cuts, and the leader's
+    order is linear in x, so the pick is an end of what is left; None when
+    nothing is. cost holds each route's (leader value, outlay) per unit; on
+    equal costs the canonical key prefers the first route."""
+    lo, hi = rest - upper[1], upper[0]
+    slope, slack = weight[0] - weight[1], funds - weight[1] * rest
+    fits_lo, fits_hi = slope * lo <= slack, slope * hi <= slack  # x fits: slope * x <= slack
+    if not (fits_lo or fits_hi):
+        return None
+    if not fits_hi:  # slope > 0 and 0 <= slack: the largest x that fits
+        hi = int(slack // slope)
+    elif not fits_lo:  # slope < 0 and slack < 0: the smallest x that fits
+        lo = int(slack // slope) + (slack % slope != 0)
+    x = hi if cost[0] <= cost[1] else lo
+    return [x, rest - x]
+
+
+def _branch_and_bound(cost, weight, upper, rest, budget):
+    """Exact minimum of cost . x over whole x with sum(x) == rest,
+    weight . x <= budget and 0 <= x <= upper; None when nothing fits.
+
+    A node's LP relaxation fills its box in ascending cost + lam * weight
+    order at the least funds multiplier lam whose fill fits: that fill and
+    the one just below lam are both Lagrangian optimal there, so the mix of
+    them that spends exactly the budget is the LP optimum. The fill that
+    fits is whole and updates the incumbent. cost orders whole points
+    strictly (`_fold`), so a node whose LP bound is not below the incumbent
+    holds nothing better and is pruned; any other node branches on the
+    first fractional coordinate of its LP optimum.
+    """
+    k = len(cost)
+    lams = sorted({Fraction(cost[j] - cost[i], weight[i] - weight[j])
+                   for i in range(k) for j in range(k)
+                   if weight[i] > weight[j] and cost[i] < cost[j]})
+    # orders[m]: the fill order between the m-th breakpoint and the next;
+    # spending falls as m grows
+    orders = [sorted(range(k), key=cost.__getitem__)]
+    orders += [sorted(range(k), key=lambda i: (cost[i] + lam * weight[i], weight[i]))
+               for lam in lams]
+
+    def spend(units):
+        return sum(map(int.__mul__, weight, units))
+
+    best_value, best = None, None
+    stack = [([0] * k, list(upper), 0)]  # (lo, hi, parent's order index)
+    while stack:
+        lo, hi, a = stack.pop()
+        left = rest - sum(lo)
+        if not 0 <= left <= sum(hi) - sum(lo):
+            continue
+
+        drawn = spend(lo)
+
+        def fits(m):  # does _fill(orders[m], lo, hi, left) stay within budget?
+            total, more = drawn, left
+            for i in orders[m]:
+                room = hi[i] - lo[i]
+                if room >= more:
+                    return total + weight[i] * more <= budget
+                total += weight[i] * room
+                more -= room
+            return total <= budget
+
+        # search from the parent's index, which a child's is usually near
+        if fits(a):
+            a, b = 0, a
+        elif fits(len(orders) - 1):
+            a, b = a + 1, len(orders) - 1
+        else:
+            continue  # even the least-spending fill overdraws
+        while a < b:
+            mid = (a + b) // 2
+            a, b = (a, mid) if fits(mid) else (mid + 1, b)
+        inside = _fill(orders[a], lo, hi, left)
+        value = sum(map(int.__mul__, cost, inside))
+        if best_value is None or value < best_value:
+            best_value, best = value, inside
+        if a == 0:
+            continue  # the cost-ordered fill fits: a whole LP optimum
+        # the LP optimum is inside + spare / span * (outside - inside)
+        outside = _fill(orders[a - 1], lo, hi, left)
+        spare, span = budget - spend(inside), spend(outside) - spend(inside)
+        gain = sum(map(int.__mul__, cost, outside)) - value
+        if (value - best_value) * span + spare * gain >= 0:
+            continue
+        for i in range(k):
+            step = spare * (outside[i] - inside[i])
+            if step % span:
+                break
+        else:  # the LP optimum is whole
+            best_value = value + spare * gain // span
+            best = [n + spare * (m - n) // span for n, m in zip(inside, outside)]
+            continue
+        cut = inside[i] + step // span
+        stack.append((lo, hi[:i] + [cut] + hi[i + 1:], a))
+        stack.append((lo[:i] + [cut + 1] + lo[i + 1:], hi, a))
+    return best
+
+
+def solve_lower_greedy(scenario: Scenario, policy: PolicyVector):
+    """Pure-linear view of the follower: (TieSet of the routes at the
+    minimum net unit cost, canonical Allocation with all demand on the first
+    of them). Leader-aware tie resolution is `solve_lower`'s job.
+    """
+    if not scenario.is_pure_linear():
+        raise ValidationError(
+            ["solve_lower_greedy requires a pure-linear scenario "
+             "(no fixed costs, no capacity limits); use solve_lower"])
+    validate_policy(scenario, policy)
+    priced, [(_, units, marginal)] = _cheapest_fills(scenario, policy)
+    tie = TieSet(route_ids=[rid for net, rid, _ in priced if net == marginal],
+                 net_unit_cost=marginal)
+    return tie, Allocation(units)
 
 
 def optimistic_select(scenario: Scenario, policy: PolicyVector, tie: TieSet,
                       leader_objective, available_funds) -> Allocation:
-    """Resolve a follower tie in the leader's favor, capped by public funds.
-
-    Every returned allocation lies on the follower's optimal face (all mass on
-    tie routes), so the follower's objective is untouched. Among those, the
-    funds constraint is the self-consistent balance
-
-        subsidy_outlay(alloc) <= available_funds + tax_rate * emissions(alloc)
-
-    i.e. a knapsack with per-unit weights subsidy_r - tax * emissions_r. The
-    continuous optimum mixes at most two tie routes; each two-route mixture is
-    rounded toward feasibility. If even the best single route violates funds,
-    the leader-best allocation is returned anyway and the caller flags it.
-    """
+    """The leader's pick among the whole-unit splits of all demand over a
+    pure-linear TieSet's routes: `solve_lower`'s selector on that one face,
+    with available_funds net of tax income."""
     funds = to_decimal(available_funds, "available_funds")
     demand = scenario.demand
     if demand == 0:
         return Allocation({})
-    routes = [scenario.route(rid) for rid in tie.route_ids]
-    value = {r.route_id: _leader_unit_value(r, leader_objective) for r in routes}
-    weight = {r.route_id: policy.subsidy_for(r.route_id) - policy.tax_rate * r.unit_emissions
-              for r in routes}
-
-    candidates = []
-    for r in routes:
-        if weight[r.route_id] * demand <= funds:
-            candidates.append({r.route_id: demand})
-    for r1, r2 in itertools.combinations(routes, 2):
-        w1, w2 = weight[r1.route_id], weight[r2.route_id]
-        if w1 == w2:
-            continue  # mixtures are never cheaper than the better single route
-        n1 = (funds - w2 * demand) / (w1 - w2)
-        n1 = int(n1.to_integral_value(rounding="ROUND_FLOOR" if w1 > w2 else "ROUND_CEILING"))
-        n1 = max(0, min(demand, n1))
-        mix = {r1.route_id: n1, r2.route_id: demand - n1}
-        if w1 * n1 + w2 * (demand - n1) <= funds:
-            candidates.append(mix)
-
-    def score(units):
-        leader = sum((value[rid] * n for rid, n in units.items()), ZERO)
-        outlay = sum((policy.subsidy_for(rid) * n for rid, n in units.items()), ZERO)
-        key = tuple(sorted((rid, -n) for rid, n in units.items() if n))
-        return (leader, outlay, key)
-
-    if candidates:
-        best = min(candidates, key=score)
-        return Allocation({rid: n for rid, n in best.items() if n})
-    # Nothing affordable on the optimal face: hand back the leader's favorite.
-    fallback = min(routes, key=lambda r: (value[r.route_id], r.route_id))
-    return Allocation({fallback.route_id: demand})
-
-
-MAX_FIXED_TECHNOLOGIES = 16
+    face = ({}, {rid: demand for rid in tie.route_ids}, demand)
+    return Allocation(_select(scenario, policy, leader_objective, funds, [face]))
 
 
 def solve_lower_milp(scenario: Scenario, policy: PolicyVector) -> LowerResult:
-    """Exact follower optimum for scenarios with fixed costs or capacities.
-
-    Let F be the technologies that carry an activation cost. Once the subset
-    of F allowed to run is fixed, filling demand in ascending (net unit cost,
-    route id) order, each route up to its capacity, is optimal and gives
-    whole units. Every subset is filled, in (size, itertools.combinations)
-    order, and charged its own fixed costs; the first strictly cheapest one
-    wins. A subset that pays for a technology its fill leaves idle is never
-    cheaper than the same subset without it, so the winner's charge is the
-    exact industry cost of its fill. Exact ties between routes go to the
-    lower route id, the rule of solve_lower_greedy's canonical allocation.
-
-    Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES and
-    InfeasibleError when no subset can absorb the demand.
+    """The follower's canonical cost-minimal allocation, priced: the first
+    cost-minimal subset's fill, which is `solve_lower` for most-profitable.
     """
-    fixed = scenario.technology_fixed_costs
-    if len(fixed) > MAX_FIXED_TECHNOLOGIES:
-        raise ResourceBoundError(
-            f"{len(fixed)} fixed-cost technologies exceed {MAX_FIXED_TECHNOLOGIES}")
-    validate_policy(scenario, policy)
-    priced = sorted((net_unit_cost(r, policy), r.route_id, r.technology_id)
-                    for r in scenario.routes)
-    techs = sorted(fixed)
-    best_cost = best_units = None
-    for size in range(len(techs) + 1):
-        for active in itertools.combinations(techs, size):
-            cost = sum((fixed[t] for t in active), ZERO)
-            units = {}
-            remaining = scenario.demand
-            for unit_cost, rid, tech in priced:
-                if remaining == 0:
-                    break
-                if tech in fixed and tech not in active:
-                    continue
-                units[rid] = min(remaining, scenario.capacity_of(rid))
-                cost += unit_cost * units[rid]
-                remaining -= units[rid]
-            if remaining == 0 and (best_cost is None or cost < best_cost):
-                best_cost, best_units = cost, units
-    if best_units is None:
-        raise InfeasibleError("no allocation satisfies demand within capacities")
-    return evaluate_allocation(scenario, Allocation(best_units), policy)
+    return solve_lower(scenario, policy, MOST_PROFITABLE, ZERO)

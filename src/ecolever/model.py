@@ -57,8 +57,19 @@ def to_decimal(value, name="value", violations=None):
 
 
 def quantize_rate(value, rounding=ROUND_HALF_EVEN) -> Decimal:
-    """Snap a float (e.g. a swarm position) onto the canonical 1e-12 rate grid."""
-    return Decimal(value).quantize(RATE_QUANTUM, rounding=rounding)
+    """Snap a float (e.g. a swarm position) onto the canonical 1e-12 rate grid.
+
+    Raises ValidationError for NaN, infinities, and magnitudes of 1e16 or
+    more, whose 1e-12 multiples need more digits than the decimal context
+    holds.
+    """
+    try:
+        rate = Decimal(value).quantize(RATE_QUANTUM, rounding=rounding)
+    except InvalidOperation:
+        rate = None
+    if rate is None or not rate.is_finite():
+        raise ValidationError([f"rate {value!r} does not fit the 1e-12 rate grid"])
+    return rate
 
 
 @dataclass(frozen=True)
@@ -312,12 +323,21 @@ def evaluate_allocation(scenario: Scenario, allocation: Allocation,
                         policy: PolicyVector) -> LowerResult:
     """Every follower-side total for one allocation under one policy.
 
-    Validates both inputs once, then accumulates in one pass. Fixed costs are
-    charged for each technology the allocation uses; circularity is the
-    demand-weighted mean, reported as 0 at zero demand.
+    Validates both inputs once, then prices them with `price_allocation`.
     """
     validate_allocation(scenario, allocation)
     validate_policy(scenario, policy)
+    return price_allocation(scenario, allocation, policy)
+
+
+def price_allocation(scenario: Scenario, allocation: Allocation,
+                     policy: PolicyVector) -> LowerResult:
+    """`evaluate_allocation` for inputs already known to be valid.
+
+    Accumulates in one pass. Fixed costs are charged for each technology the
+    allocation uses; circularity is the demand-weighted mean, reported as 0
+    at zero demand.
+    """
     by_id, subsidies = scenario._by_id, policy.subsidy_rates
     emissions = outlay = unit_part = circularity = ZERO
     active = set()

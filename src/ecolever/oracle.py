@@ -88,6 +88,33 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
     return EnumerationResult(best=best_result, optima=tuple(optima), count=count)
 
 
+def enumerate_optimistic(scenario: Scenario, policy: PolicyVector, objective,
+                         funds) -> Allocation:
+    """The leader's pick among the follower optima, by brute force.
+
+    Keeps the `enumerate_lower` optima whose subsidy outlay is at most funds
+    plus their tax payment, or all of them when none is, and returns the
+    first by (leader value, subsidy outlay, canonical key), where the key
+    prefers more units on the lower route id. For most-profitable every
+    optimum has the same value; `solve_lower` then keeps its canonical fill,
+    which this reference does not model.
+    """
+    objective = Objective(objective)
+    funds = to_decimal(funds, "funds")
+    results = [evaluate_allocation(scenario, allocation, policy)
+               for allocation in enumerate_lower(scenario, policy).optima]
+    fitting = [r for r in results if r.subsidy_outlay <= funds + r.tax_payment]
+
+    def order(result):
+        value = {Objective.MIN_GHG: result.total_emissions,
+                 Objective.MAX_CIRCULARITY: -result.circularity_index,
+                 Objective.MOST_PROFITABLE: result.industry_cost}[objective]
+        key = tuple(sorted((rid, -n) for rid, n in result.allocation.units.items()))
+        return value, result.subsidy_outlay, key
+
+    return min(fitting or results, key=order).allocation
+
+
 @dataclass(frozen=True)
 class GridAxis:
     """One axis of the policy grid: `steps` evenly spaced decimals in

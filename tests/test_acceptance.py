@@ -14,6 +14,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecolever import (
     Objective,
@@ -23,6 +24,7 @@ from ecolever import (
     Scenario,
     budget_sweep,
     enumerate_lower,
+    enumerate_optimistic,
     evaluate_allocation,
     evaluate_policy,
     fit_slope,
@@ -30,6 +32,7 @@ from ecolever import (
     required_budget_for_fixed_tax,
     sensitivity_distance,
     sensitivity_loss,
+    solve_lower,
     solve_lower_greedy,
     solve_lower_milp,
     tax_budget_line,
@@ -315,6 +318,49 @@ def test_criterion_10_solver_equivalence_battery():
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _pass(10, f"220 randomized instances agree exactly, {elapsed:.1f}s")
+
+
+@st.composite
+def _tied_follower_instances(draw):
+    """Catalogs of 2-5 routes in which a drawn group of up to all of them
+    prices at one exact net cost, on shared technologies; half of them carry
+    fixed costs (zero allowed) and capacities (zero allowed). Demand is 0-9
+    and the funds run from negative to generous, so some instances have no
+    optimum within funds."""
+    n = draw(st.integers(2, 5))
+    tax = Decimal(draw(st.integers(0, 300))) / 100
+    subsidies = {f"r{i}": Decimal(draw(st.integers(1, 4))) / 10
+                 for i in range(n) if draw(st.booleans())}
+    emissions = [Decimal(draw(st.integers(0, 3))) / 10 for _ in range(n)]  # repeats often
+    tied = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    level = Decimal(draw(st.integers(-20, 60))) / 100
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{draw(st.integers(0, 2))}",
+                  unit_cost=(level - tax * emissions[i] + subsidies.get(f"r{i}", Decimal(0))
+                             if i in tied else Decimal(draw(st.integers(-20, 60))) / 100),
+                  unit_emissions=emissions[i],
+                  unit_circularity=Decimal(draw(st.integers(0, 4))) / 2)
+        for i in range(n))
+    demand = draw(st.integers(0, 9))
+    fixed, caps = {}, {}
+    if draw(st.booleans()):
+        fixed = {t: Decimal(draw(st.integers(0, 100))) / 100
+                 for t in sorted({r.technology_id for r in routes}) if draw(st.booleans())}
+        caps = {r.route_id: draw(st.integers(0, demand))
+                for r in routes[:-1] if draw(st.booleans())}
+    scenario = Scenario(demand=demand, routes=routes,
+                        technology_fixed_costs=fixed, capacity_limits=caps)
+    return (scenario, PolicyVector(tax_rate=tax, subsidy_rates=subsidies),
+            draw(st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY])),
+            Decimal(draw(st.integers(-300, 300))) / 100)
+
+
+@settings(max_examples=300)
+@given(_tied_follower_instances())
+def test_follower_picks_the_enumerated_optimistic_allocation(instance):
+    scenario, policy, objective, funds = instance
+    result = solve_lower(scenario, policy, objective, funds)
+    assert result.allocation == enumerate_optimistic(scenario, policy, objective, funds)
 
 
 def _run_cli(args, out_dir):

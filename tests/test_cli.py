@@ -114,6 +114,19 @@ def test_non_finite_input_exits_1_with_one_json_line(case, tmp_path, capsys, arg
     assert json.loads(lines[0])["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("args", [
+    ["--tax-max", "nan"],
+    ["--tax-max", "inf"],
+    ["--tax-max", "1e20", "--iterations", "1", "--restarts", "2"],
+], ids=["nan", "inf", "past-the-rate-grid"])
+def test_bad_tax_max_exits_1_naming_the_flag(tmp_path, capsys, args):
+    code, _, stderr = run_cli(["run", *args, "--out", str(tmp_path / "o")], capsys)
+    lines = stderr.strip().splitlines()
+    assert code == 1 and len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValidationError" and "--tax-max" in payload["detail"]
+
+
 def test_unknown_subcommand_exits_1(capsys):
     code, _, stderr = run_cli(["frobnicate"], capsys)
     assert code == 1

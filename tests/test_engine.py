@@ -92,6 +92,12 @@ def test_vector_to_policy_rejects_a_position_of_the_wrong_length(pair):
         assert "expected 3" in str(err.value)
 
 
+def test_vector_to_policy_rejects_a_rate_past_the_grid(case):
+    # 1e16 needs 29 digits on the 1e-12 grid, one more than the context holds
+    with pytest.raises(ValidationError):
+        vector_to_policy(case, [1e16] + [0.0] * 7)
+
+
 def _reference_vector_to_policy(scenario, x):
     """Quantize every coordinate, then drop the zero subsidies."""
     rates = {}
@@ -179,6 +185,9 @@ def test_pso_params_validation():
         PsoParams(swarm_size=0)
     with pytest.raises(ValidationError):
         PsoParams(bounds=((1, 0),))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError):
+            PsoParams(bounds=((0.0, bad),))
     with pytest.raises(ValidationError):
         pso_run(lambda x: 0.0, PsoParams())  # bounds required
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from decimal import Decimal
 
@@ -11,13 +12,16 @@ from ecolever import (
     RouteSpec,
     Scenario,
     enumerate_lower,
+    enumerate_optimistic,
     evaluate_allocation,
     evaluate_policy,
     net_unit_cost,
     optimistic_select,
+    solve_lower,
     solve_lower_greedy,
     solve_lower_milp,
 )
+from ecolever import lower, model
 from ecolever.analysis import LANDFILL_ROUTE, STRAP_ROUTE
 
 
@@ -263,3 +267,66 @@ def test_milp_refuses_too_many_fixed_cost_technologies():
     with pytest.raises(ResourceBoundError):
         solve_lower_milp(scn, PolicyVector.zero())
     assert time.perf_counter() - start < 0.5
+
+
+# --- one follower for both scenario classes ---------------------------------
+
+@pytest.mark.parametrize("capacity_limits", [{}, {"a_dirty": 1000, "b_clean": 1000}],
+                         ids=["uncapped", "non-binding-capacities"])
+def test_tie_goes_to_the_leader_on_both_classes(capacity_limits):
+    # both routes cost 1 at zero policy; min-GHG prefers the cleaner one
+    scn = Scenario(demand=1000, capacity_limits=capacity_limits,
+                   routes=(_route("a_dirty", "1", "0.02", "1"), _route("b_clean", "1", "0.01", "1")))
+    value, result, _ = evaluate_policy(scn, PolicyVector.zero(), Objective.MIN_GHG, 0)
+    assert value == Decimal("10.00")
+    assert result.allocation.units == {"b_clean": 1000}
+
+
+def test_three_route_tie_beats_pair_rounding():
+    # all three net to 0.19; pair rounding stops at {r1: 2, r2: 5}
+    scn = Scenario(demand=7, routes=(_route("r0", "0.4", "0.05", "0.6"),
+                                     _route("r1", "0.1", "0.03", "0.5"),
+                                     _route("r2", "0.5", "0.02", "1.2")))
+    policy = PolicyVector(tax_rate=Decimal(3),
+                          subsidy_rates={"r0": Decimal("0.36"), "r2": Decimal("0.37")})
+    result = solve_lower(scn, policy, Objective.MAX_CIRCULARITY, Decimal("1.7"))
+    assert result.allocation.units == {"r0": 1, "r1": 1, "r2": 5}
+    assert result.subsidy_outlay - result.tax_payment == Decimal("1.67")
+    assert enumerate_optimistic(scn, policy, Objective.MAX_CIRCULARITY, Decimal("1.7")) \
+        == result.allocation
+
+
+def test_evaluate_policy_validates_the_policy_once(case, monkeypatch):
+    calls = []
+    real = lower.validate_policy
+    monkeypatch.setattr(lower, "validate_policy", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(model, "validate_allocation", None)  # nothing re-validates
+    evaluate_policy(case, PolicyVector(tax_rate=Decimal("0.5")), Objective.MIN_GHG, 0)
+    assert len(calls) == 1
+
+
+def _six_route_tie(case, capped):
+    # six case-study routes priced to one net cost through tax and subsidies
+    tax, level = Decimal(1), Decimal("0.1")
+    routes = [r for r in case.routes if r.route_id != "multilayer_pyrolysis"]
+    subsidies = {r.route_id: Decimal(7 + 5 * i) / 1000 for i, r in enumerate(routes)}
+    routes = tuple(dataclasses.replace(
+        r, unit_cost=level - tax * r.unit_emissions + subsidies[r.route_id]) for r in routes)
+    caps = {r.route_id: 400 for r in routes} if capped else {}
+    return (Scenario(demand=1000, routes=routes, capacity_limits=caps),
+            PolicyVector(tax_rate=tax, subsidy_rates=subsidies))
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+def test_six_route_tie_at_demand_1000_resolves_quickly(case, capped, objective):
+    scn, policy = _six_route_tie(case, capped)
+    canonical = solve_lower_milp(scn, policy)
+    generous = solve_lower(scn, policy, objective, Decimal(10) ** 6)
+    for funds in (Decimal(-60), Decimal(-45)):  # both bind: the favorite overdraws
+        start = time.perf_counter()
+        result = solve_lower(scn, policy, objective, funds)
+        assert time.perf_counter() - start < 5.0
+        assert result.industry_cost == canonical.industry_cost
+        assert result.subsidy_outlay <= funds + result.tax_payment
+        assert generous.subsidy_outlay > funds + generous.tax_payment

@@ -75,6 +75,12 @@ def test_quantize_rate_is_idempotent_on_grid():
     assert quantize_rate(q) == q
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e16, -1e16])
+def test_quantize_rate_refuses_values_off_the_grid(value):
+    with pytest.raises(ValidationError):
+        quantize_rate(value)
+
+
 def test_route_spec_validation_collects_violations():
     with pytest.raises(ValidationError) as err:
         _route("bad", "0.1", "-0.2", "3.0")
