@@ -45,7 +45,7 @@ def main():
         for policy in policies:
             ref = enumerate_lower(scenario, policy)
             ok = all(solve_lower(scenario, policy, objective, 0).allocation
-                     == enumerate_optimistic(scenario, policy, objective, 0)
+                     == enumerate_optimistic(scenario, policy, objective, 0, ref)
                      for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY))
             tag = f"{label}, tax {policy.tax_rate}, {len(policy.subsidy_rates)} subsidized"
             print(f"  {tag:<38} cost {ref.best.industry_cost:>9.4f} "

@@ -42,7 +42,7 @@ from .engine import (
 from .errors import EcoleverError, ValidationError
 from .lower import solve_lower
 from .model import PolicyVector, Scenario, quantize_rate, to_decimal
-from .oracle import GridAxis, enumerate_optimistic, grid_bilevel
+from .oracle import GridAxis, enumerate_lower, enumerate_optimistic, grid_bilevel
 from .scenario_io import (
     atomic_write_text,
     format_decimal,
@@ -316,9 +316,10 @@ def cmd_verify(args) -> int:
         policy = _random_policy(rng, small)
         # at zero funds the funds cap binds whenever subsidies outrun tax
         for copy, name in ((small, "uncapped"), (capped, "capped")):
+            enumeration = enumerate_lower(copy, policy)
             for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
                 picked = solve_lower(copy, policy, objective, 0).allocation
-                expected = enumerate_optimistic(copy, policy, objective, 0)
+                expected = enumerate_optimistic(copy, policy, objective, 0, enumeration)
                 if picked != expected:
                     _emit_error("VerificationError",
                                 f"trial {trial}: {name} {objective.value} follower picked "

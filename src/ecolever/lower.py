@@ -18,7 +18,8 @@ by (leader value, subsidy outlay, canonical key) among those within the
 public funds, or among all of them when none fits. On one face that choice
 is a bounded knapsack with one equality (Kellerer, Pferschy and Pisinger,
 Knapsack Problems, 2004), solved in closed form for two routes and by an
-exact branch-and-bound for more.
+exact branch-and-bound for more, which refuses, rather than runs on, a face
+needing more than MAX_SELECTOR_NODES nodes.
 
 Every number here is an exact Decimal or integer, and two routes tie only
 when their net unit costs are exactly equal, the rule `enumerate_lower` uses
@@ -48,6 +49,7 @@ from .model import (
 )
 
 MAX_FIXED_TECHNOLOGIES = 16
+MAX_SELECTOR_NODES = 50_000
 MOST_PROFITABLE = "most-profitable"
 
 
@@ -81,7 +83,8 @@ def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
     optimum alike and takes the canonical fill of the first cost-minimal
     subset. The policy is validated once, here.
 
-    Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES and
+    Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES or a
+    tie needs more than MAX_SELECTOR_NODES selector nodes, and
     InfeasibleError when no subset can absorb the demand.
     """
     funds = to_decimal(funds, "funds")
@@ -112,10 +115,8 @@ def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
     if len(fixed) > MAX_FIXED_TECHNOLOGIES:
         raise ResourceBoundError(
             f"{len(fixed)} fixed-cost technologies exceed {MAX_FIXED_TECHNOLOGIES}")
-    tax, subsidies = policy.tax_rate, policy.subsidy_rates
-    priced = [(r.unit_cost + tax * r.unit_emissions - subsidies.get(r.route_id, ZERO),
-               r.route_id, r.technology_id)
-              for r in scenario.routes]  # net_unit_cost, inlined: once per route per call
+    priced = [(net_unit_cost(r, policy), r.route_id, r.technology_id)
+              for r in scenario.routes]
     demand, caps = scenario.demand, scenario.capacity_limits
     # uncapped and without fixed costs, the cheapest route takes everything
     order = sorted(priced) if fixed or caps else [min(priced)]
@@ -185,10 +186,11 @@ def _select(scenario: Scenario, policy: PolicyVector, leader_objective, funds,
     """The leader's pick over the union of faces, as units: first by (leader
     value, subsidy outlay, canonical key) among the allocations within
     funds, or among all of them when none fits."""
-    tax, subsidies = policy.tax_rate, policy.subsidy_rates
+    subsidies = policy.subsidy_rates
 
     def weight(rid):  # funds drawn per unit: subsidy paid less tax collected
-        return subsidies.get(rid, ZERO) - tax * scenario.route(rid).unit_emissions
+        route = scenario.route(rid)
+        return route.unit_cost - net_unit_cost(route, policy)
 
     def value(rid):
         return _leader_unit_value(scenario.route(rid), leader_objective)
@@ -197,7 +199,7 @@ def _select(scenario: Scenario, policy: PolicyVector, leader_objective, funds,
     for pinned, bounds, rest in faces:
         ids, upper = list(bounds), list(bounds.values())
         left = funds - sum((weight(rid) * n for rid, n in pinned.items()), ZERO)
-        if len(ids) == 2:
+        if len(ids) == 2:  # closed form: the search made closed-form sweeps 1.75x slower
             cost = [(value(rid), subsidies.get(rid, ZERO)) for rid in ids]
             pick = _best_pair(cost, [weight(rid) for rid in ids], upper, rest, left)
         else:
@@ -289,6 +291,10 @@ def _branch_and_bound(cost, weight, upper, rest, budget):
     strictly (`_fold`), so a node whose LP bound is not below the incumbent
     holds nothing better and is pruned; any other node branches on the
     first fractional coordinate of its LP optimum.
+
+    Raises ResourceBoundError past MAX_SELECTOR_NODES nodes. Routes whose
+    (weight, cost) lie on one line leave the LP bound flat, and the search
+    then enumerates a subset-sum.
     """
     k = len(cost)
     lams = sorted({Fraction(cost[j] - cost[i], weight[i] - weight[j])
@@ -305,7 +311,12 @@ def _branch_and_bound(cost, weight, upper, rest, budget):
 
     best_value, best = None, None
     stack = [([0] * k, list(upper), 0)]  # (lo, hi, parent's order index)
-    while stack:
+    for nodes in itertools.count(1):
+        if not stack:
+            return best
+        if nodes > MAX_SELECTOR_NODES:
+            raise ResourceBoundError(f"a tie of {k} routes needs more than "
+                                     f"{MAX_SELECTOR_NODES} selector nodes")
         lo, hi, a = stack.pop()
         left = rest - sum(lo)
         if not 0 <= left <= sum(hi) - sum(lo):
@@ -356,7 +367,6 @@ def _branch_and_bound(cost, weight, upper, rest, budget):
         cut = inside[i] + step // span
         stack.append((lo, hi[:i] + [cut] + hi[i + 1:], a))
         stack.append((lo[:i] + [cut + 1] + lo[i + 1:], hi, a))
-    return best
 
 
 def solve_lower_greedy(scenario: Scenario, policy: PolicyVector):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .engine import Objective, best_policy
-from .errors import ResourceBoundError
+from .errors import ResourceBoundError, ValidationError
 from .model import (
     PolicyVector,
     Scenario,
@@ -89,26 +89,29 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
 
 
 def enumerate_optimistic(scenario: Scenario, policy: PolicyVector, objective,
-                         funds) -> Allocation:
+                         funds, enumeration: EnumerationResult | None = None) -> Allocation:
     """The leader's pick among the follower optima, by brute force.
 
     Keeps the `enumerate_lower` optima whose subsidy outlay is at most funds
     plus their tax payment, or all of them when none is, and returns the
     first by (leader value, subsidy outlay, canonical key), where the key
-    prefers more units on the lower route id. For most-profitable every
-    optimum has the same value; `solve_lower` then keeps its canonical fill,
-    which this reference does not model.
+    prefers more units on the lower route id. Pass `enumeration` to rank an
+    `enumerate_lower(scenario, policy)` result already at hand. Only min-ghg
+    and max-circularity: for most-profitable `solve_lower` keeps its
+    canonical fill, which this reference does not model.
     """
     objective = Objective(objective)
+    if objective is Objective.MOST_PROFITABLE:
+        raise ValidationError([f"enumerate_optimistic has no order for {objective.value}"])
     funds = to_decimal(funds, "funds")
+    enumeration = enumeration or enumerate_lower(scenario, policy)
     results = [evaluate_allocation(scenario, allocation, policy)
-               for allocation in enumerate_lower(scenario, policy).optima]
+               for allocation in enumeration.optima]
     fitting = [r for r in results if r.subsidy_outlay <= funds + r.tax_payment]
 
     def order(result):
-        value = {Objective.MIN_GHG: result.total_emissions,
-                 Objective.MAX_CIRCULARITY: -result.circularity_index,
-                 Objective.MOST_PROFITABLE: result.industry_cost}[objective]
+        value = (result.total_emissions if objective is Objective.MIN_GHG
+                 else -result.circularity_index)
         key = tuple(sorted((rid, -n) for rid, n in result.allocation.units.items()))
         return value, result.subsidy_outlay, key
 

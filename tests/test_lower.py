@@ -305,13 +305,15 @@ def test_evaluate_policy_validates_the_policy_once(case, monkeypatch):
     assert len(calls) == 1
 
 
-def _six_route_tie(case, capped):
+def _six_route_tie(case, capped, subsidized=True):
     # six case-study routes priced to one net cost through tax and subsidies
     tax, level = Decimal(1), Decimal("0.1")
     routes = [r for r in case.routes if r.route_id != "multilayer_pyrolysis"]
-    subsidies = {r.route_id: Decimal(7 + 5 * i) / 1000 for i, r in enumerate(routes)}
+    subsidies = ({r.route_id: Decimal(7 + 5 * i) / 1000 for i, r in enumerate(routes)}
+                 if subsidized else {})
     routes = tuple(dataclasses.replace(
-        r, unit_cost=level - tax * r.unit_emissions + subsidies[r.route_id]) for r in routes)
+        r, unit_cost=level - tax * r.unit_emissions + subsidies.get(r.route_id, 0))
+        for r in routes)
     caps = {r.route_id: 400 for r in routes} if capped else {}
     return (Scenario(demand=1000, routes=routes, capacity_limits=caps),
             PolicyVector(tax_rate=tax, subsidy_rates=subsidies))
@@ -330,3 +332,37 @@ def test_six_route_tie_at_demand_1000_resolves_quickly(case, capped, objective):
         assert result.industry_cost == canonical.industry_cost
         assert result.subsidy_outlay <= funds + result.tax_payment
         assert generous.subsidy_outlay > funds + generous.tax_payment
+    # Unsubsidized, each route draws -tax * emissions from the funds, so under
+    # min-ghg every route lies on one line in (funds drawn, leader value) and
+    # a binding cap asks for a subset-sum: the selector refuses it in time.
+    scn, policy = _six_route_tie(case, capped, subsidized=False)
+    canonical = solve_lower_milp(scn, policy)
+    for funds in (Decimal(-60), Decimal(-82)):
+        start = time.perf_counter()
+        if objective is Objective.MIN_GHG:
+            with pytest.raises(ResourceBoundError, match="selector nodes"):
+                solve_lower(scn, policy, objective, funds)
+        else:
+            result = solve_lower(scn, policy, objective, funds)
+            assert result.industry_cost == canonical.industry_cost
+            assert result.subsidy_outlay <= funds + result.tax_payment
+        assert time.perf_counter() - start < 5.0
+
+
+_tenths = st.integers(-20, 20).map(lambda n: Decimal(n) / 10)
+
+
+@given(data=st.data(), rest=st.integers(1, 12))
+def test_pair_closed_form_matches_the_search(data, rest):
+    # the two-route closed form and the branch-and-bound it stands in for
+    upper = [data.draw(st.integers(1, rest)) for _ in range(2)]
+    if sum(upper) <= rest:  # a face always has room to spare
+        upper[1] = rest
+    values = data.draw(st.lists(_tenths, min_size=2, max_size=2))
+    outlays = data.draw(st.lists(_tenths, min_size=2, max_size=2))
+    weights = data.draw(st.lists(_tenths, min_size=2, max_size=2))
+    funds = data.draw(_tenths)
+    pair = lower._best_pair(list(zip(values, outlays)), weights, upper, rest, funds)
+    *scaled, budget = lower._integers(weights + [funds])
+    cost = lower._fold(lower._integers(values), lower._integers(outlays), rest)
+    assert pair == lower._branch_and_bound(cost, scaled, upper, rest, budget)

@@ -10,7 +10,9 @@ from ecolever import (
     ResourceBoundError,
     RouteSpec,
     Scenario,
+    ValidationError,
     enumerate_lower,
+    enumerate_optimistic,
     grid_bilevel,
 )
 from ecolever.oracle import _compositions
@@ -97,3 +99,16 @@ def test_grid_bilevel_refuses_oversized_grids(tiny):
             tax_axis=GridAxis(lo=Decimal(0), hi=Decimal(1), steps=100_000),
             subsidy_axes={"b": GridAxis(lo=Decimal(0), hi=Decimal(1), steps=101)},
         )
+
+
+def test_enumerate_optimistic_ranks_a_given_enumeration(tiny):
+    policy = PolicyVector(tax_rate=Decimal("0.5"))  # both routes net 0.25
+    enumeration = enumerate_lower(tiny, policy)
+    funds = Decimal("-0.5")  # tax income must reach 0.5: three units or more on a
+    assert enumerate_optimistic(tiny, policy, Objective.MIN_GHG, funds, enumeration).units \
+        == {"a": 3, "b": 1}
+    for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
+        assert enumerate_optimistic(tiny, policy, objective, funds, enumeration) \
+            == enumerate_optimistic(tiny, policy, objective, funds)
+    with pytest.raises(ValidationError):
+        enumerate_optimistic(tiny, policy, Objective.MOST_PROFITABLE, 0)
