@@ -53,7 +53,7 @@ def main():
             assert ok
     print()
 
-    print("-- upper level: analytic corners vs dense policy grid --")
+    print("-- upper level: exact leader vs dense policy grid --")
     tax_axis = GridAxis(Decimal(0), Decimal(5), 201)
     sub_axes = {
         "multilayer_landfill": GridAxis(Decimal(0), Decimal("0.08"), 41),
@@ -66,13 +66,13 @@ def main():
         closed = closed_form_optimize(small, objective, 0)
         print(f"  {objective.value}: grid best {gval} at tax {gpol.tax_rate} "
               f"({grid_s:.1f}s over {201 * 41 * 41} policies)")
-        print(f"  {'':<12} closed form {closed.upper_value} "
+        print(f"  {'':<12} exact leader {closed.upper_value} "
               f"at tax {closed.policy.tax_rate:.6f}")
-        # the grid can only do as well as its mesh; the corners must win or tie
+        # the grid can only do as well as its mesh; the exact leader must win or tie
         better = (closed.upper_value - gval if objective == Objective.MIN_GHG
                   else gval - closed.upper_value)
         assert gfeas and better <= 0
-    print("\nthe analytic corner set dominates every grid point, as it should")
+    print("\nthe exact leader dominates every grid point, as it should")
 
 
 if __name__ == "__main__":

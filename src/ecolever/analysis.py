@@ -1,13 +1,12 @@
 """Closed-form policy analysis, budget sweeps, sensitivity drivers, and the
 coffee-packaging case-study calibration.
 
-The closed forms exploit the pure-linear follower: with one tax rate t and a
-subsidy s on a single target route, the follower is indifferent between the
-target and the pre-policy cheapest route exactly when s = dc - de * t (dc the
-unit-cost gap, de the unit-emission saving), and the policy is self-financing
-exactly when budget + t * E_target >= demand * s. Eliminating s gives a
-straight line t(B) = (N * dc - B) / E_cheapest whose root is the budget at
-which the tax vanishes. Everything is exact decimal arithmetic.
+The two-route closed forms price a target route against the pre-policy
+cheapest one: the follower is indifferent exactly when s = dc - de * t (dc
+the unit-cost gap, de the unit-emission saving), and the policy pays for
+itself exactly when budget + t * E_target >= demand * s, which gives the
+line t(B) = (N * dc - B) / E_cheapest. The leader is `engine.exact_leader`.
+All arithmetic is exact decimal.
 """
 
 from __future__ import annotations
@@ -19,17 +18,13 @@ from decimal import Decimal
 from .engine import (
     BilevelOutcome,
     COMBINED,
-    MODES,
-    Objective,
     PsoParams,
-    best_policy,
-    cheapest_route,
-    domain_informed_points,
+    exact_leader,
     optimize,
+    price_window,
 )
 from .errors import EcoleverError, NoThresholdError, CalibrationError, ValidationError
 from .model import (
-    PolicyVector,
     RouteSpec,
     Scenario,
     SensitivityModifiers,
@@ -37,6 +32,12 @@ from .model import (
     apply_modifiers,
     to_decimal,
 )
+
+
+def cheapest_route(scenario: Scenario) -> RouteSpec:
+    """Pre-policy follower choice; ties resolve to the lexicographically
+    first route id, matching the follower's canonical tie-break."""
+    return min(scenario.routes, key=lambda r: (r.unit_cost, r.route_id))
 
 
 def subsidy_threshold(scenario: Scenario, target_route_id: str) -> Decimal:
@@ -51,35 +52,13 @@ def subsidy_threshold(scenario: Scenario, target_route_id: str) -> Decimal:
 
 
 def tax_threshold(scenario: Scenario, target_route_id: str) -> Decimal:
-    """Smallest tax rate making the target (weakly) cheapest with no subsidy.
-
-    Each competitor contributes a half-line of admissible taxes; the answer is
-    the intersection. Raises NoThresholdError when some competitor stays
-    cheaper at every tax rate (it pollutes no more and costs no more), so no
-    tax alone can induce the switch.
-    """
-    target = scenario.route(target_route_id)
-    lower = ZERO
-    upper = None
-    for r in scenario.routes:
-        if r.route_id == target_route_id:
-            continue
-        dc = r.unit_cost - target.unit_cost        # competitor cost advantage if < 0
-        de = r.unit_emissions - target.unit_emissions
-        if de > 0:
-            lower = max(lower, max(ZERO, -dc / de))
-        elif de < 0:
-            if dc < 0:
-                raise NoThresholdError(
-                    f"{r.route_id} stays cheaper than {target_route_id} at every tax rate")
-            upper = dc / -de if upper is None else min(upper, dc / -de)
-        elif dc < 0:
-            raise NoThresholdError(
-                f"{r.route_id} undercuts {target_route_id} at equal emissions")
-    if upper is not None and lower > upper:
-        raise NoThresholdError(
-            f"no single tax rate makes {target_route_id} cheapest")
-    return lower
+    """Smallest tax rate making the target (weakly) cheapest with no subsidy:
+    the low end of its `price_window`. Raises NoThresholdError when no tax
+    alone makes it cheapest."""
+    window = price_window(scenario, target_route_id)
+    if window is None:
+        raise NoThresholdError(f"no tax rate alone makes {target_route_id} cheapest")
+    return window[0]
 
 
 @dataclass(frozen=True)
@@ -167,23 +146,8 @@ def required_budget_for_fixed_tax(scenario: Scenario, tax_rate,
 
 def closed_form_optimize(scenario: Scenario, objective, budget,
                          mode: str = COMBINED) -> BilevelOutcome:
-    """Evaluate only the analytic candidate policies and pick the best.
-
-    For pure-linear scenarios the optimum always sits on one of these corners
-    (zero policy, indifference subsidies, budget-balanced tax/subsidy pairs),
-    so this is the fast exact counterpart to the swarm search.
-    """
-    objective = Objective(objective)
-    budget = to_decimal(budget, "budget")
-    if mode not in MODES:
-        raise ValidationError([f"unknown mode: {mode!r}"])
-    candidates = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
-                  else domain_informed_points(scenario, budget, mode))
-    policy, upper, result, feasible = best_policy(scenario, objective, budget, candidates)
-    return BilevelOutcome(policy=policy, response=result, upper_value=upper,
-                          feasible=feasible, evaluations=len(candidates),
-                          trace=((0, upper),), objective=objective,
-                          mode=mode, budget=budget)
+    """`engine.exact_leader`: analytic candidates, no swarm, no tax box."""
+    return exact_leader(scenario, objective, budget, mode)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .analysis import (
 from .engine import (
     COMBINED,
     MODES,
+    TAX_ONLY,
     Objective,
     PsoParams,
     best_policy,
@@ -328,20 +329,22 @@ def cmd_verify(args) -> int:
                 checks += 1
 
     sub_ids = [r.route_id for r in scenario.routes if r.subsidizable][:2]
-    for budget in (Decimal(0), Decimal(30)):
-        closed = closed_form_optimize(scenario, Objective.MIN_GHG, budget)
+    for objective, mode, budget, axes in (
+            (Objective.MIN_GHG, COMBINED, Decimal(0), sub_ids),
+            (Objective.MIN_GHG, COMBINED, Decimal(30), sub_ids),
+            (Objective.MAX_CIRCULARITY, TAX_ONLY, Decimal(-60), [])):
+        closed = closed_form_optimize(scenario, objective, budget, mode=mode)
         grid_policy, grid_value, _, _ = grid_bilevel(
-            scenario, Objective.MIN_GHG, budget,
+            scenario, objective, budget,
             tax_axis=GridAxis(lo=Decimal(0), hi=Decimal(5), steps=11),
             subsidy_axes={rid: GridAxis(lo=Decimal(0), hi=Decimal("0.08"), steps=9)
-                          for rid in sub_ids},
-        )
-        winner, _, _, _ = best_policy(scenario, Objective.MIN_GHG, budget,
+                          for rid in axes})
+        winner, _, _, _ = best_policy(scenario, objective, budget,
                                       [closed.policy, grid_policy])
         if winner is not closed.policy:
             _emit_error("VerificationError",
-                        f"budget {budget}: grid search beat the analytic corners "
-                        f"({grid_value} < {closed.upper_value})")
+                        f"{objective.value} {mode} budget {budget}: grid search beat "
+                        f"the exact leader ({grid_value} against {closed.upper_value})")
             return EXIT_VERIFY
         checks += 1
     print(f"verify ok ({checks} checks, {args.trials} trials, demand {args.demand})")

@@ -1,26 +1,21 @@
-"""Bilevel search: a seeded particle swarm over policy space with an exact
-follower solver nested inside every evaluation.
+"""Bilevel search over the leader's policies, with the follower solved
+exactly inside every evaluation.
 
-The leader fixes (tax rate, subsidy rates); the follower's cost-minimizing
-allocation is solved exactly; `rank` orders the evaluated policies. It is
-the one order every search here uses: funds shortfall first (subsidy outlay
-beyond budget plus tax income, exact, zero when the policy pays for
-itself), then the leader's objective, then tax rate, then total subsidy
-rate. A policy within funds therefore beats every policy beyond them, with
-no penalty weight and no tolerance, and the tail breaks ties toward the
-least-intervention corner, which is also where the closed-form budget lines
-live.
-
-Everything here is deterministic for a fixed seed: the swarm RNG is a seeded
-numpy Generator, positions are quantized onto an exact decimal grid before
-evaluation, and analytic seed policies are evaluated in exact arithmetic.
+The leader fixes (tax rate, subsidy rates), and `rank` orders the evaluated
+policies: funds shortfall first (subsidy outlay beyond budget plus tax
+income, exact), then the leader's objective, tax rate and total subsidy
+rate, so a policy within funds beats every policy beyond them, with no
+penalty weight and no tolerance. On pure-linear scenarios `exact_leader`
+ranks a few analytic candidates (`domain_informed_points`); a seeded
+particle swarm over an exact decimal grid runs only on capped and
+fixed-cost scenarios, where no exact leader exists here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import Decimal, ROUND_CEILING
+from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
 from enum import Enum
 
 import numpy as np
@@ -30,7 +25,7 @@ from .lower import solve_lower
 from .model import (
     LowerResult,
     PolicyVector,
-    RouteSpec,
+    RATE_QUANTUM,
     Scenario,
     ZERO,
     quantize_rate,
@@ -261,89 +256,139 @@ def vector_to_policy(scenario: Scenario, x) -> PolicyVector:
     return PolicyVector(tax_rate=quantize_rate(max(float(x[0]), 0.0)), subsidy_rates=rates)
 
 
-def cheapest_route(scenario: Scenario) -> RouteSpec:
-    """Pre-policy follower choice; ties resolve to the lexicographically
-    first route id, matching the follower's canonical tie-break."""
-    return min(scenario.routes, key=lambda r: (r.unit_cost, r.route_id))
+def price_window(scenario: Scenario, target_route_id: str):
+    """The taxes at which a route is (weakly) cheapest with no subsidy, as
+    (lo, hi), hi None when unbounded; None when there are none. A dirtier
+    rival bounds the window from below, a cleaner one from above."""
+    target = scenario.route(target_route_id)
+    lo, hi = ZERO, None
+    for r in scenario.routes:
+        dc = r.unit_cost - target.unit_cost
+        de = r.unit_emissions - target.unit_emissions
+        if de > 0:
+            lo = max(lo, -dc / de)
+        elif de < 0:
+            hi = dc / -de if hi is None else min(hi, dc / -de)
+        elif dc < 0:
+            return None  # undercuts the target at every tax
+    return None if hi is not None and lo > hi else (lo, hi)
 
 
 def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
-    """Analytic seed policies: the zero policy, per-route indifference
-    subsidies at zero tax, and per-route budget-balanced corners.
+    """The exact leader's candidates: zero policy first, none repeated.
 
-    The corner for a target route solves follower indifference against the
-    pre-policy cheapest route jointly with the funds balance
-    budget + tax * E_target = outlay; when that subsidy would be negative the
-    pure-tax segment applies (tax at the switch threshold, or higher if the
-    budget is negative enough to need the revenue). Corner taxes are quantized
-    upward so the funds balance errs on the feasible side.
+    When every route the follower uses prices at one level L, outlay less
+    tax income is the allocation's pre-policy cost less demand * L, so it
+    fits the funds when that cost is at most budget + demand * L. L reaches
+    at most level(t) = min over routes of (cost + t * emissions), rising
+    with the tax t until a zero-emission route (or subsidy-only mode: t = 0)
+    caps it. Per route: full adoption at the least grid tax lifting the
+    level to its cost less budget / demand (or to the cap, then also a grid
+    step below it); unsubsidized, the least tax in its price window whose
+    income pays, else the largest strictly inside; and at the window's top,
+    or a capped level, every subsidizable route down to the level to mix.
     """
     budget = to_decimal(budget, "budget")
-    base = cheapest_route(scenario)
-    e_least_total = base.unit_emissions * scenario.demand
+    if mode not in MODES:
+        raise ValidationError([f"unknown mode: {mode!r}"])
     points = [PolicyVector.zero()]
-    for rid in scenario.subsidizable_ids():
-        route = scenario.route(rid)
-        gap = route.unit_cost - base.unit_cost
-        if gap <= 0:
-            continue
-        if mode != TAX_ONLY:
-            points.append(PolicyVector(subsidy_rates={rid: gap}))
-        if mode == SUBSIDY_ONLY or e_least_total == 0:
-            continue
-        e_delta = base.unit_emissions - route.unit_emissions  # >0 when target is cleaner
-        if mode == TAX_ONLY:
-            if e_delta <= 0:
-                continue  # tax alone can never induce this switch
-            tax = (gap / e_delta).quantize(Decimal("1e-12"), rounding=ROUND_CEILING)
-            points.append(PolicyVector(tax_rate=tax))
-            continue
-        tax = (gap * scenario.demand - budget) / e_least_total
-        tax = max(ZERO, tax).quantize(Decimal("1e-12"), rounding=ROUND_CEILING)
-        subsidy = gap - e_delta * tax
-        if subsidy < 0:
-            # Past the pure-tax threshold; revenue alone must cover the budget.
-            if e_delta <= 0:
+    demand, routes = scenario.demand, scenario.routes
+    if demand == 0:
+        return points
+    cap = min((r.unit_cost for r in routes if mode == SUBSIDY_ONLY or r.unit_emissions == 0),
+              default=None)
+
+    def level(tax):
+        return min(r.unit_cost + tax * r.unit_emissions for r in routes)
+
+    def least_tax(target):  # lifting the level to target, or to its cap
+        target = target if cap is None else min(target, cap)
+        tax = max(((target - r.unit_cost) / r.unit_emissions
+                   for r in routes if r.unit_cost < target), default=ZERO)
+        return tax.quantize(RATE_QUANTUM, rounding=ROUND_CEILING)
+
+    def add(tax, rates=()):
+        policy = PolicyVector(tax_rate=tax, subsidy_rates=rates)
+        if policy not in points:
+            points.append(policy)
+
+    def mix(tax):  # every subsidizable route down to the level, for the selector
+        add(tax, {} if mode == TAX_ONLY else {
+            r.route_id: r.unit_cost + tax * r.unit_emissions - level(tax)
+            for r in routes if r.subsidizable})
+
+    for target in map(scenario.route, scenario.route_ids()):
+        rid, cost, emissions = target.route_id, target.unit_cost, target.unit_emissions
+        if mode != TAX_ONLY and target.subsidizable:
+            tax = least_tax(cost - budget / demand)
+            rate = cost + tax * emissions - level(tax)
+            add(tax, {rid: rate})
+            if level(tax) >= cost - budget / demand:
                 continue
-            threshold = gap / e_delta
-            e_target_total = route.unit_emissions * scenario.demand
-            revenue_tax = (-budget / e_target_total) if e_target_total else ZERO
-            tax = max(threshold, revenue_tax, ZERO).quantize(
-                Decimal("1e-12"), rounding=ROUND_CEILING)
-            points.append(PolicyVector(tax_rate=tax))
-        else:
-            points.append(PolicyVector(tax_rate=tax, subsidy_rates={rid: subsidy}))
+            add(tax, {rid: rate.quantize(RATE_QUANTUM, rounding=ROUND_FLOOR) + RATE_QUANTUM})
+        # with no tax, an unsubsidized route adds nothing to the zero policy
+        window = None if mode == SUBSIDY_ONLY else price_window(scenario, rid)
+        if window is None:
+            continue
+        lo, hi = window
+        # income demand * tax * emissions grows, and the shortfall shrinks, with the tax
+        need = max(lo, -budget / (demand * emissions)) if emissions else lo
+        tax = need.quantize(RATE_QUANTUM, rounding=ROUND_CEILING)
+        if hi is not None and tax > hi:
+            tax = (hi - RATE_QUANTUM).quantize(RATE_QUANTUM, rounding=ROUND_CEILING)
+        if tax >= lo:
+            add(tax)
+        if hi is not None:  # the top of the window, where the next route joins
+            mix(hi.quantize(RATE_QUANTUM, rounding=ROUND_FLOOR))
+    if cap is not None:
+        mix(least_tax(cap))
     return points
+
+
+def exact_leader(scenario: Scenario, objective, budget, mode: str = COMBINED,
+                 extra=()) -> BilevelOutcome:
+    """The first of `domain_informed_points` and `extra` in `rank` order,
+    less the subsidies no unit draws (the zero policy for most-profitable),
+    with a one-point trace."""
+    objective = Objective(objective)
+    budget = to_decimal(budget, "budget")
+    if mode not in MODES:
+        raise ValidationError([f"unknown mode: {mode!r}"])
+    policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
+                else [*domain_informed_points(scenario, budget, mode), *extra])
+    winner = best_policy(scenario, objective, budget, policies)
+    return _outcome(objective, budget, mode, winner, len(policies), ((0, winner[1]),))
+
+
+def _outcome(objective, budget, mode, winner, evaluations, trace) -> BilevelOutcome:
+    policy, value, result, feasible = winner
+    # dropping a subsidy no unit draws only makes other allocations dearer:
+    # the follower keeps the pick, with the same totals, and rank prefers it
+    drawn = {rid: rate for rid, rate in policy.subsidy_rates.items()
+             if result.allocation.units_for(rid)}
+    return BilevelOutcome(policy=PolicyVector(tax_rate=policy.tax_rate, subsidy_rates=drawn),
+                          response=result, upper_value=value, feasible=feasible,
+                          evaluations=evaluations, trace=trace, objective=objective,
+                          mode=mode, budget=budget)
 
 
 def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
              mode: str = COMBINED) -> BilevelOutcome:
-    """Search policy space for the leader's best decision in `rank` order.
+    """The leader's best decision in `rank` order.
 
-    Analytic seed policies are evaluated exactly and also seed the first
-    restart's swarm; a seed position whose quantized policy is the seed
-    itself takes the seed's rank key instead of a second evaluation. Later
-    restarts draw fresh positions from reseeded generators. Every
-    evaluation, seed or swarm, is ranked by `rank`, and the
-    swarm's fitness is that same key, so the incumbent is the lowest-ranked
-    policy seen: feasible whenever any evaluated policy was, otherwise the
-    one with the smallest funds shortfall, flagged infeasible. The trace
-    carries (global iteration, incumbent value in natural units); the
-    incumbent never worsens in `rank` order.
+    Pure-linear scenarios and most-profitable get `exact_leader`, with
+    params.initial_points among its candidates. Otherwise those policies are
+    evaluated exactly and seed the first of the swarm's restarts (each from
+    a reseeded generator); a seed position that quantizes back to its seed
+    reuses its `rank` key, the swarm's fitness. The incumbent is the lowest
+    ranked policy seen; the trace holds (iteration, its natural value).
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     params = params if params is not None else PsoParams()
-    if mode not in MODES:
-        raise ValidationError([f"unknown mode: {mode!r}"])
-
-    if objective == Objective.MOST_PROFITABLE:
-        policy, value, result, feasible = best_policy(
-            scenario, objective, budget, [PolicyVector.zero()])
-        return BilevelOutcome(policy=policy, response=result, upper_value=value,
-                              feasible=feasible, evaluations=1,
-                              trace=((0, value),), objective=objective,
-                              mode=mode, budget=budget)
+    extra = params.initial_points or ()
+    if objective == Objective.MOST_PROFITABLE or scenario.is_pure_linear():
+        return exact_leader(scenario, objective, budget, mode, extra)
 
     bounds = params.bounds if params.bounds is not None else default_bounds(scenario, mode)
     if len(bounds) != len(policy_dimensions(scenario)):
@@ -375,14 +420,11 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
                 return key  # the seed round-trips: it was ranked exactly above
         return consider(policy)
 
-    seeds = list(domain_informed_points(scenario, budget, mode))
-    if params.initial_points:
-        seeds.extend(params.initial_points)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     seed_positions = []
     ids = scenario.subsidizable_ids()
-    for pol in seeds:
+    for pol in [*domain_informed_points(scenario, budget, mode), *extra]:
         key = consider(pol)  # exact evaluation, never lost to float round-trips
         vec = [float(pol.tax_rate)] + [float(pol.subsidy_for(rid)) for rid in ids]
         seed_positions.append(np.clip(np.array(vec), lo, hi))
@@ -401,21 +443,8 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
             trace.append((offset + t, running))
         offset += params.iterations + 1
 
-    _, policy, _, result = incumbent
-    idle = {rid for rid in policy.subsidy_rates if result.allocation.units_for(rid) == 0}
-    if idle:
-        # A subsidy nobody draws only inflates the policy; dropping it cannot
-        # change the follower's choice, so the trimmed variant ranks first
-        # on rank's tail whenever it evaluates no worse.
-        consider(PolicyVector(
-            tax_rate=policy.tax_rate,
-            subsidy_rates={rid: rate for rid, rate in policy.subsidy_rates.items()
-                           if rid not in idle}))
     key, policy, value, result = incumbent
     # Trace keys hold the minimization head; report naturally.
     sign = Decimal(-1) if _maximizing(objective) else Decimal(1)
-    natural_trace = tuple((i, sign * k[1]) for i, k in trace)
-    return BilevelOutcome(policy=policy, response=result, upper_value=value,
-                          feasible=key[0] == 0, evaluations=evaluations,
-                          trace=natural_trace, objective=objective,
-                          mode=mode, budget=budget)
+    return _outcome(objective, budget, mode, (policy, value, result, key[0] == 0),
+                    evaluations, tuple((i, sign * k[1]) for i, k in trace))

@@ -197,7 +197,12 @@ def _select(scenario: Scenario, policy: PolicyVector, leader_objective, funds,
 
     picks, fallbacks = [], []
     for pinned, bounds, rest in faces:
-        ids, upper = list(bounds), list(bounds.values())
+        # routes alike in value, outlay and funds drawn, and next in id order,
+        # search as one (alike routes stall it), and the key fills them in order
+        groups = [list(g) for _, g in itertools.groupby(
+            bounds, lambda rid: (value(rid), subsidies.get(rid, ZERO), weight(rid)))]
+        ids = [rid for rid, *_ in groups]
+        upper = [min(rest, sum(map(bounds.get, g))) for g in groups]
         left = funds - sum((weight(rid) * n for rid, n in pinned.items()), ZERO)
         if len(ids) == 2:  # closed form: the search made closed-form sweeps 1.75x slower
             cost = [(value(rid), subsidies.get(rid, ZERO)) for rid in ids]
@@ -208,12 +213,13 @@ def _select(scenario: Scenario, policy: PolicyVector, leader_objective, funds,
             *weights, budget = _integers([weight(rid) for rid in ids] + [left])
             pick = _branch_and_bound(cost, weights, upper, rest, budget)
         if pick is not None:
-            picks.append((pinned, ids, pick))
+            picks.append((pinned, bounds, _spread(groups, bounds, pick)))
         elif not picks:
             order = sorted(range(len(ids)), key=cost.__getitem__)
-            fallbacks.append((pinned, ids, _fill(order, [0] * len(ids), upper, rest)))
-    candidates = [{**pinned, **{rid: n for rid, n in zip(ids, pick) if n}}
-                  for pinned, ids, pick in picks or fallbacks]
+            pick = _fill(order, [0] * len(ids), upper, rest)
+            fallbacks.append((pinned, bounds, _spread(groups, bounds, pick)))
+    candidates = [{**pinned, **{rid: n for rid, n in zip(bounds, pick) if n}}
+                  for pinned, bounds, pick in picks or fallbacks]
     if len(candidates) == 1:
         return candidates[0]
 
@@ -223,6 +229,12 @@ def _select(scenario: Scenario, policy: PolicyVector, leader_objective, funds,
                 tuple(sorted((rid, -n) for rid, n in units.items())))
 
     return min(candidates, key=leader_order)
+
+
+def _spread(groups, bounds, pick) -> list:
+    """Each group's units over its routes in id order, each up to its bound."""
+    return [n for group, units in zip(groups, pick)
+            for n in _fill(range(len(group)), [0] * len(group), [bounds[r] for r in group], units)]
 
 
 def _integers(values) -> list:

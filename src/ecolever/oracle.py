@@ -16,11 +16,13 @@ from decimal import Decimal
 from .engine import Objective, best_policy
 from .errors import ResourceBoundError, ValidationError
 from .model import (
+    Allocation,
     PolicyVector,
     Scenario,
     evaluate_allocation,
-    Allocation,
+    price_allocation,
     to_decimal,
+    validate_policy,
 )
 
 MAX_ENUMERATION = 1_000_000
@@ -62,8 +64,9 @@ def _enumeration_size(total, caps):
 def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResult:
     """Exact follower optimum by trying every integer allocation.
 
-    Handles capacities and technology fixed costs for free since each
-    candidate is priced by the same exact evaluator the solvers use.
+    Each composition is a valid allocation by construction, so only the
+    policy is validated, and each is priced, capacities and fixed costs
+    included, by the solvers' own exact `price_allocation`.
     Raises ResourceBoundError when the search space exceeds MAX_ENUMERATION.
     """
     ids = scenario.route_ids()
@@ -71,6 +74,7 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
     if _enumeration_size(scenario.demand, caps) > MAX_ENUMERATION:
         raise ResourceBoundError(
             f"enumeration space exceeds {MAX_ENUMERATION} allocations")
+    validate_policy(scenario, policy)
     best_cost = None
     optima = []
     best_result = None
@@ -78,7 +82,7 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
     for combo in _compositions(scenario.demand, caps):
         count += 1
         alloc = Allocation(units={rid: u for rid, u in zip(ids, combo)})
-        result = evaluate_allocation(scenario, alloc, policy)
+        result = price_allocation(scenario, alloc, policy)
         if best_cost is None or result.industry_cost < best_cost:
             best_cost = result.industry_cost
             best_result = result

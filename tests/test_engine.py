@@ -137,15 +137,17 @@ def test_default_bounds_encode_mode(pair):
 
 def test_domain_informed_points_cover_expected_corners(pair):
     points = domain_informed_points(pair, Decimal(0), COMBINED)
-    assert PolicyVector.zero() in points
-    # pure-subsidy gap candidate
-    assert any(p.tax_rate == 0 and p.subsidy_for("clean") == Decimal("0.04")
-               for p in points)
-    # budget-balanced corner: t = N*dc / E_base = 4 / 10 = 0.4,
-    # s = dc - de*t = 0.04 - 0.08*0.4 = 0.008
-    corner = [p for p in points if p.tax_rate > 0 and p.subsidy_for("clean") > 0]
-    assert corner and corner[0].tax_rate == Decimal("0.4")
-    assert corner[0].subsidy_for("clean") == Decimal("0.008")
+    assert points[0] == PolicyVector.zero()
+    # full adoption of clean: the least tax lifting the level
+    # min(0.01 + 0.10 t, 0.05 + 0.02 t) to clean's cost 0.05 is t = 0.4, and
+    # s = 0.058 - 0.05 = 0.008 brings clean down to it
+    corner = PolicyVector(tax_rate=Decimal("0.4"), subsidy_rates={"clean": Decimal("0.008")})
+    assert corner in points
+    # the pure-subsidy gap candidate pays for itself from budget
+    # N * dc = 100 * 0.04 = 4 on, where the level need not rise at all
+    gap = PolicyVector(subsidy_rates={"clean": Decimal("0.04")})
+    assert gap not in points
+    assert gap in domain_informed_points(pair, Decimal(4), COMBINED)
 
 
 def test_domain_informed_points_tax_only_mode(pair):
@@ -243,9 +245,10 @@ def test_optimize_lands_on_the_closed_form_corner(case, objective):
     assert swarm.upper_value == closed.upper_value
 
 
-def test_optimize_evaluates_each_distinct_policy_once(case, monkeypatch):
+def test_optimize_evaluates_each_distinct_policy_once(capped_case, monkeypatch):
     # the analytic seeds are ranked exactly and also seed the first restart's
-    # swarm; a seed whose rates sit on the rate grid needs no second look
+    # swarm; a seed whose rates sit on the rate grid (here the zero policy)
+    # needs no second look
     seen = []
 
     def counting(scenario, policy, objective, budget):
@@ -253,8 +256,9 @@ def test_optimize_evaluates_each_distinct_policy_once(case, monkeypatch):
         return evaluate_policy(scenario, policy, objective, budget)
 
     monkeypatch.setattr(engine, "evaluate_policy", counting)
-    out = optimize(case, "min-ghg", 0, PsoParams(swarm_size=10, iterations=0, restarts=1))
-    assert len(seen) == len(set(seen)) == out.evaluations == 17
+    out = optimize(capped_case, "min-ghg", 0,
+                   PsoParams(swarm_size=10, iterations=0, restarts=1))
+    assert len(seen) == len(set(seen)) == out.evaluations == 16
 
 
 def test_optimize_most_profitable_shortcut(pair):
@@ -296,3 +300,25 @@ def test_optimize_same_seed_same_answer(pair):
     assert a.policy == b.policy
     assert a.trace == b.trace
     assert a.evaluations == b.evaluations
+
+
+@pytest.fixture
+def capped_pair(pair):
+    # capacities of all demand bind nothing but keep optimize on the swarm
+    return Scenario(demand=pair.demand, routes=pair.routes,
+                    capacity_limits={r.route_id: pair.demand for r in pair.routes})
+
+
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective):
+    params = PsoParams(swarm_size=6, iterations=15, restarts=2, seed=4)
+    out = optimize(capped_pair, objective, Decimal(5), params=params)
+    values = [v for _, v in out.trace]
+    if objective == Objective.MAX_CIRCULARITY:
+        values = [-v for v in values]
+    assert all(values[i + 1] <= values[i] for i in range(len(values) - 1))
+    assert [i for i, _ in out.trace] == list(range(2 * (params.iterations + 1) + 1))
+    assert out.upper_value == out.trace[-1][1]
+    again = optimize(capped_pair, objective, Decimal(5), params=params)
+    assert (again.policy, again.trace, again.evaluations) == (
+        out.policy, out.trace, out.evaluations)

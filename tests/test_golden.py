@@ -1,0 +1,100 @@
+"""Golden digests of the closed-form CLI artifacts on the bundled case study.
+
+Every closed-form `sweep` and the distance and loss `sensitivity` CSVs, for
+all nine objective x mode pairs, and `run --engine closed-form`'s
+outcome.json are regenerated in process and compared byte for byte, through
+their SHA-256 digests, with the ones recorded here. A change that moves any
+of them must say which rows moved and why, and update the digest.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from ecolever import cli
+
+SWEEP = ["sweep", "--budgets=-60:100:5"]
+DISTANCE = ["sensitivity", "--parameter", "distance", "--values", "7,15,65,140",
+            "--budgets=-60:100:10"]
+LOSS = ["sensitivity", "--parameter", "loss", "--values", "0.01,0.0313,0.1",
+        "--budgets=-60:100:20"]
+
+DIGESTS = {
+    "sweep min-ghg combined":
+        "c2d63e5050e8f2a61cf3ce3302c78e3f778bfe58873cad359cf02c030c271fd6",
+    "sweep min-ghg tax-only":
+        "983e1e59fb30647a3910eff1264343f06edf6f51b9ede8e903f6905c8c2776a8",
+    "sweep min-ghg subsidy-only":
+        "a7dab112c74c7459d77ca1816f78a19decbd011aff578ef8f7315bd63d04424a",
+    "sweep max-circularity combined":
+        "f4847001d46b1091971ee81010093190fe21f7f3742fdffc03bf5753cb250d64",
+    "sweep max-circularity tax-only":
+        "31897dcc8ea85bd89c5d8b2bdef5d8e8484ec965f1a38f9ed8419c80cbed6e3a",
+    "sweep max-circularity subsidy-only":
+        "4577669cb2931c6f6ad51972cac189506039bd7969a810ab56f5b524f222c424",
+    "sweep most-profitable combined":
+        "af9cdeebea32952c186fe84f53e9e56f4a37309d9e797f18ef888387fe397217",
+    "sweep most-profitable tax-only":
+        "af9cdeebea32952c186fe84f53e9e56f4a37309d9e797f18ef888387fe397217",
+    "sweep most-profitable subsidy-only":
+        "af9cdeebea32952c186fe84f53e9e56f4a37309d9e797f18ef888387fe397217",
+    "distance min-ghg combined":
+        "4a8c11c1b23c81ed2d1e2bb11352fc9780f9642d7362faa9c8c6a6cad1244a6b",
+    "distance min-ghg tax-only":
+        "0b5ea1570141e1005e2e2d0a4ca7b4ebb8936ce81f56c7f36560ae81b2969663",
+    "distance min-ghg subsidy-only":
+        "cc319f65ff1920f6ebe20e4f749b0a57c4d2a2ea69bd3232e7c4c33047ce8ee6",
+    "distance max-circularity combined":
+        "01ff3b916bb07c3b003cd60f99586b8c6ac0c9ccc85ad396b1d733753233e9ce",
+    "distance max-circularity tax-only":
+        "c2c1bb372ec432752e7570fef026d7c19686457c8b7b978b0524426cbd9e960e",
+    "distance max-circularity subsidy-only":
+        "27fb004c6259f8e49f0dd51a18205ad7dd55222cd90ac371632c4a9d02b02228",
+    "distance most-profitable combined":
+        "2182a9fb79af4749bead224997c11a2a17e6ac9dd628cc15ba1b09cf45d686cf",
+    "distance most-profitable tax-only":
+        "2182a9fb79af4749bead224997c11a2a17e6ac9dd628cc15ba1b09cf45d686cf",
+    "distance most-profitable subsidy-only":
+        "2182a9fb79af4749bead224997c11a2a17e6ac9dd628cc15ba1b09cf45d686cf",
+    "loss min-ghg combined":
+        "c543be4cb9b8542101e8ac5f586c1bae1bfd7086990bf3200fca4930db24b945",
+    "loss min-ghg tax-only":
+        "6b72b288a9b710c64566fb4b133bf5030315ed421d981c283bc91e1f5a11283a",
+    "loss min-ghg subsidy-only":
+        "08f48321a56f21c486aed2b7534a21b186bdd21f28dc8d90dbbfd0576ff32e0b",
+    "loss max-circularity combined":
+        "3034f012c337430808bea5e8b0dc5759cc6f1b101ef44f9b36cbfebd0c2f327d",
+    "loss max-circularity tax-only":
+        "70f10d79db24a7e02f206c97169af21729307a97f8409555842b1c3c28265131",
+    "loss max-circularity subsidy-only":
+        "707e9f9066a8d0b4a6e8ab1927bcc733fc24ce2d4e3347eb09df29d01fed6eff",
+    "loss most-profitable combined":
+        "f515b340bdbf9b93b28ffbe8a145e6d31779f810cd4bb209199f321c765c073f",
+    "loss most-profitable tax-only":
+        "f515b340bdbf9b93b28ffbe8a145e6d31779f810cd4bb209199f321c765c073f",
+    "loss most-profitable subsidy-only":
+        "f515b340bdbf9b93b28ffbe8a145e6d31779f810cd4bb209199f321c765c073f",
+    "run closed-form":
+        "a45c5c21e054376397ebc6c121627d978af61099c8029fc0de84ab0df7f3e200",
+}
+
+
+def _digest(argv, path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out", str(path.parent)]) == cli.EXIT_OK
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_closed_form_artifacts_are_byte_identical(tmp_path):
+    got = {}
+    for kind, argv, name in (("sweep", SWEEP, "sweep.csv"),
+                             ("distance", DISTANCE, "sensitivity.csv"),
+                             ("loss", LOSS, "sensitivity.csv")):
+        for objective in ("min-ghg", "max-circularity", "most-profitable"):
+            for mode in ("combined", "tax-only", "subsidy-only"):
+                key = f"{kind} {objective} {mode}"
+                got[key] = _digest([*argv, "--objective", objective, "--mode", mode],
+                                   tmp_path / key.replace(" ", "_") / name)
+    got["run closed-form"] = _digest(["run", "--engine", "closed-form"],
+                                     tmp_path / "run" / "outcome.json")
+    assert {k: v for k, v in got.items() if DIGESTS[k] != v} == {}

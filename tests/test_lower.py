@@ -349,6 +349,25 @@ def test_six_route_tie_at_demand_1000_resolves_quickly(case, capped, objective):
         assert time.perf_counter() - start < 5.0
 
 
+def test_alike_routes_search_as_one():
+    # three copies of one unsubsidized route tie with a zero-emission route at
+    # tax 113; the copies lie on one line in (funds drawn, leader value), which
+    # stalled the search past MAX_SELECTOR_NODES. As one route they take the
+    # 161 units the funds need, filled in route-id order.
+    copies = tuple(dataclasses.replace(_route(rid, "0", "0.001", "0"), subsidizable=False)
+                   for rid in ("r0", "r1", "r2"))
+    routes = copies + (_route("r3", "0.113", "0", "1"),)
+    policy = PolicyVector(tax_rate=Decimal(113))
+    big = Scenario(demand=757, routes=routes)
+    result = solve_lower(big, policy, Objective.MIN_GHG, Decimal("-18.168"))
+    assert result.allocation.units == {"r0": 161, "r3": 596}
+    small = Scenario(demand=9, routes=routes, capacity_limits={"r0": 2})
+    for funds in ("0", "-0.2", "-0.5", "-1.1"):
+        for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
+            assert (solve_lower(small, policy, objective, Decimal(funds)).allocation
+                    == enumerate_optimistic(small, policy, objective, Decimal(funds)))
+
+
 _tenths = st.integers(-20, 20).map(lambda n: Decimal(n) / 10)
 
 

@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from ecolever import (
+    Allocation,
     GridAxis,
     Objective,
     PolicyVector,
@@ -112,3 +113,31 @@ def test_enumerate_optimistic_ranks_a_given_enumeration(tiny):
             == enumerate_optimistic(tiny, policy, objective, funds)
     with pytest.raises(ValidationError):
         enumerate_optimistic(tiny, policy, Objective.MOST_PROFITABLE, 0)
+
+
+def test_enumerate_lower_validates_no_composition(capped_case, monkeypatch):
+    # every composition is a valid allocation by construction; the answer is
+    # the one pricing each through evaluate_allocation gives
+    from ecolever import model
+    policy = PolicyVector(tax_rate=Decimal("1.3"),
+                          subsidy_rates={"glass_wash_reuse": Decimal("0.05")})
+    ids = capped_case.route_ids()
+    caps = [capped_case.capacity_of(rid) for rid in ids]
+    costs = [model.evaluate_allocation(capped_case, Allocation(dict(zip(ids, combo))),
+                                       policy).industry_cost
+             for combo in _compositions(capped_case.demand, caps)]
+    calls = []
+    validate = model.validate_allocation
+    monkeypatch.setattr(model, "validate_allocation",
+                        lambda *args: calls.append(args) or validate(*args))
+    out = enumerate_lower(capped_case, policy)
+    assert calls == []
+    assert out.count == len(costs)
+    least = min(costs)
+    optima = [Allocation(dict(zip(ids, combo)))
+              for combo, cost in zip(_compositions(capped_case.demand, caps), costs)
+              if cost == least]
+    assert out.optima == tuple(optima)
+    assert out.best == model.evaluate_allocation(capped_case, optima[0], policy)
+    with pytest.raises(ValidationError):  # the policy is still checked, once
+        enumerate_lower(capped_case, PolicyVector(subsidy_rates={"nowhere": Decimal(1)}))
