@@ -92,8 +92,8 @@ def test_least_shortfall_below_a_capped_level():
 
 
 def test_capped_level_mix_goes_to_the_selector():
-    # subsidy-only at budget 1: glass-like r1 alone needs 2, so the best
-    # whole-unit mix within funds takes 5 units of it
+    # subsidy-only at budget 1: all on the more circular r1 needs an outlay
+    # of 10 * 0.2 = 2, so the best whole-unit mix within funds takes 5 units
     scenario = Scenario(demand=10, routes=(
         _route("r0", "0.0", "0.1", "1.0"), _route("r1", "0.2", "0.1", "1.5"),
     ))
