@@ -1,9 +1,14 @@
 """Brute-force reference solvers.
 
-These are deliberately naive: full enumeration of integer allocations for the
-follower and a dense grid scan for the leader. They exist to cross-check the
-fast solvers in tests, so they favor obviousness over speed and refuse
-problems big enough that enumeration would silently take hours.
+Full enumeration of integer allocations for the follower and a dense grid
+scan for the leader. They exist to cross-check the fast solvers in tests and
+`ecolever verify`, so they stay brute force: every composition of demand
+within the capacities is visited and counted, and every grid point is
+evaluated. The follower enumeration carries running sums, so each
+composition costs O(1) Decimal operations instead of a full pricing, and it
+refuses a catalog whose sums would need rounding rather than rank rounded
+costs. Both refuse problems big enough that enumeration would silently take
+hours.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, Inexact, localcontext
 
 from .engine import Objective, best_policy
 from .errors import ResourceBoundError, ValidationError
@@ -19,7 +24,7 @@ from .model import (
     Allocation,
     PolicyVector,
     Scenario,
-    evaluate_allocation,
+    ZERO,
     price_allocation,
     to_decimal,
     validate_policy,
@@ -64,9 +69,13 @@ def _enumeration_size(total, caps):
 def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResult:
     """Exact follower optimum by trying every integer allocation.
 
-    Each composition is a valid allocation by construction, so only the
-    policy is validated, and each is priced, capacities and fixed costs
-    included, by the solvers' own exact `price_allocation`.
+    Visits the compositions in `_compositions` order, carrying the industry
+    cost of the units placed so far: each route's net unit price is computed
+    once, and a technology's fixed cost is added when the first of its
+    routes takes a unit. Every sum is exact; a catalog whose sums need more
+    digits than the decimal context holds is refused with ResourceBoundError
+    rather than ranked by rounded costs. Only the policy is validated, and
+    the first optimum is priced by the solvers' own `price_allocation`.
     Raises ResourceBoundError when the search space exceeds MAX_ENUMERATION.
     """
     ids = scenario.route_ids()
@@ -75,21 +84,78 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
         raise ResourceBoundError(
             f"enumeration space exceeds {MAX_ENUMERATION} allocations")
     validate_policy(scenario, policy)
-    best_cost = None
-    optima = []
-    best_result = None
-    count = 0
-    for combo in _compositions(scenario.demand, caps):
-        count += 1
-        alloc = Allocation(units={rid: u for rid, u in zip(ids, combo)})
-        result = price_allocation(scenario, alloc, policy)
-        if best_cost is None or result.industry_cost < best_cost:
-            best_cost = result.industry_cost
-            best_result = result
-            optima = [alloc]
-        elif result.industry_cost == best_cost:
-            optima.append(alloc)
-    return EnumerationResult(best=best_result, optima=tuple(optima), count=count)
+    with localcontext() as context:
+        context.traps[Inexact] = True
+        try:
+            combos, count = _cheapest_compositions(scenario, policy, caps)
+        except Inexact:
+            raise ResourceBoundError(
+                f"exact enumeration needs more than the context's "
+                f"{context.prec} digits") from None
+    optima = tuple(Allocation(units=dict(zip(ids, combo))) for combo in combos)
+    return EnumerationResult(best=price_allocation(scenario, optima[0], policy),
+                             optima=optima, count=count)
+
+
+def _cheapest_compositions(scenario, policy, caps):
+    """The walk behind `enumerate_lower`: (the argmin compositions in
+    `_compositions` order, the number of compositions visited)."""
+    routes = [scenario.route(rid) for rid in scenario.route_ids()]
+    prices = [route.unit_cost + policy.tax_rate * route.unit_emissions
+              - policy.subsidy_for(route.route_id) for route in routes]
+    techs = [route.technology_id for route in routes]
+    fees = [scenario.technology_fixed_costs.get(tech, ZERO) for tech in techs]
+    using = dict.fromkeys(techs, 0)  # routes of each technology holding units
+    last = len(routes) - 1
+    units = [0] * len(routes)
+    least, optima, count = Decimal("Infinity"), [], 0
+
+    def record(cost):
+        nonlocal least, optima
+        if cost < least:
+            least, optima = cost, [tuple(units)]
+        elif cost == least:
+            optima.append(tuple(units))
+
+    def walk(i, remaining, cost):
+        # routes before i hold their units; route i takes u of the remaining
+        nonlocal count
+        tech = techs[i]
+        own = ZERO if using[tech] else fees[i]
+        if i + 1 < last:
+            walk(i + 1, remaining, cost)
+            cost += own
+            using[tech] += 1
+            for u in range(1, min(caps[i], remaining) + 1):
+                units[i] = u
+                cost += prices[i]
+                walk(i + 1, remaining - u, cost)
+            units[i] = 0
+            using[tech] -= 1
+            return
+        # the last two routes: i takes u units and the last route the rest
+        price, last_price = prices[i], prices[last]
+        last_tech = techs[last]
+        last_fee = ZERO if using[last_tech] else fees[last]
+        shared_fee = ZERO if last_tech == tech else last_fee
+        low, high = max(0, remaining - caps[last]), min(caps[i], remaining)
+        count += max(0, high - low + 1)
+        for u in range(low, high + 1):
+            rest = remaining - u
+            total = cost + price * u + own if u else cost
+            if rest:
+                total += last_price * rest + (shared_fee if u else last_fee)
+            if total <= least:
+                units[i], units[last] = u, rest
+                record(total)
+        units[i] = units[last] = 0
+
+    if last:
+        walk(0, scenario.demand, ZERO)
+    else:  # one route takes all of demand, which validation let it hold
+        count, units[0] = 1, scenario.demand
+        record(prices[0] * scenario.demand + fees[0] if scenario.demand else ZERO)
+    return optima, count
 
 
 def enumerate_optimistic(scenario: Scenario, policy: PolicyVector, objective,
@@ -108,8 +174,12 @@ def enumerate_optimistic(scenario: Scenario, policy: PolicyVector, objective,
     if objective is Objective.MOST_PROFITABLE:
         raise ValidationError([f"enumerate_optimistic has no order for {objective.value}"])
     funds = to_decimal(funds, "funds")
-    enumeration = enumeration or enumerate_lower(scenario, policy)
-    results = [evaluate_allocation(scenario, allocation, policy)
+    if enumeration is None:
+        enumeration = enumerate_lower(scenario, policy)
+    else:
+        validate_policy(scenario, policy)
+    # the optima are valid allocations by construction
+    results = [price_allocation(scenario, allocation, policy)
                for allocation in enumeration.optima]
     fitting = [r for r in results if r.subsidy_outlay <= funds + r.tax_payment]
 

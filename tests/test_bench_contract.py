@@ -32,14 +32,29 @@ def workloads():
         sys.path.remove(str(BENCHMARKS))
 
 
+def _run_and_check(workloads, workload, units):
+    for unit in units:
+        try:
+            answer = workload.run(unit)
+            workload.check(unit, answer)
+        except (workloads.CheckFailure, ecolever.EcoleverError) as exc:
+            pytest.fail(f"{workload.name}: {type(exc).__name__}: {exc}")
+
+
 @pytest.mark.parametrize("name, count", [
     ("pso_case", 1), ("pso_capped", 1), ("sweep_sens", 1), ("verify_battery", 12),
 ])
 def test_workload_units_run_and_pass_their_checks(workloads, tmp_path, name, count):
     workload = workloads.WORKLOADS[name](ecolever, tmp_path)
-    for unit in itertools.islice(workload.units(random.Random(f"{name}/contract")), count):
-        try:
-            answer = workload.run(unit)
-            workload.check(unit, answer)
-        except (workloads.CheckFailure, ecolever.EcoleverError) as exc:
-            pytest.fail(f"{name}: {type(exc).__name__}: {exc}")
+    units = workload.units(random.Random(f"{name}/contract"))
+    _run_and_check(workloads, workload, itertools.islice(units, count))
+
+
+def test_verify_battery_runs_its_costliest_shapes(workloads, tmp_path):
+    # the last 12 positions of a cycle, 8 routes by demand 1-12, hold the
+    # shapes that set the workload's tail
+    workload = workloads.WORKLOADS["verify_battery"](ecolever, tmp_path)
+    units = workload.units(random.Random("verify_battery/contract"))
+    tail = list(itertools.islice(units, workload.cycle - 12, workload.cycle))
+    assert [(len(s.routes), s.demand) for s, *_ in tail] == [(8, d) for d in range(1, 13)]
+    _run_and_check(workloads, workload, tail)

@@ -310,6 +310,31 @@ def capped_pair(pair):
 
 
 @pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+def test_swarm_lands_on_the_closed_form_corner(case, objective):
+    # capacities of all demand bind nothing but keep optimize on the swarm,
+    # seeded with the exact leader's candidates; none of its policies may
+    # beat the corner
+    capped = Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
+                      capacity_limits={rid: case.demand for rid in case.route_ids()})
+    params = PsoParams(swarm_size=10, iterations=200, restarts=1, seed=0)
+    swarm = optimize(capped, objective, 0, params=params)
+    closed = closed_form_optimize(case, objective, 0)
+    assert [i for i, _ in swarm.trace] == list(range(params.iterations + 2))
+    assert swarm.feasible and closed.feasible
+    assert swarm.policy == closed.policy
+    assert swarm.upper_value == closed.upper_value
+
+
+def test_swarm_infeasible_budget_is_flagged(capped_pair):
+    # subsidy-only mode with a hard negative budget can never self-finance
+    params = PsoParams(swarm_size=4, iterations=5, restarts=1)
+    out = optimize(capped_pair, Objective.MIN_GHG, Decimal(-5), mode=SUBSIDY_ONLY,
+                   params=params)
+    assert [i for i, _ in out.trace] == list(range(params.iterations + 2))
+    assert not out.feasible
+
+
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
 def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective):
     params = PsoParams(swarm_size=6, iterations=15, restarts=2, seed=4)
     out = optimize(capped_pair, objective, Decimal(5), params=params)

@@ -2,6 +2,7 @@ import math
 from decimal import Decimal
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ecolever import (
     Allocation,
@@ -16,6 +17,7 @@ from ecolever import (
     enumerate_optimistic,
     grid_bilevel,
 )
+from ecolever.model import evaluate_allocation
 from ecolever.oracle import _compositions
 
 
@@ -141,3 +143,96 @@ def test_enumerate_lower_validates_no_composition(capped_case, monkeypatch):
     assert out.best == model.evaluate_allocation(capped_case, optima[0], policy)
     with pytest.raises(ValidationError):  # the policy is still checked, once
         enumerate_lower(capped_case, PolicyVector(subsidy_rates={"nowhere": Decimal(1)}))
+
+
+def _priced_compositions(scenario, policy):
+    # the reference: every composition priced through evaluate_allocation
+    ids = scenario.route_ids()
+    caps = [scenario.capacity_of(rid) for rid in ids]
+    allocations = [Allocation(dict(zip(ids, combo)))
+                   for combo in _compositions(scenario.demand, caps)]
+    return [evaluate_allocation(scenario, a, policy) for a in allocations]
+
+
+@st.composite
+def _catalogs(draw):
+    # 1-5 routes over two technologies, so one fixed cost often covers two
+    # routes; coarse unit costs and small capacities, so optima often split
+    cents = st.integers(-5, 12).map(lambda c: Decimal(c) / 10)
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p",
+                  technology_id=draw(st.sampled_from("xy")), unit_cost=draw(cents),
+                  unit_emissions=Decimal(draw(st.integers(0, 40))) / 100,
+                  unit_circularity=Decimal(1))
+        for i in range(draw(st.integers(1, 5))))
+    demand = draw(st.integers(0, 9))
+    fixed = {tech: Decimal(draw(st.integers(0, 4))) / 4
+             for tech in sorted({r.technology_id for r in routes})}
+    caps = {r.route_id: cap for r in routes
+            if (cap := draw(st.none() | st.integers(0, 4))) is not None}
+    assume(len(caps) < len(routes) or sum(caps.values()) >= demand)
+    scenario = Scenario(demand=demand, routes=routes,
+                        technology_fixed_costs=fixed, capacity_limits=caps)
+    policy = PolicyVector(
+        tax_rate=Decimal(draw(st.integers(0, 300))) / 100,
+        subsidy_rates={r.route_id: Decimal(draw(st.integers(0, 6))) / 10
+                       for r in routes if draw(st.booleans())})
+    return scenario, policy
+
+
+@given(_catalogs())
+def test_enumerate_lower_matches_pricing_every_composition(catalog):
+    scenario, policy = catalog
+    results = _priced_compositions(scenario, policy)
+    least = min(r.industry_cost for r in results)
+    optima = [r for r in results if r.industry_cost == least]
+    out = enumerate_lower(scenario, policy)
+    assert out.count == len(results)
+    assert out.optima == tuple(r.allocation for r in optima)
+    assert out.best == optima[0]
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
+def test_enumerate_lower_charges_a_shared_fixed_cost_once(pair):
+    # two capped routes of one technology split demand and pay its fee once:
+    # 0.4 + 0.5 beats 1.2 for the third route alone
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p",
+                  technology_id="shared" if i in pair else "own",
+                  unit_cost=Decimal("0.1") if i in pair else Decimal("0.3"),
+                  unit_emissions=Decimal(0), unit_circularity=Decimal(1))
+        for i in range(3))
+    scenario = Scenario(demand=4, routes=routes,
+                        technology_fixed_costs={"shared": Decimal("0.5")},
+                        capacity_limits={f"r{i}": 2 for i in pair})
+    out = enumerate_lower(scenario, PolicyVector.zero())
+    assert out.optima == (Allocation({f"r{i}": 2 for i in pair}),)
+    assert out.best.industry_cost == Decimal("0.9")
+    assert out.count == len(_priced_compositions(scenario, PolicyVector.zero()))
+
+
+def test_enumerate_lower_refuses_sums_it_cannot_hold_exactly(tiny):
+    # a 31-digit unit cost does not fit the 28-digit context: ranking its
+    # rounded sums could order ties unlike price_allocation, so refuse
+    fine = _route("c", "0.1000000000000000000000000000001", "0.2", "1.0")
+    scenario = Scenario(demand=2, routes=tiny.routes + (fine,))
+    with pytest.raises(ResourceBoundError, match="exact enumeration"):
+        enumerate_lower(scenario, PolicyVector.zero())
+
+
+def test_enumerate_optimistic_validates_no_allocation(tiny, monkeypatch):
+    from ecolever import model
+    policy = PolicyVector(tax_rate=Decimal("0.5"))
+    enumeration = enumerate_lower(tiny, policy)
+    calls = []
+    validate = model.validate_allocation
+    monkeypatch.setattr(model, "validate_allocation",
+                        lambda *args: calls.append(args) or validate(*args))
+    for given_enumeration in (enumeration, None):
+        picked = enumerate_optimistic(tiny, policy, Objective.MIN_GHG, Decimal("-0.5"),
+                                      given_enumeration)
+        assert picked.units == {"a": 3, "b": 1}
+    assert calls == []
+    with pytest.raises(ValidationError):  # the policy is still checked
+        enumerate_optimistic(tiny, PolicyVector(subsidy_rates={"nowhere": Decimal(1)}),
+                             Objective.MIN_GHG, 0, enumeration)
