@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from decimal import Decimal
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import (
     CalibrationAnchors,
@@ -290,11 +289,11 @@ def cmd_sensitivity(args) -> int:
 
 
 def _random_policy(rng, scenario: Scenario) -> PolicyVector:
-    tax = Decimal(int(rng.integers(0, 501))) / 100
+    tax = Decimal(rng.randrange(501)) / 100
     rates = {}
     for rid in scenario.route_ids():
         if scenario.route(rid).subsidizable and rng.random() < 0.5:
-            rate = Decimal(int(rng.integers(0, 101))) / 1000
+            rate = Decimal(rng.randrange(101)) / 1000
             if rate:
                 rates[rid] = rate
     return PolicyVector(tax_rate=tax, subsidy_rates=rates)
@@ -311,7 +310,7 @@ def cmd_verify(args) -> int:
         technology_fixed_costs={r.technology_id: Decimal("0.25") for r in scenario.routes[:3]},
         capacity_limits={rid: cap for rid in ids},
     )
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     checks = 0
     for trial in range(args.trials):
         policy = _random_policy(rng, small)
@@ -375,6 +374,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT
     try:
+        if args.seed < 0:  # random.Random seeds from abs(seed): -1 would replay 1
+            raise ValidationError([f"--seed: must be >= 0, got {args.seed}"])
         return args.handler(args)
     except ValidationError as exc:
         violations = getattr(exc, "violations", None)

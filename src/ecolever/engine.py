@@ -14,11 +14,10 @@ fixed-cost scenarios, where no exact leader exists here.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
 from enum import Enum
-
-import numpy as np
 
 from .errors import ValidationError
 from .lower import solve_lower
@@ -125,6 +124,9 @@ class PsoParams:
             v.append("iterations must be >= 0")
         if self.restarts < 1:
             v.append("restarts must be >= 1")
+        if self.seed < 0:
+            # random.Random seeds from abs(seed): -1 would silently replay 1
+            v.append("seed must be >= 0")
         if self.bounds is not None:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
             object.__setattr__(self, "bounds", bounds)
@@ -149,55 +151,62 @@ class PsoRun:
 def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoRun:
     """Global-best PSO over the box in params.bounds.
 
-    evaluator maps a position, given as a list of Python floats (one per
-    dimension), to any orderable fitness (floats and tuples both work);
-    smaller is better. Velocities are clamped to the box width and positions
-    reflect off the walls. The returned trace of (iteration, best-so-far)
-    never worsens.
+    evaluator maps a position, given as a fresh list of Python floats (one
+    per dimension) that the swarm never modifies, to any orderable fitness
+    (floats and tuples both work); smaller is better. rng is anything with a
+    no-argument random() in [0, 1), random.Random(params.seed) by default.
+    Each iteration moves every particle against the previous global best,
+    then evaluates them in order. Velocities are clamped to the box width
+    and positions reflect off the walls. The returned trace of (iteration,
+    best-so-far) never worsens.
     """
     if params.bounds is None:
         raise ValidationError(["pso_run requires params.bounds"])
-    lo = np.array([b[0] for b in params.bounds])
-    hi = np.array([b[1] for b in params.bounds])
-    width = hi - lo
-    rng = rng if rng is not None else np.random.default_rng(params.seed)
-    n, d = params.swarm_size, lo.size
+    box = [(lo, hi, hi - lo) for lo, hi in params.bounds]
+    rand = (rng if rng is not None else random.Random(params.seed)).random
+    n = params.swarm_size
+    inertia, cognitive, social = params.inertia, params.cognitive, params.social
 
-    X = lo + rng.random((n, d)) * width
+    X = [[lo + rand() * width for lo, _, width in box] for _ in range(n)]
     if seed_positions is not None:
         for k, pos in enumerate(seed_positions[:n]):
-            X[k] = np.clip(np.asarray(pos, dtype=float), lo, hi)
-    V = np.zeros((n, d))
+            X[k] = [min(max(float(p), lo), hi) for p, (lo, hi, _) in zip(pos, box)]
+    V = [[0.0] * len(box) for _ in range(n)]
 
-    fit = [evaluator(row) for row in X.tolist()]
+    fit = [evaluator(row) for row in X]
     evaluations = n
-    P = X.copy()
+    P = list(X)  # rows are never written after they are made, so sharing is safe
     pfit = list(fit)
-    g = int(min(range(n), key=lambda i: fit[i]))
-    gx, gfit = X[g].copy(), fit[g]
+    g = min(range(n), key=fit.__getitem__)
+    gx, gfit = X[g], fit[g]
     trace = [(0, gfit)]
 
     for t in range(1, params.iterations + 1):
-        r1 = rng.random((n, d))
-        r2 = rng.random((n, d))
-        V = (params.inertia * V
-             + params.cognitive * r1 * (P - X)
-             + params.social * r2 * (gx - X))
-        V = np.clip(V, -width, width)
-        X = X + V
-        for _ in range(2):  # a clamped velocity overshoots at most twice
-            X = np.where(X > hi, 2 * hi - X, X)
-            X = np.where(X < lo, 2 * lo - X, X)
-        X = np.clip(X, lo, hi)
-        for i, row in enumerate(X.tolist()):
+        for i in range(n):
+            row, speed = [], []
+            push, push_speed = row.append, speed.append
+            for x, v, p, best, (lo, hi, width) in zip(X[i], V[i], P[i], gx, box):
+                v = (inertia * v + cognitive * rand() * (p - x)
+                     + social * rand() * (best - x))
+                v = width if v > width else -width if v < -width else v
+                x += v
+                if not lo <= x <= hi:
+                    for _ in range(2):  # a clamped velocity overshoots at most twice
+                        if x > hi:
+                            x = 2 * hi - x
+                        if x < lo:
+                            x = 2 * lo - x
+                    x = lo if x < lo else hi if x > hi else x
+                push(x)
+                push_speed(v)
+            X[i], V[i] = row, speed
+        for i, row in enumerate(X):
             f = evaluator(row)
-            evaluations += 1
             if f < pfit[i]:
-                pfit[i] = f
-                P[i] = X[i].copy()
+                pfit[i], P[i] = f, row
                 if f < gfit:
-                    gfit = f
-                    gx = X[i].copy()
+                    gfit, gx = f, row
+        evaluations += n
         trace.append((t, gfit))
 
     return PsoRun(x=tuple(gx), value=gfit, trace=tuple(trace), evaluations=evaluations)
@@ -242,10 +251,11 @@ def default_bounds(scenario: Scenario, mode: str = COMBINED, tax_max: float = 10
 def vector_to_policy(scenario: Scenario, x) -> PolicyVector:
     """Quantize a raw swarm position onto the exact decimal rate grid.
 
-    x holds one float per `policy_dimensions` entry (a list or a numpy row);
-    negative coordinates clamp to zero. Only positive subsidy coordinates are
-    quantized, since the rest round to a zero rate that PolicyVector drops; a
-    NaN fails `<= 0.0` too and reaches PolicyVector, which refuses it.
+    x holds one float per `policy_dimensions` entry (a list or any other
+    sequence); negative coordinates clamp to zero. Only positive subsidy
+    coordinates are quantized, since the rest round to a zero rate that
+    PolicyVector drops; a NaN fails `<= 0.0` too and reaches PolicyVector,
+    which refuses it.
     """
     ids = scenario.subsidizable_ids()
     if len(x) != len(ids) + 1:
@@ -420,22 +430,20 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
                 return key  # the seed round-trips: it was ranked exactly above
         return consider(policy)
 
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
     seed_positions = []
     ids = scenario.subsidizable_ids()
     for pol in [*domain_informed_points(scenario, budget, mode), *extra]:
         key = consider(pol)  # exact evaluation, never lost to float round-trips
         vec = [float(pol.tax_rate)] + [float(pol.subsidy_for(rid)) for rid in ids]
-        seed_positions.append(np.clip(np.array(vec), lo, hi))
+        seed_positions.append([min(max(v, lo), hi) for v, (lo, hi) in zip(vec, bounds)])
         if len(seed_positions) <= params.swarm_size:
-            seeded.setdefault(tuple(seed_positions[-1].tolist()), (pol, key))
+            seeded.setdefault(tuple(seed_positions[-1]), (pol, key))
 
     running = incumbent[0]
     trace = [(0, running)]
     offset = 1
     for restart in range(params.restarts):
-        rng = np.random.default_rng(params.seed + restart)
+        rng = random.Random(params.seed + restart)
         run = pso_run(pso_evaluator, run_params, rng=rng,
                       seed_positions=seed_positions if restart == 0 else None)
         for t, key in run.trace:

@@ -14,9 +14,9 @@ with `quantize_rate` first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
+from decimal import Decimal, Inexact, InvalidOperation, ROUND_HALF_EVEN, localcontext
 
-from .errors import InvalidAllocationError, ValidationError
+from .errors import InvalidAllocationError, ResourceBoundError, ValidationError
 
 RATE_QUANTUM = Decimal("1e-12")
 CIRCULARITY_MAX = Decimal(2)
@@ -336,24 +336,33 @@ def price_allocation(scenario: Scenario, allocation: Allocation,
 
     Accumulates in one pass. Fixed costs are charged for each technology the
     allocation uses; circularity is the demand-weighted mean, reported as 0
-    at zero demand.
+    at zero demand. Every sum is exact: totals that need more digits than
+    the decimal context holds raise ResourceBoundError instead of rounding;
+    only the circularity mean is a rounded division.
     """
     by_id, subsidies = scenario._by_id, policy.subsidy_rates
     emissions = outlay = unit_part = circularity = ZERO
     active = set()
-    for rid, n in allocation.units.items():
-        route = by_id[rid]
-        emissions += route.unit_emissions * n
-        outlay += subsidies.get(rid, ZERO) * n
-        unit_part += route.unit_cost * n
-        circularity += route.unit_circularity * n
-        active.add(route.technology_id)
-    fixed = sum((cost for tech, cost in scenario.technology_fixed_costs.items()
-                 if tech in active), ZERO)
-    tax_payment = policy.tax_rate * emissions
+    with localcontext() as context:
+        context.traps[Inexact] = True
+        try:
+            for rid, n in allocation.units.items():
+                route = by_id[rid]
+                emissions += route.unit_emissions * n
+                outlay += subsidies.get(rid, ZERO) * n
+                unit_part += route.unit_cost * n
+                circularity += route.unit_circularity * n
+                active.add(route.technology_id)
+            fixed = sum((cost for tech, cost in scenario.technology_fixed_costs.items()
+                         if tech in active), ZERO)
+            tax_payment = policy.tax_rate * emissions
+            industry_cost = unit_part + fixed + tax_payment - outlay
+        except Inexact:
+            raise ResourceBoundError(
+                f"exact pricing needs more than the context's {context.prec} digits") from None
     return LowerResult(
         allocation=allocation,
-        industry_cost=unit_part + fixed + tax_payment - outlay,
+        industry_cost=industry_cost,
         total_emissions=emissions,
         circularity_index=circularity / scenario.demand if scenario.demand else ZERO,
         subsidy_outlay=outlay,

@@ -14,7 +14,6 @@ hours.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 
@@ -61,9 +60,33 @@ def _compositions(total, caps):
 
 
 def _enumeration_size(total, caps):
-    # Upper bound: compositions of total into k parts, ignoring caps.
-    k = len(caps)
-    return math.comb(total + k - 1, k - 1)
+    """How many compositions of `total` within the integer `caps` there are,
+    saturating at MAX_ENUMERATION + 1."""
+    limit = MAX_ENUMERATION + 1
+    caps = [min(cap, total) for cap in caps]
+    slack = sum(caps) - total
+    if slack < 0:
+        return 0
+    # Laid end to end, the caps hold slack + 1 windows of `total` units. Each
+    # window is a composition, and sliding it moves a unit to a later route
+    # (no cap exceeds the window), so no two coincide: a large slack alone
+    # exceeds the bound.
+    if slack > MAX_ENUMERATION:
+        return limit
+    # Dropping cap - u units from each route counts the same compositions,
+    # so count sums of the smaller side, one route at a time by prefix sums.
+    side, rest = min(total, slack), sum(caps)
+    ways = [1] + [0] * side
+    for cap in caps:
+        prefix = [0, *itertools.accumulate(ways)]
+        # the routes not yet counted can take any amount from 0 to `rest`, so
+        # every way of reaching side - rest..side so far completes at least once
+        if prefix[-1] - prefix[max(0, side - rest)] >= limit:
+            return limit
+        rest -= cap
+        ways = [min(prefix[j + 1] - prefix[max(0, j - cap)], limit)
+                for j in range(side + 1)]
+    return ways[side]
 
 
 def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResult:

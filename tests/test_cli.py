@@ -127,6 +127,21 @@ def test_bad_tax_max_exits_1_naming_the_flag(tmp_path, capsys, args):
     assert payload["error"] == "ValidationError" and "--tax-max" in payload["detail"]
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--iterations", "1", "--restarts", "1"],
+    ["sweep", "--budgets", "0"],
+    ["verify", "--trials", "1", "--demand", "2"],
+], ids=["run", "sweep", "verify"])
+def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, command):
+    # random.Random seeds from abs(seed), so -1 would silently replay seed 1
+    code, _, stderr = run_cli([*command, "--seed", "-1", "--out", str(tmp_path / "o")],
+                              capsys)
+    lines = stderr.strip().splitlines()
+    assert code == 1 and len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValidationError" and "--seed" in payload["detail"]
+
+
 def test_unknown_subcommand_exits_1(capsys):
     code, _, stderr = run_cli(["frobnicate"], capsys)
     assert code == 1

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -180,6 +181,38 @@ def test_pso_run_respects_bounds_and_seed_positions():
                   seed_positions=[np.array([1.5])])
     assert all(-1e-9 <= v <= 2 + 1e-9 for v in seen)
     assert run.value == 0.0  # the seeded point is already optimal
+
+
+def test_pso_run_hands_the_evaluator_rows_it_may_keep():
+    # a tight box makes particles hit the walls, so every branch of the
+    # position update writes rows; none may change after it was evaluated
+    params = PsoParams(swarm_size=5, iterations=20, seed=2,
+                       bounds=((0.0, 0.1), (-1.0, 1.0), (0.0, 0.0)))
+    kept = []
+
+    def keeping(x):
+        kept.append((x, list(x)))
+        return abs(x[0] - 0.05) + abs(x[1] - 0.9)
+
+    run = pso_run(keeping, params)
+    assert len(kept) == run.evaluations == 5 * 21
+    assert all(row == snapshot for row, snapshot in kept)
+    assert all(0.0 <= a <= 0.1 and -1.0 <= b <= 1.0 and c == 0.0 for _, (a, b, c) in kept)
+
+
+def test_pso_run_same_seed_same_run():
+    params = PsoParams(swarm_size=6, iterations=12, seed=5, bounds=((-2, 2), (0, 3)))
+    bowl = lambda x: (x[0] - 0.5) ** 2 + (x[1] - 1) ** 2
+    first, again = pso_run(bowl, params), pso_run(bowl, params)
+    assert (first.x, first.trace) == (again.x, again.trace)
+    other = pso_run(bowl, replace(params, seed=6))
+    assert other.trace != first.trace
+
+
+def test_pso_params_refuse_negative_seeds():
+    assert PsoParams(seed=0).seed == 0
+    with pytest.raises(ValidationError, match="seed"):
+        PsoParams(seed=-1)  # random.Random(-1) would replay seed 1
 
 
 def test_pso_params_validation():

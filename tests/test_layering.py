@@ -1,7 +1,11 @@
 """Each private helper has one owner: no module of the package imports an
-underscore-prefixed name from a sibling module."""
+underscore-prefixed name from a sibling module. The package runs on the
+standard library alone."""
 
 import ast
+import subprocess
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import ecolever
@@ -36,3 +40,44 @@ def test_only_model_reads_private_attributes_of_other_objects():
                              and node.value.id in ("self", "cls"))):
                 offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert offenders == []
+
+
+def test_no_module_imports_numpy():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if name.split(".")[0] == "numpy"]
+    assert offenders == []
+
+
+BLOCKED_NUMPY_RUN = """
+import sys
+from decimal import Decimal
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import ecolever, ecolever.cli
+from ecolever import PsoParams, Scenario, calibrate_case_study, optimize
+case = calibrate_case_study()
+capped = Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
+                  capacity_limits={rid: 400 for rid in case.route_ids()},
+                  technology_fixed_costs={"strap_recycling_line": Decimal(5),
+                                          "wash_reuse_loop": Decimal(3)})
+params = PsoParams(swarm_size=4, iterations=3, restarts=2, seed=1)
+out = optimize(capped, "min-ghg", 0, params=params)
+assert out.evaluations > 2 * 4 * 3 and len(out.trace) == 2 * (3 + 1) + 1
+print(out.upper_value)
+"""
+
+
+def test_package_runs_with_numpy_blocked():
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_NUMPY_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=PACKAGE.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert Decimal(proc.stdout.strip()) > 0

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from ecolever import (
     Allocation,
     PolicyVector,
+    ResourceBoundError,
     RouteSpec,
     Scenario,
     SensitivityModifiers,
@@ -156,6 +157,17 @@ def test_fixed_costs_charged_only_for_active_technologies():
     both = evaluate_allocation(scn, Allocation(units={"a": 4, "b": 6}), PolicyVector.zero())
     assert only_a.industry_cost == 10 * Decimal("0.05") + 3
     assert both.industry_cost == 4 * Decimal("0.05") + 6 * Decimal("0.08") + 3 + 5
+
+
+def test_evaluate_allocation_refuses_sums_it_cannot_hold_exactly():
+    # -1E+20 + 1E-10 needs 31 digits; rounded at 28 it priced {a: 1, b: 1}
+    # at 0, tied with {a: 2}, instead of 1E-10
+    scn = Scenario(demand=2, routes=(_route("a", "-1E+20", "1", "1.0"),
+                                     _route("b", "1E-10", "0", "1.0")))
+    policy = PolicyVector(tax_rate=Decimal("1E+20"))
+    assert evaluate_allocation(scn, Allocation(units={"a": 2}), policy).industry_cost == 0
+    with pytest.raises(ResourceBoundError, match="exact pricing"):
+        evaluate_allocation(scn, Allocation(units={"a": 1, "b": 1}), policy)
 
 
 def test_circularity_undefined_at_zero_demand():

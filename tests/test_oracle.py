@@ -18,7 +18,7 @@ from ecolever import (
     grid_bilevel,
 )
 from ecolever.model import evaluate_allocation
-from ecolever.oracle import _compositions
+from ecolever.oracle import MAX_ENUMERATION, _compositions, _enumeration_size
 
 
 def _route(rid, cost, emissions, circ):
@@ -65,8 +65,29 @@ def test_enumerate_lower_reports_every_tied_optimum(tiny):
 
 def test_enumerate_lower_refuses_oversized_spaces(tiny):
     big = Scenario(demand=10_000_000, routes=tiny.routes)
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError, match="enumeration space exceeds"):
         enumerate_lower(big, PolicyVector.zero())
+    wide = Scenario(demand=40, routes=tuple(
+        _route(f"r{i}", "0.1", "0.1", "1.0") for i in range(6)))
+    assert math.comb(40 + 5, 5) > MAX_ENUMERATION
+    with pytest.raises(ResourceBoundError, match="enumeration space exceeds"):
+        enumerate_lower(wide, PolicyVector.zero())
+
+
+def test_enumerate_lower_bounds_the_space_within_the_caps():
+    # C(29, 19) compositions ignore the caps; only 11 respect them
+    routes = tuple(_route(f"r{i:02d}", "0.1", "0.1", "1.0") for i in range(20))
+    scenario = Scenario(demand=10, routes=routes,
+                        capacity_limits={f"r{i:02d}": 0 for i in range(18)})
+    out = enumerate_lower(scenario, PolicyVector.zero())
+    assert out.count == 11
+    assert len(out.optima) == 11
+
+
+@given(st.integers(0, 12), st.lists(st.integers(0, 14), min_size=1, max_size=5))
+def test_enumeration_size_counts_the_compositions_within_caps(total, caps):
+    visited = sum(1 for _ in _compositions(total, caps))
+    assert _enumeration_size(total, caps) == min(visited, MAX_ENUMERATION + 1)
 
 
 def test_grid_axis_points_and_validation():
