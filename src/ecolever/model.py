@@ -14,7 +14,7 @@ with `quantize_rate` first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, Inexact, InvalidOperation, ROUND_HALF_EVEN, localcontext
+from decimal import Decimal, Inexact, InvalidOperation, ROUND_HALF_EVEN, getcontext
 
 from .errors import InvalidAllocationError, ResourceBoundError, ValidationError
 
@@ -343,23 +343,26 @@ def price_allocation(scenario: Scenario, allocation: Allocation,
     by_id, subsidies = scenario._by_id, policy.subsidy_rates
     emissions = outlay = unit_part = circularity = ZERO
     active = set()
-    with localcontext() as context:
-        context.traps[Inexact] = True
-        try:
-            for rid, n in allocation.units.items():
-                route = by_id[rid]
-                emissions += route.unit_emissions * n
-                outlay += subsidies.get(rid, ZERO) * n
-                unit_part += route.unit_cost * n
-                circularity += route.unit_circularity * n
-                active.add(route.technology_id)
-            fixed = sum((cost for tech, cost in scenario.technology_fixed_costs.items()
-                         if tech in active), ZERO)
-            tax_payment = policy.tax_rate * emissions
-            industry_cost = unit_part + fixed + tax_payment - outlay
-        except Inexact:
-            raise ResourceBoundError(
-                f"exact pricing needs more than the context's {context.prec} digits") from None
+    traps = getcontext().traps  # set and restored in place: localcontext() costs ~1 us more
+    trapped = traps[Inexact]
+    traps[Inexact] = True
+    try:
+        for rid, n in allocation.units.items():
+            route = by_id[rid]
+            emissions += route.unit_emissions * n
+            outlay += subsidies.get(rid, ZERO) * n
+            unit_part += route.unit_cost * n
+            circularity += route.unit_circularity * n
+            active.add(route.technology_id)
+        fixed = sum((cost for tech, cost in scenario.technology_fixed_costs.items()
+                     if tech in active), ZERO)
+        tax_payment = policy.tax_rate * emissions
+        industry_cost = unit_part + fixed + tax_payment - outlay
+    except Inexact:
+        raise ResourceBoundError(
+            f"exact pricing needs more than the context's {getcontext().prec} digits") from None
+    finally:
+        traps[Inexact] = trapped
     return LowerResult(
         allocation=allocation,
         industry_cost=industry_cost,

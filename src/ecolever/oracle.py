@@ -14,6 +14,7 @@ hours.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 
@@ -103,7 +104,10 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
     """
     ids = scenario.route_ids()
     caps = [scenario.capacity_of(rid) for rid in ids]
-    if _enumeration_size(scenario.demand, caps) > MAX_ENUMERATION:
+    # caps only remove compositions, so the uncapped count settles most catalogs
+    uncapped = math.comb(scenario.demand + len(ids) - 1, len(ids) - 1)
+    if (uncapped > MAX_ENUMERATION
+            and _enumeration_size(scenario.demand, caps) > MAX_ENUMERATION):
         raise ResourceBoundError(
             f"enumeration space exceeds {MAX_ENUMERATION} allocations")
     validate_policy(scenario, policy)

@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Decimal, Inexact, getcontext
 
 import pytest
 from hypothesis import given, strategies as st
@@ -168,6 +168,7 @@ def test_evaluate_allocation_refuses_sums_it_cannot_hold_exactly():
     assert evaluate_allocation(scn, Allocation(units={"a": 2}), policy).industry_cost == 0
     with pytest.raises(ResourceBoundError, match="exact pricing"):
         evaluate_allocation(scn, Allocation(units={"a": 1, "b": 1}), policy)
+    assert not getcontext().traps[Inexact]  # the caller's context is restored
 
 
 def test_circularity_undefined_at_zero_demand():
