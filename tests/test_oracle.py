@@ -90,6 +90,15 @@ def test_enumeration_size_counts_the_compositions_within_caps(total, caps):
     assert _enumeration_size(total, caps) == min(visited, MAX_ENUMERATION + 1)
 
 
+@pytest.mark.parametrize("total, k, cap", [
+    (30, 6, 30), (40, 6, 40), (40, 6, 10), (60, 8, 12), (10, 20, 1), (3000, 2, 1500)])
+def test_enumeration_size_saturates_past_the_bound(total, k, cap):
+    # compositions of total into k parts of at most cap, by inclusion-exclusion
+    exact = sum((-1) ** j * math.comb(k, j) * math.comb(total - j * (cap + 1) + k - 1, k - 1)
+                for j in range(k + 1) if total >= j * (cap + 1))
+    assert _enumeration_size(total, [cap] * k) == min(exact, MAX_ENUMERATION + 1)
+
+
 def test_grid_axis_points_and_validation():
     axis = GridAxis(lo=Decimal(0), hi=Decimal(1), steps=5)
     assert axis.points() == [Decimal(0), Decimal("0.25"), Decimal("0.5"),
