@@ -174,7 +174,6 @@ def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoR
     V = [[0.0] * len(box) for _ in range(n)]
 
     fit = [evaluator(row) for row in X]
-    evaluations = n
     P = list(X)  # rows are never written after they are made, so sharing is safe
     pfit = list(fit)
     g = min(range(n), key=fit.__getitem__)
@@ -206,10 +205,10 @@ def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoR
                 pfit[i], P[i] = f, row
                 if f < gfit:
                     gfit, gx = f, row
-        evaluations += n
         trace.append((t, gfit))
 
-    return PsoRun(x=tuple(gx), value=gfit, trace=tuple(trace), evaluations=evaluations)
+    return PsoRun(x=tuple(gx), value=gfit, trace=tuple(trace),
+                  evaluations=n * (params.iterations + 1))
 
 
 @dataclass(frozen=True)
