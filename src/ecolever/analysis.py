@@ -180,9 +180,11 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
                  engine: str = "closed-form", params: PsoParams = None):
     """Optimize once per budget and tabulate the outcomes.
 
-    engine is "closed-form" (analytic corners only) or "pso" (full swarm).
-    A budget whose solve fails is skipped with a warning rather than sinking
-    the whole sweep.
+    engine is "closed-form" (the exact leader, `closed_form_optimize`) or
+    "pso" (`optimize`, which runs the same exact leader on pure-linear
+    scenarios and the seeded swarm on capped and fixed-cost ones). A budget
+    whose solve fails is skipped with a warning rather than sinking the
+    whole sweep.
     """
     if engine not in ("closed-form", "pso"):
         raise ValidationError([f"unknown engine: {engine!r}"])

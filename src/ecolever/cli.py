@@ -374,8 +374,12 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT
     try:
-        if args.seed < 0:  # random.Random seeds from abs(seed): -1 would replay 1
-            raise ValidationError([f"--seed: must be >= 0, got {args.seed}"])
+        # random.Random seeds from abs(seed): --seed -1 would replay 1
+        for flag, least in (("seed", 0), ("swarm", 1), ("iterations", 0),
+                            ("restarts", 1), ("trials", 0), ("demand", 0)):
+            value = getattr(args, flag, least)
+            if value < least:
+                raise ValidationError([f"--{flag}: must be >= {least}, got {value}"])
         return args.handler(args)
     except ValidationError as exc:
         violations = getattr(exc, "violations", None)

@@ -20,7 +20,7 @@ from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
 from enum import Enum
 
 from .errors import ValidationError
-from .lower import solve_lower
+from .lower import leader_floor, solve_lower
 from .model import (
     LowerResult,
     PolicyVector,
@@ -29,6 +29,7 @@ from .model import (
     ZERO,
     quantize_rate,
     to_decimal,
+    validate_policy,
 )
 
 COMBINED = "combined"
@@ -87,18 +88,39 @@ def rank(objective, budget, policy: PolicyVector, value, result: LowerResult):
 
 
 def best_policy(scenario: Scenario, objective, budget, policies):
-    """Evaluate each of one or more policies and keep the first that ranks
-    lowest in `rank`. Returns (policy, natural value, LowerResult, feasible).
+    """The first of one or more policies that ranks lowest in `rank`, as
+    (policy, natural value, LowerResult, feasible): what evaluating every
+    policy in order returns, from fewer evaluations.
+
+    No shortfall is negative, so a policy whose objective head is at least
+    `lower.leader_floor` ranks no earlier than its floor key (0, floor, tax
+    rate, total subsidy rate). Every policy is validated first. They are
+    then evaluated in ascending (floor key, index) order, those without a
+    floor first, and the search stops once the incumbent's (rank key,
+    index) is below the next (floor key, index): no policy left can rank
+    before it, nor tie it from an earlier index. A policy left unevaluated
+    never reaches the follower, so a follower refusal it would raise
+    (ResourceBoundError) does not surface.
     """
     budget = to_decimal(budget, "budget")
-    best_key = None
-    for policy in policies:
+    policies = list(policies)
+    floors = []
+    for index, policy in enumerate(policies):
+        validate_policy(scenario, policy)
+        floor = leader_floor(scenario, policy, objective)
+        floors.append((None, index) if floor is None else
+                      ((ZERO, floor, policy.tax_rate, policy.total_rates()), index))
+    best = None  # ((rank key, index), value, result)
+    for bound in sorted(floors, key=lambda entry: (entry[0] is not None, entry)):
+        if best is not None and bound[0] is not None and best[0] < bound:
+            break
+        policy = policies[bound[1]]
         value, result, _ = evaluate_policy(scenario, policy, objective, budget)
-        key = rank(objective, budget, policy, value, result)
-        if best_key is None or key < best_key:
-            best_key, best = key, (policy, value, result)
-    policy, value, result = best
-    return policy, value, result, best_key[0] == 0
+        entry = (rank(objective, budget, policy, value, result), bound[1])
+        if best is None or entry < best[0]:
+            best = (entry, value, result)
+    (key, index), value, result = best
+    return policies[index], value, result, key[0] == 0
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, Inexact, getcontext
 from fractions import Fraction
 from operator import itemgetter
 
@@ -97,6 +97,39 @@ def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
         faces = [_face(scenario, priced, *fill) for fill in fills]
         units = _select(scenario, policy, leader_objective, funds, faces)
     return price_allocation(scenario, Allocation(units), policy)
+
+
+def leader_floor(scenario: Scenario, policy: PolicyVector, leader_objective):
+    """An exact lower bound on the leader's objective in minimization form
+    (emissions, or minus the circularity index) over every allocation
+    `solve_lower` can return for a validated policy; None when there is none
+    this cheap.
+
+    On a pure-linear scenario every unit goes to the routes at the least net
+    unit cost, so emissions are at least demand times the least emissions
+    among them, and the circularity index, a mean, is at most the largest
+    circularity among them; at zero demand the objective is zero. None for
+    capped or fixed-cost scenarios, for most-profitable, and when a net cost
+    or the bound would need rounding.
+    """
+    if leader_objective == MOST_PROFITABLE or not scenario.is_pure_linear():
+        return None
+    if not scenario.demand:
+        return ZERO
+    routes = scenario.routes
+    traps = getcontext().traps  # set in place, as `price_allocation` does
+    trapped = traps[Inexact]
+    traps[Inexact] = True
+    try:
+        nets = [net_unit_cost(r, policy) for r in routes]
+        least = min(nets)
+        head = min(_leader_unit_value(r, leader_objective)
+                   for net, r in zip(nets, routes) if net == least)
+        return scenario.demand * head if leader_objective == "min-ghg" else head
+    except Inexact:
+        return None
+    finally:
+        traps[Inexact] = trapped
 
 
 def _cheapest_fills(scenario: Scenario, policy: PolicyVector):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 
-from .engine import Objective, best_policy
+from .engine import Objective, evaluate_policy, rank
 from .errors import ResourceBoundError, ValidationError
 from .model import (
     Allocation,
@@ -247,11 +247,12 @@ class GridAxis:
 
 def grid_bilevel(scenario: Scenario, objective, budget, tax_axis: GridAxis,
                  subsidy_axes: dict):
-    """Dense scan of the leader's policy grid; the exhaustive counterpart to
-    the swarm search. subsidy_axes maps route id -> GridAxis (absent routes
-    stay unsubsidized). Returns (policy, value, result, feasible) of the
-    first grid point that ranks lowest in `engine.rank`: funds shortfall,
-    then objective, then tax rate, then total subsidy rate.
+    """Dense scan of the leader's policy grid, streamed point by point and
+    evaluating every one; the exhaustive counterpart to the exact leader and
+    the swarm. subsidy_axes maps route id -> GridAxis (absent routes stay
+    unsubsidized). Returns (policy, value, result, feasible) of the first
+    grid point that ranks lowest in `engine.rank`: funds shortfall, then
+    objective, then tax rate, then total subsidy rate.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
@@ -263,6 +264,11 @@ def grid_bilevel(scenario: Scenario, objective, budget, tax_axis: GridAxis,
         raise ResourceBoundError(f"grid of {total} points exceeds {MAX_GRID_POINTS}")
 
     axes = [tax_axis.points()] + [subsidy_axes[rid].points() for rid in sub_ids]
-    policies = (PolicyVector(tax_rate=tax, subsidy_rates=dict(zip(sub_ids, rates)))
-                for tax, *rates in itertools.product(*axes))
-    return best_policy(scenario, objective, budget, policies)
+    best_key = None
+    for tax, *rates in itertools.product(*axes):
+        policy = PolicyVector(tax_rate=tax, subsidy_rates=dict(zip(sub_ids, rates)))
+        value, result, _ = evaluate_policy(scenario, policy, objective, budget)
+        key = rank(objective, budget, policy, value, result)
+        if best_key is None or key < best_key:
+            best_key, best = key, (policy, value, result)
+    return (*best, best_key[0] == 0)

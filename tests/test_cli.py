@@ -142,6 +142,22 @@ def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, command):
     assert payload["error"] == "ValidationError" and "--seed" in payload["detail"]
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["verify", "--trials", "-5"], "--trials"),
+    (["verify", "--trials", "1", "--demand", "-3"], "--demand"),
+    (["run", "--swarm", "0"], "--swarm"),
+    (["run", "--iterations", "-1"], "--iterations"),
+    (["sweep", "--budgets", "0", "--restarts", "0"], "--restarts"),
+], ids=["trials", "demand", "swarm", "iterations", "restarts"])
+def test_out_of_range_count_exits_1_naming_the_flag(tmp_path, capsys, args, flag):
+    # a negative --trials used to run no trial and report "verify ok"
+    code, stdout, stderr = run_cli([*args, "--out", str(tmp_path / "o")], capsys)
+    lines = stderr.strip().splitlines()
+    assert code == 1 and len(lines) == 1 and stdout == ""
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValidationError" and payload["detail"].startswith(flag)
+
+
 def test_unknown_subcommand_exits_1(capsys):
     code, _, stderr = run_cli(["frobnicate"], capsys)
     assert code == 1

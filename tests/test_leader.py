@@ -1,5 +1,6 @@
 """The exact leader for pure-linear scenarios: regression instances, its
-place in `optimize`, and a differential test against the grid and the swarm."""
+place in `optimize`, a differential test against the grid and the swarm,
+and the follower floor that lets `best_policy` skip evaluations."""
 
 from decimal import Decimal
 
@@ -10,8 +11,10 @@ from ecolever import (
     GridAxis,
     Objective,
     PsoParams,
+    ResourceBoundError,
     RouteSpec,
     Scenario,
+    ValidationError,
     evaluate_policy,
     grid_bilevel,
     optimize,
@@ -19,6 +22,7 @@ from ecolever import (
 from ecolever import engine
 from ecolever.analysis import GLASS_ROUTE, STRAP_ROUTE, closed_form_optimize
 from ecolever.engine import COMBINED, MODES, SUBSIDY_ONLY, TAX_ONLY, rank
+from ecolever.lower import leader_floor
 
 
 def _route(rid, cost, emissions, circ="1", subsidizable=True):
@@ -130,12 +134,19 @@ def test_initial_points_are_ranked_with_the_candidates(case):
     assert out.evaluations == len(engine.domain_informed_points(case, 0)) + 1
 
 
-_ROUTES = st.lists(
-    st.tuples(st.integers(-30, 120),                   # unit cost, 1e-3 $
-              st.integers(-10, 100).map(lambda e: max(e, 0)),  # emissions, 1e-3 kg; ~10% zero
-              st.integers(0, 200),                     # circularity, 1e-2
-              st.integers(0, 6).map(bool)),            # subsidizable, ~86%
-    min_size=2, max_size=4)
+_ROUTE = st.tuples(st.integers(-30, 120),                   # unit cost, 1e-3 $
+                   st.integers(-10, 100).map(lambda e: max(e, 0)),  # emissions, 1e-3 kg; ~10% zero
+                   st.integers(0, 200),                     # circularity, 1e-2
+                   st.integers(0, 6).map(bool))             # subsidizable, ~86%
+_ROUTES = st.lists(_ROUTE, min_size=2, max_size=4)
+
+
+def _catalog(routes):
+    return tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{i}",
+                  unit_cost=Decimal(c) / 1000, unit_emissions=Decimal(e) / 1000,
+                  unit_circularity=Decimal(ci) / 100, subsidizable=sub)
+        for i, (c, e, ci, sub) in enumerate(routes))
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,11 +155,7 @@ _ROUTES = st.lists(
        objective=st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]))
 def test_exact_leader_never_ranks_after_the_grid_or_the_swarm(routes, demand, per_unit,
                                                               mode, objective):
-    catalog = tuple(
-        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{i}",
-                  unit_cost=Decimal(c) / 1000, unit_emissions=Decimal(e) / 1000,
-                  unit_circularity=Decimal(ci) / 100, subsidizable=sub)
-        for i, (c, e, ci, sub) in enumerate(routes))
+    catalog = _catalog(routes)
     scenario = Scenario(demand=demand, routes=catalog)
     budget = Decimal(per_unit) * demand / 1000
     exact = optimize(scenario, objective, budget, mode=mode)
@@ -171,3 +178,135 @@ def test_exact_leader_never_ranks_after_the_grid_or_the_swarm(routes, demand, pe
     value, result, _ = evaluate_policy(scenario, swarm.policy, objective, budget)
     assert result == swarm.response
     assert best <= rank(objective, budget, swarm.policy, value, result)
+
+
+def _evaluate_all(scenario, objective, budget, policies):
+    """The exhaustive leader: evaluate every policy, keep the first lowest."""
+    best_key = None
+    for policy in policies:
+        value, result, _ = evaluate_policy(scenario, policy, objective, budget)
+        key = rank(objective, budget, policy, value, result)
+        if best_key is None or key < best_key:
+            best_key, best = key, (policy, value, result)
+    return (*best, best_key[0] == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(routes=st.lists(_ROUTE, min_size=2, max_size=6),
+       demand=st.integers(0, 40), per_unit=st.integers(-80, 60),
+       mode=st.sampled_from(MODES),
+       objective=st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
+       data=st.data())
+def test_best_policy_returns_what_evaluating_every_policy_returns(routes, demand, per_unit,
+                                                                 mode, objective, data):
+    scenario = Scenario(demand=demand, routes=_catalog(routes))
+    budget = Decimal(per_unit) * demand / 1000
+    policies = list(engine.domain_informed_points(scenario, budget, mode))
+    subsidizable = scenario.subsidizable_ids()
+    taxes = st.integers(0, 40).map(lambda t: Decimal(t) / 8)
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(["random", "duplicate", "same key", "tie"]))
+        tax = data.draw(taxes)
+        if kind == "random":
+            rates = {rid: Decimal(data.draw(st.integers(0, 120))) / 1000
+                     for rid in data.draw(st.lists(st.sampled_from(subsidizable),
+                                                   max_size=3, unique=True))
+                     } if subsidizable else {}
+            extra = engine.PolicyVector(tax_rate=tax, subsidy_rates=rates)
+        elif kind == "duplicate":  # an equal policy, at another index
+            seen = data.draw(st.sampled_from(policies))
+            extra = engine.PolicyVector(tax_rate=seen.tax_rate,
+                                        subsidy_rates=dict(seen.subsidy_rates))
+        elif kind == "same key" and len(subsidizable) > 1:
+            # one rate on two routes: same tax, same total rate, and the same
+            # key whenever neither subsidy moves the follower
+            rate = Decimal(data.draw(st.integers(1, 120))) / 1000
+            a, b = data.draw(st.lists(st.sampled_from(subsidizable), min_size=2,
+                                      max_size=2, unique=True))
+            policies.insert(data.draw(st.integers(0, len(policies))),
+                            engine.PolicyVector(tax_rate=tax, subsidy_rates={a: rate}))
+            extra = engine.PolicyVector(tax_rate=tax, subsidy_rates={b: rate})
+        else:  # one route subsidized down to the least net price: a price tie
+            rid = data.draw(st.sampled_from(subsidizable)) if subsidizable else None
+            nets = {r.route_id: r.unit_cost + tax * r.unit_emissions for r in scenario.routes}
+            extra = engine.PolicyVector(tax_rate=tax, subsidy_rates={} if rid is None else {
+                rid: nets[rid] - min(nets.values())})
+        policies.insert(data.draw(st.integers(0, len(policies))), extra)
+
+    got = engine.best_policy(scenario, objective, budget, policies)
+    want = _evaluate_all(scenario, objective, budget, policies)
+    assert got == want
+    assert got[0] is want[0]  # the first of equal keys, not an equal copy
+
+
+def test_the_floor_spares_most_evaluations_on_the_case(case, monkeypatch):
+    calls = []
+    evaluate = engine.evaluate_policy
+    monkeypatch.setattr(engine, "evaluate_policy",
+                        lambda *args: calls.append(args[1]) or evaluate(*args))
+    for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
+        for budget in (-60, 0, 30):
+            calls.clear()
+            out = closed_form_optimize(case, objective, budget)
+            candidates = engine.domain_informed_points(case, budget)
+            assert out.evaluations == len(candidates)
+            assert 1 <= len(calls) < len(candidates)
+            _, value, result, feasible = _evaluate_all(case, objective, Decimal(budget),
+                                                       candidates)
+            assert (out.upper_value, out.response, out.feasible) == (value, result, feasible)
+
+
+def test_leader_floor_on_the_case(case, capped_case):
+    zero = engine.PolicyVector()  # the strap route alone is cheapest
+    assert leader_floor(case, zero, Objective.MIN_GHG) == Decimal("64.24000")
+    assert leader_floor(case, zero, Objective.MAX_CIRCULARITY) == Decimal("-1.275")
+    assert leader_floor(case, zero, Objective.MOST_PROFITABLE) is None
+    assert leader_floor(capped_case, zero, Objective.MIN_GHG) is None
+    idle = Scenario(demand=0, routes=case.routes)
+    assert leader_floor(idle, zero, Objective.MAX_CIRCULARITY) == 0
+
+
+@pytest.mark.parametrize("rates", [{"no_such_route": Decimal("0.01")},
+                                   {"r1": Decimal("0.01")}],
+                         ids=["unknown-route", "not-subsidizable"])
+def test_an_invalid_initial_point_is_refused_where_its_floor_would_skip_it(rates):
+    scenario = Scenario(demand=10, routes=(
+        _route("r0", "0.05", "0.02"), _route("r1", "0.03", "0.05", subsidizable=False)))
+    invalid = engine.PolicyVector(tax_rate=Decimal(9), subsidy_rates=rates)
+    # ranked by its floor, the point comes after the exact leader's pick
+    floor = leader_floor(scenario, invalid, Objective.MIN_GHG)
+    winner = optimize(scenario, Objective.MIN_GHG, 0)
+    assert _key(winner) < (0, floor, invalid.tax_rate, invalid.total_rates())
+    with pytest.raises(ValidationError):
+        optimize(scenario, Objective.MIN_GHG, 0, PsoParams(initial_points=(invalid,)))
+
+
+def test_a_floor_that_would_round_prunes_nothing():
+    # on route a, 2 units emit 1.9999999999999999999999999998 kg: 29 digits
+    scenario = Scenario(demand=2, routes=(
+        _route("a", "0", "0." + "9" * 28), _route("b", "0.5", "0")))
+    zero, taxed = engine.PolicyVector(), engine.PolicyVector(tax_rate=Decimal(1))
+    assert leader_floor(scenario, zero, Objective.MIN_GHG) is None
+    assert leader_floor(scenario, taxed, Objective.MIN_GHG) == 0
+    # pricing the zero policy's response refuses to round; a rounded floor
+    # of 2 would have put the zero policy behind `taxed` and skipped it
+    for policies in ([taxed, zero], [zero, taxed]):
+        with pytest.raises(ResourceBoundError):
+            _evaluate_all(scenario, Objective.MIN_GHG, 0, policies)
+        with pytest.raises(ResourceBoundError):
+            engine.best_policy(scenario, Objective.MIN_GHG, 0, policies)
+
+
+def test_an_earlier_equal_key_wins_though_its_floor_is_higher():
+    # p ties a and b, but the funds keep every unit off the subsidized a, so
+    # p's floor (all on a) is below its key; q puts the same rate on c and
+    # reaches p's key exactly, from the earlier index
+    scenario = Scenario(demand=10, routes=(
+        _route("a", "0.10", "0.01"), _route("b", "0.05", "0.02"), _route("c", "0.20", "0.03")))
+    q = engine.PolicyVector(subsidy_rates={"c": Decimal("0.05")})
+    p = engine.PolicyVector(subsidy_rates={"a": Decimal("0.05")})
+    assert (leader_floor(scenario, p, Objective.MIN_GHG)
+            < leader_floor(scenario, q, Objective.MIN_GHG))
+    got = engine.best_policy(scenario, Objective.MIN_GHG, 0, [q, p])
+    assert got == _evaluate_all(scenario, Objective.MIN_GHG, 0, [q, p])
+    assert got[0] is q and got[2].allocation.units == {"b": 10}
