@@ -25,6 +25,7 @@ from .engine import (
 )
 from .errors import EcoleverError, NoThresholdError, CalibrationError, ValidationError
 from .model import (
+    Objective,
     RouteSpec,
     Scenario,
     SensitivityModifiers,
@@ -146,7 +147,11 @@ def required_budget_for_fixed_tax(scenario: Scenario, tax_rate,
 
 def closed_form_optimize(scenario: Scenario, objective, budget,
                          mode: str = COMBINED) -> BilevelOutcome:
-    """`engine.exact_leader`: analytic candidates, no swarm, no tax box."""
+    """`engine.exact_leader`: analytic candidates, no swarm, no tax box. A capped or
+    fixed-cost scenario gets only the candidates derived for pure-linear ones: with
+    capacity 400 per route and fixed costs strap 0.5, landfill 0.2, wash 0.3 on the case,
+    min-ghg gives 55.7 kg at every budget from -60 to 100 (the default swarm: 52.868);
+    max-circularity the swarm's 1.336 at tax 1.0430, not 0.0545, at budget 0."""
     return exact_leader(scenario, objective, budget, mode)
 
 
@@ -182,10 +187,11 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
 
     engine is "closed-form" (the exact leader, `closed_form_optimize`) or
     "pso" (`optimize`, which runs the same exact leader on pure-linear
-    scenarios and the seeded swarm on capped and fixed-cost ones). A budget
-    whose solve fails is skipped with a warning rather than sinking the
-    whole sweep.
+    scenarios and the seeded swarm on capped and fixed-cost ones, where
+    "closed-form" ranks only pure-linear candidates). A budget whose solve fails
+    is skipped with a warning; an unknown objective or engine raises before any runs.
     """
+    objective = Objective(objective)
     if engine not in ("closed-form", "pso"):
         raise ValidationError([f"unknown engine: {engine!r}"])
     records = []

@@ -33,7 +33,6 @@ from .engine import (
     COMBINED,
     MODES,
     TAX_ONLY,
-    Objective,
     PsoParams,
     best_policy,
     default_bounds,
@@ -41,7 +40,7 @@ from .engine import (
 )
 from .errors import EcoleverError, ValidationError
 from .lower import solve_lower
-from .model import PolicyVector, Scenario, quantize_rate, to_decimal
+from .model import Objective, PolicyVector, Scenario, quantize_rate, to_decimal
 from .oracle import GridAxis, enumerate_lower, enumerate_optimistic, grid_bilevel
 from .scenario_io import (
     atomic_write_text,
@@ -60,7 +59,6 @@ EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
-OBJECTIVES = [o.value for o in Objective]
 
 
 def _emit_error(kind: str, detail: str, violations=None) -> None:
@@ -141,15 +139,23 @@ def _pso_params(args, scenario: Scenario, mode: str) -> PsoParams:
     )
 
 
-def _add_common(parser):
-    parser.add_argument("--scenario", help="scenario file (default: bundled case study)")
+def _add_common(parser, solves=True, engine=None):
+    """--out; --scenario and --seed to solve a scenario; the search flags to search a leader."""
+    if solves:
+        parser.add_argument("--scenario", help="scenario file (default: bundled case study)")
     parser.add_argument("--out", help="output directory (default: $ECOLEVER_OUT_DIR or ./out)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--swarm", type=int, default=10)
-    parser.add_argument("--iterations", type=int, default=200)
-    parser.add_argument("--restarts", type=int, default=5)
-    parser.add_argument("--tax-max", type=float, default=10.0)
-    parser.add_argument("--emit-svg", action="store_true")
+    if solves:
+        parser.add_argument("--seed", type=int, default=0)
+    if engine:
+        parser.add_argument("--objective", choices=[o.value for o in Objective],
+                            default=Objective.MIN_GHG.value)
+        parser.add_argument("--mode", choices=MODES, default=COMBINED)
+        parser.add_argument("--engine", choices=["pso", "closed-form"], default=engine)
+        parser.add_argument("--swarm", type=int, default=10)
+        parser.add_argument("--iterations", type=int, default=200)
+        parser.add_argument("--restarts", type=int, default=5)
+        parser.add_argument("--tax-max", type=float, default=10.0)
+        parser.add_argument("--emit-svg", action="store_true")
 
 
 def build_parser() -> _Parser:
@@ -158,30 +164,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="one bilevel solve at a fixed budget")
-    _add_common(p_run)
-    p_run.add_argument("--objective", choices=OBJECTIVES, default=Objective.MIN_GHG.value)
+    _add_common(p_run, engine="pso")
     p_run.add_argument("--budget", default="0")
-    p_run.add_argument("--mode", choices=MODES, default=COMBINED)
-    p_run.add_argument("--engine", choices=["pso", "closed-form"], default="pso")
     p_run.set_defaults(handler=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="optimize across a budget series")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--objective", choices=OBJECTIVES, default=Objective.MIN_GHG.value)
+    _add_common(p_sweep, engine="closed-form")
     p_sweep.add_argument("--budgets", required=True,
                          help='"lo:hi:step" or comma list, e.g. "-60:100:10"')
-    p_sweep.add_argument("--mode", choices=MODES, default=COMBINED)
-    p_sweep.add_argument("--engine", choices=["pso", "closed-form"], default="closed-form")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_sens = sub.add_parser("sensitivity", help="budget sweeps across an operating parameter")
-    _add_common(p_sens)
+    _add_common(p_sens, engine="closed-form")
     p_sens.add_argument("--parameter", choices=["distance", "loss"], required=True)
     p_sens.add_argument("--values", required=True, help='e.g. "7,15,65,140" or "0.01,0.0313,0.1"')
     p_sens.add_argument("--budgets", default="0:60:30")
-    p_sens.add_argument("--objective", choices=OBJECTIVES, default=Objective.MIN_GHG.value)
-    p_sens.add_argument("--mode", choices=MODES, default=COMBINED)
-    p_sens.add_argument("--engine", choices=["pso", "closed-form"], default="closed-form")
     p_sens.set_defaults(handler=cmd_sensitivity)
 
     p_verify = sub.add_parser("verify", help="cross-check fast solvers against enumeration")
@@ -192,7 +189,7 @@ def build_parser() -> _Parser:
     p_verify.set_defaults(handler=cmd_verify)
 
     p_cal = sub.add_parser("calibrate", help="rebuild and check the bundled case study")
-    _add_common(p_cal)
+    _add_common(p_cal, solves=False)
     p_cal.set_defaults(handler=cmd_calibrate)
 
     return parser

@@ -17,12 +17,12 @@ import math
 import random
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
-from enum import Enum
 
 from .errors import ValidationError
 from .lower import leader_floor, solve_lower
 from .model import (
     LowerResult,
+    Objective,
     PolicyVector,
     RATE_QUANTUM,
     Scenario,
@@ -37,25 +37,7 @@ TAX_ONLY = "tax-only"
 SUBSIDY_ONLY = "subsidy-only"
 MODES = (COMBINED, TAX_ONLY, SUBSIDY_ONLY)
 
-
-class Objective(str, Enum):
-    MIN_GHG = "min-ghg"
-    MAX_CIRCULARITY = "max-circularity"
-    MOST_PROFITABLE = "most-profitable"
-
-
-def _natural_value(objective, result: LowerResult) -> Decimal:
-    if objective == Objective.MIN_GHG:
-        return result.total_emissions
-    if objective == Objective.MAX_CIRCULARITY:
-        return result.circularity_index
-    if objective == Objective.MOST_PROFITABLE:
-        return result.industry_cost
-    raise ValidationError([f"unknown objective: {objective!r}"])
-
-
-def _maximizing(objective) -> bool:
-    return objective == Objective.MAX_CIRCULARITY
+INERTIA, COGNITIVE, SOCIAL = 0.7298, 1.49618, 1.49618  # constriction (Clerc and Kennedy, 2002)
 
 
 def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget):
@@ -66,10 +48,11 @@ def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget)
     stays within budget + tax income exactly, i.e. the response's shortfall
     in `rank` is zero.
     """
+    objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     result = solve_lower(scenario, policy, objective, budget)
     feasible = result.subsidy_outlay <= budget + result.tax_payment
-    return _natural_value(objective, result), result, feasible
+    return objective.natural_value(result), result, feasible
 
 
 def rank(objective, budget, policy: PolicyVector, value, result: LowerResult):
@@ -77,14 +60,13 @@ def rank(objective, budget, policy: PolicyVector, value, result: LowerResult):
 
     Returns (shortfall, objective head, tax rate, total subsidy rate), where
     shortfall = max(0, subsidy outlay - budget - tax income) in exact Decimal
-    and the head is `value`, negated when the leader maximizes. Any policy
-    within funds ranks before every policy beyond them, and among the latter
-    the smaller shortfall ranks first (Deb's feasibility rules, 2000).
+    and the head is `Objective.head(value)`. Any policy within funds ranks
+    before every policy beyond them, and among the latter the smaller
+    shortfall ranks first (Deb's feasibility rules, 2000).
     """
     shortfall = result.subsidy_outlay - budget - result.tax_payment
-    head = -value if _maximizing(objective) else value
-    return (shortfall if shortfall > 0 else ZERO, head, policy.tax_rate,
-            policy.total_rates())
+    return (shortfall if shortfall > 0 else ZERO, Objective(objective).head(value),
+            policy.tax_rate, policy.total_rates())
 
 
 def best_policy(scenario: Scenario, objective, budget, policies):
@@ -102,6 +84,7 @@ def best_policy(scenario: Scenario, objective, budget, policies):
     never reaches the follower, so a follower refusal it would raise
     (ResourceBoundError) does not surface.
     """
+    objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     policies = list(policies)
     floors = []
@@ -130,9 +113,6 @@ class PsoParams:
 
     swarm_size: int = 10
     iterations: int = 200
-    inertia: float = 0.7298
-    cognitive: float = 1.49618
-    social: float = 1.49618
     bounds: tuple = None
     seed: int = 0
     restarts: int = 5
@@ -187,7 +167,7 @@ def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoR
     box = [(lo, hi, hi - lo) for lo, hi in params.bounds]
     rand = (rng if rng is not None else random.Random(params.seed)).random
     n = params.swarm_size
-    inertia, cognitive, social = params.inertia, params.cognitive, params.social
+    inertia, cognitive, social = INERTIA, COGNITIVE, SOCIAL
 
     X = [[lo + rand() * width for lo, _, width in box] for _ in range(n)]
     if seed_positions is not None:
@@ -474,6 +454,6 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
 
     key, policy, value, result = incumbent
     # Trace keys hold the minimization head; report naturally.
-    sign = Decimal(-1) if _maximizing(objective) else Decimal(1)
+    sign = objective.head(Decimal(1))
     return _outcome(objective, budget, mode, (policy, value, result, key[0] == 0),
                     evaluations, tuple((i, sign * k[1]) for i, k in trace))

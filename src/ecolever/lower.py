@@ -39,6 +39,7 @@ from .errors import InfeasibleError, ResourceBoundError, ValidationError
 from .model import (
     Allocation,
     LowerResult,
+    Objective,
     PolicyVector,
     RouteSpec,
     Scenario,
@@ -50,7 +51,6 @@ from .model import (
 
 MAX_FIXED_TECHNOLOGIES = 16
 MAX_SELECTOR_NODES = 50_000
-MOST_PROFITABLE = "most-profitable"
 
 
 def net_unit_cost(route: RouteSpec, policy: PolicyVector) -> Decimal:
@@ -87,15 +87,16 @@ def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
     tie needs more than MAX_SELECTOR_NODES selector nodes, and
     InfeasibleError when no subset can absorb the demand.
     """
+    objective = Objective(leader_objective)
     funds = to_decimal(funds, "funds")
     validate_policy(scenario, policy)
     priced, fills = _cheapest_fills(scenario, policy)
     units = fills[0][1]
     # a face holds more than the fill only if another route shares its price
-    if leader_objective != MOST_PROFITABLE and scenario.demand and (
+    if objective is not Objective.MOST_PROFITABLE and scenario.demand and (
             len(fills) > 1 or list(map(itemgetter(0), priced)).count(fills[0][2]) > 1):
         faces = [_face(scenario, priced, *fill) for fill in fills]
-        units = _select(scenario, policy, leader_objective, funds, faces)
+        units = _select(scenario, policy, objective, funds, faces)
     return price_allocation(scenario, Allocation(units), policy)
 
 
@@ -112,7 +113,8 @@ def leader_floor(scenario: Scenario, policy: PolicyVector, leader_objective):
     capped or fixed-cost scenarios, for most-profitable, and when a net cost
     or the bound would need rounding.
     """
-    if leader_objective == MOST_PROFITABLE or not scenario.is_pure_linear():
+    objective = Objective(leader_objective)
+    if objective is Objective.MOST_PROFITABLE or not scenario.is_pure_linear():
         return None
     if not scenario.demand:
         return ZERO
@@ -123,9 +125,8 @@ def leader_floor(scenario: Scenario, policy: PolicyVector, leader_objective):
     try:
         nets = [net_unit_cost(r, policy) for r in routes]
         least = min(nets)
-        head = min(_leader_unit_value(r, leader_objective)
-                   for net, r in zip(nets, routes) if net == least)
-        return scenario.demand * head if leader_objective == "min-ghg" else head
+        head = min(objective.unit_head(r) for net, r in zip(nets, routes) if net == least)
+        return scenario.demand * head if objective is Objective.MIN_GHG else head
     except Inexact:
         return None
     finally:
@@ -203,18 +204,7 @@ def _face(scenario: Scenario, priced, active, units, marginal):
     return units, {}, 0
 
 
-def _leader_unit_value(route: RouteSpec, leader_objective) -> Decimal:
-    # Minimization form: smaller is better for the leader.
-    if leader_objective == "min-ghg":
-        return route.unit_emissions
-    if leader_objective == "max-circularity":
-        return -route.unit_circularity
-    if leader_objective == MOST_PROFITABLE:
-        return ZERO  # no preference; outlay and canonical key decide
-    raise ValidationError([f"unknown leader objective: {leader_objective!r}"])
-
-
-def _select(scenario: Scenario, policy: PolicyVector, leader_objective, funds,
+def _select(scenario: Scenario, policy: PolicyVector, objective: Objective, funds,
             faces) -> dict:
     """The leader's pick over the union of faces, as units: first by (leader
     value, subsidy outlay, canonical key) among the allocations within
@@ -226,7 +216,7 @@ def _select(scenario: Scenario, policy: PolicyVector, leader_objective, funds,
         return route.unit_cost - net_unit_cost(route, policy)
 
     def value(rid):
-        return _leader_unit_value(scenario.route(rid), leader_objective)
+        return objective.unit_head(scenario.route(rid))
 
     picks, fallbacks = [], []
     for pinned, bounds, rest in faces:
@@ -434,17 +424,19 @@ def optimistic_select(scenario: Scenario, policy: PolicyVector, tie: TieSet,
                       leader_objective, available_funds) -> Allocation:
     """The leader's pick among the whole-unit splits of all demand over a
     pure-linear TieSet's routes: `solve_lower`'s selector on that one face,
-    with available_funds net of tax income."""
+    with available_funds net of tax income, after the same validation."""
+    objective = Objective(leader_objective)
     funds = to_decimal(available_funds, "available_funds")
+    validate_policy(scenario, policy)
     demand = scenario.demand
     if demand == 0:
         return Allocation({})
     face = ({}, {rid: demand for rid in tie.route_ids}, demand)
-    return Allocation(_select(scenario, policy, leader_objective, funds, [face]))
+    return Allocation(_select(scenario, policy, objective, funds, [face]))
 
 
 def solve_lower_milp(scenario: Scenario, policy: PolicyVector) -> LowerResult:
     """The follower's canonical cost-minimal allocation, priced: the first
     cost-minimal subset's fill, which is `solve_lower` for most-profitable.
     """
-    return solve_lower(scenario, policy, MOST_PROFITABLE, ZERO)
+    return solve_lower(scenario, policy, Objective.MOST_PROFITABLE, ZERO)

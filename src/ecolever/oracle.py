@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 
-from .engine import Objective, evaluate_policy, rank
+from .engine import evaluate_policy, rank
 from .errors import ResourceBoundError, ValidationError
 from .model import (
     Allocation,
+    Objective,
     PolicyVector,
     Scenario,
     ZERO,

@@ -38,14 +38,10 @@ def bundled_scenario_path() -> Path:
     return Path(__file__).parent / "data" / "coffee_case.scenario"
 
 
-def _decimal_out(value: Decimal) -> str:
-    return str(value)
-
-
 def _field_out(value):
     """A dataclass field as JSON: Decimals as strings, tuples as lists."""
     if isinstance(value, Decimal):
-        return _decimal_out(value)
+        return str(value)
     return list(value) if isinstance(value, tuple) else value
 
 
@@ -58,7 +54,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "routes": [{f: _field_out(getattr(r, f)) for f in _ROUTE_FIELDS}
                    for r in scenario.routes],
         "modifiers": {f: _field_out(getattr(m, f)) for f in _MODIFIER_FIELDS},
-        "technology_fixed_costs": {t: _decimal_out(c) for t, c
+        "technology_fixed_costs": {t: str(c) for t, c
                                    in sorted(scenario.technology_fixed_costs.items())},
         "capacity_limits": {r: c for r, c in sorted(scenario.capacity_limits.items())},
     }
@@ -212,13 +208,8 @@ def format_decimal(value, places: int = 6) -> str:
     return f"{out:f}"
 
 
-def write_sweep_csv(records, path, route_ids=None) -> None:
-    """One row per budget: policy, funds flows, objective, and allocation."""
-    if route_ids is None:
-        seen = set()
-        for rec in records:
-            seen.update(rec.units)
-        route_ids = sorted(seen)
+def write_sweep_csv(records, path, route_ids) -> None:
+    """One row per budget: policy, funds flows, objective, units per route in `route_ids`."""
     header = (["budget", "tax_rate", "tax_income", "subsidy_outlay", "upper_value"]
               + [f"units_{rid}" for rid in route_ids] + ["industry_cost"])
     lines = [",".join(header)]
@@ -261,24 +252,24 @@ def outcome_to_dict(outcome) -> dict:
     return {
         "objective": str(getattr(outcome.objective, "value", outcome.objective)),
         "mode": outcome.mode,
-        "budget": _decimal_out(outcome.budget),
+        "budget": str(outcome.budget),
         "feasible": outcome.feasible,
         "policy": {
-            "tax_rate": _decimal_out(outcome.policy.tax_rate),
-            "subsidy_rates": {rid: _decimal_out(s) for rid, s
+            "tax_rate": str(outcome.policy.tax_rate),
+            "subsidy_rates": {rid: str(s) for rid, s
                               in sorted(outcome.policy.subsidy_rates.items())},
         },
-        "upper_value": _decimal_out(outcome.upper_value),
+        "upper_value": str(outcome.upper_value),
         "response": {
             "allocation": {rid: n for rid, n in sorted(r.allocation.units.items())},
-            "industry_cost": _decimal_out(r.industry_cost),
-            "total_emissions": _decimal_out(r.total_emissions),
-            "circularity_index": _decimal_out(r.circularity_index),
-            "subsidy_outlay": _decimal_out(r.subsidy_outlay),
-            "tax_payment": _decimal_out(r.tax_payment),
+            "industry_cost": str(r.industry_cost),
+            "total_emissions": str(r.total_emissions),
+            "circularity_index": str(r.circularity_index),
+            "subsidy_outlay": str(r.subsidy_outlay),
+            "tax_payment": str(r.tax_payment),
         },
         "evaluations": outcome.evaluations,
-        "trace": [[i, _decimal_out(val)] for i, val in outcome.trace],
+        "trace": [[i, str(val)] for i, val in outcome.trace],
     }
 
 
@@ -286,14 +277,13 @@ def write_outcome_json(outcome, path) -> None:
     atomic_write_text(path, json.dumps(outcome_to_dict(outcome), indent=2) + "\n")
 
 
-def write_svg_line_chart(path, series, title="", x_label="", y_label="",
-                         width=720, height=440) -> None:
-    """Minimal multi-series line chart, no dependencies.
+def write_svg_line_chart(path, series, title="", x_label="", y_label="") -> None:
+    """Minimal multi-series line chart, 720 x 440 pixels, no dependencies.
 
     series: list of (name, points) with points as (x, y) pairs in data space.
     Geometry is computed in floats; this is presentation only.
     """
-    pad = 56
+    width, height, pad = 720, 440, 56
     pts_all = [(float(x), float(y)) for _, pts in series for x, y in pts]
     if not pts_all:
         xs = ys = [0.0, 1.0]

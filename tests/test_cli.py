@@ -215,3 +215,36 @@ def test_cli_subprocess_round_trip(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (out / "sweep.csv").is_file()
+
+
+COMMON = {"--scenario", "--out", "--seed"}
+SEARCH = COMMON | {"--objective", "--mode", "--engine", "--swarm", "--iterations",
+                   "--restarts", "--tax-max", "--emit-svg"}
+FLAGS = {
+    "run": SEARCH | {"--budget"},
+    "sweep": SEARCH | {"--budgets"},
+    "sensitivity": SEARCH | {"--parameter", "--values", "--budgets"},
+    "verify": COMMON | {"--trials", "--demand"},
+    "calibrate": {"--out"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    [commands] = [action.choices for action in parser._actions if action.dest == "command"]
+    got = {name: {flag for action in sub._actions for flag in action.option_strings}
+           - {"-h", "--help"} for name, sub in commands.items()}
+    assert got == FLAGS
+    assert sum(map(len, got.values())) == 44
+
+
+@pytest.mark.parametrize("args", [
+    ["calibrate", "--seed", "1"],
+    ["verify", "--swarm", "3"],
+], ids=["calibrate-seed", "verify-swarm"])
+def test_a_flag_the_command_does_not_read_exits_1(tmp_path, capsys, args):
+    code, stdout, stderr = run_cli([*args, "--out", str(tmp_path / "o")], capsys)
+    payloads = [json.loads(line) for line in stderr.splitlines() if line.startswith("{")]
+    assert code == 1 and stdout == ""
+    assert [p["error"] for p in payloads] == ["UsageError"]
+    assert not (tmp_path / "o").exists()

@@ -98,3 +98,35 @@ def test_closed_form_artifacts_are_byte_identical(tmp_path):
     got["run closed-form"] = _digest(["run", "--engine", "closed-form"],
                                      tmp_path / "run" / "outcome.json")
     assert {k: v for k, v in got.items() if DIGESTS[k] != v} == {}
+
+
+# `run --engine pso` on the case with capacity 400 on every route and fixed
+# costs strap 0.5, landfill 0.2 and wash 0.3, which the swarm searches.
+CAPPED_RUN = ["run", "--engine", "pso", "--iterations", "8", "--restarts", "1",
+              "--seed", "5"]
+CAPPED_DIGESTS = {
+    "min-ghg 0": "70625e381b543cf723055165e6c70d838986889b4869b2b6450729fcd3a7bb7f",
+    "max-circularity 20": "9fb871adc9cd26ce20d10eea34854f167891167bff23fa1e6d65a8412de1a19a",
+}
+
+
+def test_capped_swarm_outcomes_are_byte_identical(tmp_path):
+    from decimal import Decimal
+
+    from ecolever import Scenario, calibrate_case_study, save_scenario
+
+    case = calibrate_case_study()
+    capped = Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
+                      technology_fixed_costs={"strap_recycling_line": Decimal("0.5"),
+                                              "landfill_site": Decimal("0.2"),
+                                              "wash_reuse_loop": Decimal("0.3")},
+                      capacity_limits={rid: 400 for rid in case.route_ids()})
+    scenario = tmp_path / "capped.scenario"
+    save_scenario(capped, scenario)
+    got = {}
+    for key in CAPPED_DIGESTS:
+        objective, budget = key.split()
+        got[key] = _digest([*CAPPED_RUN, "--scenario", str(scenario),
+                            "--objective", objective, f"--budget={budget}"],
+                           tmp_path / key.replace(" ", "_") / "outcome.json")
+    assert got == CAPPED_DIGESTS

@@ -81,3 +81,16 @@ def test_package_runs_with_numpy_blocked():
                           cwd=PACKAGE.parent)
     assert proc.returncode == 0, proc.stderr
     assert Decimal(proc.stdout.strip()) > 0
+
+
+def test_only_model_spells_out_an_objective():
+    # every other layer names objectives through ecolever.Objective
+    values = {objective.value for objective in ecolever.Objective}
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "model.py":
+            continue
+        offenders += [f"{path.name}:{node.lineno}: {node.value!r}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Constant) and node.value in values]
+    assert offenders == []

@@ -385,3 +385,19 @@ def test_pair_closed_form_matches_the_search(data, rest):
     *scaled, budget = lower._integers(weights + [funds])
     cost = lower._fold(lower._integers(values), lower._integers(outlays), rest)
     assert pair == lower._branch_and_bound(cost, scaled, upper, rest, budget)
+
+
+def test_optimistic_select_validates_its_policy():
+    from ecolever import ValidationError
+    # a and b tie at the zero policy; b may not be subsidized and zz is no route
+    pair = Scenario(demand=10, routes=(
+        _route("a", "0.05", "0.1", "1.0"),
+        dataclasses.replace(_route("b", "0.05", "0.2", "1.5"), subsidizable=False)))
+    tie, _ = solve_lower_greedy(pair, PolicyVector.zero())
+    policy = PolicyVector(subsidy_rates={"b": Decimal("0.01"), "zz": Decimal(1)})
+    with pytest.raises(ValidationError) as selected:
+        optimistic_select(pair, policy, tie, Objective.MIN_GHG, 0)
+    with pytest.raises(ValidationError) as solved:
+        solve_lower(pair, policy, Objective.MIN_GHG, 0)
+    assert selected.value.violations == solved.value.violations
+    assert len(selected.value.violations) == 2
