@@ -13,6 +13,7 @@ arguments is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -126,10 +127,6 @@ def _out_dir(args) -> Path:
 
 
 def _pso_params(args, scenario: Scenario, mode: str) -> PsoParams:
-    try:
-        quantize_rate(args.tax_max)  # every swarm tax lies in [0, tax_max]
-    except ValidationError as exc:
-        raise ValidationError([f"--tax-max: {v}" for v in exc.violations]) from None
     return PsoParams(
         swarm_size=args.swarm,
         iterations=args.iterations,
@@ -193,6 +190,10 @@ def build_parser() -> _Parser:
     p_cal.set_defaults(handler=cmd_calibrate)
 
     return parser
+
+
+# parse_args reads the parser and writes only a fresh namespace, so one serves every call
+_shared_parser = functools.cache(build_parser)
 
 
 def _print_outcome(outcome) -> None:
@@ -364,9 +365,8 @@ def cmd_calibrate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT
@@ -377,6 +377,10 @@ def main(argv=None) -> int:
             value = getattr(args, flag, least)
             if value < least:
                 raise ValidationError([f"--{flag}: must be >= {least}, got {value}"])
+        try:
+            quantize_rate(getattr(args, "tax_max", 0.0))  # every swarm tax lies in [0, tax_max]
+        except ValidationError as exc:
+            raise ValidationError([f"--tax-max: {v}" for v in exc.violations]) from None
         return args.handler(args)
     except ValidationError as exc:
         violations = getattr(exc, "violations", None)

@@ -298,6 +298,8 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     step below it); unsubsidized, the least tax in its price window whose
     income pays, else the largest strictly inside; and at the window's top,
     or a capped level, every subsidizable route down to the level to mix.
+    Each candidate tax reads level(t) once, a scan of every route; nothing
+    is kept between calls.
     """
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
@@ -324,17 +326,21 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
             points.append(policy)
 
     def mix(tax):  # every subsidizable route down to the level, for the selector
-        add(tax, {} if mode == TAX_ONLY else {
-            r.route_id: r.unit_cost + tax * r.unit_emissions - level(tax)
-            for r in routes if r.subsidizable})
+        if mode == TAX_ONLY:
+            return add(tax)
+        lifted = level(tax)
+        add(tax, {r.route_id: r.unit_cost + tax * r.unit_emissions - lifted
+                  for r in routes if r.subsidizable})
 
     for target in map(scenario.route, scenario.route_ids()):
         rid, cost, emissions = target.route_id, target.unit_cost, target.unit_emissions
         if mode != TAX_ONLY and target.subsidizable:
-            tax = least_tax(cost - budget / demand)
-            rate = cost + tax * emissions - level(tax)
+            goal = cost - budget / demand
+            tax = least_tax(goal)
+            lifted = level(tax)
+            rate = cost + tax * emissions - lifted
             add(tax, {rid: rate})
-            if level(tax) >= cost - budget / demand:
+            if lifted >= goal:
                 continue
             add(tax, {rid: rate.quantize(RATE_QUANTUM, rounding=ROUND_FLOOR) + RATE_QUANTUM})
         # with no tax, an unsubsidized route adds nothing to the zero policy

@@ -233,11 +233,11 @@ class GridAxis:
         object.__setattr__(self, "lo", to_decimal(self.lo, "lo"))
         object.__setattr__(self, "hi", to_decimal(self.hi, "hi"))
         if self.hi < self.lo:
-            raise ValueError("axis needs lo <= hi")
+            raise ValidationError(["axis needs lo <= hi"])
         if self.lo == self.hi:
             object.__setattr__(self, "steps", 1)
         elif self.steps < 2:
-            raise ValueError("a non-degenerate axis needs steps >= 2")
+            raise ValidationError(["a non-degenerate axis needs steps >= 2"])
 
     def points(self):
         if self.steps == 1:

@@ -115,16 +115,23 @@ def test_non_finite_input_exits_1_with_one_json_line(case, tmp_path, capsys, arg
 
 
 @pytest.mark.parametrize("args", [
-    ["--tax-max", "nan"],
-    ["--tax-max", "inf"],
-    ["--tax-max", "1e20", "--iterations", "1", "--restarts", "2"],
-], ids=["nan", "inf", "past-the-rate-grid"])
+    ["run", "--tax-max", "nan"],
+    ["run", "--tax-max", "inf"],
+    ["run", "--tax-max", "1e20", "--iterations", "1", "--restarts", "2"],
+    # the closed-form engine never builds the swarm's box, and still refuses the flag
+    ["run", "--engine", "closed-form", "--tax-max", "nan"],
+    ["sweep", "--budgets", "0", "--engine", "closed-form", "--tax-max", "inf"],
+    ["sensitivity", "--parameter", "loss", "--values", "0.03", "--budgets", "0",
+     "--engine", "closed-form", "--tax-max", "1e20"],
+], ids=["nan", "inf", "past-the-rate-grid", "run-closed-form", "sweep-closed-form",
+        "sensitivity-closed-form"])
 def test_bad_tax_max_exits_1_naming_the_flag(tmp_path, capsys, args):
-    code, _, stderr = run_cli(["run", *args, "--out", str(tmp_path / "o")], capsys)
+    code, stdout, stderr = run_cli([*args, "--out", str(tmp_path / "o")], capsys)
     lines = stderr.strip().splitlines()
-    assert code == 1 and len(lines) == 1
+    assert code == 1 and len(lines) == 1 and stdout == ""
     payload = json.loads(lines[0])
     assert payload["error"] == "ValidationError" and "--tax-max" in payload["detail"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -248,3 +255,25 @@ def test_a_flag_the_command_does_not_read_exits_1(tmp_path, capsys, args):
     assert code == 1 and stdout == ""
     assert [p["error"] for p in payloads] == ["UsageError"]
     assert not (tmp_path / "o").exists()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    """main reuses its parser: each artifact equals a fresh interpreter's, and
+    no parsed value or default carries over from one call to the next."""
+    commands = [
+        ("sweep.csv", ["sweep", "--budgets=-20:20:10", "--objective", "max-circularity"]),
+        ("outcome.json", ["run", "--engine", "closed-form", "--budget", "20"]),
+        ("sweep.csv", ["sweep", "--budgets=-20:20:10"]),
+    ]
+    for k, (name, args) in enumerate(commands):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        assert run_cli([*args, "--out", str(here)], capsys)[0] == 0
+        proc = subprocess.run([sys.executable, "-m", "ecolever.cli", *args, "--out", str(fresh)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    code, stdout, stderr = run_cli(["sweep", "--budgets", "0", "--bogus",
+                                    "--out", str(tmp_path / "bad")], capsys)
+    payloads = [json.loads(line) for line in stderr.splitlines() if line.startswith("{")]
+    assert code == 1 and stdout == "" and [p["error"] for p in payloads] == ["UsageError"]
+    assert not (tmp_path / "bad").exists()

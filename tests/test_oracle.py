@@ -105,9 +105,9 @@ def test_grid_axis_points_and_validation():
                              Decimal("0.75"), Decimal(1)]
     degenerate = GridAxis(lo=Decimal(2), hi=Decimal(2), steps=99)
     assert degenerate.steps == 1 and degenerate.points() == [Decimal(2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         GridAxis(lo=Decimal(1), hi=Decimal(0), steps=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         GridAxis(lo=Decimal(0), hi=Decimal(1), steps=1)
 
 
