@@ -189,10 +189,9 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
     "pso" (`optimize`, which runs the same exact leader on pure-linear
     scenarios and the seeded swarm on capped and fixed-cost ones, where
     "closed-form" ranks only pure-linear candidates). Each budget is solved
-    afresh, and nothing is carried from one budget to the next: on the case
-    the exact leader derives a few candidates per budget and evaluates
-    about one of them. A budget whose solve fails is skipped with a warning;
-    an unknown objective or engine raises before any runs.
+    afresh, and nothing is carried from one budget to the next. A budget
+    whose solve fails is skipped with a warning; an unknown objective or
+    engine raises before any runs.
     """
     objective = Objective(objective)
     if engine not in ("closed-form", "pso"):

@@ -192,7 +192,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-# parse_args reads the parser and writes only a fresh namespace, so one serves every call
+# parse_args reads the parser and writes only a fresh namespace, so one serves every
+# call; this saves the build only where one process calls main more than once
 _shared_parser = functools.cache(build_parser)
 
 

@@ -298,8 +298,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     step below it); unsubsidized, the least tax in its price window whose
     income pays, else the largest strictly inside; and at the window's top,
     or a capped level, every subsidizable route down to the level to mix.
-    Each candidate tax reads level(t) once, a scan of every route; nothing
-    is kept between calls.
+    Nothing is kept between calls.
     """
     budget = to_decimal(budget, "budget")
     if mode not in MODES:

@@ -158,6 +158,41 @@ def test_domain_informed_points_tax_only_mode(pair):
     assert any(p.tax_rate == Decimal("0.5") for p in points)
 
 
+def _strings(points):
+    return [(str(p.tax_rate), {rid: str(r) for rid, r in p.subsidy_rates.items()})
+            for p in points]
+
+
+@pytest.mark.parametrize("first, second, rate", [
+    ("0.05", "0.050", "0.00600000000000"),
+    ("0.050", "0.05", "0.006000000000000"),
+])
+def test_the_first_of_equal_lines_sets_the_rate_exponent(first, second, rate):
+    # a and b are the same line; the level at t = 0.6 is the first one's value,
+    # and outcome.json prints the rate with that exponent
+    scenario = Scenario(demand=10, routes=(
+        _route("a", first, first, "1"), _route("b", second, second, "1"),
+        _route("c", "0.08", "0.01", "1")))
+    assert _strings(domain_informed_points(scenario, 0)) == [
+        ("0", {}), ("0.600000000000", {"c": rate})]
+
+
+def test_a_zero_emission_route_caps_the_level_in_every_mode():
+    scenario = Scenario(demand=10, routes=(
+        _route("a", "0.01", "0.1", "1"),
+        replace(_route("b", "0.06", "0", "1"), subsidizable=False),
+        _route("c", "0.04", "0.02", "1")))
+    expected = {
+        COMBINED: [("0", {}), ("1.000000000000", {}), ("0E-12", {"c": "0.03000000000000"}),
+                   ("1.000000000000", {"a": "0.0500000000000"})],
+        TAX_ONLY: [("0", {}), ("0.375000000000", {}), ("1.000000000000", {})],
+        SUBSIDY_ONLY: [("0", {}), ("0E-12", {"c": "0.03000000000000"})],
+    }
+    for mode, points in expected.items():
+        assert _strings(domain_informed_points(scenario, Decimal("2.5"), mode)) == points
+    assert _strings(domain_informed_points(replace(scenario, demand=0), 40)) == [("0", {})]
+
+
 def test_pso_run_minimizes_a_bowl():
     params = PsoParams(swarm_size=12, iterations=60, seed=1,
                        bounds=((-4, 4), (-4, 4)))
