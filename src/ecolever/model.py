@@ -231,15 +231,20 @@ class PolicyVector:
     subsidy_rates: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a finite Decimal is taken as it is; only other values are converted,
+        # and only they pay for formatting a field name
         v = []
-        object.__setattr__(self, "tax_rate", to_decimal(self.tax_rate, "tax_rate", v))
+        tax = self.tax_rate
+        if not (isinstance(tax, Decimal) and tax.is_finite()):
+            object.__setattr__(self, "tax_rate", to_decimal(tax, "tax_rate", v))
         rates = {}
         for rid, rate in dict(self.subsidy_rates).items():
-            d = to_decimal(rate, f"subsidy_rates[{rid}]", v)
-            if d < 0:
+            if not (isinstance(rate, Decimal) and rate.is_finite()):
+                rate = to_decimal(rate, f"subsidy_rates[{rid}]", v)
+            if rate < 0:
                 v.append(f"subsidy_rates[{rid}] must be >= 0")
-            elif d != 0:
-                rates[rid] = d
+            elif rate != 0:
+                rates[rid] = rate
         object.__setattr__(self, "subsidy_rates", rates)
         if self.tax_rate < 0:
             v.append("tax_rate must be >= 0")

@@ -2,13 +2,15 @@
 
 Full enumeration of integer allocations for the follower and a dense grid
 scan for the leader. They exist to cross-check the fast solvers in tests and
-`ecolever verify`, so they stay brute force: every composition of demand
-within the capacities is visited and counted, and every grid point is
-evaluated. The follower enumeration carries running sums, so each
-composition costs O(1) Decimal operations instead of a full pricing, and it
+`ecolever verify`, so they stay brute force: every grid point is evaluated,
+and every composition of demand within the capacities is counted and its
+exact cost compared, with no bound pruning any. The follower enumeration
+carries running sums over the prefixes of all routes but the last two, scans
+the last two routes' splits of each remainder once, and then costs each
+prefix one exact addition and one comparison (see `enumerate_lower`). It
 refuses a catalog whose sums would need rounding rather than rank rounded
-costs. Both refuse problems big enough that enumeration would silently take
-hours.
+costs. Both refuse problems big enough that
+enumeration would silently take hours.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, Inexact, localcontext
+from decimal import Decimal, Inexact, Rounded, getcontext, localcontext
 
 from .engine import evaluate_policy, rank
 from .errors import ResourceBoundError, ValidationError
@@ -33,6 +35,7 @@ from .model import (
 
 MAX_ENUMERATION = 1_000_000
 MAX_GRID_POINTS = 10_000_000
+_INFINITY = Decimal("Infinity")
 
 
 @dataclass(frozen=True)
@@ -94,13 +97,25 @@ def _enumeration_size(total, caps):
 def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResult:
     """Exact follower optimum by trying every integer allocation.
 
-    Visits the compositions in `_compositions` order, carrying the industry
-    cost of the units placed so far: each route's net unit price is computed
-    once, and a technology's fixed cost is added when the first of its
-    routes takes a unit. Every sum is exact; a catalog whose sums need more
-    digits than the decimal context holds is refused with ResourceBoundError
-    rather than ranked by rounded costs. Only the policy is validated, and
-    the first optimum is priced by the solvers' own `price_allocation`.
+    Walks every prefix (the units on all routes but the last two) in
+    `_compositions` order, carrying the industry cost of the units placed so
+    far: each route's net unit price is computed once, and a technology's
+    fixed cost is added when the first of its routes takes a unit. For the
+    remaining units it scans every split between the last two routes, keeps
+    the least split cost and the splits that reach it, and adds the prefix's
+    cost to that least. From four routes on, prefixes that leave the same
+    remainder with the same fixed costs of the last two routes due share one
+    scan. So each composition's exact cost is compared: its split with every
+    split of its remainder, its prefix's total with the best so far.
+    `optima` holds every argmin in `_compositions` order and `count` counts
+    every composition.
+
+    Every sum is exact. A catalog whose sums need more digits than the
+    decimal context holds is refused with ResourceBoundError rather than
+    ranked by rounded costs; where a sum might round, no scan is shared and
+    each split is priced from its own prefix's cost on, so the refusals are
+    those of a walk through every composition. Only the policy is validated,
+    and the first optimum is priced by the solvers' own `price_allocation`.
     Raises ResourceBoundError when the search space exceeds MAX_ENUMERATION.
     """
     ids = scenario.route_ids()
@@ -125,64 +140,107 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
                              optima=optima, count=count)
 
 
+def _sums_hold(prices, fees, caps, demand):
+    """Whether no cost the walk forms can round, in whatever order it adds.
+
+    Each cost, and each partial sum on the way to it, adds up some of the
+    terms price * units (at most min(cap, demand) units per route) and fees.
+    When their absolute total needs no rounding it fits the context at the
+    smallest exponent among them, and so does every such sum: a multiple of
+    that last digit, and no larger.
+    """
+    context = getcontext()
+    context.flags[Rounded] = False
+    try:
+        sum([p.copy_abs() * min(cap, demand) for p, cap in zip(prices, caps)] + fees, ZERO)
+    except Inexact:
+        return False
+    return not context.flags[Rounded]
+
+
 def _cheapest_compositions(scenario, policy, caps):
     """The walk behind `enumerate_lower`: (the argmin compositions in
-    `_compositions` order, the number of compositions visited)."""
+    `_compositions` order, the number of compositions covered)."""
     routes = [scenario.route(rid) for rid in scenario.route_ids()]
     prices = [route.unit_cost + policy.tax_rate * route.unit_emissions
               - policy.subsidy_for(route.route_id) for route in routes]
     techs = [route.technology_id for route in routes]
     fees = [scenario.technology_fixed_costs.get(tech, ZERO) for tech in techs]
-    using = dict.fromkeys(techs, 0)  # routes of each technology holding units
     last = len(routes) - 1
+    if not last:  # one route takes all of demand, which validation let it hold
+        if scenario.demand:
+            prices[0] * scenario.demand + fees[0]  # raises Inexact if it rounds
+        return [(scenario.demand,)], 1
+    using = dict.fromkeys(techs, 0)  # routes of each technology holding units
     units = [0] * len(routes)
-    least, optima, count = Decimal("Infinity"), [], 0
+    least, optima, count = _INFINITY, [], 0
+    second = last - 1
+    price, last_price = prices[second], prices[last]
+    second_tech, last_tech = techs[second], techs[last]
+    # with at most one route before the last two, no two prefixes leave the
+    # same remainder, so only a longer walk has scans to share
+    share = second > 1 and _sums_hold(prices, fees, caps, scenario.demand)
+    tails = {}  # (remaining, fee of `second` due, fee of `last` due) -> scan
 
-    def record(cost):
-        nonlocal least, optima
-        if cost < least:
-            least, optima = cost, [tuple(units)]
-        elif cost == least:
-            optima.append(tuple(units))
+    def scan(remaining, own_due, last_due, base, best):
+        # every split of `remaining` between the last two routes, priced from
+        # `base`: (the least cost if under `best`, else `best`; the ascending
+        # runs of units on `second` that reach it; splits scanned)
+        own = fees[second] if own_due else ZERO
+        last_fee = fees[last] if last_due else ZERO
+        shared_fee = ZERO if last_tech == second_tech else last_fee
+        low, high = max(0, remaining - caps[last]), min(caps[second], remaining)
+        runs = []
+        for u in range(low, high + 1):
+            rest = remaining - u
+            total = base + price * u + own if u else base
+            if rest:
+                total += last_price * rest + (shared_fee if u else last_fee)
+            if total <= best:
+                if total < best:
+                    best, runs = total, [range(u, u + 1)]
+                elif runs and runs[-1].stop == u:
+                    runs[-1] = range(runs[-1].start, u + 1)
+                else:
+                    runs.append(range(u, u + 1))
+        return best, runs, max(0, high - low + 1)
 
     def walk(i, remaining, cost):
         # routes before i hold their units; route i takes u of the remaining
-        nonlocal count
+        nonlocal least, optima, count
+        if i == second:
+            key = (remaining, not using[second_tech], not using[last_tech])
+            if share:  # scan each remainder once; a prefix adds its own cost
+                entry = tails.get(key)
+                if entry is None:
+                    entry = tails[key] = scan(*key, ZERO, _INFINITY)
+                part, runs, n = entry
+                total = cost + part
+            else:  # price each split from this prefix's cost on, forming the
+                # sums a composition-by-composition walk forms
+                total, runs, n = scan(*key, cost, least)
+            count += n
+            if total <= least:
+                head = tuple(units[:second])
+                found = [head + (u, remaining - u) for run in runs for u in run]
+                if total < least:
+                    least, optima = total, found
+                else:
+                    optima += found
+            return
         tech = techs[i]
         own = ZERO if using[tech] else fees[i]
-        if i + 1 < last:
-            walk(i + 1, remaining, cost)
-            cost += own
-            using[tech] += 1
-            for u in range(1, min(caps[i], remaining) + 1):
-                units[i] = u
-                cost += prices[i]
-                walk(i + 1, remaining - u, cost)
-            units[i] = 0
-            using[tech] -= 1
-            return
-        # the last two routes: i takes u units and the last route the rest
-        price, last_price = prices[i], prices[last]
-        last_tech = techs[last]
-        last_fee = ZERO if using[last_tech] else fees[last]
-        shared_fee = ZERO if last_tech == tech else last_fee
-        low, high = max(0, remaining - caps[last]), min(caps[i], remaining)
-        count += max(0, high - low + 1)
-        for u in range(low, high + 1):
-            rest = remaining - u
-            total = cost + price * u + own if u else cost
-            if rest:
-                total += last_price * rest + (shared_fee if u else last_fee)
-            if total <= least:
-                units[i], units[last] = u, rest
-                record(total)
-        units[i] = units[last] = 0
+        walk(i + 1, remaining, cost)
+        cost += own
+        using[tech] += 1
+        for u in range(1, min(caps[i], remaining) + 1):
+            units[i] = u
+            cost += prices[i]
+            walk(i + 1, remaining - u, cost)
+        units[i] = 0
+        using[tech] -= 1
 
-    if last:
-        walk(0, scenario.demand, ZERO)
-    else:  # one route takes all of demand, which validation let it hold
-        count, units[0] = 1, scenario.demand
-        record(prices[0] * scenario.demand + fees[0] if scenario.demand else ZERO)
+    walk(0, scenario.demand, ZERO)
     return optima, count
 
 

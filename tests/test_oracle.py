@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -186,15 +187,16 @@ def _priced_compositions(scenario, policy):
 
 @st.composite
 def _catalogs(draw):
-    # 1-5 routes over two technologies, so one fixed cost often covers two
-    # routes; coarse unit costs and small capacities, so optima often split
+    # 1-6 routes over three technologies, so one fixed cost often covers two
+    # or more routes, in the walk's prefix and in its last two routes alike;
+    # coarse unit costs and small capacities, so optima often split
     cents = st.integers(-5, 12).map(lambda c: Decimal(c) / 10)
     routes = tuple(
         RouteSpec(route_id=f"r{i}", product_id="p",
-                  technology_id=draw(st.sampled_from("xy")), unit_cost=draw(cents),
+                  technology_id=draw(st.sampled_from("xyz")), unit_cost=draw(cents),
                   unit_emissions=Decimal(draw(st.integers(0, 40))) / 100,
                   unit_circularity=Decimal(1))
-        for i in range(draw(st.integers(1, 5))))
+        for i in range(draw(st.integers(1, 6))))
     demand = draw(st.integers(0, 9))
     fixed = {tech: Decimal(draw(st.integers(0, 4))) / 4
              for tech in sorted({r.technology_id for r in routes})}
@@ -241,11 +243,81 @@ def test_enumerate_lower_charges_a_shared_fixed_cost_once(pair):
     assert out.count == len(_priced_compositions(scenario, PolicyVector.zero()))
 
 
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+def test_a_shared_fixed_cost_is_paid_once_wherever_its_routes_sit(pair):
+    # with four routes the last two routes' splits are scanned once per
+    # remainder and shared by the prefixes; a prefix route sharing the last or
+    # second-last route's technology leaves a remainder both with that fee
+    # paid and with it due, so the two must not share a scan
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p",
+                  technology_id="shared" if i in pair else f"own{i}",
+                  unit_cost=Decimal("0.1") if i in pair else Decimal("0.3"),
+                  unit_emissions=Decimal(0), unit_circularity=Decimal(1))
+        for i in range(4))
+    scenario = Scenario(demand=4, routes=routes,
+                        technology_fixed_costs={"shared": Decimal("0.5")},
+                        capacity_limits={f"r{i}": 2 for i in pair})
+    out = enumerate_lower(scenario, PolicyVector.zero())
+    assert out.optima == (Allocation({f"r{i}": 2 for i in pair}),)
+    assert out.best.industry_cost == Decimal("0.9")
+    assert out.count == len(_priced_compositions(scenario, PolicyVector.zero()))
+
+
+@pytest.mark.parametrize("last_cap", [0, 1])
+def test_enumerate_lower_skips_remainders_the_last_two_routes_cannot_hold(last_cap):
+    # the last route holds at most last_cap units and the second-last route
+    # 2, so a prefix leaving more than 2 + last_cap has no split at all;
+    # every route costs the same, so every composition is an optimum
+    routes = tuple(_route(f"r{i}", "0.1", "0.1", "1.0") for i in range(4))
+    scenario = Scenario(demand=5, routes=routes,
+                        capacity_limits={"r2": 2, "r3": last_cap})
+    results = _priced_compositions(scenario, PolicyVector.zero())
+    out = enumerate_lower(scenario, PolicyVector.zero())
+    assert out.count == len(results)
+    assert out.optima == tuple(r.allocation for r in results)
+    assert all(a.units.get("r3", 0) <= last_cap for a in out.optima)
+
+
+@pytest.mark.parametrize("routes, demand", [(3, 400), (4, 150)])
+def test_enumerate_lower_holds_memory_per_remainder_not_per_composition(routes, demand):
+    # 60,501 and 512,126 compositions. The last two routes tie on every
+    # split, so keeping each tied split, or each split's cost, would hold
+    # 60,501 or 11,476 of them (0.7 MB for the 11,476 as ranges); runs of
+    # tied splits and one least cost per remainder peak under 0.1 MB
+    catalog = tuple(
+        _route(f"r{i}", "0.05" if i == 0 else "0.08" if i < routes - 2 else "0.1",
+               "0.1", "1.0")
+        for i in range(routes))
+    scenario = Scenario(demand=demand, routes=catalog,
+                        capacity_limits={"r0": demand // 2})
+    tracemalloc.start()
+    try:
+        out = enumerate_lower(scenario, PolicyVector.zero())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.count == _enumeration_size(demand, [demand // 2] + [demand] * (routes - 1))
+    assert peak < 500_000
+
+
 def test_enumerate_lower_refuses_sums_it_cannot_hold_exactly(tiny):
     # a 31-digit unit cost does not fit the 28-digit context: ranking its
     # rounded sums could order ties unlike price_allocation, so refuse
     fine = _route("c", "0.1000000000000000000000000000001", "0.2", "1.0")
     scenario = Scenario(demand=2, routes=tiny.routes + (fine,))
+    with pytest.raises(ResourceBoundError, match="exact enumeration"):
+        enumerate_lower(scenario, PolicyVector.zero())
+    # one route: 11 units at 28 digits cost 29
+    lone = Scenario(demand=11, routes=(_route("a", "0.1000000000000000000000000001", "0", "1"),))
+    with pytest.raises(ResourceBoundError, match="exact enumeration"):
+        enumerate_lower(lone, PolicyVector.zero())
+    # only a losing composition, one unit each on r0 and r2, costs
+    # 1E+27 + 1 + 1.1 and needs 29 digits; it is refused all the same
+    routes = tuple(_route(f"r{i}", cost, "0", "1.0")
+                   for i, cost in enumerate(["1", "1", "1.1", "1"]))
+    scenario = Scenario(demand=2, routes=routes,
+                        technology_fixed_costs={"tech_r0": Decimal("1E+27")})
     with pytest.raises(ResourceBoundError, match="exact enumeration"):
         enumerate_lower(scenario, PolicyVector.zero())
 
