@@ -135,70 +135,69 @@ def leader_floor(scenario: Scenario, policy: PolicyVector, leader_objective):
 
 def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
     """Fill every active subset of F, in (size, itertools.combinations) order,
-    and keep the cost-minimal ones.
+    and keep the cost-minimal ones: price the routes, sort them once, and walk
+    that order for each subset in the scenario's `fill_table`, skipping the
+    routes whose technology bit the subset's bitmask leaves out.
 
     Returns (priced, fills): priced lists (net unit cost, route id,
-    technology id) for every route, and fills holds (active subset,
-    canonical units, marginal price) for each cost-minimal subset, first
-    found first; the marginal price is that of the route where the fill
-    stops. A subset that pays for a technology its fill leaves idle is never
-    cheaper than the same subset without it, so the minimum charge is the
-    exact industry cost.
+    technology bit, capacity) for every route, and fills holds (subset
+    bitmask, canonical units, marginal price) for each cost-minimal subset,
+    first found first; the marginal price is that of the route where the
+    fill stops. A subset that pays for a technology its fill leaves idle is
+    never cheaper than the same subset without it, so the minimum charge is
+    the exact industry cost.
     """
     fixed = scenario.technology_fixed_costs
     if len(fixed) > MAX_FIXED_TECHNOLOGIES:
         raise ResourceBoundError(
             f"{len(fixed)} fixed-cost technologies exceed {MAX_FIXED_TECHNOLOGIES}")
-    priced = [(net_unit_cost(r, policy), r.route_id, r.technology_id)
-              for r in scenario.routes]
-    demand, caps = scenario.demand, scenario.capacity_limits
+    routes, masks, fees = scenario.fill_table()
+    tax, subsidies = policy.tax_rate, policy.subsidy_rates
+    # net_unit_cost, inlined
+    priced = [(cost + tax * emissions - subsidies.get(rid, ZERO), rid, bit, cap)
+              for cost, emissions, rid, bit, cap in routes]
+    demand = scenario.demand
     # uncapped and without fixed costs, the cheapest route takes everything
-    order = sorted(priced) if fixed or caps else [min(priced)]
-    techs = sorted(fixed)
+    order = [min(priced)] if scenario.is_pure_linear() else sorted(priced)
     best_cost, fills = None, []
-    for size in range(len(techs) + 1):
-        for active in itertools.combinations(techs, size):
-            cost = sum(map(fixed.get, active), ZERO)
-            units, remaining, marginal = {}, demand, None
-            for net, rid, tech in order:
-                if tech in fixed and tech not in active:
-                    continue
-                take = min(remaining, caps.get(rid, demand))
-                if take:
-                    units[rid] = take
-                    cost += net * take
-                    remaining -= take
-                marginal = net
-                if remaining == 0:
-                    break
-            if remaining:
+    for mask, cost in zip(masks, fees):
+        idle = ~mask
+        units, remaining, marginal = {}, demand, None
+        for net, rid, bit, cap in order:
+            if bit & idle:
                 continue
-            if best_cost is None or cost < best_cost:
-                best_cost, fills = cost, [(active, units, marginal)]
-            elif cost == best_cost:
-                fills.append((active, units, marginal))
+            take = cap if cap < remaining else remaining  # min() costs more
+            if take:
+                units[rid] = take
+                cost += net * take
+                remaining -= take
+            marginal = net
+            if remaining == 0:
+                break
+        if remaining:
+            continue
+        if best_cost is None or cost < best_cost:
+            best_cost, fills = cost, [(mask, units, marginal)]
+        elif cost == best_cost:
+            fills.append((mask, units, marginal))
     if not fills:
         raise InfeasibleError("no allocation satisfies demand within capacities")
     return priced, fills
 
 
-def _face(scenario: Scenario, priced, active, units, marginal):
+def _face(scenario: Scenario, priced, mask, units, marginal):
     """One cost-minimal subset's face as (pinned units, bounds, rest): the
     routes priced below the marginal price keep their units, and the rest of
     demand may go to the routes at it, each up to its bound. bounds is keyed
     in route-id order, holds only routes that can take a unit, and is empty
     when the fill is the face's only point."""
-    fixed = scenario.technology_fixed_costs
-    at_margin = [rid for net, rid, tech in priced
-                 if net == marginal and (tech not in fixed or tech in active)]
+    at_margin = {rid: cap for net, rid, bit, cap in priced
+                 if net == marginal and not bit & ~mask}
     if len(at_margin) > 1:
         pinned = {rid: n for rid, n in units.items() if rid not in at_margin}
         rest = scenario.demand - sum(pinned.values())
-        bounds = {}
-        for rid in sorted(at_margin):
-            bound = min(scenario.capacity_of(rid), rest)
-            if bound:
-                bounds[rid] = bound
+        bounds = {rid: min(at_margin[rid], rest) for rid in sorted(at_margin)
+                  if at_margin[rid] and rest}
         if len(bounds) > 1 and sum(bounds.values()) > rest:
             return pinned, bounds, rest
     return units, {}, 0
@@ -415,7 +414,7 @@ def solve_lower_greedy(scenario: Scenario, policy: PolicyVector):
              "(no fixed costs, no capacity limits); use solve_lower"])
     validate_policy(scenario, policy)
     priced, [(_, units, marginal)] = _cheapest_fills(scenario, policy)
-    tie = TieSet(route_ids=[rid for net, rid, _ in priced if net == marginal],
+    tie = TieSet(route_ids=[rid for net, rid, _, _ in priced if net == marginal],
                  net_unit_cost=marginal)
     return tie, Allocation(units)
 

@@ -13,6 +13,7 @@ with `quantize_rate` first.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, InvalidOperation, ROUND_HALF_EVEN, getcontext
 from enum import Enum, EnumMeta
@@ -146,7 +147,9 @@ class SensitivityModifiers:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Route catalog + demand + optional integer-programming extras."""
+    """Route catalog + demand + optional integer-programming extras. Its dict
+    fields must not be mutated after construction: the route index and
+    `fill_table` are built from them once."""
 
     demand: int
     routes: tuple
@@ -196,6 +199,10 @@ class Scenario:
         object.__setattr__(self, "_route_ids", ids)
         object.__setattr__(self, "_subsidizable_ids",
                            tuple(rid for rid in ids if by_id[rid].subsidizable))
+        # set here and replaced in place by fill_table(): an attribute added
+        # through __dict__ later (as functools.cached_property does) moves
+        # CPython's inline attribute values into a dict and slows every read
+        object.__setattr__(self, "_fill_table", None)
 
     def route(self, route_id: str) -> RouteSpec:
         try:
@@ -217,6 +224,27 @@ class Scenario:
 
     def capacity_of(self, route_id: str) -> int:
         return self.capacity_limits.get(route_id, self.demand)
+
+    def fill_table(self) -> tuple:
+        """The follower's policy-free data, built on the first call: (routes,
+        masks, fees). routes holds (unit cost, unit emissions, route id,
+        technology bit, capacity); the i-th fixed-cost technology by id has
+        bit 1 << i, any other 0. masks and fees hold each subset of them, by
+        size and then in `itertools.combinations` order, and its fees summed
+        in ascending order from ZERO. O(2^|F|) memory."""
+        if self._fill_table is None:
+            fixed = self.technology_fixed_costs
+            techs = sorted(fixed)
+            bits = {tech: 1 << i for i, tech in enumerate(techs)}
+            routes = tuple([(r.unit_cost, r.unit_emissions, r.route_id, bits.get(r.technology_id, 0),
+                             self.capacity_of(r.route_id)) for r in self.routes])
+            masks, fees = [], []
+            for size in range(len(techs) + 1):
+                for active in itertools.combinations(techs, size):
+                    masks.append(sum(map(bits.get, active)))
+                    fees.append(sum(map(fixed.get, active), ZERO))
+            object.__setattr__(self, "_fill_table", (routes, tuple(masks), tuple(fees)))
+        return self._fill_table
 
 
 @dataclass(frozen=True)

@@ -182,18 +182,18 @@ def _cheapest_compositions(scenario, policy, caps):
     share = second > 1 and _sums_hold(prices, fees, caps, scenario.demand)
     tails = {}  # (remaining, fee of `second` due, fee of `last` due) -> scan
 
-    def scan(remaining, own_due, last_due, base, best):
-        # every split of `remaining` between the last two routes, priced from
-        # `base`: (the least cost if under `best`, else `best`; the ascending
-        # runs of units on `second` that reach it; splits scanned)
+    def scan(remaining, own_due, last_due):
+        # every split of `remaining` between the last two routes: (the least
+        # cost; the ascending runs of units on `second` that reach it; splits
+        # scanned)
         own = fees[second] if own_due else ZERO
         last_fee = fees[last] if last_due else ZERO
         shared_fee = ZERO if last_tech == second_tech else last_fee
         low, high = max(0, remaining - caps[last]), min(caps[second], remaining)
-        runs = []
+        best, runs = _INFINITY, []
         for u in range(low, high + 1):
             rest = remaining - u
-            total = base + price * u + own if u else base
+            total = price * u + own if u else ZERO
             if rest:
                 total += last_price * rest + (shared_fee if u else last_fee)
             if total <= best:
@@ -205,21 +205,44 @@ def _cheapest_compositions(scenario, policy, caps):
                     runs.append(range(u, u + 1))
         return best, runs, max(0, high - low + 1)
 
+    def settle(remaining, cost, own_due, last_due):
+        # price each split from this prefix's cost on, forming the sums a
+        # composition-by-composition walk forms, and keep the cheapest
+        nonlocal least, optima, count
+        own = fees[second] if own_due else ZERO
+        last_fee = fees[last] if last_due else ZERO
+        shared_fee = ZERO if last_tech == second_tech else last_fee
+        low, high = max(0, remaining - caps[last]), min(caps[second], remaining)
+        count += max(0, high - low + 1)
+        for u in range(low, high + 1):
+            rest = remaining - u
+            total = cost + price * u + own if u else cost
+            if rest:
+                total += last_price * rest + (shared_fee if u else last_fee)
+            if total <= least:
+                units[second], units[last] = u, rest
+                if total < least:
+                    least, optima = total, [tuple(units)]
+                else:
+                    optima.append(tuple(units))
+        units[second] = units[last] = 0
+
     def walk(i, remaining, cost):
         # routes before i hold their units; route i takes u of the remaining
         nonlocal least, optima, count
         if i == second:
-            key = (remaining, not using[second_tech], not using[last_tech])
-            if share:  # scan each remainder once; a prefix adds its own cost
-                entry = tails.get(key)
-                if entry is None:
-                    entry = tails[key] = scan(*key, ZERO, _INFINITY)
-                part, runs, n = entry
-                total = cost + part
-            else:  # price each split from this prefix's cost on, forming the
-                # sums a composition-by-composition walk forms
-                total, runs, n = scan(*key, cost, least)
+            own_due, last_due = not using[second_tech], not using[last_tech]
+            if not share:
+                settle(remaining, cost, own_due, last_due)
+                return
+            # scan each remainder once; a prefix adds its own cost
+            key = (remaining, own_due, last_due)
+            entry = tails.get(key)
+            if entry is None:
+                entry = tails[key] = scan(*key)
+            part, runs, n = entry
             count += n
+            total = cost + part
             if total <= least:
                 head = tuple(units[:second])
                 found = [head + (u, remaining - u) for run in runs for u in run]

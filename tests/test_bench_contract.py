@@ -42,12 +42,24 @@ def _run_and_check(workloads, workload, units):
 
 
 @pytest.mark.parametrize("name, count", [
-    ("pso_case", 1), ("pso_capped", 1), ("sweep_sens", 1), ("verify_battery", 12),
+    ("pso_case", 1), ("sweep_sens", 1), ("verify_battery", 12),
 ])
 def test_workload_units_run_and_pass_their_checks(workloads, tmp_path, name, count):
     workload = workloads.WORKLOADS[name](ecolever, tmp_path)
     units = workload.units(random.Random(f"{name}/contract"))
     _run_and_check(workloads, workload, itertools.islice(units, count))
+
+
+def test_pso_capped_runs_one_unit_per_objective(workloads, tmp_path):
+    # the swarm on the capped scenario drives the follower's subset table
+    # under each leader objective, and the check prices each response exactly
+    workload = workloads.WORKLOADS["pso_capped"](ecolever, tmp_path)
+    first = {}
+    for unit in workload.units(random.Random("pso_capped/contract")):
+        first.setdefault(unit[0], unit)
+        if len(first) == len(workloads.OBJECTIVES):
+            break
+    _run_and_check(workloads, workload, first.values())
 
 
 def test_verify_battery_runs_its_costliest_shapes(workloads, tmp_path):

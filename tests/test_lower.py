@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import time
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -11,6 +13,7 @@ from ecolever import (
     ResourceBoundError,
     RouteSpec,
     Scenario,
+    apply_modifiers,
     enumerate_lower,
     enumerate_optimistic,
     evaluate_allocation,
@@ -259,14 +262,117 @@ def test_greedy_tie_set_is_every_route_at_the_minimum_net_cost(instance):
     assert canonical.units == ({tie.route_ids[0]: scenario.demand} if scenario.demand else {})
 
 
+def _fills_by_subset(scenario, policy):
+    """Reference for `lower._cheapest_fills`' fills, computed without the
+    scenario's table: the subsets enumerated as technology-id tuples, their
+    fees summed, each route's capacity read from the scenario."""
+    fixed = scenario.technology_fixed_costs
+    order = sorted((net_unit_cost(r, policy), r.route_id, r.technology_id)
+                   for r in scenario.routes)
+    best_cost, fills = None, []
+    for size in range(len(fixed) + 1):
+        for active in itertools.combinations(sorted(fixed), size):
+            cost = sum(map(fixed.get, active), model.ZERO)
+            units, remaining, marginal = {}, scenario.demand, None
+            for net, rid, tech in order:
+                if tech in fixed and tech not in active:
+                    continue
+                take = min(remaining, scenario.capacity_of(rid))
+                if take:
+                    units[rid] = take
+                    cost += net * take
+                    remaining -= take
+                marginal = net
+                if remaining == 0:
+                    break
+            if remaining:
+                continue
+            if best_cost is None or cost < best_cost:
+                best_cost, fills = cost, [(active, units, marginal)]
+            elif cost == best_cost:
+                fills.append((active, units, marginal))
+    return fills
+
+
+_wide_fees = st.lists(st.tuples(st.integers(10 ** 28, 10 ** 29 - 1), st.integers(-4, 0)),
+                      min_size=3, max_size=3)
+
+
+@given(shared_technology_catalogs(), _wide_fees)
+def test_fills_match_the_per_subset_enumeration(instance, wide_fees):
+    # Fees of 29 digits round when summed, so only the same subsets summed in
+    # the same order reproduce every fee and fill.
+    scenario, policy = instance
+    wide = {tech: Decimal(f"{digits}E{e}")
+            for tech, (digits, e) in zip(sorted({r.technology_id for r in scenario.routes}),
+                                         wide_fees)}
+    for fixed in (scenario.technology_fixed_costs, wide):
+        scn = dataclasses.replace(scenario, technology_fixed_costs=fixed)
+        techs = sorted(fixed)
+        _, masks, fees = scn.fill_table()
+        subsets = [active for size in range(len(techs) + 1)
+                   for active in itertools.combinations(techs, size)]
+        assert [tuple(t for i, t in enumerate(techs) if mask >> i & 1) for mask in masks] == subsets
+        assert list(map(repr, fees)) == [repr(sum(map(fixed.get, active), model.ZERO))
+                                         for active in subsets]
+        _, fills = lower._cheapest_fills(scn, policy)
+        assert [(subsets[masks.index(mask)], units, repr(marginal))
+                for mask, units, marginal in fills] == [
+            (active, units, repr(marginal))
+            for active, units, marginal in _fills_by_subset(scn, policy)]
+
+
 def test_milp_refuses_too_many_fixed_cost_technologies():
     routes = tuple(_route(f"r{i:02d}", "0.01", "0.01", "1") for i in range(17))
-    scn = Scenario(demand=1, routes=routes,
-                   technology_fixed_costs={r.technology_id: Decimal("0.1") for r in routes})
     start = time.perf_counter()
-    with pytest.raises(ResourceBoundError):
-        solve_lower_milp(scn, PolicyVector.zero())
+    tracemalloc.start()
+    try:
+        scn = Scenario(demand=1, routes=routes,
+                       technology_fixed_costs={r.technology_id: Decimal("0.1") for r in routes})
+        with pytest.raises(ResourceBoundError):
+            solve_lower_milp(scn, PolicyVector.zero())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 0.5
+    assert peak < 64 * 1024  # refused before any subset table is built
+
+
+def test_a_subset_table_is_built_on_first_use_and_stays_compact():
+    # 2^16 subsets, a bitmask and a fee each: 10.0 MB under tracemalloc
+    routes = tuple(_route(f"r{i:02d}", "0.01", "0.01", "1") for i in range(16))
+    tracemalloc.start()
+    try:
+        scn = Scenario(demand=1, routes=routes,
+                       technology_fixed_costs={r.technology_id: Decimal("0.1") for r in routes})
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = solve_lower_milp(scn, PolicyVector.zero())
+        _, solved = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < 64 * 1024
+    assert solved < 16 * 1024 * 1024
+    assert result.industry_cost == Decimal("0.11")
+
+
+def test_a_fill_table_never_goes_stale(capped_case):
+    # each copy's answer moves off the original's, so a table carried over
+    # from the original would answer wrongly
+    policy = PolicyVector(tax_rate=Decimal("2.5"),
+                          subsidy_rates={"multilayer_landfill": Decimal("0.03")})
+    original = solve_lower_milp(capped_case, policy)
+    fees = {**capped_case.technology_fixed_costs,
+            "landfill_site": Decimal(5), "film_recycling_line": Decimal(1)}
+    copies = (dataclasses.replace(capped_case, capacity_limits=dict.fromkeys(capped_case.route_ids(), 3)),
+              dataclasses.replace(capped_case, technology_fixed_costs=fees),
+              apply_modifiers(capped_case, 300, "0.3"))
+    for scn in copies:
+        result = solve_lower_milp(scn, policy)
+        reference = enumerate_lower(scn, policy)
+        assert result.industry_cost == reference.best.industry_cost
+        assert result.allocation in reference.optima
+        assert result.allocation != original.allocation
 
 
 # --- one follower for both scenario classes ---------------------------------
