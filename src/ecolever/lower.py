@@ -85,7 +85,9 @@ def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
 
     Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES or a
     tie needs more than MAX_SELECTOR_NODES selector nodes, and
-    InfeasibleError when no subset can absorb the demand.
+    InfeasibleError when no subset can absorb the demand. The bound on |F|
+    caps the subset table's memory, not the time: each call walks all 2^|F|
+    subsets, 0.05-0.3 s at 16 technologies.
     """
     objective = Objective(leader_objective)
     funds = to_decimal(funds, "funds")

@@ -233,16 +233,17 @@ class Scenario:
         size and then in `itertools.combinations` order, and its fees summed
         in ascending order from ZERO. O(2^|F|) memory."""
         if self._fill_table is None:
-            fixed = self.technology_fixed_costs
-            techs = sorted(fixed)
-            bits = {tech: 1 << i for i, tech in enumerate(techs)}
+            fixed, caps, demand = self.technology_fixed_costs, self.capacity_limits, self.demand
+            bits, masks, fees = {}, [0], [ZERO]  # the empty subset
+            if fixed:
+                techs = sorted(fixed)
+                bits = {tech: 1 << i for i, tech in enumerate(techs)}
+                for size in range(1, len(techs) + 1):
+                    for active in itertools.combinations(techs, size):
+                        masks.append(sum(map(bits.get, active)))
+                        fees.append(sum(map(fixed.get, active), ZERO))
             routes = tuple([(r.unit_cost, r.unit_emissions, r.route_id, bits.get(r.technology_id, 0),
-                             self.capacity_of(r.route_id)) for r in self.routes])
-            masks, fees = [], []
-            for size in range(len(techs) + 1):
-                for active in itertools.combinations(techs, size):
-                    masks.append(sum(map(bits.get, active)))
-                    fees.append(sum(map(fixed.get, active), ZERO))
+                             caps.get(r.route_id, demand)) for r in self.routes])
             object.__setattr__(self, "_fill_table", (routes, tuple(masks), tuple(fees)))
         return self._fill_table
 

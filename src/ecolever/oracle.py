@@ -3,20 +3,20 @@
 Full enumeration of integer allocations for the follower and a dense grid
 scan for the leader. They exist to cross-check the fast solvers in tests and
 `ecolever verify`, so they stay brute force: every grid point is evaluated,
-and every composition of demand within the capacities is counted and its
-exact cost compared, with no bound pruning any. The follower enumeration
-carries running sums over the prefixes of all routes but the last two, scans
-the last two routes' splits of each remainder once, and then costs each
-prefix one exact addition and one comparison (see `enumerate_lower`). It
-refuses a catalog whose sums would need rounding rather than rank rounded
-costs. Both refuse problems big enough that
-enumeration would silently take hours.
+and every composition of demand within the capacities is counted and enters
+the least exact cost, with no bound pruning any. From four routes on, where
+no sum can round, the follower enumeration prices each route's split of each
+remainder once, in one table over the routes' suffixes; otherwise it walks
+every composition with running sums (see `enumerate_lower`). It refuses a
+catalog whose sums would need rounding rather than rank rounded costs. Both
+refuse problems big enough that enumeration would silently take hours.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, Rounded, getcontext, localcontext
 
@@ -97,26 +97,27 @@ def _enumeration_size(total, caps):
 def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResult:
     """Exact follower optimum by trying every integer allocation.
 
-    Walks every prefix (the units on all routes but the last two) in
-    `_compositions` order, carrying the industry cost of the units placed so
-    far: each route's net unit price is computed once, and a technology's
-    fixed cost is added when the first of its routes takes a unit. For the
-    remaining units it scans every split between the last two routes, keeps
-    the least split cost and the splits that reach it, and adds the prefix's
-    cost to that least. From four routes on, prefixes that leave the same
-    remainder with the same fixed costs of the last two routes due share one
-    scan. So each composition's exact cost is compared: its split with every
-    split of its remainder, its prefix's total with the best so far.
-    `optima` holds every argmin in `_compositions` order and `count` counts
-    every composition.
+    Each route's net unit price is computed once, and a technology's fixed
+    cost is added when the first of its routes takes a unit. From four
+    routes on, one table covers every suffix of the routes (those from i
+    on): for each count of units left to it and each set of its fixed costs
+    the prefix already pays, it holds the suffix's least cost, the units on
+    route i that reach it and how many compositions lie below, and each
+    entry tries every split between route i and the entries after it once,
+    however many prefixes share it. Below four routes, or where a sum might
+    round, it walks every prefix (the units on all routes but the last two)
+    in `_compositions` order with the prefix's running cost, and prices each
+    split of the remainder between the last two routes from it. Either way
+    no composition is pruned, `optima` holds every argmin in
+    `_compositions` order and `count` counts every composition.
 
     Every sum is exact. A catalog whose sums need more digits than the
     decimal context holds is refused with ResourceBoundError rather than
-    ranked by rounded costs; where a sum might round, no scan is shared and
-    each split is priced from its own prefix's cost on, so the refusals are
-    those of a walk through every composition. Only the policy is validated,
-    and the first optimum is priced by the solvers' own `price_allocation`.
-    Raises ResourceBoundError when the search space exceeds MAX_ENUMERATION.
+    ranked by rounded costs; the table, which adds in another order, runs
+    only where no sum can round, so the refusals are those of a walk
+    through every composition. Only the policy is validated, and the first
+    optimum is priced by the solvers' own `price_allocation`. Raises
+    ResourceBoundError when the search space exceeds MAX_ENUMERATION.
     """
     ids = scenario.route_ids()
     caps = [scenario.capacity_of(rid) for rid in ids]
@@ -159,7 +160,7 @@ def _sums_hold(prices, fees, caps, demand):
 
 
 def _cheapest_compositions(scenario, policy, caps):
-    """The walk behind `enumerate_lower`: (the argmin compositions in
+    """The search behind `enumerate_lower`: (the argmin compositions in
     `_compositions` order, the number of compositions covered)."""
     routes = [scenario.route(rid) for rid in scenario.route_ids()]
     prices = [route.unit_cost + policy.tax_rate * route.unit_emissions
@@ -171,39 +172,15 @@ def _cheapest_compositions(scenario, policy, caps):
         if scenario.demand:
             prices[0] * scenario.demand + fees[0]  # raises Inexact if it rounds
         return [(scenario.demand,)], 1
+    # below four routes few remainders repeat, and a table costs more than it saves
+    if last > 2 and _sums_hold(prices, fees, caps, scenario.demand):
+        return _suffix_table_optima(prices, techs, fees, caps, scenario.demand)
     using = dict.fromkeys(techs, 0)  # routes of each technology holding units
     units = [0] * len(routes)
     least, optima, count = _INFINITY, [], 0
     second = last - 1
     price, last_price = prices[second], prices[last]
     second_tech, last_tech = techs[second], techs[last]
-    # with at most one route before the last two, no two prefixes leave the
-    # same remainder, so only a longer walk has scans to share
-    share = second > 1 and _sums_hold(prices, fees, caps, scenario.demand)
-    tails = {}  # (remaining, fee of `second` due, fee of `last` due) -> scan
-
-    def scan(remaining, own_due, last_due):
-        # every split of `remaining` between the last two routes: (the least
-        # cost; the ascending runs of units on `second` that reach it; splits
-        # scanned)
-        own = fees[second] if own_due else ZERO
-        last_fee = fees[last] if last_due else ZERO
-        shared_fee = ZERO if last_tech == second_tech else last_fee
-        low, high = max(0, remaining - caps[last]), min(caps[second], remaining)
-        best, runs = _INFINITY, []
-        for u in range(low, high + 1):
-            rest = remaining - u
-            total = price * u + own if u else ZERO
-            if rest:
-                total += last_price * rest + (shared_fee if u else last_fee)
-            if total <= best:
-                if total < best:
-                    best, runs = total, [range(u, u + 1)]
-                elif runs and runs[-1].stop == u:
-                    runs[-1] = range(runs[-1].start, u + 1)
-                else:
-                    runs.append(range(u, u + 1))
-        return best, runs, max(0, high - low + 1)
 
     def settle(remaining, cost, own_due, last_due):
         # price each split from this prefix's cost on, forming the sums a
@@ -229,27 +206,8 @@ def _cheapest_compositions(scenario, policy, caps):
 
     def walk(i, remaining, cost):
         # routes before i hold their units; route i takes u of the remaining
-        nonlocal least, optima, count
         if i == second:
-            own_due, last_due = not using[second_tech], not using[last_tech]
-            if not share:
-                settle(remaining, cost, own_due, last_due)
-                return
-            # scan each remainder once; a prefix adds its own cost
-            key = (remaining, own_due, last_due)
-            entry = tails.get(key)
-            if entry is None:
-                entry = tails[key] = scan(*key)
-            part, runs, n = entry
-            count += n
-            total = cost + part
-            if total <= least:
-                head = tuple(units[:second])
-                found = [head + (u, remaining - u) for run in runs for u in run]
-                if total < least:
-                    least, optima = total, found
-                else:
-                    optima += found
+            settle(remaining, cost, not using[second_tech], not using[last_tech])
             return
         tech = techs[i]
         own = ZERO if using[tech] else fees[i]
@@ -264,6 +222,73 @@ def _cheapest_compositions(scenario, policy, caps):
         using[tech] -= 1
 
     walk(0, scenario.demand, ZERO)
+    return optima, count
+
+
+def _suffix_table_optima(prices, techs, fees, caps, demand):
+    """`_cheapest_compositions` by one table over suffixes, for sums that
+    cannot round (it adds in another order than the walk). An entry, for the
+    routes from i on, the units left to them and the fixed costs of theirs
+    the prefix already pays, holds the least cost, the ascending runs of
+    units on route i that reach it, and the number of compositions below.
+    Each is priced once however many prefixes lead to it, and expanding the
+    runs in ascending order lists the optima in `_compositions` order."""
+    last = len(prices) - 1
+    charged = sorted({tech for tech, fee in zip(techs, fees) if fee})
+    own = [1 << charged.index(tech) if fee else 0 for tech, fee in zip(techs, fees)]  # bits
+    ahead = [*itertools.accumulate(reversed(own), operator.or_)][::-1] + [0]  # bits of routes i..
+    room = [*itertools.accumulate(reversed(caps))][::-1] + [0]  # units routes i.. hold
+    held = [0, *itertools.accumulate(caps)]  # units routes before i hold
+    # (i, paid bits of routes i..) -> (least, runs, count), each by units left
+    table = {}
+
+    def level(i, paid):
+        entry = table.get((i, paid))
+        if entry is None:
+            price, cap, after = prices[i], caps[i], room[i + 1]
+            fee = ZERO if paid & own[i] else fees[i]
+            low, high = max(0, demand - held[i]), min(demand, room[i])
+            steps = [ZERO]
+            for u in range(1, min(cap, high) + 1):
+                steps.append(price * u + fee)
+            if i == last:  # it takes the units left, one composition each
+                entry = table[i, paid] = (steps, None, [1] * len(steps))
+                return entry
+            stay_least, _, stay_count = level(i + 1, paid & ahead[i + 1])
+            take_least, _, take_count = level(i + 1, (paid | own[i]) & ahead[i + 1])
+            least, runs, count = [None] * (high + 1), [None] * (high + 1), [0] * (high + 1)
+            for r in range(low, high + 1):
+                if r <= after:  # route i may stay empty
+                    best, tied, n, start = stay_least[r], [range(0, 1)], stay_count[r], 1
+                else:
+                    best, tied, n, start = _INFINITY, [], 0, r - after
+                for u in range(start, (r if r < cap else cap) + 1):
+                    cost = take_least[r - u] + steps[u]
+                    n += take_count[r - u]
+                    if cost <= best:
+                        if cost < best:
+                            best, tied = cost, [range(u, u + 1)]
+                        elif tied[-1].stop == u:
+                            tied[-1] = range(tied[-1].start, u + 1)
+                        else:
+                            tied.append(range(u, u + 1))
+                least[r], runs[r], count[r] = best, tied, n
+            entry = table[i, paid] = (least, runs, count)
+        return entry
+
+    optima = []
+
+    def expand(i, remaining, paid, head):
+        if i == last:
+            optima.append(head + (remaining,))
+            return
+        stay, take = paid & ahead[i + 1], (paid | own[i]) & ahead[i + 1]
+        for run in table[i, paid][1][remaining]:
+            for u in run:
+                expand(i + 1, remaining - u, take if u else stay, head + (u,))
+
+    count = level(0, 0)[2][demand]
+    expand(0, demand, 0, ())
     return optima, count
 
 

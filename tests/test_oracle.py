@@ -18,6 +18,7 @@ from ecolever import (
     enumerate_optimistic,
     grid_bilevel,
 )
+from ecolever import oracle
 from ecolever.model import evaluate_allocation
 from ecolever.oracle import MAX_ENUMERATION, _compositions, _enumeration_size
 
@@ -186,17 +187,18 @@ def _priced_compositions(scenario, policy):
 
 
 @st.composite
-def _catalogs(draw):
-    # 1-6 routes over three technologies, so one fixed cost often covers two
-    # or more routes, in the walk's prefix and in its last two routes alike;
-    # coarse unit costs and small capacities, so optima often split
+def _catalogs(draw, fewest=1, most=6):
+    # 1-6 routes (by default) over three technologies, so one fixed cost
+    # often covers two or more routes, in the walk's prefix and in its last
+    # two routes alike; coarse unit costs and small capacities, so optima
+    # often split
     cents = st.integers(-5, 12).map(lambda c: Decimal(c) / 10)
     routes = tuple(
         RouteSpec(route_id=f"r{i}", product_id="p",
                   technology_id=draw(st.sampled_from("xyz")), unit_cost=draw(cents),
                   unit_emissions=Decimal(draw(st.integers(0, 40))) / 100,
                   unit_circularity=Decimal(1))
-        for i in range(draw(st.integers(1, 6))))
+        for i in range(draw(st.integers(fewest, most))))
     demand = draw(st.integers(0, 9))
     fixed = {tech: Decimal(draw(st.integers(0, 4))) / 4
              for tech in sorted({r.technology_id for r in routes})}
@@ -299,6 +301,60 @@ def test_enumerate_lower_holds_memory_per_remainder_not_per_composition(routes, 
         tracemalloc.stop()
     assert out.count == _enumeration_size(demand, [demand // 2] + [demand] * (routes - 1))
     assert peak < 500_000
+
+
+@given(_catalogs(4, 7))
+def test_the_suffix_table_finds_the_walks_optima_in_its_order(catalog):
+    # from four routes on, sums that cannot round go through one table over
+    # suffixes; forcing the composition-by-composition walk must give the
+    # same optimum, the same optima in the same order and the same count
+    scenario, policy = catalog
+    tabled = enumerate_lower(scenario, policy)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_sums_hold", lambda *args: False)
+        walked = enumerate_lower(scenario, policy)
+    assert tabled.best == walked.best
+    assert tabled.optima == walked.optima
+    assert tabled.count == walked.count
+
+
+def test_the_suffix_table_holds_runs_of_tied_units():
+    # 635,376 compositions and one optimum: every unit on the cheaper first
+    # route. The last four routes tie on every split of every remainder:
+    # keeping each tied split would hold 5,673 of them (0.37 MB as one-unit
+    # ranges); one run per remainder and route peaks near 0.06 MB
+    catalog = tuple(_route(f"r{i}", "0.05" if i == 0 else "0.1", "0.1", "1.0")
+                    for i in range(5))
+    scenario = Scenario(demand=60, routes=catalog)
+    tracemalloc.start()
+    try:
+        out = enumerate_lower(scenario, PolicyVector.zero())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.count == math.comb(64, 4)
+    assert out.optima == (Allocation({"r0": 60}),)
+    assert peak < 200_000
+
+
+def test_sums_that_might_round_are_walked_composition_by_composition(monkeypatch):
+    # four 28-digit prices: their sum needs 29 digits, so the table is not
+    # used, but at demand 1 each composition costs one price, exactly, and
+    # the walk answers without refusing
+    costs = ["9.999999999999999999999999999", "9.999999999999999999999999998",
+             "9.999999999999999999999999998", "9.999999999999999999999999999"]
+    routes = tuple(_route(f"r{i}", cost, "0", "1.0") for i, cost in enumerate(costs))
+    scenario = Scenario(demand=1, routes=routes)
+    assert not oracle._sums_hold([r.unit_cost for r in routes], [Decimal(0)] * 4, [1] * 4, 1)
+    monkeypatch.setattr(oracle, "_suffix_table_optima", None)  # fails if called
+    results = _priced_compositions(scenario, PolicyVector.zero())
+    least = min(r.industry_cost for r in results)
+    optima = [r for r in results if r.industry_cost == least]
+    out = enumerate_lower(scenario, PolicyVector.zero())
+    assert out.count == len(results) == 4
+    assert out.optima == tuple(r.allocation for r in optima)
+    assert [a.units for a in out.optima] == [{"r2": 1}, {"r1": 1}]  # `_compositions` order
+    assert out.best == optima[0]
 
 
 def test_enumerate_lower_refuses_sums_it_cannot_hold_exactly(tiny):
