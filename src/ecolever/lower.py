@@ -17,9 +17,9 @@ Dempe, Foundations of Bilevel Programming, 2002): the allocation ranked first
 by (leader value, subsidy outlay, canonical key) among those within the
 public funds, or among all of them when none fits. On one face that choice
 is a bounded knapsack with one equality (Kellerer, Pferschy and Pisinger,
-Knapsack Problems, 2004), solved in closed form for two routes and by an
-exact branch-and-bound for more, which refuses, rather than runs on, a face
-needing more than MAX_SELECTOR_NODES nodes.
+Knapsack Problems, 2004), solved in closed form for one or two routes and by
+an exact branch-and-bound for more, which refuses, rather than runs on, a
+face needing more than MAX_SELECTOR_NODES nodes.
 
 Every number here is an exact Decimal or integer, and two routes tie only
 when their net unit costs are exactly equal, the rule `enumerate_lower` uses
@@ -228,7 +228,9 @@ def _select(scenario: Scenario, policy: PolicyVector, objective: Objective, fund
         ids = [rid for rid, *_ in groups]
         upper = [min(rest, sum(map(bounds.get, g))) for g in groups]
         left = funds - sum((weight(rid) * n for rid, n in pinned.items()), ZERO)
-        if len(ids) == 2:  # closed form: the search made closed-form sweeps 1.75x slower
+        if len(ids) == 1:  # one split, all of rest on the group: nothing to order
+            cost, pick = [0], _best_whole(weight(ids[0]), rest, left)
+        elif len(ids) == 2:  # closed form: the search made closed-form sweeps 1.75x slower
             cost = [(value(rid), subsidies.get(rid, ZERO)) for rid in ids]
             pick = _best_pair(cost, [weight(rid) for rid in ids], upper, rest, left)
         else:
@@ -294,6 +296,14 @@ def _fill(order, lo, hi, left) -> list:
         units[i] += room
         left -= room
     return units
+
+
+def _best_whole(weight, rest, funds):
+    """One route in closed form: its only split puts all of rest on it,
+    which fits when weight * rest <= funds, decided in the integers the
+    search scales them to; None when it does not fit."""
+    drawn, budget = _integers([weight, funds])
+    return [rest] if drawn * rest <= budget else None
 
 
 def _best_pair(cost, weight, upper, rest, funds):

@@ -4,12 +4,11 @@ Full enumeration of integer allocations for the follower and a dense grid
 scan for the leader. They exist to cross-check the fast solvers in tests and
 `ecolever verify`, so they stay brute force: every grid point is evaluated,
 and every composition of demand within the capacities is counted and enters
-the least exact cost, with no bound pruning any. From four routes on, where
-no sum can round, the follower enumeration prices each route's split of each
-remainder once, in one table over the routes' suffixes; otherwise it walks
-every composition with running sums (see `enumerate_lower`). It refuses a
-catalog whose sums would need rounding rather than rank rounded costs. Both
-refuse problems big enough that enumeration would silently take hours.
+the least exact cost, with no bound pruning any. The follower enumeration
+prices each route's split of each remainder once, in one table over the
+routes' suffixes, on the exact prices and fees scaled to integers, so no sum
+it forms can round (see `enumerate_lower`). Both refuse problems big enough
+that enumeration would silently take hours.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Decimal, Inexact, Rounded, getcontext, localcontext
+from decimal import Decimal, Inexact, getcontext, localcontext
 
 from .engine import evaluate_policy, rank
 from .errors import ResourceBoundError, ValidationError
@@ -35,7 +34,6 @@ from .model import (
 
 MAX_ENUMERATION = 1_000_000
 MAX_GRID_POINTS = 10_000_000
-_INFINITY = Decimal("Infinity")
 
 
 @dataclass(frozen=True)
@@ -98,26 +96,22 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
     """Exact follower optimum by trying every integer allocation.
 
     Each route's net unit price is computed once, and a technology's fixed
-    cost is added when the first of its routes takes a unit. From four
-    routes on, one table covers every suffix of the routes (those from i
-    on): for each count of units left to it and each set of its fixed costs
-    the prefix already pays, it holds the suffix's least cost, the units on
-    route i that reach it and how many compositions lie below, and each
-    entry tries every split between route i and the entries after it once,
-    however many prefixes share it. Below four routes, or where a sum might
-    round, it walks every prefix (the units on all routes but the last two)
-    in `_compositions` order with the prefix's running cost, and prices each
-    split of the remainder between the last two routes from it. Either way
-    no composition is pruned, `optima` holds every argmin in
-    `_compositions` order and `count` counts every composition.
+    cost is added when the first of its routes takes a unit. From two routes
+    on, prices and fees are scaled by one common factor to integers, and one
+    table covers every suffix of the routes (those from i on): for each
+    count of units left to it and each set of its fixed costs the prefix
+    already pays, it holds the suffix's least cost and how many compositions
+    lie below, and each entry tries every split between route i and the
+    entries after it once, however many prefixes share it. The optima are
+    read off the table with the units on each route in ascending order. No
+    composition is pruned, `optima` holds every argmin in `_compositions`
+    order and `count` counts every composition.
 
-    Every sum is exact. A catalog whose sums need more digits than the
-    decimal context holds is refused with ResourceBoundError rather than
-    ranked by rounded costs; the table, which adds in another order, runs
-    only where no sum can round, so the refusals are those of a walk
-    through every composition. Only the policy is validated, and the first
-    optimum is priced by the solvers' own `price_allocation`. Raises
-    ResourceBoundError when the search space exceeds MAX_ENUMERATION.
+    No cost is rounded. A route price, or with one route the total, that
+    needs more digits than the decimal context holds is refused with
+    ResourceBoundError, and so is a first optimum that the solvers' own
+    `price_allocation` cannot price exactly. Only the policy is validated.
+    Raises ResourceBoundError when the search space exceeds MAX_ENUMERATION.
     """
     ids = scenario.route_ids()
     caps = [scenario.capacity_of(rid) for rid in ids]
@@ -128,168 +122,111 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
         raise ResourceBoundError(
             f"enumeration space exceeds {MAX_ENUMERATION} allocations")
     validate_policy(scenario, policy)
-    with localcontext() as context:
-        context.traps[Inexact] = True
-        try:
-            combos, count = _cheapest_compositions(scenario, policy, caps)
-        except Inexact:
-            raise ResourceBoundError(
-                f"exact enumeration needs more than the context's "
-                f"{context.prec} digits") from None
+    traps = getcontext().traps  # set and restored in place, as `price_allocation` does
+    trapped, traps[Inexact] = traps[Inexact], True
+    try:
+        combos, count = _cheapest_compositions(scenario, policy, caps)
+    except Inexact:
+        raise ResourceBoundError(
+            f"exact enumeration needs more than the context's "
+            f"{getcontext().prec} digits") from None
+    finally:
+        traps[Inexact] = trapped
     optima = tuple(Allocation(units=dict(zip(ids, combo))) for combo in combos)
     return EnumerationResult(best=price_allocation(scenario, optima[0], policy),
                              optima=optima, count=count)
-
-
-def _sums_hold(prices, fees, caps, demand):
-    """Whether no cost the walk forms can round, in whatever order it adds.
-
-    Each cost, and each partial sum on the way to it, adds up some of the
-    terms price * units (at most min(cap, demand) units per route) and fees.
-    When their absolute total needs no rounding it fits the context at the
-    smallest exponent among them, and so does every such sum: a multiple of
-    that last digit, and no larger.
-    """
-    context = getcontext()
-    context.flags[Rounded] = False
-    try:
-        sum([p.copy_abs() * min(cap, demand) for p, cap in zip(prices, caps)] + fees, ZERO)
-    except Inexact:
-        return False
-    return not context.flags[Rounded]
 
 
 def _cheapest_compositions(scenario, policy, caps):
     """The search behind `enumerate_lower`: (the argmin compositions in
     `_compositions` order, the number of compositions covered)."""
     routes = [scenario.route(rid) for rid in scenario.route_ids()]
+    # Inexact is trapped, so a price that would round raises
     prices = [route.unit_cost + policy.tax_rate * route.unit_emissions
               - policy.subsidy_for(route.route_id) for route in routes]
     techs = [route.technology_id for route in routes]
     fees = [scenario.technology_fixed_costs.get(tech, ZERO) for tech in techs]
-    last = len(routes) - 1
-    if not last:  # one route takes all of demand, which validation let it hold
+    if len(routes) == 1:  # one route takes all of demand, which validation let it hold
         if scenario.demand:
             prices[0] * scenario.demand + fees[0]  # raises Inexact if it rounds
         return [(scenario.demand,)], 1
-    # below four routes few remainders repeat, and a table costs more than it saves
-    if last > 2 and _sums_hold(prices, fees, caps, scenario.demand):
-        return _suffix_table_optima(prices, techs, fees, caps, scenario.demand)
-    using = dict.fromkeys(techs, 0)  # routes of each technology holding units
-    units = [0] * len(routes)
-    least, optima, count = _INFINITY, [], 0
-    second = last - 1
-    price, last_price = prices[second], prices[last]
-    second_tech, last_tech = techs[second], techs[last]
-
-    def settle(remaining, cost, own_due, last_due):
-        # price each split from this prefix's cost on, forming the sums a
-        # composition-by-composition walk forms, and keep the cheapest
-        nonlocal least, optima, count
-        own = fees[second] if own_due else ZERO
-        last_fee = fees[last] if last_due else ZERO
-        shared_fee = ZERO if last_tech == second_tech else last_fee
-        low, high = max(0, remaining - caps[last]), min(caps[second], remaining)
-        count += max(0, high - low + 1)
-        for u in range(low, high + 1):
-            rest = remaining - u
-            total = cost + price * u + own if u else cost
-            if rest:
-                total += last_price * rest + (shared_fee if u else last_fee)
-            if total <= least:
-                units[second], units[last] = u, rest
-                if total < least:
-                    least, optima = total, [tuple(units)]
-                else:
-                    optima.append(tuple(units))
-        units[second] = units[last] = 0
-
-    def walk(i, remaining, cost):
-        # routes before i hold their units; route i takes u of the remaining
-        if i == second:
-            settle(remaining, cost, not using[second_tech], not using[last_tech])
-            return
-        tech = techs[i]
-        own = ZERO if using[tech] else fees[i]
-        walk(i + 1, remaining, cost)
-        cost += own
-        using[tech] += 1
-        for u in range(1, min(caps[i], remaining) + 1):
-            units[i] = u
-            cost += prices[i]
-            walk(i + 1, remaining - u, cost)
-        units[i] = 0
-        using[tech] -= 1
-
-    walk(0, scenario.demand, ZERO)
-    return optima, count
+    # scaled by one common factor to integers, as `lower` scales the selector's
+    # weights, no sum the table forms can round
+    ratios = [value.as_integer_ratio() if value else (0, 1) for value in prices + fees]
+    scale = math.lcm(*[d for _, d in ratios])
+    scaled = [n * (scale // d) for n, d in ratios]
+    return _suffix_table_optima(scaled[:len(routes)], techs, scaled[len(routes):],
+                                caps, scenario.demand)
 
 
 def _suffix_table_optima(prices, techs, fees, caps, demand):
-    """`_cheapest_compositions` by one table over suffixes, for sums that
-    cannot round (it adds in another order than the walk). An entry, for the
-    routes from i on, the units left to them and the fixed costs of theirs
-    the prefix already pays, holds the least cost, the ascending runs of
-    units on route i that reach it, and the number of compositions below.
-    Each is priced once however many prefixes lead to it, and expanding the
-    runs in ascending order lists the optima in `_compositions` order."""
+    """`_cheapest_compositions` on integer prices and fees, by one table over
+    suffixes. An entry, for the routes from i on and the fixed costs of
+    theirs the prefix already pays, holds the least cost and the number of
+    compositions below by the units left to them, each priced once however
+    many prefixes lead to it. Reading the optima off it with route i's units
+    in ascending order lists them in `_compositions` order."""
     last = len(prices) - 1
-    charged = sorted({tech for tech, fee in zip(techs, fees) if fee})
-    own = [1 << charged.index(tech) if fee else 0 for tech, fee in zip(techs, fees)]  # bits
-    ahead = [*itertools.accumulate(reversed(own), operator.or_)][::-1] + [0]  # bits of routes i..
-    room = [*itertools.accumulate(reversed(caps))][::-1] + [0]  # units routes i.. hold
+    # only a technology charged on two or more routes needs a bit: any other
+    # fee falls due whenever its one route takes a unit
+    shared = sorted({tech for tech, fee in zip(techs, fees) if fee and techs.count(tech) > 1})
+    own = ahead = [0] * (last + 2)
+    if shared:
+        own = [1 << shared.index(tech) if tech in shared else 0 for tech in techs]  # bits
+        ahead = [*itertools.accumulate(reversed(own), operator.or_)][::-1] + [0]  # of routes i..
     held = [0, *itertools.accumulate(caps)]  # units routes before i hold
-    # (i, paid bits of routes i..) -> (least, runs, count), each by units left
+    total = held[-1]  # the routes from i on hold total - held[i]
+    # (i, paid bits of routes i..) -> (least, count, steps, stay, take): least
+    # and count by units left, route i's cost by its units, and the entries
+    # after it when route i stays empty and when it takes units
     table = {}
 
     def level(i, paid):
         entry = table.get((i, paid))
         if entry is None:
-            price, cap, after = prices[i], caps[i], room[i + 1]
-            fee = ZERO if paid & own[i] else fees[i]
-            low, high = max(0, demand - held[i]), min(demand, room[i])
-            steps = [ZERO]
-            for u in range(1, min(cap, high) + 1):
+            price, cap, after = prices[i], caps[i], total - held[i + 1]
+            fee = 0 if paid & own[i] else fees[i]
+            low, high = max(0, demand - held[i]), min(demand, total - held[i])
+            cap = min(cap, high)
+            steps = [0]
+            for u in range(1, cap + 1):
                 steps.append(price * u + fee)
             if i == last:  # it takes the units left, one composition each
-                entry = table[i, paid] = (steps, None, [1] * len(steps))
+                entry = table[i, paid] = (steps, [1] * len(steps), None, None, None)
                 return entry
-            stay_least, _, stay_count = level(i + 1, paid & ahead[i + 1])
-            take_least, _, take_count = level(i + 1, (paid | own[i]) & ahead[i + 1])
-            least, runs, count = [None] * (high + 1), [None] * (high + 1), [0] * (high + 1)
+            stay = level(i + 1, paid & ahead[i + 1])
+            take = level(i + 1, (paid | own[i]) & ahead[i + 1])
+            stay_least, stay_count, take_least, take_count = stay[0], stay[1], take[0], take[1]
+            least, count = [None] * (high + 1), [0] * (high + 1)
             for r in range(low, high + 1):
                 if r <= after:  # route i may stay empty
-                    best, tied, n, start = stay_least[r], [range(0, 1)], stay_count[r], 1
+                    best, n, start = stay_least[r], stay_count[r], 1
                 else:
-                    best, tied, n, start = _INFINITY, [], 0, r - after
+                    best, n, start = math.inf, 0, r - after
                 for u in range(start, (r if r < cap else cap) + 1):
                     cost = take_least[r - u] + steps[u]
                     n += take_count[r - u]
-                    if cost <= best:
-                        if cost < best:
-                            best, tied = cost, [range(u, u + 1)]
-                        elif tied[-1].stop == u:
-                            tied[-1] = range(tied[-1].start, u + 1)
-                        else:
-                            tied.append(range(u, u + 1))
-                least[r], runs[r], count[r] = best, tied, n
-            entry = table[i, paid] = (least, runs, count)
+                    if cost < best:
+                        best = cost
+                least[r], count[r] = best, n
+            entry = table[i, paid] = (least, count, steps, stay, take)
         return entry
 
     optima = []
 
-    def expand(i, remaining, paid, head):
+    def expand(i, entry, remaining, head):
+        least, _, steps, stay, take = entry
         if i == last:
             optima.append(head + (remaining,))
             return
-        stay, take = paid & ahead[i + 1], (paid | own[i]) & ahead[i + 1]
-        for run in table[i, paid][1][remaining]:
-            for u in run:
-                expand(i + 1, remaining - u, take if u else stay, head + (u,))
+        for u in range(max(0, remaining - total + held[i + 1]), min(remaining, caps[i]) + 1):
+            below = take if u else stay
+            if below[0][remaining - u] + steps[u] == least[remaining]:
+                expand(i + 1, below, remaining - u, head + (u,))
 
-    count = level(0, 0)[2][demand]
-    expand(0, demand, 0, ())
-    return optima, count
+    root = level(0, 0)
+    expand(0, root, demand, ())
+    return optima, root[1][demand]
 
 
 def enumerate_optimistic(scenario: Scenario, policy: PolicyVector, objective,
@@ -346,10 +283,19 @@ class GridAxis:
             raise ValidationError(["a non-degenerate axis needs steps >= 2"])
 
     def points(self):
+        """The axis's points, each exact; ValidationError when a step needs
+        more digits than the decimal context holds (say 0.1 in 15 steps)."""
         if self.steps == 1:
             return [self.lo]
-        span = self.hi - self.lo
-        return [self.lo + span * k / (self.steps - 1) for k in range(self.steps)]
+        with localcontext() as context:
+            context.traps[Inexact] = True
+            try:
+                span = self.hi - self.lo
+                return [self.lo + span * k / (self.steps - 1) for k in range(self.steps)]
+            except Inexact:
+                raise ValidationError([
+                    f"axis lo={self.lo}, hi={self.hi}, steps={self.steps}: the points "
+                    f"need more than the context's {context.prec} digits"]) from None
 
 
 def grid_bilevel(scenario: Scenario, objective, budget, tax_axis: GridAxis,

@@ -493,6 +493,31 @@ def test_pair_closed_form_matches_the_search(data, rest):
     assert pair == lower._branch_and_bound(cost, scaled, upper, rest, budget)
 
 
+@given(digits=st.integers(10 ** 27, 10 ** 28 - 1), sign=st.sampled_from([-1, 1]),
+       rest=st.integers(1, 12), ulps=st.integers(-1, 1), tenths=_tenths)
+def test_one_route_closed_form_matches_the_search(digits, sign, rest, ulps, tenths):
+    # a 28-digit weight times rest may need 30 digits, and the Decimal
+    # product rounds: funds on it or one unit in its last place either side
+    # show whether the fit is decided exactly
+    weight = Decimal(sign * digits).scaleb(-27)
+    product = weight * rest
+    near = product.next_plus() if ulps > 0 else product.next_minus() if ulps < 0 else product
+    for funds in (near, tenths):
+        scaled, budget = lower._integers([weight, funds])
+        assert lower._best_whole(weight, rest, funds) \
+            == lower._branch_and_bound([0], [scaled], [rest], rest, budget)
+
+
+def test_a_one_route_tie_skips_the_search(trio, monkeypatch):
+    # the only split of a one-route tie puts all of demand on it
+    monkeypatch.setattr(lower, "_branch_and_bound", None)  # fails if called
+    tie, canonical = solve_lower_greedy(trio, PolicyVector.zero())
+    assert len(tie.route_ids) == 1
+    for funds in (Decimal(0), Decimal(-1)):
+        assert optimistic_select(trio, PolicyVector.zero(), tie, Objective.MIN_GHG,
+                                 funds) == canonical
+
+
 def test_optimistic_select_validates_its_policy():
     from ecolever import ValidationError
     # a and b tie at the zero policy; b may not be subsidized and zz is no route

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import math
+import random
 import tracemalloc
 from decimal import Decimal
 
@@ -111,6 +114,19 @@ def test_grid_axis_points_and_validation():
         GridAxis(lo=Decimal(1), hi=Decimal(0), steps=3)
     with pytest.raises(ValidationError):
         GridAxis(lo=Decimal(0), hi=Decimal(1), steps=1)
+
+
+def test_grid_axis_refuses_steps_that_do_not_terminate(tiny):
+    # 0.1 / 15 has no finite decimal expansion: rounding it would scan points
+    # off the axis, so the points are refused, naming the axis
+    axis = GridAxis(lo=Decimal(0), hi=Decimal("0.1"), steps=16)
+    with pytest.raises(ValidationError) as refused:
+        axis.points()
+    assert "lo=0, hi=0.1, steps=16" in refused.value.violations[0]
+    with pytest.raises(ValidationError):
+        grid_bilevel(tiny, Objective.MIN_GHG, Decimal(0), tax_axis=axis, subsidy_axes={})
+    assert GridAxis(lo=Decimal(0), hi=Decimal("0.1"), steps=17).points()[1] \
+        == Decimal("0.00625")
 
 
 def test_grid_bilevel_scans_and_prefers_feasible(tiny):
@@ -304,18 +320,18 @@ def test_enumerate_lower_holds_memory_per_remainder_not_per_composition(routes, 
 
 
 @given(_catalogs(4, 7))
-def test_the_suffix_table_finds_the_walks_optima_in_its_order(catalog):
-    # from four routes on, sums that cannot round go through one table over
-    # suffixes; forcing the composition-by-composition walk must give the
-    # same optimum, the same optima in the same order and the same count
+def test_the_suffix_table_matches_pricing_every_composition_on_four_to_seven_routes(catalog):
+    # where remainders repeat most, the table prices each split once for many
+    # prefixes: the optimum, the optima in `_compositions` order and the
+    # count must still be those of pricing every composition
     scenario, policy = catalog
-    tabled = enumerate_lower(scenario, policy)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_sums_hold", lambda *args: False)
-        walked = enumerate_lower(scenario, policy)
-    assert tabled.best == walked.best
-    assert tabled.optima == walked.optima
-    assert tabled.count == walked.count
+    results = _priced_compositions(scenario, policy)
+    least = min(r.industry_cost for r in results)
+    optima = [r for r in results if r.industry_cost == least]
+    out = enumerate_lower(scenario, policy)
+    assert out.count == len(results)
+    assert out.optima == tuple(r.allocation for r in optima)
+    assert out.best == optima[0]
 
 
 def test_the_suffix_table_holds_runs_of_tied_units():
@@ -337,20 +353,22 @@ def test_the_suffix_table_holds_runs_of_tied_units():
     assert peak < 200_000
 
 
-def test_sums_that_might_round_are_walked_composition_by_composition(monkeypatch):
-    # four 28-digit prices: their sum needs 29 digits, so the table is not
-    # used, but at demand 1 each composition costs one price, exactly, and
-    # the walk answers without refusing
+def test_sums_past_the_context_are_answered_through_the_integer_table(monkeypatch):
+    # four 28-digit prices: their sum needs 29 digits, but scaled to integers
+    # no sum rounds, so the table answers, here with each composition's one price
     costs = ["9.999999999999999999999999999", "9.999999999999999999999999998",
              "9.999999999999999999999999998", "9.999999999999999999999999999"]
     routes = tuple(_route(f"r{i}", cost, "0", "1.0") for i, cost in enumerate(costs))
     scenario = Scenario(demand=1, routes=routes)
-    assert not oracle._sums_hold([r.unit_cost for r in routes], [Decimal(0)] * 4, [1] * 4, 1)
-    monkeypatch.setattr(oracle, "_suffix_table_optima", None)  # fails if called
+    calls = []
+    table = oracle._suffix_table_optima
+    monkeypatch.setattr(oracle, "_suffix_table_optima",
+                        lambda *args: calls.append(args) or table(*args))
     results = _priced_compositions(scenario, PolicyVector.zero())
     least = min(r.industry_cost for r in results)
     optima = [r for r in results if r.industry_cost == least]
     out = enumerate_lower(scenario, PolicyVector.zero())
+    assert len(calls) == 1
     assert out.count == len(results) == 4
     assert out.optima == tuple(r.allocation for r in optima)
     assert [a.units for a in out.optima] == [{"r2": 1}, {"r1": 1}]  # `_compositions` order
@@ -359,7 +377,7 @@ def test_sums_that_might_round_are_walked_composition_by_composition(monkeypatch
 
 def test_enumerate_lower_refuses_sums_it_cannot_hold_exactly(tiny):
     # a 31-digit unit cost does not fit the 28-digit context: ranking its
-    # rounded sums could order ties unlike price_allocation, so refuse
+    # rounded price could order ties unlike price_allocation, so refuse
     fine = _route("c", "0.1000000000000000000000000000001", "0.2", "1.0")
     scenario = Scenario(demand=2, routes=tiny.routes + (fine,))
     with pytest.raises(ResourceBoundError, match="exact enumeration"):
@@ -369,13 +387,16 @@ def test_enumerate_lower_refuses_sums_it_cannot_hold_exactly(tiny):
     with pytest.raises(ResourceBoundError, match="exact enumeration"):
         enumerate_lower(lone, PolicyVector.zero())
     # only a losing composition, one unit each on r0 and r2, costs
-    # 1E+27 + 1 + 1.1 and needs 29 digits; it is refused all the same
+    # 1E+27 + 1 + 1.1 and needs 29 digits; in integers it is ranked exactly
+    # and loses, and the optima cost 2
     routes = tuple(_route(f"r{i}", cost, "0", "1.0")
                    for i, cost in enumerate(["1", "1", "1.1", "1"]))
     scenario = Scenario(demand=2, routes=routes,
                         technology_fixed_costs={"tech_r0": Decimal("1E+27")})
-    with pytest.raises(ResourceBoundError, match="exact enumeration"):
-        enumerate_lower(scenario, PolicyVector.zero())
+    out = enumerate_lower(scenario, PolicyVector.zero())
+    assert [a.units for a in out.optima] == [{"r3": 2}, {"r1": 1, "r3": 1}, {"r1": 2}]
+    assert out.count == 10
+    assert out.best.industry_cost == 2
 
 
 def test_enumerate_optimistic_validates_no_allocation(tiny, monkeypatch):
@@ -394,3 +415,51 @@ def test_enumerate_optimistic_validates_no_allocation(tiny, monkeypatch):
     with pytest.raises(ValidationError):  # the policy is still checked
         enumerate_optimistic(tiny, PolicyVector(subsidy_rates={"nowhere": Decimal(1)}),
                              Objective.MIN_GHG, 0, enumeration)
+
+
+def _battery_catalogs():
+    # seeded catalogs shaped like the benchmark's battery: 2-8 routes by
+    # demand 1-12, each shape pure-linear and capped with fixed costs, once
+    # with fine coefficients and once with coarse ones on shared
+    # technologies, which tie often
+    rng = random.Random(16)
+    for count in range(2, 9):
+        for demand in range(1, 13):
+            for capped, coarse in itertools.product((False, True), repeat=2):
+                def draw(fine, rough):  # (lo, hi, divisor) of each grade
+                    lo, hi, divisor = rough if coarse else fine
+                    return Decimal(rng.randint(lo, hi)) / divisor
+                routes = tuple(
+                    RouteSpec(route_id=f"r{i}", product_id="p",
+                              technology_id=f"t{rng.randint(0, 2) if coarse else i}",
+                              unit_cost=draw((-30, 120, 1000), (0, 3, 10)),
+                              unit_emissions=draw((0, 200, 1000), (0, 2, 10)),
+                              unit_circularity=Decimal(rng.randint(0, 200)) / 100)
+                    for i in range(count))
+                fixed, caps = {}, {}
+                if capped:
+                    caps = {r.route_id: max(1, demand // 2)
+                            for r in routes[:min(2, count - 1)]}
+                    fixed = {r.technology_id: draw((0, 100, 100), (0, 2, 10))
+                             for r in routes[:3]}
+                rates = {r.route_id: draw((1, 100, 1000), (1, 1, 10))
+                         for r in routes if rng.random() < 0.4}
+                policy = PolicyVector(tax_rate=draw((0, 500, 100), (0, 2, 2)),
+                                      subsidy_rates=rates)
+                yield Scenario(demand=demand, routes=routes, technology_fixed_costs=fixed,
+                               capacity_limits=caps), policy
+
+
+# SHA-256 over enumerate_lower's (best, optima, count) on `_battery_catalogs`,
+# recorded from the per-composition walk and the Decimal suffix table that
+# the integer table replaced
+BATTERY_FINGERPRINT = "b454d7b76434f1d422a658133ded4fefb5b223c9d74f4909faaaaa94852b7ba3"
+
+
+def test_enumerate_lower_keeps_its_answers_on_battery_catalogs():
+    digest = hashlib.sha256()
+    for scenario, policy in _battery_catalogs():
+        out = enumerate_lower(scenario, policy)
+        optima = [sorted(a.units.items()) for a in out.optima]
+        digest.update(f"{out.best!r}|{optima}|{out.count}\n".encode())
+    assert digest.hexdigest() == BATTERY_FINGERPRINT
