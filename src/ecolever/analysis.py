@@ -18,6 +18,7 @@ from decimal import Decimal
 from .engine import (
     BilevelOutcome,
     COMBINED,
+    MODES,
     PsoParams,
     exact_leader,
     optimize,
@@ -190,12 +191,14 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
     scenarios and the seeded swarm on capped and fixed-cost ones, where
     "closed-form" ranks only pure-linear candidates). Each budget is solved
     afresh, and nothing is carried from one budget to the next. A budget
-    whose solve fails is skipped with a warning; an unknown objective or
-    engine raises before any runs.
+    whose solve fails is skipped with a warning; an unknown objective,
+    engine or mode raises before any runs.
     """
     objective = Objective(objective)
     if engine not in ("closed-form", "pso"):
         raise ValidationError([f"unknown engine: {engine!r}"])
+    if mode not in MODES:
+        raise ValidationError([f"unknown mode: {mode!r}"])
     records = []
     for budget in budgets:
         try:

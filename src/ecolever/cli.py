@@ -36,7 +36,6 @@ from .engine import (
     TAX_ONLY,
     PsoParams,
     best_policy,
-    default_bounds,
     optimize,
 )
 from .errors import EcoleverError, ValidationError
@@ -126,21 +125,17 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _pso_params(args, scenario: Scenario, mode: str) -> PsoParams:
-    return PsoParams(
-        swarm_size=args.swarm,
-        iterations=args.iterations,
-        restarts=args.restarts,
-        seed=args.seed,
-        bounds=default_bounds(scenario, mode, tax_max=args.tax_max),
-    )
+def _pso_params(args) -> PsoParams:
+    return PsoParams(swarm_size=args.swarm, iterations=args.iterations, tax_max=args.tax_max,
+                     restarts=args.restarts, seed=args.seed)
 
 
-def _add_common(parser, solves=True, engine=None):
-    """--out; --scenario and --seed to solve a scenario; the search flags to search a leader."""
+def _add_common(parser, solves=True, writes=True, engine=None):
+    """--scenario and --seed to solve, --out to write, the search flags to search a leader."""
     if solves:
         parser.add_argument("--scenario", help="scenario file (default: bundled case study)")
-    parser.add_argument("--out", help="output directory (default: $ECOLEVER_OUT_DIR or ./out)")
+    if writes:
+        parser.add_argument("--out", help="output directory (default: $ECOLEVER_OUT_DIR or ./out)")
     if solves:
         parser.add_argument("--seed", type=int, default=0)
     if engine:
@@ -179,7 +174,7 @@ def build_parser() -> _Parser:
     p_sens.set_defaults(handler=cmd_sensitivity)
 
     p_verify = sub.add_parser("verify", help="cross-check fast solvers against enumeration")
-    _add_common(p_verify)
+    _add_common(p_verify, writes=False)
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--demand", type=int, default=12,
                           help="shrunken demand for the enumeration battery")
@@ -218,8 +213,7 @@ def cmd_run(args) -> int:
     scenario = _load_case(args)
     budget = _parse_decimal(args.budget, "budget")
     if args.engine == "pso":
-        params = _pso_params(args, scenario, args.mode)
-        outcome = optimize(scenario, args.objective, budget, params=params, mode=args.mode)
+        outcome = optimize(scenario, args.objective, budget, params=_pso_params(args), mode=args.mode)
     else:
         outcome = closed_form_optimize(scenario, args.objective, budget, mode=args.mode)
     out = _out_dir(args)
@@ -239,9 +233,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_case(args)
     budgets = parse_value_list(args.budgets, "budgets")
-    params = _pso_params(args, scenario, args.mode) if args.engine == "pso" else None
     records = budget_sweep(scenario, args.objective, budgets, mode=args.mode,
-                           engine=args.engine, params=params)
+                           engine=args.engine, params=_pso_params(args))
     out = _out_dir(args)
     target = out / "sweep.csv"
     write_sweep_csv(records, target, route_ids=scenario.route_ids())
@@ -263,10 +256,9 @@ def cmd_sensitivity(args) -> int:
     scenario = _load_case(args)
     values = parse_value_list(args.values, args.parameter)
     budgets = parse_value_list(args.budgets, "budgets")
-    params = _pso_params(args, scenario, args.mode) if args.engine == "pso" else None
     runner = sensitivity_distance if args.parameter == "distance" else sensitivity_loss
     sweeps = runner(scenario, values, budgets, args.objective, mode=args.mode,
-                    engine=args.engine, params=params)
+                    engine=args.engine, params=_pso_params(args))
     out = _out_dir(args)
     target = out / "sensitivity.csv"
     write_sensitivity_csv(sweeps, target)
@@ -373,13 +365,13 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_INPUT
     try:
         # random.Random seeds from abs(seed): --seed -1 would replay 1
-        for flag, least in (("seed", 0), ("swarm", 1), ("iterations", 0),
-                            ("restarts", 1), ("trials", 0), ("demand", 0)):
-            value = getattr(args, flag, least)
+        for flag, least in (("seed", 0), ("swarm", 1), ("iterations", 0), ("restarts", 1),
+                            ("trials", 0), ("demand", 0), ("tax-max", 0)):
+            value = getattr(args, flag.replace("-", "_"), least)
             if value < least:
                 raise ValidationError([f"--{flag}: must be >= {least}, got {value}"])
-        try:
-            quantize_rate(getattr(args, "tax_max", 0.0))  # every swarm tax lies in [0, tax_max]
+        try:  # the rate grid also refuses NaN, inf and 1e16 or more
+            quantize_rate(getattr(args, "tax_max", 0.0))
         except ValidationError as exc:
             raise ValidationError([f"--tax-max: {v}" for v in exc.violations]) from None
         return args.handler(args)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
 
 from .errors import ValidationError
@@ -108,12 +108,12 @@ def best_policy(scenario: Scenario, objective, budget, policies):
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm settings. bounds is a (lo, hi) box per dimension; when driving
-    policies, optimize() fills it from the scenario and mode if left None."""
+    """Swarm settings. `optimize` runs the swarm over `default_bounds(scenario,
+    mode, tax_max)`, so tax_max must be finite, >= 0 and fit `quantize_rate`."""
 
     swarm_size: int = 10
     iterations: int = 200
-    bounds: tuple = None
+    tax_max: float = 10.0
     seed: int = 0
     restarts: int = 5
     initial_points: tuple = None
@@ -129,13 +129,11 @@ class PsoParams:
         if self.seed < 0:
             # random.Random seeds from abs(seed): -1 would silently replay 1
             v.append("seed must be >= 0")
-        if self.bounds is not None:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-            object.__setattr__(self, "bounds", bounds)
-            if not all(math.isfinite(b) for pair in bounds for b in pair):
-                v.append("each bound must be finite")
-            elif any(hi < lo for lo, hi in bounds):
-                v.append("each bound must satisfy lo <= hi")
+        try:  # every swarm tax lies in [0, tax_max] and is quantized
+            if quantize_rate(self.tax_max) < 0:
+                v.append(f"tax_max must be >= 0, got {self.tax_max!r}")
+        except ValidationError as exc:
+            v.extend(f"tax_max: {message}" for message in exc.violations)
         if self.initial_points is not None:
             object.__setattr__(self, "initial_points", tuple(self.initial_points))
         if v:
@@ -150,8 +148,8 @@ class PsoRun:
     evaluations: int
 
 
-def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoRun:
-    """Global-best PSO over the box in params.bounds.
+def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None) -> PsoRun:
+    """Global-best PSO over `bounds`, one finite (lo, hi) pair with lo <= hi per dimension.
 
     evaluator maps a position, given as a fresh list of Python floats (one
     per dimension) that the swarm never modifies, to any orderable fitness
@@ -162,9 +160,9 @@ def pso_run(evaluator, params: PsoParams, rng=None, seed_positions=None) -> PsoR
     and positions reflect off the walls. The returned trace of (iteration,
     best-so-far) never worsens.
     """
-    if params.bounds is None:
-        raise ValidationError(["pso_run requires params.bounds"])
-    box = [(lo, hi, hi - lo) for lo, hi in params.bounds]
+    box = [(float(lo), float(hi), float(hi) - float(lo)) for lo, hi in bounds]
+    if not all(0 <= width < math.inf for _, _, width in box):  # NaN fails too
+        raise ValidationError(["each bound must be finite, with lo <= hi"])
     rand = (rng if rng is not None else random.Random(params.seed)).random
     n = params.swarm_size
     inertia, cognitive, social = INERTIA, COGNITIVE, SOCIAL
@@ -397,21 +395,20 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
     evaluated exactly and seed the first of the swarm's restarts (each from
     a reseeded generator); a seed position that quantizes back to its seed
     reuses its `rank` key, the swarm's fitness. The incumbent is the lowest
-    ranked policy seen; the trace holds (iteration, its natural value).
+    ranked policy seen; the trace holds (iteration, its natural value). An
+    initial point with a lever the mode forbids raises ValidationError.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     params = params if params is not None else PsoParams()
     extra = params.initial_points or ()
+    if mode == TAX_ONLY and any(p.subsidy_rates for p in extra) or (
+            mode == SUBSIDY_ONLY and any(p.tax_rate for p in extra)):
+        raise ValidationError([f"an initial point pulls a lever {mode} mode forbids"])
     if objective == Objective.MOST_PROFITABLE or scenario.is_pure_linear():
         return exact_leader(scenario, objective, budget, mode, extra)
 
-    bounds = params.bounds if params.bounds is not None else default_bounds(scenario, mode)
-    if len(bounds) != len(policy_dimensions(scenario)):
-        raise ValidationError([
-            f"bounds must cover {len(policy_dimensions(scenario))} dimensions"])
-    run_params = replace(params, bounds=bounds)
-
+    bounds = default_bounds(scenario, mode, params.tax_max)
     incumbent = None  # (rank key, policy, value, LowerResult) ranked lowest so far
     evaluations = 0
 
@@ -450,7 +447,7 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
     offset = 1
     for restart in range(params.restarts):
         rng = random.Random(params.seed + restart)
-        run = pso_run(pso_evaluator, run_params, rng=rng,
+        run = pso_run(pso_evaluator, bounds, params, rng=rng,
                       seed_positions=seed_positions if restart == 0 else None)
         for t, key in run.trace:
             running = min(running, key)

@@ -21,9 +21,10 @@ Knapsack Problems, 2004), solved in closed form for one or two routes and by
 an exact branch-and-bound for more, which refuses, rather than runs on, a
 face needing more than MAX_SELECTOR_NODES nodes.
 
-Every number here is an exact Decimal or integer, and two routes tie only
-when their net unit costs are exactly equal, the rule `enumerate_lower` uses
-too, so every path answers with a true cost minimum.
+Every number here is an exact Decimal or integer, a sum that would round is
+refused (`model.exactly`), and two routes tie only when their net unit
+costs are exactly equal, as in `enumerate_lower`: every answer is a true
+cost minimum.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, Inexact, getcontext
+from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 
@@ -44,6 +45,7 @@ from .model import (
     RouteSpec,
     Scenario,
     ZERO,
+    exactly,
     price_allocation,
     to_decimal,
     validate_policy,
@@ -83,22 +85,23 @@ def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
     optimum alike and takes the canonical fill of the first cost-minimal
     subset. The policy is validated once, here.
 
-    Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES or a
-    tie needs more than MAX_SELECTOR_NODES selector nodes, and
-    InfeasibleError when no subset can absorb the demand. The bound on |F|
-    caps the subset table's memory, not the time: each call walks all 2^|F|
-    subsets, 0.05-0.3 s at 16 technologies.
+    Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES, a
+    tie needs more than MAX_SELECTOR_NODES selector nodes or a sum would
+    round, and InfeasibleError when no subset can absorb the demand. The
+    bound on |F| caps the subset table's memory, not the time: each call
+    walks all 2^|F| subsets, 0.05-0.3 s at 16 technologies.
     """
     objective = Objective(leader_objective)
     funds = to_decimal(funds, "funds")
     validate_policy(scenario, policy)
-    priced, fills = _cheapest_fills(scenario, policy)
-    units = fills[0][1]
-    # a face holds more than the fill only if another route shares its price
-    if objective is not Objective.MOST_PROFITABLE and scenario.demand and (
-            len(fills) > 1 or list(map(itemgetter(0), priced)).count(fills[0][2]) > 1):
-        faces = [_face(scenario, priced, *fill) for fill in fills]
-        units = _select(scenario, policy, objective, funds, faces)
+    with exactly("exact pricing"):
+        priced, fills = _cheapest_fills(scenario, policy)
+        units = fills[0][1]
+        # a face holds more than the fill only if another route shares its price
+        if objective is not Objective.MOST_PROFITABLE and scenario.demand and (
+                len(fills) > 1 or list(map(itemgetter(0), priced)).count(fills[0][2]) > 1):
+            faces = [_face(scenario, priced, *fill) for fill in fills]
+            units = _select(scenario, policy, objective, funds, faces)
     return price_allocation(scenario, Allocation(units), policy)
 
 
@@ -121,18 +124,14 @@ def leader_floor(scenario: Scenario, policy: PolicyVector, leader_objective):
     if not scenario.demand:
         return ZERO
     routes = scenario.routes
-    traps = getcontext().traps  # set in place, as `price_allocation` does
-    trapped = traps[Inexact]
-    traps[Inexact] = True
     try:
-        nets = [net_unit_cost(r, policy) for r in routes]
-        least = min(nets)
-        head = min(objective.unit_head(r) for net, r in zip(nets, routes) if net == least)
-        return scenario.demand * head if objective is Objective.MIN_GHG else head
-    except Inexact:
+        with exactly("exact pricing"):
+            nets = [net_unit_cost(r, policy) for r in routes]
+            least = min(nets)
+            head = min(objective.unit_head(r) for net, r in zip(nets, routes) if net == least)
+            return scenario.demand * head if objective is Objective.MIN_GHG else head
+    except ResourceBoundError:
         return None
-    finally:
-        traps[Inexact] = trapped
 
 
 def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
@@ -425,7 +424,8 @@ def solve_lower_greedy(scenario: Scenario, policy: PolicyVector):
             ["solve_lower_greedy requires a pure-linear scenario "
              "(no fixed costs, no capacity limits); use solve_lower"])
     validate_policy(scenario, policy)
-    priced, [(_, units, marginal)] = _cheapest_fills(scenario, policy)
+    with exactly("exact pricing"):
+        priced, [(_, units, marginal)] = _cheapest_fills(scenario, policy)
     tie = TieSet(route_ids=[rid for net, rid, _, _ in priced if net == marginal],
                  net_unit_cost=marginal)
     return tie, Allocation(units)
@@ -435,7 +435,7 @@ def optimistic_select(scenario: Scenario, policy: PolicyVector, tie: TieSet,
                       leader_objective, available_funds) -> Allocation:
     """The leader's pick among the whole-unit splits of all demand over a
     pure-linear TieSet's routes: `solve_lower`'s selector on that one face,
-    with available_funds net of tax income, after the same validation."""
+    with available_funds net of tax income, after the same checks."""
     objective = Objective(leader_objective)
     funds = to_decimal(available_funds, "available_funds")
     validate_policy(scenario, policy)
@@ -443,7 +443,8 @@ def optimistic_select(scenario: Scenario, policy: PolicyVector, tie: TieSet,
     if demand == 0:
         return Allocation({})
     face = ({}, {rid: demand for rid in tie.route_ids}, demand)
-    return Allocation(_select(scenario, policy, objective, funds, [face]))
+    with exactly("exact pricing"):
+        return Allocation(_select(scenario, policy, objective, funds, [face]))
 
 
 def solve_lower_milp(scenario: Scenario, policy: PolicyVector) -> LowerResult:

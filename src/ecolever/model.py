@@ -362,6 +362,25 @@ class Objective(str, Enum, metaclass=_PassMembers):
                 -route.unit_circularity if self == "max-circularity" else ZERO)
 
 
+class exactly:
+    """A `with` block in which a decimal result that would round raises
+    ResourceBoundError; the trap is set in place (localcontext() costs ~1 us more)."""
+    __slots__ = ("what", "trapped")
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self):
+        traps = getcontext().traps
+        self.trapped, traps[Inexact] = traps[Inexact], True
+
+    def __exit__(self, kind, error, traceback):
+        getcontext().traps[Inexact] = self.trapped
+        if kind is not None and issubclass(kind, Inexact):
+            raise ResourceBoundError(f"{self.what} needs more than the context's "
+                                     f"{getcontext().prec} digits") from None
+
+
 def validate_allocation(scenario: Scenario, allocation: Allocation) -> None:
     """Raise InvalidAllocationError unless the allocation is well formed."""
     for rid, n in allocation.units.items():
@@ -410,10 +429,7 @@ def price_allocation(scenario: Scenario, allocation: Allocation,
     by_id, subsidies = scenario._by_id, policy.subsidy_rates
     emissions = outlay = unit_part = circularity = ZERO
     active = set()
-    traps = getcontext().traps  # set and restored in place: localcontext() costs ~1 us more
-    trapped = traps[Inexact]
-    traps[Inexact] = True
-    try:
+    with exactly("exact pricing"):
         for rid, n in allocation.units.items():
             route = by_id[rid]
             emissions += route.unit_emissions * n
@@ -425,11 +441,6 @@ def price_allocation(scenario: Scenario, allocation: Allocation,
                      if tech in active), ZERO)
         tax_payment = policy.tax_rate * emissions
         industry_cost = unit_part + fixed + tax_payment - outlay
-    except Inexact:
-        raise ResourceBoundError(
-            f"exact pricing needs more than the context's {getcontext().prec} digits") from None
-    finally:
-        traps[Inexact] = trapped
     return LowerResult(
         allocation=allocation,
         industry_cost=industry_cost,

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Decimal, Inexact, getcontext, localcontext
+from decimal import Decimal
 
 from .engine import evaluate_policy, rank
 from .errors import ResourceBoundError, ValidationError
@@ -27,6 +27,7 @@ from .model import (
     PolicyVector,
     Scenario,
     ZERO,
+    exactly,
     price_allocation,
     to_decimal,
     validate_policy,
@@ -122,16 +123,8 @@ def enumerate_lower(scenario: Scenario, policy: PolicyVector) -> EnumerationResu
         raise ResourceBoundError(
             f"enumeration space exceeds {MAX_ENUMERATION} allocations")
     validate_policy(scenario, policy)
-    traps = getcontext().traps  # set and restored in place, as `price_allocation` does
-    trapped, traps[Inexact] = traps[Inexact], True
-    try:
+    with exactly("exact enumeration"):
         combos, count = _cheapest_compositions(scenario, policy, caps)
-    except Inexact:
-        raise ResourceBoundError(
-            f"exact enumeration needs more than the context's "
-            f"{getcontext().prec} digits") from None
-    finally:
-        traps[Inexact] = trapped
     optima = tuple(Allocation(units=dict(zip(ids, combo))) for combo in combos)
     return EnumerationResult(best=price_allocation(scenario, optima[0], policy),
                              optima=optima, count=count)
@@ -287,15 +280,13 @@ class GridAxis:
         more digits than the decimal context holds (say 0.1 in 15 steps)."""
         if self.steps == 1:
             return [self.lo]
-        with localcontext() as context:
-            context.traps[Inexact] = True
-            try:
+        try:
+            with exactly("the points"):
                 span = self.hi - self.lo
                 return [self.lo + span * k / (self.steps - 1) for k in range(self.steps)]
-            except Inexact:
-                raise ValidationError([
-                    f"axis lo={self.lo}, hi={self.hi}, steps={self.steps}: the points "
-                    f"need more than the context's {context.prec} digits"]) from None
+        except ResourceBoundError as exc:
+            raise ValidationError([
+                f"axis lo={self.lo}, hi={self.hi}, steps={self.steps}: {exc}"]) from None
 
 
 def grid_bilevel(scenario: Scenario, objective, budget, tax_axis: GridAxis,

@@ -1,3 +1,4 @@
+import warnings
 from decimal import Decimal
 
 import pytest
@@ -9,6 +10,7 @@ from ecolever import (
     Objective,
     RouteSpec,
     Scenario,
+    ValidationError,
     budget_sweep,
     calibrate_case_study,
     check_calibration,
@@ -255,3 +257,15 @@ def test_custom_anchors_flow_through():
     scn = calibrate_case_study(anchors)
     assert scn.demand == 500
     assert scn.route(STRAP_ROUTE).unit_cost * 500 == Decimal("-0.465")
+
+
+def test_a_sweep_refuses_an_unknown_engine_or_mode_before_any_budget(case, pair):
+    # a misspelt mode used to drop every row with one warning per budget
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="unknown engine: 'swarm'"):
+            budget_sweep(pair, Objective.MIN_GHG, [0, 10], engine="swarm")
+        with pytest.raises(ValidationError, match="unknown mode: 'tax_only'"):
+            budget_sweep(pair, Objective.MIN_GHG, [0, 10], mode="tax_only")
+        with pytest.raises(ValidationError, match="unknown mode: 'tax_only'"):
+            sensitivity_distance(case, [7, 15], [0, 10], Objective.MIN_GHG, mode="tax_only")

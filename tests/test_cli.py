@@ -2,10 +2,13 @@ import json
 import subprocess
 import sys
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
-from ecolever import CalibrationError, ValidationError, cli
+from ecolever import (Allocation, CalibrationError, PolicyVector, ValidationError, cli,
+                      net_unit_cost)
+from ecolever.model import price_allocation
 from ecolever.cli import main, parse_value_list
 from ecolever.scenario_io import scenario_to_dict
 
@@ -72,9 +75,8 @@ def test_sensitivity_command(tmp_path, capsys):
     assert "glass_loss_fraction=0.100000" in stdout
 
 
-def test_verify_command_passes(tmp_path, capsys):
-    code, stdout, _ = run_cli(["verify", "--trials", "3", "--demand", "8",
-                               "--out", str(tmp_path / "o")], capsys)
+def test_verify_command_passes(capsys):
+    code, stdout, _ = run_cli(["verify", "--trials", "3", "--demand", "8"], capsys)
     assert code == 0
     assert "verify ok" in stdout
 
@@ -123,8 +125,10 @@ def test_non_finite_input_exits_1_with_one_json_line(case, tmp_path, capsys, arg
     ["sweep", "--budgets", "0", "--engine", "closed-form", "--tax-max", "inf"],
     ["sensitivity", "--parameter", "loss", "--values", "0.03", "--budgets", "0",
      "--engine", "closed-form", "--tax-max", "1e20"],
+    ["run", "--tax-max", "-1"],
+    ["run", "--engine", "closed-form", "--tax-max", "-1"],
 ], ids=["nan", "inf", "past-the-rate-grid", "run-closed-form", "sweep-closed-form",
-        "sensitivity-closed-form"])
+        "sensitivity-closed-form", "negative", "negative-closed-form"])
 def test_bad_tax_max_exits_1_naming_the_flag(tmp_path, capsys, args):
     code, stdout, stderr = run_cli([*args, "--out", str(tmp_path / "o")], capsys)
     lines = stderr.strip().splitlines()
@@ -139,10 +143,10 @@ def test_bad_tax_max_exits_1_naming_the_flag(tmp_path, capsys, args):
     ["sweep", "--budgets", "0"],
     ["verify", "--trials", "1", "--demand", "2"],
 ], ids=["run", "sweep", "verify"])
-def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, command):
+def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, monkeypatch, command):
     # random.Random seeds from abs(seed), so -1 would silently replay seed 1
-    code, _, stderr = run_cli([*command, "--seed", "-1", "--out", str(tmp_path / "o")],
-                              capsys)
+    monkeypatch.setenv("ECOLEVER_OUT_DIR", str(tmp_path / "o"))
+    code, _, stderr = run_cli([*command, "--seed", "-1"], capsys)
     lines = stderr.strip().splitlines()
     assert code == 1 and len(lines) == 1
     payload = json.loads(lines[0])
@@ -156,9 +160,11 @@ def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, command):
     (["run", "--iterations", "-1"], "--iterations"),
     (["sweep", "--budgets", "0", "--restarts", "0"], "--restarts"),
 ], ids=["trials", "demand", "swarm", "iterations", "restarts"])
-def test_out_of_range_count_exits_1_naming_the_flag(tmp_path, capsys, args, flag):
+def test_out_of_range_count_exits_1_naming_the_flag(tmp_path, capsys, monkeypatch, args,
+                                                   flag):
     # a negative --trials used to run no trial and report "verify ok"
-    code, stdout, stderr = run_cli([*args, "--out", str(tmp_path / "o")], capsys)
+    monkeypatch.setenv("ECOLEVER_OUT_DIR", str(tmp_path / "o"))
+    code, stdout, stderr = run_cli(args, capsys)
     lines = stderr.strip().splitlines()
     assert code == 1 and len(lines) == 1 and stdout == ""
     payload = json.loads(lines[0])
@@ -171,9 +177,35 @@ def test_unknown_subcommand_exits_1(capsys):
     assert "UsageError" in stderr
 
 
-def test_oversized_verify_exits_2(tmp_path, capsys):
-    code, _, stderr = run_cli(["verify", "--demand", "4000",
-                               "--out", str(tmp_path / "o")], capsys)
+def test_verify_exits_3_when_the_follower_misses_the_enumerated_optimum(capsys, monkeypatch):
+    def dearest(scenario, policy, objective, funds):  # all of demand on the dearest route
+        route = max(scenario.routes, key=lambda r: net_unit_cost(r, policy))
+        return price_allocation(scenario, Allocation({route.route_id: scenario.demand}), policy)
+
+    monkeypatch.setattr(cli, "solve_lower", dearest)
+    code, stdout, stderr = run_cli(["verify", "--trials", "2", "--demand", "4"], capsys)
+    lines = stderr.strip().splitlines()
+    assert code == 3 and len(lines) == 1 and stdout == ""
+    payload = json.loads(lines[0])
+    assert payload["error"] == "VerificationError"
+    assert payload["detail"].startswith("trial 0: uncapped min-ghg follower picked")
+
+
+def test_verify_exits_3_when_the_grid_beats_the_exact_leader(capsys, monkeypatch):
+    def idle_leader(scenario, objective, budget, mode):  # the zero policy, whatever the aim
+        return SimpleNamespace(policy=PolicyVector.zero(), upper_value=Decimal(0))
+
+    monkeypatch.setattr(cli, "closed_form_optimize", idle_leader)
+    code, stdout, stderr = run_cli(["verify", "--trials", "0"], capsys)
+    lines = stderr.strip().splitlines()
+    assert code == 3 and len(lines) == 1 and stdout == ""
+    payload = json.loads(lines[0])
+    assert payload["error"] == "VerificationError"
+    assert "grid search beat the exact leader" in payload["detail"]
+
+
+def test_oversized_verify_exits_2(capsys):
+    code, _, stderr = run_cli(["verify", "--demand", "4000"], capsys)
     assert code == 2
     payload = json.loads(stderr.strip())
     assert payload["error"] == "ResourceBoundError"
@@ -231,7 +263,7 @@ FLAGS = {
     "run": SEARCH | {"--budget"},
     "sweep": SEARCH | {"--budgets"},
     "sensitivity": SEARCH | {"--parameter", "--values", "--budgets"},
-    "verify": COMMON | {"--trials", "--demand"},
+    "verify": {"--scenario", "--seed", "--trials", "--demand"},
     "calibrate": {"--out"},
 }
 
@@ -242,15 +274,17 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     got = {name: {flag for action in sub._actions for flag in action.option_strings}
            - {"-h", "--help"} for name, sub in commands.items()}
     assert got == FLAGS
-    assert sum(map(len, got.values())) == 44
+    assert sum(map(len, got.values())) == 43
 
 
 @pytest.mark.parametrize("args", [
     ["calibrate", "--seed", "1"],
     ["verify", "--swarm", "3"],
-], ids=["calibrate-seed", "verify-swarm"])
-def test_a_flag_the_command_does_not_read_exits_1(tmp_path, capsys, args):
-    code, stdout, stderr = run_cli([*args, "--out", str(tmp_path / "o")], capsys)
+    ["verify", "--out", "o"],  # verify writes no file
+], ids=["calibrate-seed", "verify-swarm", "verify-out"])
+def test_a_flag_the_command_does_not_read_exits_1(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.setenv("ECOLEVER_OUT_DIR", str(tmp_path / "o"))
+    code, stdout, stderr = run_cli(args, capsys)
     payloads = [json.loads(line) for line in stderr.splitlines() if line.startswith("{")]
     assert code == 1 and stdout == ""
     assert [p["error"] for p in payloads] == ["UsageError"]

@@ -24,7 +24,7 @@ from ecolever import (
 )
 from ecolever import engine
 from ecolever.analysis import closed_form_optimize
-from ecolever.engine import best_policy, policy_dimensions, vector_to_policy
+from ecolever.engine import best_policy, exact_leader, policy_dimensions, vector_to_policy
 
 
 def _route(rid, cost, emissions, circ):
@@ -194,10 +194,9 @@ def test_a_zero_emission_route_caps_the_level_in_every_mode():
 
 
 def test_pso_run_minimizes_a_bowl():
-    params = PsoParams(swarm_size=12, iterations=60, seed=1,
-                       bounds=((-4, 4), (-4, 4)))
-    run = pso_run(lambda x: float((x[0] - 1) ** 2 + (x[1] + 2) ** 2), params,
-                  rng=np.random.default_rng(1))
+    params = PsoParams(swarm_size=12, iterations=60, seed=1)
+    run = pso_run(lambda x: float((x[0] - 1) ** 2 + (x[1] + 2) ** 2), ((-4, 4), (-4, 4)),
+                  params, rng=np.random.default_rng(1))
     assert run.value < 1e-3
     assert abs(run.x[0] - 1) < 0.1 and abs(run.x[1] + 2) < 0.1
     values = [v for _, v in run.trace]
@@ -205,14 +204,14 @@ def test_pso_run_minimizes_a_bowl():
 
 
 def test_pso_run_respects_bounds_and_seed_positions():
-    params = PsoParams(swarm_size=6, iterations=30, seed=3, bounds=((0, 2),))
+    params = PsoParams(swarm_size=6, iterations=30, seed=3)
     seen = []
 
     def probe(x):
         seen.append(float(x[0]))
         return abs(float(x[0]) - 1.5)
 
-    run = pso_run(probe, params, rng=np.random.default_rng(3),
+    run = pso_run(probe, ((0, 2),), params, rng=np.random.default_rng(3),
                   seed_positions=[np.array([1.5])])
     assert all(-1e-9 <= v <= 2 + 1e-9 for v in seen)
     assert run.value == 0.0  # the seeded point is already optimal
@@ -221,26 +220,26 @@ def test_pso_run_respects_bounds_and_seed_positions():
 def test_pso_run_hands_the_evaluator_rows_it_may_keep():
     # a tight box makes particles hit the walls, so every branch of the
     # position update writes rows; none may change after it was evaluated
-    params = PsoParams(swarm_size=5, iterations=20, seed=2,
-                       bounds=((0.0, 0.1), (-1.0, 1.0), (0.0, 0.0)))
+    params = PsoParams(swarm_size=5, iterations=20, seed=2)
     kept = []
 
     def keeping(x):
         kept.append((x, list(x)))
         return abs(x[0] - 0.05) + abs(x[1] - 0.9)
 
-    run = pso_run(keeping, params)
+    run = pso_run(keeping, ((0.0, 0.1), (-1.0, 1.0), (0.0, 0.0)), params)
     assert len(kept) == run.evaluations == 5 * 21
     assert all(row == snapshot for row, snapshot in kept)
     assert all(0.0 <= a <= 0.1 and -1.0 <= b <= 1.0 and c == 0.0 for _, (a, b, c) in kept)
 
 
 def test_pso_run_same_seed_same_run():
-    params = PsoParams(swarm_size=6, iterations=12, seed=5, bounds=((-2, 2), (0, 3)))
+    params = PsoParams(swarm_size=6, iterations=12, seed=5)
+    box = ((-2, 2), (0, 3))
     bowl = lambda x: (x[0] - 0.5) ** 2 + (x[1] - 1) ** 2
-    first, again = pso_run(bowl, params), pso_run(bowl, params)
+    first, again = pso_run(bowl, box, params), pso_run(bowl, box, params)
     assert (first.x, first.trace) == (again.x, again.trace)
-    other = pso_run(bowl, replace(params, seed=6))
+    other = pso_run(bowl, box, replace(params, seed=6))
     assert other.trace != first.trace
 
 
@@ -253,13 +252,21 @@ def test_pso_params_refuse_negative_seeds():
 def test_pso_params_validation():
     with pytest.raises(ValidationError):
         PsoParams(swarm_size=0)
-    with pytest.raises(ValidationError):
-        PsoParams(bounds=((1, 0),))
+    with pytest.raises(ValidationError, match="iterations must be >= 0"):
+        PsoParams(iterations=-1)
+    with pytest.raises(ValidationError, match="restarts must be >= 1"):
+        PsoParams(restarts=0)
+    for bad in (float("nan"), float("inf"), float("-inf"), -1.0, 1e20):
+        with pytest.raises(ValidationError, match="tax_max"):
+            PsoParams(tax_max=bad)
+
+
+def test_pso_run_refuses_a_bad_box():
+    with pytest.raises(ValidationError, match="lo <= hi"):
+        pso_run(lambda x: 0.0, ((1, 0),), PsoParams())
     for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValidationError):
-            PsoParams(bounds=((0.0, bad),))
-    with pytest.raises(ValidationError):
-        pso_run(lambda x: 0.0, PsoParams())  # bounds required
+        with pytest.raises(ValidationError, match="finite"):
+            pso_run(lambda x: 0.0, ((0.0, bad),), PsoParams())
 
 
 def test_optimize_finds_the_budget_balanced_corner(pair):
@@ -415,3 +422,36 @@ def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective):
     again = optimize(capped_pair, objective, Decimal(5), params=params)
     assert (again.policy, again.trace, again.evaluations) == (
         out.policy, out.trace, out.evaluations)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda pair: default_bounds(pair, "tax_only"),
+    lambda pair: domain_informed_points(pair, 0, "tax_only"),
+    lambda pair: exact_leader(pair, Objective.MIN_GHG, 0, "tax_only"),
+], ids=["default_bounds", "domain_informed_points", "exact_leader"])
+def test_an_unknown_mode_is_refused(pair, entry):
+    with pytest.raises(ValidationError, match="unknown mode: 'tax_only'"):
+        entry(pair)
+
+
+def test_an_initial_point_may_not_pull_a_lever_its_mode_forbids(case):
+    # the exact leader used to rank this subsidy in tax-only mode and return it
+    subsidy = PolicyVector(subsidy_rates={"glass_wash_reuse": Decimal("0.07")})
+    with pytest.raises(ValidationError, match="pulls a lever tax-only mode forbids"):
+        optimize(case, Objective.MAX_CIRCULARITY, 100, PsoParams(initial_points=(subsidy,)),
+                 mode=TAX_ONLY)
+
+
+@pytest.mark.parametrize("mode, point", [
+    (TAX_ONLY, PolicyVector(subsidy_rates={"clean": Decimal("0.07")})),
+    (SUBSIDY_ONLY, PolicyVector(tax_rate=Decimal(1))),
+], ids=["tax-only", "subsidy-only"])
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MOST_PROFITABLE])
+@pytest.mark.parametrize("swarm", [False, True], ids=["exact", "swarm"])
+def test_each_search_refuses_a_point_outside_its_mode(pair, capped_pair, swarm, objective, mode,
+                                                      point):
+    scenario = capped_pair if swarm else pair
+    params = PsoParams(swarm_size=2, iterations=1, restarts=1, initial_points=(point,))
+    with pytest.raises(ValidationError, match=f"pulls a lever {mode} mode forbids"):
+        optimize(scenario, objective, 0, params, mode=mode)
+    optimize(scenario, objective, 0, params, mode=COMBINED)  # combined takes both levers

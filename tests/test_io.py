@@ -115,6 +115,25 @@ def test_load_rejects_fields_of_the_wrong_json_type(case, tmp_path, capsys, name
     assert named in json.loads(lines[0])["detail"]
 
 
+def _drop_unit_cost(data):
+    del data["routes"][0]["unit_cost"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["routes"].__setitem__(0, 5), "routes[0] must be an object"),
+    (lambda data: data["routes"][0].update(colour="teal"), "routes[0]: unknown key 'colour'"),
+    (_drop_unit_cost, "routes[0]: missing unit_cost"),
+    (lambda data: data["modifiers"].update(speed="1"), "modifiers: unknown key 'speed'"),
+], ids=["non-object-route", "unknown-route-key", "missing-route-field",
+        "unknown-modifiers-key"])
+def test_load_rejects_malformed_routes_and_modifiers(case, edit, message):
+    data = scenario_to_dict(case)
+    edit(data)
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert message in err.value.violations
+
+
 def test_load_missing_file_is_a_validation_error(tmp_path):
     with pytest.raises(ValidationError):
         load_scenario(tmp_path / "absent.scenario")

@@ -2,12 +2,13 @@ import dataclasses
 import itertools
 import time
 import tracemalloc
-from decimal import Decimal
+from decimal import Decimal, Inexact, getcontext
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ecolever import (
+    Allocation,
     Objective,
     PolicyVector,
     ResourceBoundError,
@@ -532,3 +533,35 @@ def test_optimistic_select_validates_its_policy():
         solve_lower(pair, policy, Objective.MIN_GHG, 0)
     assert selected.value.violations == solved.value.violations
     assert len(selected.value.violations) == 2
+
+
+def test_optimistic_select_at_zero_demand_allocates_nothing(trio):
+    idle = dataclasses.replace(trio, demand=0)
+    policy = PolicyVector(tax_rate=Decimal("0.5"))
+    tie, _ = solve_lower_greedy(idle, policy)
+    assert optimistic_select(idle, policy, tie, Objective.MIN_GHG, 0) == Allocation({})
+    assert solve_lower(idle, policy, Objective.MIN_GHG, 0).allocation == Allocation({})
+
+
+NEAR_TIE = Scenario(demand=5, routes=(_route("a", "0.1", "0.01", "1"),
+                                      _route("b", "0.1", "0.05", "1")))
+# b nets 0.1 - 1E-30, which 28 digits round to a's 0.1: a rounded follower
+# ties them and answers {a: 5} at 0.50, though {b: 5} costs 5E-30 less
+TINY_SUBSIDY = PolicyVector(subsidy_rates={"b": Decimal("1E-30")})
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda: solve_lower(NEAR_TIE, TINY_SUBSIDY, Objective.MIN_GHG, 0), "exact pricing"),
+    (lambda: solve_lower_milp(NEAR_TIE, TINY_SUBSIDY), "exact pricing"),
+    (lambda: solve_lower_greedy(NEAR_TIE, TINY_SUBSIDY), "exact pricing"),
+    (lambda: optimistic_select(NEAR_TIE, TINY_SUBSIDY, lower.TieSet(("a", "b"), Decimal("0.1")),
+                               Objective.MIN_GHG, 0), "exact pricing"),
+    (lambda: enumerate_lower(NEAR_TIE, TINY_SUBSIDY), "exact enumeration"),
+    (lambda: evaluate_allocation(NEAR_TIE, Allocation({"b": 5}), TINY_SUBSIDY), "exact pricing"),
+], ids=["solve_lower", "solve_lower_milp", "solve_lower_greedy", "optimistic_select",
+        "enumerate_lower", "evaluate_allocation"])
+def test_a_net_price_that_would_round_is_refused_on_every_path(entry, message):
+    with pytest.raises(ResourceBoundError,
+                       match=f"{message} needs more than the context's 28 digits"):
+        entry()
+    assert not getcontext().traps[Inexact]  # the trap is restored

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal, Inexact, getcontext
 
 import pytest
@@ -107,6 +108,28 @@ def test_scenario_rejects_insufficient_total_capacity():
     Scenario(demand=10, routes=routes, capacity_limits={"a": 3})
 
 
+@pytest.mark.parametrize("extras, message", [
+    ({"technology_fixed_costs": {"tech_a": "-1"}}, "technology_fixed_costs[tech_a] must be >= 0"),
+    ({"technology_fixed_costs": {"tech_zz": "1"}},
+     "technology_fixed_costs[tech_zz]: unknown technology"),
+    ({"capacity_limits": {"zz": 3}}, "capacity_limits[zz]: unknown route"),
+    ({"capacity_limits": {"a": 2.5}}, "capacity_limits[a] must be a nonnegative integer"),
+], ids=["negative-fee", "fee-on-unknown-technology", "cap-on-unknown-route",
+        "non-integer-cap"])
+def test_scenario_rejects_bad_fees_and_caps(duo, extras, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Scenario(demand=10, routes=duo.routes, **extras)
+
+
+@pytest.mark.parametrize("units, message", [
+    ({"a": 1.5}, "units[a] must be an integer"),
+    ({"a": -1}, "units[a] must be >= 0"),
+], ids=["non-integer", "negative"])
+def test_allocation_rejects_bad_units(units, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Allocation(units=units)
+
+
 def test_policy_vector_drops_zero_rates_and_rejects_negative():
     p = PolicyVector(tax_rate=Decimal("0.5"),
                      subsidy_rates={"a": Decimal("0"), "b": Decimal("0.01")})
@@ -123,6 +146,9 @@ def test_validate_allocation_mass_balance(duo):
         validate_allocation(duo, Allocation(units={"a": 4, "b": 5}))
     with pytest.raises(InvalidAllocationError):
         validate_allocation(duo, Allocation(units={"a": 9, "zzz": 1}))
+    capped = Scenario(demand=10, routes=duo.routes, capacity_limits={"a": 3})
+    with pytest.raises(InvalidAllocationError, match="a: 4 units exceed capacity 3"):
+        validate_allocation(capped, Allocation(units={"a": 4, "b": 6}))
 
 
 def test_validate_policy_unknown_and_unsubsidizable(duo):
