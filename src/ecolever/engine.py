@@ -396,12 +396,15 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
     a reseeded generator); a seed position that quantizes back to its seed
     reuses its `rank` key, the swarm's fitness. The incumbent is the lowest
     ranked policy seen; the trace holds (iteration, its natural value). An
-    initial point with a lever the mode forbids raises ValidationError.
+    initial point the scenario does not admit, or with a lever the mode
+    forbids, raises ValidationError, whatever the objective.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     params = params if params is not None else PsoParams()
     extra = params.initial_points or ()
+    for point in extra:  # most-profitable ranks only the zero policy
+        validate_policy(scenario, point)
     if mode == TAX_ONLY and any(p.subsidy_rates for p in extra) or (
             mode == SUBSIDY_ONLY and any(p.tax_rate for p in extra)):
         raise ValidationError([f"an initial point pulls a lever {mode} mode forbids"])

@@ -13,7 +13,6 @@ with `quantize_rate` first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, InvalidOperation, ROUND_HALF_EVEN, getcontext
 from enum import Enum, EnumMeta
@@ -64,7 +63,22 @@ def quantize_rate(value) -> Decimal:
     Raises ValidationError for NaN, infinities, and magnitudes of 1e16 or
     more, whose 1e-12 multiples need more digits than the decimal context
     holds.
+
+    Most floats skip `Decimal(float)`, exactly: 1e12 is an exact float, so
+    y = value * 1e12 is the exact product rounded once, and below 2**44 that
+    puts y within 2**-10 of it. So when 0 < y < 2**44 and y lies less than
+    0.49 from round(y), the exact product lies less than 0.5 from that same
+    integer, and Decimal(round(y)) * RATE_QUANTUM, an exact product of at
+    most 14 digits, equals the half-even quantize below, down to
+    `as_tuple()`. The range is checked before `round`, which raises on NaN
+    and infinities; every other value takes the quantize.
     """
+    if type(value) is float:
+        y = value * 1e12
+        if 0.0 < y < 17592186044416.0:  # 2**44
+            n = round(y)
+            if -0.49 < y - n < 0.49:
+                return Decimal(n) * RATE_QUANTUM
     try:
         rate = Decimal(value).quantize(RATE_QUANTUM, rounding=ROUND_HALF_EVEN)
     except InvalidOperation:
@@ -227,24 +241,16 @@ class Scenario:
 
     def fill_table(self) -> tuple:
         """The follower's policy-free data, built on the first call: (routes,
-        masks, fees). routes holds (unit cost, unit emissions, route id,
-        technology bit, capacity); the i-th fixed-cost technology by id has
-        bit 1 << i, any other 0. masks and fees hold each subset of them, by
-        size and then in `itertools.combinations` order, and its fees summed
-        in ascending order from ZERO. O(2^|F|) memory."""
+        fees). routes holds (unit cost, unit emissions, route id, technology
+        bit, capacity); the i-th fixed-cost technology by id has bit 1 << i,
+        any other 0. fees maps each such bit to its technology's fee."""
         if self._fill_table is None:
             fixed, caps, demand = self.technology_fixed_costs, self.capacity_limits, self.demand
-            bits, masks, fees = {}, [0], [ZERO]  # the empty subset
-            if fixed:
-                techs = sorted(fixed)
-                bits = {tech: 1 << i for i, tech in enumerate(techs)}
-                for size in range(1, len(techs) + 1):
-                    for active in itertools.combinations(techs, size):
-                        masks.append(sum(map(bits.get, active)))
-                        fees.append(sum(map(fixed.get, active), ZERO))
+            bits = {tech: 1 << i for i, tech in enumerate(sorted(fixed))}
             routes = tuple([(r.unit_cost, r.unit_emissions, r.route_id, bits.get(r.technology_id, 0),
                              caps.get(r.route_id, demand)) for r in self.routes])
-            object.__setattr__(self, "_fill_table", (routes, tuple(masks), tuple(fees)))
+            fees = {bit: fixed[tech] for tech, bit in bits.items()}
+            object.__setattr__(self, "_fill_table", (routes, fees))
         return self._fill_table
 
 

@@ -455,3 +455,15 @@ def test_each_search_refuses_a_point_outside_its_mode(pair, capped_pair, swarm, 
     with pytest.raises(ValidationError, match=f"pulls a lever {mode} mode forbids"):
         optimize(scenario, objective, 0, params, mode=mode)
     optimize(scenario, objective, 0, params, mode=COMBINED)  # combined takes both levers
+
+
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MOST_PROFITABLE])
+@pytest.mark.parametrize("swarm", [False, True], ids=["pure-linear", "capped"])
+def test_every_objective_refuses_an_initial_point_on_an_unknown_route(pair, capped_pair, swarm,
+                                                                     objective):
+    # most-profitable ranks only the zero policy, and used to accept the point unread
+    scenario = capped_pair if swarm else pair
+    params = PsoParams(swarm_size=2, iterations=1, restarts=1,
+                       initial_points=(PolicyVector(subsidy_rates={"zz": 1}),))
+    with pytest.raises(ValidationError, match=r"subsidy_rates\[zz\]: unknown route"):
+        optimize(scenario, objective, 0, params)

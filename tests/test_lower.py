@@ -5,7 +5,7 @@ import tracemalloc
 from decimal import Decimal, Inexact, getcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ecolever import (
     Allocation,
@@ -264,9 +264,10 @@ def test_greedy_tie_set_is_every_route_at_the_minimum_net_cost(instance):
 
 
 def _fills_by_subset(scenario, policy):
-    """Reference for `lower._cheapest_fills`' fills, computed without the
-    scenario's table: the subsets enumerated as technology-id tuples, their
-    fees summed, each route's capacity read from the scenario."""
+    """Reference for `lower._cheapest_fills`: every subset of F, by size and
+    then in `itertools.combinations` order, enumerated as a technology-id
+    tuple, its fees summed, its routes filled in price order up to the
+    capacities the scenario reports, and the cost-minimal ones kept."""
     fixed = scenario.technology_fixed_costs
     order = sorted((net_unit_cost(r, policy), r.route_id, r.technology_id)
                    for r in scenario.routes)
@@ -301,8 +302,11 @@ _wide_fees = st.lists(st.tuples(st.integers(10 ** 28, 10 ** 29 - 1), st.integers
 
 @given(shared_technology_catalogs(), _wide_fees)
 def test_fills_match_the_per_subset_enumeration(instance, wide_fees):
-    # Fees of 29 digits round when summed, so only the same subsets summed in
-    # the same order reproduce every fee and fill.
+    # Under the trap, wherever the reference answers, the search answers
+    # too, with the reference's first fill and its distinct fills; a face
+    # mask is a cost-minimal subset that holds each tied subset with its
+    # fill. A fee of 29 digits rounds in any sum, so the reference refuses
+    # every catalog with one, and the search only where it pays one.
     scenario, policy = instance
     wide = {tech: Decimal(f"{digits}E{e}")
             for tech, (digits, e) in zip(sorted({r.technology_id for r in scenario.routes}),
@@ -310,17 +314,71 @@ def test_fills_match_the_per_subset_enumeration(instance, wide_fees):
     for fixed in (scenario.technology_fixed_costs, wide):
         scn = dataclasses.replace(scenario, technology_fixed_costs=fixed)
         techs = sorted(fixed)
-        _, masks, fees = scn.fill_table()
-        subsets = [active for size in range(len(techs) + 1)
-                   for active in itertools.combinations(techs, size)]
-        assert [tuple(t for i, t in enumerate(techs) if mask >> i & 1) for mask in masks] == subsets
-        assert list(map(repr, fees)) == [repr(sum(map(fixed.get, active), model.ZERO))
-                                         for active in subsets]
-        _, fills = lower._cheapest_fills(scn, policy)
-        assert [(subsets[masks.index(mask)], units, repr(marginal))
-                for mask, units, marginal in fills] == [
-            (active, units, repr(marginal))
-            for active, units, marginal in _fills_by_subset(scn, policy)]
+        try:
+            with model.exactly("the reference"):
+                reference = _fills_by_subset(scn, policy)
+        except ResourceBoundError:
+            continue
+        with model.exactly("the search"):
+            _, fills = lower._cheapest_fills(scn, policy)
+
+        def fill(units, marginal):
+            return tuple(sorted(units.items())), marginal if scn.demand else None
+
+        assert fill(*fills[0][1:]) == fill(*reference[0][1:])
+        assert {fill(units, marginal) for _, units, marginal in fills} == {
+            fill(units, marginal) for _, units, marginal in reference}
+        subsets = [sum(1 << techs.index(t) for t in active) for active, _, _ in reference]
+        for mask, _, _ in fills:
+            assert mask in subsets
+        for subset, (_, units, marginal) in zip(subsets, reference):
+            assert any(subset & ~mask == 0 and fill(u, m) == fill(units, marginal)
+                       for mask, u, m in fills)
+        assert subsets[0] & ~fills[0][0] == 0
+
+
+@settings(max_examples=200)
+@given(shared_technology_catalogs(), st.data())
+def test_the_search_answers_as_the_enumeration_on_shared_technologies(instance, data):
+    scenario, policy = instance
+    enumeration = enumerate_lower(scenario, policy)
+    drawn = sorted({r.subsidy_outlay - r.tax_payment for r in
+                    (evaluate_allocation(scenario, a, policy) for a in enumeration.optima)})
+    funds = data.draw(st.sampled_from(drawn)) + data.draw(
+        st.sampled_from([Decimal("-0.01"), Decimal(0), Decimal("0.01")]))
+    for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
+        assert solve_lower(scenario, policy, objective, funds).allocation == \
+            enumerate_optimistic(scenario, policy, objective, funds, enumeration)
+    assert solve_lower_milp(scenario, policy).allocation.units == \
+        _fills_by_subset(scenario, policy)[0][1]
+
+
+def test_a_zero_fee_technology_the_fill_never_reaches_still_widens_the_face():
+    # r1 ties r0 on price but is cleaner; the fill stops on r0 before it
+    # meets t1, whose zero fee makes r1 free to use
+    scn = Scenario(demand=3, routes=(
+        RouteSpec(route_id="r0", product_id="p", technology_id="t0", unit_cost=Decimal("0.1"),
+                  unit_emissions=Decimal("0.05"), unit_circularity=Decimal(1)),
+        RouteSpec(route_id="r1", product_id="p", technology_id="t1", unit_cost=Decimal("0.1"),
+                  unit_emissions=Decimal("0.01"), unit_circularity=Decimal(1))),
+        technology_fixed_costs={"t1": Decimal(0)}, capacity_limits={"r0": 5})
+    zero = PolicyVector.zero()
+    assert solve_lower(scn, zero, Objective.MIN_GHG, 0).allocation.units == {"r1": 3}
+    assert solve_lower_milp(scn, zero).allocation.units == {"r0": 3}
+
+
+def test_paying_a_zero_fee_and_forbidding_it_tie_and_the_smaller_subset_fills_first():
+    # the search meets a's zero fee first; forbidding it fills b at the same
+    # price, a tie a bound pruning at equality would drop
+    scn = Scenario(demand=2, routes=(
+        RouteSpec(route_id="a", product_id="p", technology_id="t0", unit_cost=Decimal("0.1"),
+                  unit_emissions=Decimal("0.01"), unit_circularity=Decimal(1)),
+        RouteSpec(route_id="b", product_id="p", technology_id="t1", unit_cost=Decimal("0.1"),
+                  unit_emissions=Decimal("0.05"), unit_circularity=Decimal(1))),
+        technology_fixed_costs={"t0": Decimal(0)}, capacity_limits={"a": 2})
+    zero = PolicyVector.zero()
+    assert solve_lower_milp(scn, zero).allocation.units == {"b": 2}
+    assert solve_lower(scn, zero, Objective.MIN_GHG, 0).allocation.units == {"a": 2}
 
 
 def test_milp_refuses_too_many_fixed_cost_technologies():
@@ -336,16 +394,20 @@ def test_milp_refuses_too_many_fixed_cost_technologies():
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 0.5
-    assert peak < 64 * 1024  # refused before any subset table is built
+    assert peak < 64 * 1024  # refused before any fill table is built
 
 
-def test_a_subset_table_is_built_on_first_use_and_stays_compact():
-    # 2^16 subsets, a bitmask and a fee each: 10.0 MB under tracemalloc
+def _sixteen_technologies():
     routes = tuple(_route(f"r{i:02d}", "0.01", "0.01", "1") for i in range(16))
+    return Scenario(demand=1, routes=routes,
+                    technology_fixed_costs={r.technology_id: Decimal("0.1") for r in routes})
+
+
+def test_a_fill_table_is_built_on_first_use_and_stays_compact():
+    # one row per route and one fee per technology
     tracemalloc.start()
     try:
-        scn = Scenario(demand=1, routes=routes,
-                       technology_fixed_costs={r.technology_id: Decimal("0.1") for r in routes})
+        scn = _sixteen_technologies()
         _, built = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         result = solve_lower_milp(scn, PolicyVector.zero())
@@ -355,6 +417,17 @@ def test_a_subset_table_is_built_on_first_use_and_stays_compact():
     assert built < 64 * 1024
     assert solved < 16 * 1024 * 1024
     assert result.industry_cost == Decimal("0.11")
+
+
+def test_sixteen_fixed_cost_technologies_at_demand_1_answer_quickly():
+    # the fill stops on its first route, so the search meets no other technology
+    scn = _sixteen_technologies()
+    start = time.perf_counter()
+    results = [solve_lower_milp(scn, PolicyVector.zero()) for _ in range(20)]
+    assert time.perf_counter() - start < 0.2
+    for result in results:
+        assert result.allocation.units == {"r00": 1}
+        assert result.industry_cost == Decimal("0.11")
 
 
 def test_a_fill_table_never_goes_stale(capped_case):

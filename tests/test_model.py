@@ -1,8 +1,9 @@
+import math
 import re
-from decimal import Decimal, Inexact, getcontext
+from decimal import ROUND_HALF_EVEN, Decimal, Inexact, getcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ecolever import (
     Allocation,
@@ -81,6 +82,40 @@ def test_quantize_rate_is_idempotent_on_grid():
 def test_quantize_rate_refuses_values_off_the_grid(value):
     with pytest.raises(ValidationError):
         quantize_rate(value)
+
+
+def _quantized(value):
+    return Decimal(value).quantize(model.RATE_QUANTUM, rounding=ROUND_HALF_EVEN)
+
+
+_EDGE = 2 ** 44 / 1e12  # where quantize_rate's float shortcut ends
+
+
+def _steps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.floats(0, 20),
+    st.floats(_EDGE, 1e4),  # past the shortcut, a float product can miss by a whole quantum
+    st.floats(-1e15, 1e15),
+    # within 1e-3 quanta of a half quantum, where a careless rounding flips
+    st.builds(lambda k, d: (k + 0.5 + d) * 1e-12,
+              st.integers(0, 2 ** 44), st.floats(-1e-3, 1e-3)),
+    st.builds(_steps_from, st.just(_EDGE), st.integers(-64, 64)),
+    st.builds(lambda k: k / 2 ** 41, st.integers(0, 20 * 2 ** 41)),
+))
+def test_quantize_rate_matches_the_decimal_quantize_on_every_float(value):
+    assert quantize_rate(value).as_tuple() == _quantized(value).as_tuple()
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -0.5, -1e-13, 5e-13, 1.5e-12, 2.5e-12, 5e-324,
+                                   _steps_from(_EDGE, -1), _EDGE, _steps_from(_EDGE, 1)])
+def test_quantize_rate_keeps_the_sign_and_the_ties_of_the_decimal_quantize(value):
+    assert quantize_rate(value).as_tuple() == _quantized(value).as_tuple()
 
 
 def test_route_spec_validation_collects_violations():
