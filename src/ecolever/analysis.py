@@ -305,7 +305,9 @@ GLASS_ROUTE = "glass_wash_reuse"
 class CalibrationAnchors:
     """Published totals the case-study scenario must reproduce, at the stated
     demand: per-pathway cost/emission/circularity aggregates, the operating
-    point of the glass wash loop, and the sensitivity coefficients."""
+    point of the glass wash loop, and the sensitivity coefficients. These
+    are the paper's numbers; `calibrate_case_study` and `check_calibration`
+    read the defaults, and another catalog comes in through `load_scenario`."""
 
     demand: int = 1000
     strap_total_cost: Decimal = Decimal("-0.93")
@@ -326,17 +328,12 @@ class CalibrationAnchors:
     tax_threshold_reference: Decimal = Decimal("4.3")
     tax_threshold_tolerance: Decimal = Decimal("0.02")
 
-    def __post_init__(self):
-        for fld in self.__dataclass_fields__:
-            if fld == "demand":
-                continue
-            object.__setattr__(self, fld, to_decimal(getattr(self, fld), fld))
 
-
-def check_calibration(scenario: Scenario, anchors: CalibrationAnchors = None):
-    """Verify the scenario reproduces the anchors; returns residuals keyed by
-    anchor name, or raises CalibrationError listing every violation."""
-    anchors = anchors if anchors is not None else CalibrationAnchors()
+def check_calibration(scenario: Scenario):
+    """Verify the scenario reproduces the case study's `CalibrationAnchors`;
+    returns residuals keyed by anchor name, or raises CalibrationError
+    listing every violation."""
+    anchors = CalibrationAnchors()
     v = []
     residuals = {}
     n = scenario.demand
@@ -410,15 +407,16 @@ def check_calibration(scenario: Scenario, anchors: CalibrationAnchors = None):
     return residuals
 
 
-def calibrate_case_study(anchors: CalibrationAnchors = None) -> Scenario:
-    """Build the coffee-packaging scenario from the anchors and verify it.
+def calibrate_case_study() -> Scenario:
+    """Build the coffee-packaging scenario from `CalibrationAnchors` and
+    verify it with `check_calibration`.
 
     Three calibrated pathways (multilayer pouch to strapping-based recycling,
     multilayer pouch to landfill, returnable glass jar through a wash loop)
     plus four clearly dominated alternatives that give the solvers a
     non-trivial catalog to reject.
     """
-    anchors = anchors if anchors is not None else CalibrationAnchors()
+    anchors = CalibrationAnchors()
     n = anchors.demand
 
     def unit(total):
@@ -508,5 +506,5 @@ def calibrate_case_study(anchors: CalibrationAnchors = None) -> Scenario:
         affected_route_ids=(GLASS_ROUTE,),
     )
     scenario = Scenario(demand=n, routes=routes, modifiers=modifiers)
-    check_calibration(scenario, anchors)
+    check_calibration(scenario)
     return scenario

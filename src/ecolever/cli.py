@@ -22,7 +22,6 @@ from decimal import Decimal
 from pathlib import Path
 
 from .analysis import (
-    CalibrationAnchors,
     budget_sweep,
     calibrate_case_study,
     check_calibration,
@@ -342,9 +341,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    anchors = CalibrationAnchors()
-    scenario = calibrate_case_study(anchors)
-    residuals = check_calibration(scenario, anchors)
+    scenario = calibrate_case_study()
+    residuals = check_calibration(scenario)
     out = _out_dir(args)
     target = out / "coffee_case.scenario"
     save_scenario(scenario, target)

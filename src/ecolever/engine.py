@@ -109,14 +109,15 @@ def best_policy(scenario: Scenario, objective, budget, policies):
 @dataclass(frozen=True)
 class PsoParams:
     """Swarm settings. `optimize` runs the swarm over `default_bounds(scenario,
-    mode, tax_max)`, so tax_max must be finite, >= 0 and fit `quantize_rate`."""
+    mode, tax_max)`, so tax_max must be finite, >= 0 and fit `quantize_rate`,
+    and seeds it with `domain_informed_points` only; the exact leader reads
+    none of these."""
 
     swarm_size: int = 10
     iterations: int = 200
     tax_max: float = 10.0
     seed: int = 0
     restarts: int = 5
-    initial_points: tuple = None
 
     def __post_init__(self):
         v = []
@@ -134,8 +135,6 @@ class PsoParams:
                 v.append(f"tax_max must be >= 0, got {self.tax_max!r}")
         except ValidationError as exc:
             v.extend(f"tax_max: {message}" for message in exc.violations)
-        if self.initial_points is not None:
-            object.__setattr__(self, "initial_points", tuple(self.initial_points))
         if v:
             raise ValidationError(v)
 
@@ -359,17 +358,17 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     return points
 
 
-def exact_leader(scenario: Scenario, objective, budget, mode: str = COMBINED,
-                 extra=()) -> BilevelOutcome:
-    """The first of `domain_informed_points` and `extra` in `rank` order,
-    less the subsidies no unit draws (the zero policy for most-profitable),
-    with a one-point trace."""
+def exact_leader(scenario: Scenario, objective, budget,
+                 mode: str = COMBINED) -> BilevelOutcome:
+    """The first of `domain_informed_points` in `rank` order, less the
+    subsidies no unit draws (the zero policy for most-profitable), with a
+    one-point trace."""
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
     policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
-                else [*domain_informed_points(scenario, budget, mode), *extra])
+                else domain_informed_points(scenario, budget, mode))
     winner = best_policy(scenario, objective, budget, policies)
     return _outcome(objective, budget, mode, winner, len(policies), ((0, winner[1]),))
 
@@ -390,26 +389,18 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
              mode: str = COMBINED) -> BilevelOutcome:
     """The leader's best decision in `rank` order.
 
-    Pure-linear scenarios and most-profitable get `exact_leader`, with
-    params.initial_points among its candidates. Otherwise those policies are
-    evaluated exactly and seed the first of the swarm's restarts (each from
-    a reseeded generator); a seed position that quantizes back to its seed
-    reuses its `rank` key, the swarm's fitness. The incumbent is the lowest
-    ranked policy seen; the trace holds (iteration, its natural value). An
-    initial point the scenario does not admit, or with a lever the mode
-    forbids, raises ValidationError, whatever the objective.
+    Pure-linear scenarios and most-profitable get `exact_leader`. Otherwise
+    its candidates, `domain_informed_points`, are evaluated exactly and seed
+    the first of the swarm's restarts (each from a reseeded generator); a
+    seed position that quantizes back to its seed reuses its `rank` key, the
+    swarm's fitness. The incumbent is the lowest ranked policy seen; the
+    trace holds (iteration, its natural value).
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
-    params = params if params is not None else PsoParams()
-    extra = params.initial_points or ()
-    for point in extra:  # most-profitable ranks only the zero policy
-        validate_policy(scenario, point)
-    if mode == TAX_ONLY and any(p.subsidy_rates for p in extra) or (
-            mode == SUBSIDY_ONLY and any(p.tax_rate for p in extra)):
-        raise ValidationError([f"an initial point pulls a lever {mode} mode forbids"])
     if objective == Objective.MOST_PROFITABLE or scenario.is_pure_linear():
-        return exact_leader(scenario, objective, budget, mode, extra)
+        return exact_leader(scenario, objective, budget, mode)
+    params = params if params is not None else PsoParams()
 
     bounds = default_bounds(scenario, mode, params.tax_max)
     incumbent = None  # (rank key, policy, value, LowerResult) ranked lowest so far
@@ -438,7 +429,7 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
 
     seed_positions = []
     ids = scenario.subsidizable_ids()
-    for pol in [*domain_informed_points(scenario, budget, mode), *extra]:
+    for pol in domain_informed_points(scenario, budget, mode):
         key = consider(pol)  # exact evaluation, never lost to float round-trips
         vec = [float(pol.tax_rate)] + [float(pol.subsidy_for(rid)) for rid in ids]
         seed_positions.append([min(max(v, lo), hi) for v, (lo, hi) in zip(vec, bounds)])

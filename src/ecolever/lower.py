@@ -38,7 +38,7 @@ from decimal import Decimal, Inexact
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import InfeasibleError, ResourceBoundError, ValidationError
+from .errors import ResourceBoundError, ValidationError
 from .model import (
     Allocation,
     LowerResult,
@@ -89,12 +89,11 @@ def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
 
     Raises ResourceBoundError when |F| exceeds MAX_FIXED_TECHNOLOGIES, a
     tie needs more than MAX_SELECTOR_NODES selector nodes or a sum would
-    round, and InfeasibleError when no subset can absorb the demand. The
-    bound on |F| caps the search's worst case: 2^|F| branches, which only
-    fills that reach every technology and tie on cost come near. Time
-    follows the technologies the fills reach: at 16 one-route technologies a
-    call takes about 0.1 ms at demand 1 and about 0.1 s where 8,008 subsets
-    tie.
+    round. The bound on |F| caps the search's worst case: 2^|F| branches,
+    which only fills that reach every technology and tie on cost come near.
+    Time follows the technologies the fills reach: at 16 one-route
+    technologies a call takes about 0.1 ms at demand 1 and about 0.1 s where
+    8,008 subsets tie.
     """
     objective = Objective(leader_objective)
     funds = to_decimal(funds, "funds")
@@ -150,6 +149,9 @@ def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
     next route's price already exceeds the least cost found: every later
     route costs at least that and fees are never negative. Call it under
     `model.exactly`; where that bound would round, the branch is searched.
+    The first branch pays every fee, and `Scenario` checks that the
+    capacities, or an uncapped route, cover demand, so it always ends in a
+    leaf.
 
     Returns (priced, fills): priced lists (net unit cost, route id,
     technology bit, capacity) for every route, and fills holds (face mask,
@@ -216,8 +218,6 @@ def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
             best_cost, leaves = cost, [leaf]
         elif cost == best_cost:
             leaves.append(leaf)
-    if not leaves:
-        raise InfeasibleError("no allocation satisfies demand within capacities")
     if len(leaves) > 1:
         leaves.sort(key=lambda leaf: (leaf[0].bit_count(),
                                       [i for i in range(leaf[0].bit_length()) if leaf[0] >> i & 1]))

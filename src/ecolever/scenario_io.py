@@ -32,6 +32,7 @@ _MODIFIER_FIELDS = tuple(f.name for f in fields(SensitivityModifiers))
 _ROUTE_ID_FIELDS = ("route_id", "product_id", "technology_id")
 _TOP_FIELDS = ("format", "version", "demand", "routes", "modifiers",
                "technology_fixed_costs", "capacity_limits")
+_SIX_PLACES = Decimal("1e-6")  # format_decimal's quantum
 
 
 def bundled_scenario_path() -> Path:
@@ -195,14 +196,14 @@ def load_bundled_scenario() -> Scenario:
     return load_scenario(bundled_scenario_path())
 
 
-def format_decimal(value, places: int = 6) -> str:
-    """Fixed-point rendering with exactly `places` fractional digits.
+def format_decimal(value) -> str:
+    """Fixed-point rendering with exactly 6 fractional digits, as every CSV
+    and printed figure carries.
 
     Quantizes half-even and normalizes negative zero, so equal quantities
     always produce identical bytes.
     """
-    q = Decimal(1).scaleb(-places)
-    out = to_decimal(value, "value").quantize(q)
+    out = to_decimal(value, "value").quantize(_SIX_PLACES)
     if out == 0:
         out = out.copy_abs()
     return f"{out:f}"

@@ -4,7 +4,6 @@ from decimal import Decimal
 import pytest
 
 from ecolever import (
-    CalibrationAnchors,
     CalibrationError,
     NoThresholdError,
     Objective,
@@ -246,17 +245,21 @@ def test_calibrate_case_study_structure(case):
                    and m.unit_circularity > r.unit_circularity for m in mains)
 
 
-def test_custom_anchors_flow_through():
-    anchors = CalibrationAnchors(demand=500,
-                                 strap_total_cost=Decimal("-0.465"),
-                                 strap_total_emissions=Decimal("32.12"),
-                                 landfill_total_cost=Decimal("30.035"),
-                                 landfill_total_emissions=Decimal("24.985"),
-                                 glass_total_cost=Decimal("33.035"),
-                                 glass_total_emissions=Decimal("25.04"))
-    scn = calibrate_case_study(anchors)
-    assert scn.demand == 500
-    assert scn.route(STRAP_ROUTE).unit_cost * 500 == Decimal("-0.465")
+@pytest.mark.parametrize("engine", ["closed-form", "pso"])
+def test_a_sweep_skips_each_budget_the_follower_refuses(engine):
+    # 17 fixed-cost technologies exceed the follower's bound at every budget
+    routes = tuple(RouteSpec(route_id=f"r{i:02d}", product_id="p", technology_id=f"t{i:02d}",
+                             unit_cost=Decimal("0.01"), unit_emissions=Decimal("0.01"),
+                             unit_circularity=Decimal(1)) for i in range(17))
+    scenario = Scenario(demand=3, routes=routes,
+                        technology_fixed_costs={r.technology_id: Decimal("0.01") for r in routes})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = budget_sweep(scenario, Objective.MIN_GHG, [0, 1], engine=engine)
+    assert records == []
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, f"budget {budget}: 17 fixed-cost technologies exceed 16")
+        for budget in (0, 1)]
 
 
 def test_a_sweep_refuses_an_unknown_engine_or_mode_before_any_budget(case, pair):

@@ -63,6 +63,26 @@ def test_sweep_command_csv(tmp_path, capsys):
     assert lines[0].startswith("budget,tax_rate,")
 
 
+@pytest.mark.parametrize("args, svg, lines, one_x", [
+    (["run", "--budget", "0"], "trace.svg", 1, True),
+    (["sweep", "--budgets", "0:60:30", "--engine", "closed-form"], "sweep.svg", 3, False),
+    (["sweep", "--budgets", "30", "--engine", "closed-form"], "sweep.svg", 3, True),
+], ids=["run", "sweep", "sweep-one-budget"])
+def test_emit_svg_writes_the_same_chart_on_a_rerun(tmp_path, capsys, args, svg, lines, one_x):
+    charts = []
+    for out in (tmp_path / "first", tmp_path / "again"):
+        code, stdout, _ = run_cli([*args, "--emit-svg", "--out", str(out)], capsys)
+        assert code == 0
+        assert f"wrote {out / svg}" in stdout
+        charts.append((out / svg).read_bytes())
+    assert charts[0] == charts[1]
+    polylines = [line.split('"')[1].split() for line in charts[0].decode().splitlines()
+                 if line.startswith("<polyline")]
+    assert len(polylines) == lines and all(polylines)
+    # a one-point trace or a one-budget sweep puts every point on the left axis
+    assert one_x == all(p.startswith("56.00,") for points in polylines for p in points)
+
+
 def test_sensitivity_command(tmp_path, capsys):
     out = tmp_path / "o"
     code, stdout, _ = run_cli(["sensitivity", "--parameter", "loss",
@@ -222,7 +242,7 @@ def test_invalid_scenario_file_exits_1(tmp_path, capsys):
 
 
 def test_calibration_failure_exits_1(tmp_path, capsys, monkeypatch):
-    def fail(anchors):
+    def fail():
         raise CalibrationError(["strap_cost off by 1"])
     monkeypatch.setattr(cli, "calibrate_case_study", fail)
     code, _, stderr = run_cli(["calibrate", "--out", str(tmp_path / "o")], capsys)

@@ -15,16 +15,21 @@ from ecolever import (
     Scenario,
     TAX_ONLY,
     ValidationError,
-    default_bounds,
-    domain_informed_points,
     evaluate_policy,
     optimize,
-    pso_run,
     quantize_rate,
 )
 from ecolever import engine
 from ecolever.analysis import closed_form_optimize
-from ecolever.engine import best_policy, exact_leader, policy_dimensions, vector_to_policy
+from ecolever.engine import (
+    best_policy,
+    default_bounds,
+    domain_informed_points,
+    exact_leader,
+    policy_dimensions,
+    pso_run,
+    vector_to_policy,
+)
 
 
 def _route(rid, cost, emissions, circ):
@@ -279,17 +284,32 @@ def test_optimize_finds_the_budget_balanced_corner(pair):
     assert out.response.allocation.units == {"clean": 100}
 
 
-def test_optimize_lexicographic_tie_break_prefers_less_intervention(pair):
+def _with_candidate(monkeypatch, extra):
+    """Make `optimize` and `exact_leader` rank `extra` after their own
+    candidates; returns the list of budgets they asked for candidates at."""
+    own, asked = domain_informed_points, []
+
+    def candidates(scenario, budget, mode=COMBINED):
+        asked.append(budget)
+        return [*own(scenario, budget, mode), extra]
+
+    monkeypatch.setattr(engine, "domain_informed_points", candidates)
+    return asked
+
+
+def test_optimize_lexicographic_tie_break_prefers_less_intervention(pair, monkeypatch):
     # inject a feasible but higher-tax policy achieving the same emissions;
     # the corner must still win on the lexicographic tail
     heavier = PolicyVector(tax_rate=Decimal("1"))  # past the switch threshold
-    params = PsoParams(swarm_size=6, iterations=10, restarts=1, seed=0,
-                       initial_points=(heavier,))
-    out = optimize(pair, Objective.MIN_GHG, 0, params=params)
+    asked = _with_candidate(monkeypatch, heavier)
+    out = optimize(pair, Objective.MIN_GHG, 0)
+    assert asked == [0]
     assert out.policy.tax_rate == Decimal("0.4")
+    value, _, feasible = evaluate_policy(pair, heavier, Objective.MIN_GHG, 0)
+    assert feasible and value == out.upper_value
 
 
-def test_optimize_ranks_like_best_policy_on_a_capped_pair():
+def test_optimize_ranks_like_best_policy_on_a_capped_pair(monkeypatch):
     # clean's cap does not bind, but it sends the follower down the integer
     # path, where the (tax 0.4, subsidy 0.008) corner ties and goes to base
     capped = Scenario(demand=100, capacity_limits={"clean": 100}, routes=(
@@ -298,9 +318,11 @@ def test_optimize_ranks_like_best_policy_on_a_capped_pair():
     ))
     near_miss = PolicyVector(tax_rate=Decimal("0.4"),
                              subsidy_rates={"clean": Decimal("0.008000015")})
-    params = PsoParams(swarm_size=4, iterations=0, restarts=1,
-                       initial_points=(near_miss,))
+    asked = _with_candidate(monkeypatch, near_miss)
+    params = PsoParams(swarm_size=4, iterations=0, restarts=1)
     out = optimize(capped, Objective.MIN_GHG, 0, params=params)
+    assert asked == [0]
+    assert [i for i, _ in out.trace] == [0, 1]  # the swarm's trace, not the exact leader's
     candidates = domain_informed_points(capped, Decimal(0), COMBINED) + [near_miss]
     policy, value, result, feasible = best_policy(capped, Objective.MIN_GHG, 0, candidates)
     assert feasible and out.feasible
@@ -432,38 +454,3 @@ def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective):
 def test_an_unknown_mode_is_refused(pair, entry):
     with pytest.raises(ValidationError, match="unknown mode: 'tax_only'"):
         entry(pair)
-
-
-def test_an_initial_point_may_not_pull_a_lever_its_mode_forbids(case):
-    # the exact leader used to rank this subsidy in tax-only mode and return it
-    subsidy = PolicyVector(subsidy_rates={"glass_wash_reuse": Decimal("0.07")})
-    with pytest.raises(ValidationError, match="pulls a lever tax-only mode forbids"):
-        optimize(case, Objective.MAX_CIRCULARITY, 100, PsoParams(initial_points=(subsidy,)),
-                 mode=TAX_ONLY)
-
-
-@pytest.mark.parametrize("mode, point", [
-    (TAX_ONLY, PolicyVector(subsidy_rates={"clean": Decimal("0.07")})),
-    (SUBSIDY_ONLY, PolicyVector(tax_rate=Decimal(1))),
-], ids=["tax-only", "subsidy-only"])
-@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MOST_PROFITABLE])
-@pytest.mark.parametrize("swarm", [False, True], ids=["exact", "swarm"])
-def test_each_search_refuses_a_point_outside_its_mode(pair, capped_pair, swarm, objective, mode,
-                                                      point):
-    scenario = capped_pair if swarm else pair
-    params = PsoParams(swarm_size=2, iterations=1, restarts=1, initial_points=(point,))
-    with pytest.raises(ValidationError, match=f"pulls a lever {mode} mode forbids"):
-        optimize(scenario, objective, 0, params, mode=mode)
-    optimize(scenario, objective, 0, params, mode=COMBINED)  # combined takes both levers
-
-
-@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MOST_PROFITABLE])
-@pytest.mark.parametrize("swarm", [False, True], ids=["pure-linear", "capped"])
-def test_every_objective_refuses_an_initial_point_on_an_unknown_route(pair, capped_pair, swarm,
-                                                                     objective):
-    # most-profitable ranks only the zero policy, and used to accept the point unread
-    scenario = capped_pair if swarm else pair
-    params = PsoParams(swarm_size=2, iterations=1, restarts=1,
-                       initial_points=(PolicyVector(subsidy_rates={"zz": 1}),))
-    with pytest.raises(ValidationError, match=r"subsidy_rates\[zz\]: unknown route"):
-        optimize(scenario, objective, 0, params)

@@ -25,7 +25,7 @@ from ecolever.cli import main
 from ecolever.scenario_io import scenario_from_dict, scenario_to_dict
 
 
-def test_bundled_scenario_exists_and_matches_calibration():
+def test_bundled_scenario_exists_and_matches_calibration(tmp_path):
     path = bundled_scenario_path()
     assert path.is_file()
     bundled = load_bundled_scenario()
@@ -33,6 +33,9 @@ def test_bundled_scenario_exists_and_matches_calibration():
     assert bundled.demand == rebuilt.demand
     assert bundled.routes == rebuilt.routes
     assert bundled.modifiers == rebuilt.modifiers
+    target = tmp_path / "coffee_case.scenario"
+    save_scenario(rebuilt, target)
+    assert target.read_bytes() == path.read_bytes()
 
 
 def test_scenario_round_trip_preserves_exact_values(case, tmp_path):
@@ -144,7 +147,6 @@ def test_format_decimal_fixed_width_and_negative_zero():
     assert format_decimal(Decimal("-0.0000001")) == "0.000000"
     assert format_decimal(Decimal("0.0000005")) == "0.000000"  # half-even
     assert format_decimal(Decimal("-2")) == "-2.000000"
-    assert format_decimal(Decimal("3.14159265"), places=3) == "3.142"
 
 
 def test_sweep_csv_layout_and_bytes(case, tmp_path):

@@ -20,7 +20,7 @@ from ecolever import (
     optimize,
 )
 from ecolever import engine
-from ecolever.analysis import GLASS_ROUTE, STRAP_ROUTE, closed_form_optimize
+from ecolever.analysis import STRAP_ROUTE, closed_form_optimize
 from ecolever.engine import COMBINED, MODES, SUBSIDY_ONLY, TAX_ONLY, rank
 from ecolever.lower import leader_floor
 
@@ -121,17 +121,6 @@ def test_optimize_on_a_pure_linear_scenario_runs_no_swarm(case, monkeypatch, obj
                 else len(engine.domain_informed_points(case, 0)))
     assert out.evaluations == closed.evaluations == expected
     assert out.trace == ((0, out.upper_value),)
-
-
-def test_initial_points_are_ranked_with_the_candidates(case):
-    # an initial point is evaluated with the candidates; this one reaches the
-    # same glass allocation with more subsidy, so it ranks later
-    glass_only = closed_form_optimize(case, Objective.MAX_CIRCULARITY, 0).policy
-    heavier = engine.PolicyVector(tax_rate=glass_only.tax_rate,
-                                  subsidy_rates={GLASS_ROUTE: Decimal("0.2")})
-    out = optimize(case, Objective.MAX_CIRCULARITY, 0, PsoParams(initial_points=(heavier,)))
-    assert out.policy == glass_only
-    assert out.evaluations == len(engine.domain_informed_points(case, 0)) + 1
 
 
 _ROUTE = st.tuples(st.integers(-30, 120),                   # unit cost, 1e-3 $
@@ -277,8 +266,10 @@ def test_an_invalid_initial_point_is_refused_where_its_floor_would_skip_it(rates
     floor = leader_floor(scenario, invalid, Objective.MIN_GHG)
     winner = optimize(scenario, Objective.MIN_GHG, 0)
     assert _key(winner) < (0, floor, invalid.tax_rate, invalid.total_rates())
+    candidates = engine.domain_informed_points(scenario, 0)
+    assert winner.policy in candidates
     with pytest.raises(ValidationError):
-        optimize(scenario, Objective.MIN_GHG, 0, PsoParams(initial_points=(invalid,)))
+        engine.best_policy(scenario, Objective.MIN_GHG, 0, [*candidates, invalid])
 
 
 def test_a_floor_that_would_round_prunes_nothing():

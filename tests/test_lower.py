@@ -381,6 +381,44 @@ def test_paying_a_zero_fee_and_forbidding_it_tie_and_the_smaller_subset_fills_fi
     assert solve_lower(scn, zero, Objective.MIN_GHG, 0).allocation.units == {"a": 2}
 
 
+def _zero_emission(rid, technology, cost):
+    return RouteSpec(route_id=rid, product_id="p", technology_id=technology,
+                     unit_cost=Decimal(cost), unit_emissions=Decimal(0),
+                     unit_circularity=Decimal(1))
+
+
+def test_a_bound_that_would_round_is_searched_not_pruned():
+    # the first leaf pays t0 and t1; forbidding t1 leaves one unit after a
+    # cost of -19.5 and bounds the branch by r2's 28-digit price, whose sum
+    # needs 30 digits; r2 takes nothing, and that branch holds the optimum
+    scn = Scenario(demand=2, routes=(
+        _zero_emission("r0", "t0", "-20"), _zero_emission("r1", "t1", "0.2"),
+        _zero_emission("r2", "t2", "0." + "2" * 27 + "3"), _zero_emission("r3", "t3", "0.3")),
+        technology_fixed_costs={"t0": Decimal("0.5"), "t1": Decimal(1)},
+        capacity_limits={"r0": 1, "r2": 0})
+    with pytest.raises(ResourceBoundError), model.exactly("the bound"):
+        Decimal("-19.5") + scn.route("r2").unit_cost
+    result = solve_lower_milp(scn, PolicyVector.zero())
+    reference = enumerate_lower(scn, PolicyVector.zero())
+    assert result.allocation.units == {"r0": 1, "r3": 1}
+    assert result.industry_cost == reference.best.industry_cost == Decimal("-19.2")
+    assert result.allocation in reference.optima
+
+
+def test_capacities_that_just_cover_demand_fill_every_route():
+    # only the branch that pays every fee covers demand; every forbidding
+    # branch runs out of routes
+    scn = Scenario(demand=6, routes=(
+        _zero_emission("r0", "t0", "0.3"), _zero_emission("r1", "t1", "0.1"),
+        _zero_emission("r2", "t2", "0.2")),
+        technology_fixed_costs={"t0": Decimal("0.5"), "t1": Decimal(2), "t2": Decimal("0.01")},
+        capacity_limits={"r0": 1, "r1": 2, "r2": 3})
+    result = solve_lower_milp(scn, PolicyVector.zero())
+    assert result.allocation.units == {"r0": 1, "r1": 2, "r2": 3}
+    assert result.industry_cost == enumerate_lower(scn, PolicyVector.zero()).best.industry_cost
+    assert result.industry_cost == Decimal("3.61")
+
+
 def test_milp_refuses_too_many_fixed_cost_technologies():
     routes = tuple(_route(f"r{i:02d}", "0.01", "0.01", "1") for i in range(17))
     start = time.perf_counter()

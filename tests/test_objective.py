@@ -57,8 +57,8 @@ ENTRIES = {
     "evaluate_policy": lambda p: evaluate_policy(PAIR, p, BAD, 0),
     "rank": _rank,
     "best_policy": lambda p: best_policy(PAIR, BAD, 0, [p]),
-    "exact_leader": lambda p: exact_leader(PAIR, BAD, 0, extra=(p,)),
-    "optimize": lambda p: optimize(PAIR, BAD, 0, params=PsoParams(initial_points=(p,))),
+    "exact_leader": lambda p: exact_leader(PAIR, BAD, 0),
+    "optimize": lambda p: optimize(PAIR, BAD, 0),
     "closed_form_optimize": lambda p: closed_form_optimize(PAIR, BAD, 0),
     "budget_sweep": lambda p: budget_sweep(PAIR, BAD, [0, 1]),
     "grid_bilevel": lambda p: grid_bilevel(
