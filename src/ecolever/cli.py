@@ -5,7 +5,8 @@ Subcommands: run (one bilevel solve), sweep (budget series), sensitivity
 against brute-force enumeration), calibrate (emit the bundled case study).
 
 Exit codes: 0 success, 1 bad input (validation or calibration), 2 solver
-failure (infeasible, resource bounds), 3 verification mismatch. Errors go to
+failure (NoThresholdError, ResourceBoundError, InvalidAllocationError), 3
+verification mismatch. Errors go to
 stderr as one-line JSON. Outputs carry no timestamps, so a rerun with the same
 arguments is byte-identical.
 """

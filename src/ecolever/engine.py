@@ -18,15 +18,17 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
 
-from .errors import ValidationError
-from .lower import leader_floor, solve_lower
+from .errors import ResourceBoundError, ValidationError
+from .lower import leader_floor, solve_lower, solve_units
 from .model import (
+    Allocation,
     LowerResult,
     Objective,
     PolicyVector,
     RATE_QUANTUM,
     Scenario,
     ZERO,
+    price_units,
     quantize_rate,
     to_decimal,
     validate_policy,
@@ -56,7 +58,8 @@ def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget)
 
 
 def rank(objective, budget, policy: PolicyVector, value, result: LowerResult):
-    """The leader's order on evaluated policies; smaller ranks first.
+    """The leader's order on evaluated policies (result: a LowerResult or
+    its `model.Totals`); smaller ranks first.
 
     Returns (shortfall, objective head, tax rate, total subsidy rate), where
     shortfall = max(0, subsidy outlay - budget - tax income) in exact Decimal
@@ -106,6 +109,30 @@ def best_policy(scenario: Scenario, objective, budget, policies):
     return policies[index], value, result, key[0] == 0
 
 
+def value_bound(scenario: Scenario, objective):
+    """The best leader value any policy can induce, and an Allocation that
+    reaches it; None for most-profitable or where a sum would round. Every
+    response is an allocation within the capacities, and both objectives
+    are linear in the units (the circularity mean rounds as in
+    `price_units`), so filling demand in ascending (`Objective.unit_head`,
+    route id), each route up to its capacity, reaches the best: the
+    high-point relaxation's value (Bard, Practical Bilevel Optimization, 1998).
+    """
+    objective = Objective(objective)
+    if objective is Objective.MOST_PROFITABLE:
+        return None
+    units, left = {}, scenario.demand
+    for route in sorted(scenario.routes, key=lambda r: (objective.unit_head(r), r.route_id)):
+        units[route.route_id] = take = min(scenario.capacity_of(route.route_id), left)
+        left -= take
+    allocation = Allocation(units)
+    try:
+        totals = price_units(scenario, allocation.units, PolicyVector.zero())
+    except ResourceBoundError:
+        return None
+    return objective.natural_value(totals), allocation
+
+
 @dataclass(frozen=True)
 class PsoParams:
     """Swarm settings. `optimize` runs the swarm over `default_bounds(scenario,
@@ -150,14 +177,16 @@ class PsoRun:
 def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None) -> PsoRun:
     """Global-best PSO over `bounds`, one finite (lo, hi) pair with lo <= hi per dimension.
 
-    evaluator maps a position, given as a fresh list of Python floats (one
-    per dimension) that the swarm never modifies, to any orderable fitness
-    (floats and tuples both work); smaller is better. rng is anything with a
-    no-argument random() in [0, 1), random.Random(params.seed) by default.
-    Each iteration moves every particle against the previous global best,
-    then evaluates them in order. Velocities are clamped to the box width
-    and positions reflect off the walls. The returned trace of (iteration,
-    best-so-far) never worsens.
+    evaluator(row, best) maps a position, given as a fresh list of Python
+    floats (one per dimension) that the swarm never modifies, to any
+    orderable fitness (floats and tuples both work); smaller is better. best
+    is the particle's best fitness so far (None in the opening round);
+    returning it for any fitness at least best leaves the run unchanged. rng
+    is anything with a no-argument random() in [0, 1),
+    random.Random(params.seed) by default. Each iteration moves every
+    particle against the previous global best, then evaluates them in order.
+    Velocities are clamped to the box width and positions reflect off the
+    walls. The returned trace of (iteration, best-so-far) never worsens.
     """
     box = [(float(lo), float(hi), float(hi) - float(lo)) for lo, hi in bounds]
     if not all(0 <= width < math.inf for _, _, width in box):  # NaN fails too
@@ -172,7 +201,7 @@ def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None)
             X[k] = [min(max(float(p), lo), hi) for p, (lo, hi, _) in zip(pos, box)]
     V = [[0.0] * len(box) for _ in range(n)]
 
-    fit = [evaluator(row) for row in X]
+    fit = [evaluator(row, None) for row in X]
     P = list(X)  # rows are never written after they are made, so sharing is safe
     pfit = list(fit)
     g = min(range(n), key=fit.__getitem__)
@@ -199,7 +228,7 @@ def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None)
                 push_speed(v)
             X[i], V[i] = row, speed
         for i, row in enumerate(X):
-            f = evaluator(row)
+            f = evaluator(row, pfit[i])
             if f < pfit[i]:
                 pfit[i], P[i] = f, row
                 if f < gfit:
@@ -212,7 +241,8 @@ def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None)
 
 @dataclass(frozen=True)
 class BilevelOutcome:
-    """Result of one bilevel search at a fixed budget."""
+    """Result of one bilevel search at a fixed budget. evaluations counts
+    the policies ranked, whether by the follower or by `value_bound`."""
 
     policy: PolicyVector
     response: LowerResult
@@ -393,8 +423,11 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
     its candidates, `domain_informed_points`, are evaluated exactly and seed
     the first of the swarm's restarts (each from a reseeded generator); a
     seed position that quantizes back to its seed reuses its `rank` key, the
-    swarm's fitness. The incumbent is the lowest ranked policy seen; the
-    trace holds (iteration, its natural value).
+    swarm's fitness. A position whose floor key (0, `value_bound` head, tax,
+    total subsidy) ranks no earlier than its particle's best gets that best
+    back with no follower call; the others are ranked from their
+    `price_units` totals. The incumbent is the lowest ranked policy seen;
+    the trace holds (iteration, its natural value).
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
@@ -403,29 +436,39 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
     params = params if params is not None else PsoParams()
 
     bounds = default_bounds(scenario, mode, params.tax_max)
-    incumbent = None  # (rank key, policy, value, LowerResult) ranked lowest so far
+    bound = value_bound(scenario, objective)
+    on_bound = None if bound is None else (ZERO, objective.head(bound[0]))
+    incumbent = None  # (rank key, policy, units, Totals) ranked lowest so far
     evaluations = 0
 
     def consider(policy: PolicyVector):
         nonlocal incumbent, evaluations
-        value, result, _ = evaluate_policy(scenario, policy, objective, budget)
+        units = solve_units(scenario, policy, objective, budget)
+        totals = price_units(scenario, units, policy)
         evaluations += 1
-        key = rank(objective, budget, policy, value, result)
+        key = rank(objective, budget, policy, objective.natural_value(totals), totals)
         if incumbent is None or key < incumbent[0]:
-            incumbent = (key, policy, value, result)
+            incumbent = (key, policy, units, totals)
         return key
 
     # (seed policy, rank key) by the first restart's position for that seed;
     # each entry is spent on that position's first evaluation.
     seeded = {}
 
-    def pso_evaluator(x):
-        policy = vector_to_policy(scenario, x)
-        if seeded:
+    def pso_evaluator(x, best):
+        nonlocal evaluations
+        if seeded:  # the first restart's opening round, where best is None
+            policy = vector_to_policy(scenario, x)
             seed, key = seeded.pop(tuple(x), (None, None))
-            if seed == policy:
-                return key  # the seed round-trips: it was ranked exactly above
-        return consider(policy)
+            return key if seed == policy else consider(policy)  # a seed round-trips: ranked above
+        if best is None or best[:2] != on_bound:  # no best yet, or the floor key ranks first
+            return consider(vector_to_policy(scenario, x))
+        tax = quantize_rate(max(float(x[0]), 0.0))  # vector_to_policy's, before the rates
+        policy = None if tax > best[2] else vector_to_policy(scenario, x)
+        if policy is not None and (tax, policy.total_rates()) < best[2:]:
+            return consider(policy)
+        evaluations += 1
+        return best
 
     seed_positions = []
     ids = scenario.subsidizable_ids()
@@ -448,8 +491,10 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
             trace.append((offset + t, running))
         offset += params.iterations + 1
 
-    key, policy, value, result = incumbent
+    key, policy, units, totals = incumbent
+    result = LowerResult(Allocation(units), *totals)
     # Trace keys hold the minimization head; report naturally.
     sign = objective.head(Decimal(1))
-    return _outcome(objective, budget, mode, (policy, value, result, key[0] == 0),
+    return _outcome(objective, budget, mode,
+                    (policy, objective.natural_value(result), result, key[0] == 0),
                     evaluations, tuple((i, sign * k[1]) for i, k in trace))

@@ -22,7 +22,9 @@ class InvalidAllocationError(EcoleverError):
 
 
 class InfeasibleError(EcoleverError):
-    """The problem instance admits no feasible solution."""
+    """The problem instance admits no feasible solution. The package no
+    longer raises it; it stays exported because benchmarks/selfcheck.py
+    raises it to inject a failure."""
 
 
 class ResourceBoundError(EcoleverError):

@@ -1,9 +1,10 @@
+import random
 from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ecolever import (
     COMBINED,
@@ -28,8 +29,12 @@ from ecolever.engine import (
     exact_leader,
     policy_dimensions,
     pso_run,
+    value_bound,
     vector_to_policy,
 )
+from ecolever.lower import solve_units
+from ecolever.model import Allocation, price_allocation, validate_allocation
+from ecolever.oracle import GridAxis, _compositions, grid_bilevel
 
 
 def _route(rid, cost, emissions, circ):
@@ -200,7 +205,7 @@ def test_a_zero_emission_route_caps_the_level_in_every_mode():
 
 def test_pso_run_minimizes_a_bowl():
     params = PsoParams(swarm_size=12, iterations=60, seed=1)
-    run = pso_run(lambda x: float((x[0] - 1) ** 2 + (x[1] + 2) ** 2), ((-4, 4), (-4, 4)),
+    run = pso_run(lambda x, best: float((x[0] - 1) ** 2 + (x[1] + 2) ** 2), ((-4, 4), (-4, 4)),
                   params, rng=np.random.default_rng(1))
     assert run.value < 1e-3
     assert abs(run.x[0] - 1) < 0.1 and abs(run.x[1] + 2) < 0.1
@@ -212,7 +217,7 @@ def test_pso_run_respects_bounds_and_seed_positions():
     params = PsoParams(swarm_size=6, iterations=30, seed=3)
     seen = []
 
-    def probe(x):
+    def probe(x, best):
         seen.append(float(x[0]))
         return abs(float(x[0]) - 1.5)
 
@@ -228,7 +233,7 @@ def test_pso_run_hands_the_evaluator_rows_it_may_keep():
     params = PsoParams(swarm_size=5, iterations=20, seed=2)
     kept = []
 
-    def keeping(x):
+    def keeping(x, best):
         kept.append((x, list(x)))
         return abs(x[0] - 0.05) + abs(x[1] - 0.9)
 
@@ -241,7 +246,7 @@ def test_pso_run_hands_the_evaluator_rows_it_may_keep():
 def test_pso_run_same_seed_same_run():
     params = PsoParams(swarm_size=6, iterations=12, seed=5)
     box = ((-2, 2), (0, 3))
-    bowl = lambda x: (x[0] - 0.5) ** 2 + (x[1] - 1) ** 2
+    bowl = lambda x, best: (x[0] - 0.5) ** 2 + (x[1] - 1) ** 2
     first, again = pso_run(bowl, box, params), pso_run(bowl, box, params)
     assert (first.x, first.trace) == (again.x, again.trace)
     other = pso_run(bowl, box, replace(params, seed=6))
@@ -268,10 +273,10 @@ def test_pso_params_validation():
 
 def test_pso_run_refuses_a_bad_box():
     with pytest.raises(ValidationError, match="lo <= hi"):
-        pso_run(lambda x: 0.0, ((1, 0),), PsoParams())
+        pso_run(lambda x, best: 0.0, ((1, 0),), PsoParams())
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError, match="finite"):
-            pso_run(lambda x: 0.0, ((0.0, bad),), PsoParams())
+            pso_run(lambda x, best: 0.0, ((0.0, bad),), PsoParams())
 
 
 def test_optimize_finds_the_budget_balanced_corner(pair):
@@ -348,11 +353,11 @@ def test_optimize_evaluates_each_distinct_policy_once(capped_case, monkeypatch):
     # needs no second look
     seen = []
 
-    def counting(scenario, policy, objective, budget):
+    def counting(scenario, policy, objective, funds):
         seen.append((policy.tax_rate, tuple(sorted(policy.subsidy_rates.items()))))
-        return evaluate_policy(scenario, policy, objective, budget)
+        return solve_units(scenario, policy, objective, funds)
 
-    monkeypatch.setattr(engine, "evaluate_policy", counting)
+    monkeypatch.setattr(engine, "solve_units", counting)
     out = optimize(capped_case, "min-ghg", 0,
                    PsoParams(swarm_size=10, iterations=0, restarts=1))
     assert len(seen) == len(set(seen)) == out.evaluations == 16
@@ -454,3 +459,170 @@ def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective):
 def test_an_unknown_mode_is_refused(pair, entry):
     with pytest.raises(ValidationError, match="unknown mode: 'tax_only'"):
         entry(pair)
+
+
+def test_a_lazy_evaluator_leaves_the_run_as_it_was():
+    # returning best for any fitness at least best is pso_run's contract
+    def bowl(x):
+        return (x[0] - 0.3) ** 2 + abs(x[1] + 1.2)
+
+    def lazy(x, best):
+        return best if best is not None and bowl(x) >= best else bowl(x)
+
+    box = ((-1.0, 1.0), (-2.0, 2.0))
+    for seed in range(4):
+        params = PsoParams(swarm_size=5, iterations=25, seed=seed)
+        seeds = [[0.3, 0.0]] if seed % 2 else None
+        assert (pso_run(lazy, box, params, seed_positions=seeds)
+                == pso_run(lambda x, best: bowl(x), box, params, seed_positions=seeds))
+
+
+@pytest.fixture(scope="module")
+def pso_capped(case):
+    """The case with capacity 400 on every route and fees on three technologies."""
+    return Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
+                    technology_fixed_costs={"strap_recycling_line": Decimal("0.5"),
+                                            "landfill_site": Decimal("0.2"),
+                                            "wash_reuse_loop": Decimal("0.3")},
+                    capacity_limits={rid: 400 for rid in case.route_ids()})
+
+
+def test_value_bound_on_the_capped_case(pso_capped, case):
+    value, allocation = value_bound(pso_capped, Objective.MIN_GHG)
+    assert value == Decimal("52.868")
+    assert allocation.units == {"multilayer_landfill": 400, "glass_wash_reuse": 400,
+                                "multilayer_strap_recycling": 200}
+    value, allocation = value_bound(pso_capped, Objective.MAX_CIRCULARITY)
+    assert value == Decimal("1.336")
+    assert allocation.units == {"glass_wash_reuse": 400, "multilayer_strap_recycling": 400,
+                                "multilayer_landfill": 200}
+    assert value_bound(pso_capped, Objective.MOST_PROFITABLE) is None
+    # uncapped, every unit goes to the cleanest route
+    assert value_bound(case, Objective.MIN_GHG) == (Decimal("49.97"),
+                                                    Allocation({"multilayer_landfill": 1000}))
+
+
+def test_value_bound_refuses_a_sum_that_would_round():
+    # 3 units at 0.7000000000000000000000000001 kg need 29 digits, one more
+    # than the context holds
+    scenario = Scenario(demand=3, routes=(_route("a", "0.1", "0.7000000000000000000000000001", "1"),))
+    assert value_bound(scenario, Objective.MIN_GHG) is None
+
+
+@st.composite
+def _bound_catalogs(draw):
+    # 1-4 routes on two technologies, demand 0-8; half pure-linear, half with
+    # capacities and fees
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=draw(st.sampled_from("xy")),
+                  unit_cost=Decimal(draw(st.integers(-5, 12))) / 10,
+                  unit_emissions=Decimal(draw(st.integers(0, 40))) / 100,
+                  unit_circularity=Decimal(draw(st.integers(0, 200))) / 100,
+                  subsidizable=draw(st.integers(0, 5)) > 0)
+        for i in range(draw(st.integers(1, 4))))
+    demand = draw(st.integers(0, 8))
+    fixed, caps = {}, {}
+    if draw(st.booleans()):
+        fixed = {tech: Decimal(draw(st.integers(0, 4))) / 4
+                 for tech in sorted({r.technology_id for r in routes}) if draw(st.booleans())}
+        caps = {r.route_id: cap for r in routes
+                if (cap := draw(st.none() | st.integers(0, 6))) is not None}
+        assume(len(caps) < len(routes) or sum(caps.values()) >= demand)
+    return Scenario(demand=demand, routes=routes, technology_fixed_costs=fixed,
+                    capacity_limits=caps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bound_catalogs(), st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
+       st.integers(-20, 20), st.sampled_from([COMBINED, TAX_ONLY, SUBSIDY_ONLY]))
+def test_value_bound_is_the_best_composition_and_no_leader_beats_it(scenario, objective,
+                                                                    tenths, mode):
+    value, allocation = value_bound(scenario, objective)
+    validate_allocation(scenario, allocation)
+    zero = PolicyVector.zero()
+    assert objective.natural_value(price_allocation(scenario, allocation, zero)) == value
+    ids = scenario.route_ids()
+    heads = [objective.head(objective.natural_value(
+                 price_allocation(scenario, Allocation(dict(zip(ids, combo))), zero)))
+             for combo in _compositions(scenario.demand, [scenario.capacity_of(r) for r in ids])]
+    assert objective.head(value) == min(heads)
+
+    budget = Decimal(tenths) / 10
+    reached = [optimize(scenario, objective, budget, mode=mode,
+                        params=PsoParams(swarm_size=4, iterations=6, restarts=1)).upper_value,
+               closed_form_optimize(scenario, objective, budget, mode).upper_value,
+               grid_bilevel(scenario, objective, budget, GridAxis(lo=0, hi=3, steps=7),
+                            {rid: GridAxis(lo=0, hi=Decimal("0.6"), steps=4)
+                             for rid in scenario.subsidizable_ids()[:2]})[1]]
+    assert all(objective.head(v) >= objective.head(value) for v in reached)
+
+
+def _counting_solves(monkeypatch):
+    """Count the follower calls `optimize` makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return solve_units(*args)
+
+    monkeypatch.setattr(engine, "solve_units", counting)
+    return calls
+
+
+def _same_outcome(a, b):
+    return ((a.policy, a.response, a.upper_value, a.feasible, a.evaluations, a.trace)
+            == (b.policy, b.response, b.upper_value, b.feasible, b.evaluations, b.trace))
+
+
+def test_the_value_bound_prunes_follower_calls_on_the_capped_case(pso_capped, monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    out = optimize(pso_capped, Objective.MIN_GHG, 0, PsoParams(iterations=40, restarts=1))
+    assert out.upper_value == value_bound(pso_capped, Objective.MIN_GHG)[0]
+    assert 0 < len(calls) < out.evaluations
+
+
+@pytest.mark.parametrize("objective, budget", [(Objective.MIN_GHG, 0),
+                                               (Objective.MAX_CIRCULARITY, 100)])
+def test_the_value_bound_changes_no_outcome_on_the_capped_case(pso_capped, monkeypatch,
+                                                               objective, budget):
+    params = PsoParams(iterations=30, restarts=2, seed=3)
+    calls = _counting_solves(monkeypatch)
+    pruned = optimize(pso_capped, objective, budget, params)
+    solved = len(calls)
+    monkeypatch.setattr(engine, "value_bound", lambda scenario, objective: None)
+    full = optimize(pso_capped, objective, budget, params)
+    assert len(calls) - solved == full.evaluations > solved
+    assert _same_outcome(pruned, full)
+
+
+def _random_capped(rng):
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{rng.randint(0, 2)}",
+                  unit_cost=Decimal(rng.randint(-20, 100)) / 1000,
+                  unit_emissions=Decimal(rng.randint(0, 100)) / 1000,
+                  unit_circularity=Decimal(rng.randint(0, 20)) / 10,
+                  subsidizable=rng.random() < 0.7)
+        for i in range(rng.randint(2, 5)))
+    demand = rng.randint(1, 40)
+    caps = {r.route_id: rng.randint(0, demand) for r in routes[1:] if rng.random() < 0.6}
+    fees = {tech: Decimal(rng.randint(0, 50)) / 100
+            for tech in sorted({r.technology_id for r in routes}) if rng.random() < 0.5}
+    caps = caps if caps or fees else {"r0": demand}
+    return Scenario(demand=demand, routes=routes, technology_fixed_costs=fees,
+                    capacity_limits=caps)
+
+
+def test_the_value_bound_changes_no_outcome_on_random_capped_catalogs(monkeypatch):
+    rng = random.Random(21)
+    runs = [(_random_capped(rng), rng.choice([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
+             Decimal(rng.randint(-30, 30)) / 10, rng.choice([COMBINED, TAX_ONLY, SUBSIDY_ONLY]),
+             PsoParams(swarm_size=rng.randint(1, 8), iterations=rng.randint(0, 25),
+                       restarts=rng.randint(1, 3), seed=seed))
+            for seed in range(40)]
+    calls = _counting_solves(monkeypatch)
+    pruned = [optimize(s, objective, budget, params, mode) for s, objective, budget, mode, params in runs]
+    solved = len(calls)
+    monkeypatch.setattr(engine, "value_bound", lambda scenario, objective: None)
+    full = [optimize(s, objective, budget, params, mode) for s, objective, budget, mode, params in runs]
+    assert len(calls) - solved == sum(out.evaluations for out in full) > solved
+    assert all(map(_same_outcome, pruned, full))
