@@ -2,7 +2,7 @@
 
 Subcommands: run (one bilevel solve), sweep (budget series), sensitivity
 (wash-loop distance or breakage series), verify (cross-check the fast solvers
-against brute-force enumeration), calibrate (emit the bundled case study).
+against brute-force enumeration and the value bound), calibrate (emit the case study).
 
 Exit codes: 0 success, 1 bad input (validation or calibration), 2 solver
 failure (NoThresholdError, ResourceBoundError, InvalidAllocationError), 3
@@ -37,6 +37,7 @@ from .engine import (
     PsoParams,
     best_policy,
     optimize,
+    value_bound,
 )
 from .errors import EcoleverError, ValidationError
 from .lower import solve_lower
@@ -336,6 +337,12 @@ def cmd_verify(args) -> int:
                         f"{objective.value} {mode} budget {budget}: grid search beat "
                         f"the exact leader ({grid_value} against {closed.upper_value})")
             return EXIT_VERIFY
+        bound = value_bound(scenario, objective)  # no leader passes it: a free invariant
+        for leader, value in (("exact leader", closed.upper_value), ("grid search", grid_value)):
+            if bound is not None and objective.head(value) < objective.head(bound[0]):
+                _emit_error("VerificationError", f"{objective.value} {mode} budget {budget}: "
+                            f"the {leader} reached {value}, beyond the value bound {bound[0]}")
+                return EXIT_VERIFY
         checks += 1
     print(f"verify ok ({checks} checks, {args.trials} trials, demand {args.demand})")
     return EXIT_OK

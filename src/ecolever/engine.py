@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
 
@@ -28,6 +29,7 @@ from .model import (
     RATE_QUANTUM,
     Scenario,
     ZERO,
+    exactly,
     price_units,
     quantize_rate,
     to_decimal,
@@ -77,36 +79,53 @@ def best_policy(scenario: Scenario, objective, budget, policies):
     (policy, natural value, LowerResult, feasible): what evaluating every
     policy in order returns, from fewer evaluations.
 
-    No shortfall is negative, so a policy whose objective head is at least
-    `lower.leader_floor` ranks no earlier than its floor key (0, floor, tax
-    rate, total subsidy rate). Every policy is validated first. They are
-    then evaluated in ascending (floor key, index) order, those without a
-    floor first, and the search stops once the incumbent's (rank key,
-    index) is below the next (floor key, index): no policy left can rank
-    before it, nor tie it from an earlier index. A policy left unevaluated
-    never reaches the follower, so a follower refusal it would raise
-    (ResourceBoundError) does not surface.
+    No shortfall is negative, and no response's objective head is below
+    `lower.leader_floor` nor below the bound head under it: demand times the
+    least `Objective.unit_head` of any route (that term alone for
+    max-circularity, a mean). So a policy ranks no earlier than its bound
+    key (0, bound head, tax rate, total subsidy rate), nor than its floor
+    key. Every policy is validated, then starts with its bound key, and the
+    lowest (key, index) is taken each time: at a bound key its floor is
+    computed, and a floor above the bound sends it back with its floor key;
+    otherwise, and at a floor key, it is evaluated and goes back with its
+    rank key. The first rank key taken is the answer: no policy left can
+    rank before it, nor tie it from an earlier index. So a policy whose
+    floor would round is evaluated when its bound key comes up, not first.
+    For most-profitable, or where the bound head would round, the bound is
+    minus infinity: every floor comes first, the eager order. A policy left
+    unevaluated never reaches the follower, so a follower refusal it would
+    raise (ResourceBoundError) does not surface.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     policies = list(policies)
-    floors = []
-    for index, policy in enumerate(policies):
+    for policy in policies:
         validate_policy(scenario, policy)
-        floor = leader_floor(scenario, policy, objective)
-        floors.append((None, index) if floor is None else
-                      ((ZERO, floor, policy.tax_rate, policy.total_rates()), index))
-    best = None  # ((rank key, index), value, result)
-    for bound in sorted(floors, key=lambda entry: (entry[0] is not None, entry)):
-        if best is not None and bound[0] is not None and best[0] < bound:
-            break
-        policy = policies[bound[1]]
-        value, result, _ = evaluate_policy(scenario, policy, objective, budget)
-        entry = (rank(objective, budget, policy, value, result), bound[1])
-        if best is None or entry < best[0]:
-            best = (entry, value, result)
-    (key, index), value, result = best
-    return policies[index], value, result, key[0] == 0
+    bound = Decimal("-Infinity")  # for most-profitable, or a bound head that would round
+    if objective is not Objective.MOST_PROFITABLE:
+        try:
+            with exactly("exact pricing"):
+                head = min(map(objective.unit_head, scenario.routes))
+                bound = scenario.demand * head if objective is Objective.MIN_GHG else head
+        except ResourceBoundError:
+            pass
+    # (key, index, stage): stage is "bound", "floor", or the evaluated
+    # (value, result, feasible) behind a rank key; no two entries share an index
+    queue = sorted(((ZERO, bound, policy.tax_rate, policy.total_rates()), index, "bound")
+                   for index, policy in enumerate(policies))
+    while True:
+        key, index, stage = queue.pop(0)
+        policy = policies[index]
+        if stage == "bound":
+            floor = leader_floor(scenario, policy, objective)
+            if floor is not None and floor > bound:
+                insort(queue, ((ZERO, floor, *key[2:]), index, "floor"))
+                continue
+        elif stage != "floor":
+            return (policy, *stage)
+        value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
+        insort(queue, (rank(objective, budget, policy, value, result), index,
+                       (value, result, feasible)))
 
 
 def value_bound(scenario: Scenario, objective):

@@ -224,6 +224,29 @@ def test_verify_exits_3_when_the_grid_beats_the_exact_leader(capsys, monkeypatch
     assert "grid search beat the exact leader" in payload["detail"]
 
 
+def test_verify_exits_3_when_a_leader_passes_the_value_bound(capsys, monkeypatch):
+    # a bound above every value: the min-ghg leaders (49.97 and more) fall below it
+    monkeypatch.setattr(cli, "value_bound", lambda scenario, objective: (Decimal(10**6), None))
+    code, stdout, stderr = run_cli(["verify", "--trials", "0"], capsys)
+    lines = stderr.strip().splitlines()
+    assert code == 3 and len(lines) == 1 and stdout == ""
+    payload = json.loads(lines[0])
+    assert payload["error"] == "VerificationError"
+    assert payload["detail"] == ("min-ghg combined budget 0: the exact leader reached "
+                                 "49.97000, beyond the value bound 1000000")
+
+
+def test_verify_holds_each_leader_to_the_value_bound(capsys, monkeypatch):
+    seen = []
+    bound = cli.value_bound
+    monkeypatch.setattr(cli, "value_bound",
+                        lambda *args: seen.append(args[1]) or bound(*args))
+    code, stdout, _ = run_cli(["verify", "--trials", "0"], capsys)
+    # the bound is checked at every leader point, yet counts as no extra check
+    assert code == 0 and stdout == "verify ok (3 checks, 0 trials, demand 12)\n"
+    assert [o.value for o in seen] == ["min-ghg", "min-ghg", "max-circularity"]
+
+
 def test_oversized_verify_exits_2(capsys):
     code, _, stderr = run_cli(["verify", "--demand", "4000"], capsys)
     assert code == 2

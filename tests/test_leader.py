@@ -1,6 +1,7 @@
 """The exact leader for pure-linear scenarios: regression instances, its
 place in `optimize`, a differential test against the grid and the swarm,
-and the follower floor that lets `best_policy` skip evaluations."""
+and the bound and follower floor that let `best_policy` skip floors and
+evaluations."""
 
 from decimal import Decimal
 
@@ -183,12 +184,20 @@ def _evaluate_all(scenario, objective, budget, policies):
 @settings(max_examples=80, deadline=None)
 @given(routes=st.lists(_ROUTE, min_size=2, max_size=6),
        demand=st.integers(0, 40), per_unit=st.integers(-80, 60),
-       mode=st.sampled_from(MODES),
-       objective=st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
-       data=st.data())
+       mode=st.sampled_from(MODES), objective=st.sampled_from(list(Objective)),
+       kind=st.sampled_from(["pure-linear", "capped", "fixed-cost"]), data=st.data())
 def test_best_policy_returns_what_evaluating_every_policy_returns(routes, demand, per_unit,
-                                                                 mode, objective, data):
-    scenario = Scenario(demand=demand, routes=_catalog(routes))
+                                                                 mode, objective, kind, data):
+    # on capped and fixed-cost catalogs leader_floor answers None, so the
+    # bound key is all that spares an evaluation there
+    limits, fees = {}, {}
+    if kind != "pure-linear":  # r0 stays uncapped, so the capacities cover demand
+        limits = {f"r{i}": data.draw(st.integers(0, demand)) for i in range(1, len(routes))}
+    if kind == "fixed-cost":
+        fees = {f"t{i}": Decimal(data.draw(st.integers(0, 60))) / 100
+                for i in range(len(routes)) if data.draw(st.booleans())}
+    scenario = Scenario(demand=demand, routes=_catalog(routes), capacity_limits=limits,
+                        technology_fixed_costs=fees)
     budget = Decimal(per_unit) * demand / 1000
     policies = list(engine.domain_informed_points(scenario, budget, mode))
     subsidizable = scenario.subsidizable_ids()
@@ -243,6 +252,20 @@ def test_the_floor_spares_most_evaluations_on_the_case(case, monkeypatch):
             _, value, result, feasible = _evaluate_all(case, objective, Decimal(budget),
                                                        candidates)
             assert (out.upper_value, out.response, out.feasible) == (value, result, feasible)
+
+
+def test_the_bound_spares_most_floors_on_the_case(case, monkeypatch):
+    floors = []
+    floor = engine.leader_floor
+    monkeypatch.setattr(engine, "leader_floor",
+                        lambda *args: floors.append(args[1]) or floor(*args))
+    for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
+        for budget in (-60, 0, 30):
+            floors.clear()
+            candidates = engine.domain_informed_points(case, budget)
+            got = engine.best_policy(case, objective, budget, candidates)
+            assert 1 <= len(floors) < len(candidates)
+            assert got == _evaluate_all(case, objective, Decimal(budget), candidates)
 
 
 def test_leader_floor_on_the_case(case, capped_case):
