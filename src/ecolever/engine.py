@@ -19,7 +19,7 @@ from bisect import insort
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
 
-from .errors import ResourceBoundError, ValidationError
+from .errors import ValidationError
 from .lower import leader_floor, solve_lower, solve_units
 from .model import (
     Allocation,
@@ -29,11 +29,11 @@ from .model import (
     RATE_QUANTUM,
     Scenario,
     ZERO,
-    exactly,
     price_units,
     quantize_rate,
     to_decimal,
     validate_policy,
+    value_bound,
 )
 
 COMBINED = "combined"
@@ -80,19 +80,18 @@ def best_policy(scenario: Scenario, objective, budget, policies):
     policy in order returns, from fewer evaluations.
 
     No shortfall is negative, and no response's objective head is below
-    `lower.leader_floor` nor below the bound head under it: demand times the
-    least `Objective.unit_head` of any route (that term alone for
-    max-circularity, a mean). So a policy ranks no earlier than its bound
-    key (0, bound head, tax rate, total subsidy rate), nor than its floor
-    key. Every policy is validated, then starts with its bound key, and the
-    lowest (key, index) is taken each time: at a bound key its floor is
-    computed, and a floor above the bound sends it back with its floor key;
-    otherwise, and at a floor key, it is evaluated and goes back with its
-    rank key. The first rank key taken is the answer: no policy left can
-    rank before it, nor tie it from an earlier index. So a policy whose
-    floor would round is evaluated when its bound key comes up, not first.
-    For most-profitable, or where the bound head would round, the bound is
-    minus infinity: every floor comes first, the eager order. A policy left
+    `lower.leader_floor` nor below the head of `value_bound`, the bound. So
+    a policy ranks no earlier than its bound key (0, bound, tax rate, total
+    subsidy rate), nor than its floor key. Every policy is validated, then
+    starts with its bound key, and the lowest (key, index) is taken each
+    time: at a bound key its floor is computed, and a floor above the bound
+    sends it back with its floor key; otherwise, and at a floor key, it is
+    evaluated and goes back with its rank key. The first rank key taken is
+    the answer: no policy left can rank before it, nor tie it from an
+    earlier index. So a policy whose floor would round is evaluated when
+    its bound key comes up, not first. Where `value_bound` is None (for
+    most-profitable, or a sum that would round) the bound is minus
+    infinity: every floor comes first, the eager order. A policy left
     unevaluated never reaches the follower, so a follower refusal it would
     raise (ResourceBoundError) does not surface.
     """
@@ -101,14 +100,8 @@ def best_policy(scenario: Scenario, objective, budget, policies):
     policies = list(policies)
     for policy in policies:
         validate_policy(scenario, policy)
-    bound = Decimal("-Infinity")  # for most-profitable, or a bound head that would round
-    if objective is not Objective.MOST_PROFITABLE:
-        try:
-            with exactly("exact pricing"):
-                head = min(map(objective.unit_head, scenario.routes))
-                bound = scenario.demand * head if objective is Objective.MIN_GHG else head
-        except ResourceBoundError:
-            pass
+    bound = value_bound(scenario, objective)
+    bound = Decimal("-Infinity") if bound is None else objective.head(bound[0])
     # (key, index, stage): stage is "bound", "floor", or the evaluated
     # (value, result, feasible) behind a rank key; no two entries share an index
     queue = sorted(((ZERO, bound, policy.tax_rate, policy.total_rates()), index, "bound")
@@ -126,30 +119,6 @@ def best_policy(scenario: Scenario, objective, budget, policies):
         value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
         insort(queue, (rank(objective, budget, policy, value, result), index,
                        (value, result, feasible)))
-
-
-def value_bound(scenario: Scenario, objective):
-    """The best leader value any policy can induce, and an Allocation that
-    reaches it; None for most-profitable or where a sum would round. Every
-    response is an allocation within the capacities, and both objectives
-    are linear in the units (the circularity mean rounds as in
-    `price_units`), so filling demand in ascending (`Objective.unit_head`,
-    route id), each route up to its capacity, reaches the best: the
-    high-point relaxation's value (Bard, Practical Bilevel Optimization, 1998).
-    """
-    objective = Objective(objective)
-    if objective is Objective.MOST_PROFITABLE:
-        return None
-    units, left = {}, scenario.demand
-    for route in sorted(scenario.routes, key=lambda r: (objective.unit_head(r), r.route_id)):
-        units[route.route_id] = take = min(scenario.capacity_of(route.route_id), left)
-        left -= take
-    allocation = Allocation(units)
-    try:
-        totals = price_units(scenario, allocation.units, PolicyVector.zero())
-    except ResourceBoundError:
-        return None
-    return objective.natural_value(totals), allocation
 
 
 @dataclass(frozen=True)
@@ -261,7 +230,9 @@ def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None)
 @dataclass(frozen=True)
 class BilevelOutcome:
     """Result of one bilevel search at a fixed budget. evaluations counts
-    the policies ranked, whether by the follower or by `value_bound`."""
+    the policies ranked: each by the follower, or by `value_bound` (and,
+    in the exact leader, `lower.leader_floor`) where the follower could
+    not change the answer."""
 
     policy: PolicyVector
     response: LowerResult
@@ -269,40 +240,32 @@ class BilevelOutcome:
     feasible: bool
     evaluations: int
     trace: tuple
-    objective: Objective = Objective.MIN_GHG
-    mode: str = COMBINED
-    budget: Decimal = ZERO
-
-
-def policy_dimensions(scenario: Scenario):
-    """Dimension names for the search box: tax first, then subsidizable routes."""
-    return ["tax", *scenario.subsidizable_ids()]
+    objective: Objective
+    mode: str
+    budget: Decimal
 
 
 def default_bounds(scenario: Scenario, mode: str = COMBINED, tax_max: float = 10.0):
-    """Search box per dimension; degenerate [0, 0] axes encode the mode."""
+    """Search box per dimension: tax first, then one axis per
+    `subsidizable_ids` entry; degenerate [0, 0] axes encode the mode."""
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
     cheapest = min(r.unit_cost for r in scenario.routes)
     gaps = [float(r.unit_cost - cheapest) for r in scenario.routes if r.subsidizable]
     sub_max = max(0.1, 2.0 * max(gaps, default=0.0))
-    bounds = []
-    for dim in policy_dimensions(scenario):
-        if dim == "tax":
-            bounds.append((0.0, 0.0 if mode == SUBSIDY_ONLY else tax_max))
-        else:
-            bounds.append((0.0, 0.0 if mode == TAX_ONLY else sub_max))
-    return tuple(bounds)
+    subsidy = (0.0, 0.0 if mode == TAX_ONLY else sub_max)
+    return ((0.0, 0.0 if mode == SUBSIDY_ONLY else tax_max),
+            *[subsidy] * len(scenario.subsidizable_ids()))
 
 
 def vector_to_policy(scenario: Scenario, x) -> PolicyVector:
     """Quantize a raw swarm position onto the exact decimal rate grid.
 
-    x holds one float per `policy_dimensions` entry (a list or any other
-    sequence); negative coordinates clamp to zero. Only positive subsidy
-    coordinates are quantized, since the rest round to a zero rate that
-    PolicyVector drops; a NaN fails `<= 0.0` too and reaches PolicyVector,
-    which refuses it.
+    x holds the tax, then one float per `subsidizable_ids` entry (a list
+    or any other sequence); negative coordinates clamp to zero. Only
+    positive subsidy coordinates are quantized, since the rest round to a
+    zero rate that PolicyVector drops; a NaN fails `<= 0.0` too and reaches
+    PolicyVector, which refuses it.
     """
     ids = scenario.subsidizable_ids()
     if len(x) != len(ids) + 1:

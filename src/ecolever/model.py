@@ -3,7 +3,8 @@
 A Scenario is a catalog of end-of-life routes (product, technology, per-unit
 cost / emissions / circularity) plus total demand. A PolicyVector is the
 government's lever setting: one carbon tax rate and per-route subsidy rates.
-The functions here evaluate allocations under a policy; they do no optimizing.
+The functions here evaluate allocations under a policy; `value_bound` adds
+the leader's best value over every allocation, which no policy can pass.
 
 Every money, emission, and circularity quantity is an exact `decimal.Decimal`
 so cost ties and policy thresholds reproduce bit for bit across platforms.
@@ -163,8 +164,8 @@ class SensitivityModifiers:
 @dataclass(frozen=True)
 class Scenario:
     """Route catalog + demand + optional integer-programming extras. Its dict
-    fields must not be mutated after construction: the route index and
-    `fill_table` are built from them once."""
+    fields must not be mutated after construction: the route index,
+    `fill_table` and `value_bound` are built from them once."""
 
     demand: int
     routes: tuple
@@ -218,6 +219,7 @@ class Scenario:
         # through __dict__ later (as functools.cached_property does) moves
         # CPython's inline attribute values into a dict and slows every read
         object.__setattr__(self, "_fill_table", None)
+        object.__setattr__(self, "_value_bounds", {})  # objective -> value_bound
 
     def route(self, route_id: str) -> RouteSpec:
         try:
@@ -469,6 +471,36 @@ def price_units(scenario: Scenario, units: dict, policy: PolicyVector) -> Totals
     return tuple.__new__(Totals, (industry_cost, emissions,
                                   circularity / scenario.demand if scenario.demand else ZERO,
                                   outlay, tax_payment))
+
+
+def value_bound(scenario: Scenario, objective):
+    """The best leader value any policy can induce, and an Allocation that
+    reaches it; None for most-profitable or where a sum would round. Built
+    on the first call per objective and kept with the scenario. Every
+    response is an allocation within the capacities, and both objectives
+    are linear in the units (the circularity mean rounds as in
+    `price_units`), so filling demand in ascending (`Objective.unit_head`,
+    route id), each route up to its capacity, reaches the best: the
+    high-point relaxation's value (Bard, Practical Bilevel Optimization, 1998).
+    """
+    objective = Objective(objective)
+    bounds = scenario._value_bounds
+    if objective in bounds:
+        return bounds[objective]
+    bound = None
+    if objective is not Objective.MOST_PROFITABLE:
+        units, left = {}, scenario.demand
+        for route in sorted(scenario.routes, key=lambda r: (objective.unit_head(r), r.route_id)):
+            units[route.route_id] = take = min(scenario.capacity_of(route.route_id), left)
+            left -= take
+        allocation = Allocation(units)
+        try:
+            totals = price_units(scenario, allocation.units, PolicyVector.zero())
+            bound = objective.natural_value(totals), allocation
+        except ResourceBoundError:
+            pass
+    bounds[objective] = bound
+    return bound
 
 
 def apply_modifiers(scenario: Scenario, distance, loss) -> Scenario:

@@ -251,7 +251,7 @@ def write_sensitivity_csv(sweeps, path) -> None:
 def outcome_to_dict(outcome) -> dict:
     r = outcome.response
     return {
-        "objective": str(getattr(outcome.objective, "value", outcome.objective)),
+        "objective": outcome.objective.value,
         "mode": outcome.mode,
         "budget": str(outcome.budget),
         "feasible": outcome.feasible,

@@ -36,3 +36,13 @@ def capped_case(case):
         },
         capacity_limits={rid: 6 for rid in case.route_ids()},
     )
+
+
+@pytest.fixture(scope="session")
+def pso_capped(case):
+    """The case with capacity 400 on every route and fees on three technologies."""
+    return Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
+                    technology_fixed_costs={"strap_recycling_line": Decimal("0.5"),
+                                            "landfill_site": Decimal("0.2"),
+                                            "wash_reuse_loop": Decimal("0.3")},
+                    capacity_limits={rid: 400 for rid in case.route_ids()})

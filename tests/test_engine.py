@@ -27,13 +27,12 @@ from ecolever.engine import (
     default_bounds,
     domain_informed_points,
     exact_leader,
-    policy_dimensions,
     pso_run,
     value_bound,
     vector_to_policy,
 )
 from ecolever.lower import solve_units
-from ecolever.model import Allocation, price_allocation, validate_allocation
+from ecolever.model import Allocation, apply_modifiers, price_allocation, validate_allocation
 from ecolever.oracle import GridAxis, _compositions, grid_bilevel
 
 
@@ -87,8 +86,7 @@ def test_evaluate_policy_rejects_float_budget(pair):
         evaluate_policy(pair, PolicyVector.zero(), Objective.MIN_GHG, 0.5)
 
 
-def test_policy_dimensions_and_vector_round_trip(pair):
-    assert policy_dimensions(pair) == ["tax", "base", "clean"]
+def test_vector_to_policy_round_trip(pair):
     policy = vector_to_policy(pair, [0.25, 0.0, 0.04])
     assert policy.tax_rate == Decimal("0.25")
     assert policy.subsidy_rates == {"clean": Decimal("0.04")}
@@ -112,7 +110,7 @@ def test_vector_to_policy_rejects_a_rate_past_the_grid(case):
 def _reference_vector_to_policy(scenario, x):
     """Quantize every coordinate, then drop the zero subsidies."""
     rates = {}
-    for rid, v in zip(policy_dimensions(scenario)[1:], x[1:]):
+    for rid, v in zip(scenario.subsidizable_ids(), x[1:]):
         rate = quantize_rate(max(float(v), 0.0))
         if rate != 0:
             rates[rid] = rate
@@ -139,6 +137,7 @@ def test_vector_to_policy_matches_quantizing_every_coordinate(case, x):
 
 def test_default_bounds_encode_mode(pair):
     combined = default_bounds(pair, COMBINED)
+    assert len(combined) == 1 + len(pair.subsidizable_ids()) == 3
     assert combined[0] == (0.0, 10.0) and combined[1][1] > 0
     tax_only = default_bounds(pair, TAX_ONLY)
     assert tax_only[1] == (0.0, 0.0) and tax_only[2] == (0.0, 0.0)
@@ -477,16 +476,6 @@ def test_a_lazy_evaluator_leaves_the_run_as_it_was():
                 == pso_run(lambda x, best: bowl(x), box, params, seed_positions=seeds))
 
 
-@pytest.fixture(scope="module")
-def pso_capped(case):
-    """The case with capacity 400 on every route and fees on three technologies."""
-    return Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
-                    technology_fixed_costs={"strap_recycling_line": Decimal("0.5"),
-                                            "landfill_site": Decimal("0.2"),
-                                            "wash_reuse_loop": Decimal("0.3")},
-                    capacity_limits={rid: 400 for rid in case.route_ids()})
-
-
 def test_value_bound_on_the_capped_case(pso_capped, case):
     value, allocation = value_bound(pso_capped, Objective.MIN_GHG)
     assert value == Decimal("52.868")
@@ -500,6 +489,16 @@ def test_value_bound_on_the_capped_case(pso_capped, case):
     # uncapped, every unit goes to the cleanest route
     assert value_bound(case, Objective.MIN_GHG) == (Decimal("49.97"),
                                                     Allocation({"multilayer_landfill": 1000}))
+
+
+def test_value_bound_is_kept_with_its_scenario(case):
+    for objective in Objective:
+        assert value_bound(case, objective) is value_bound(case, objective)
+    assert value_bound(case, Objective.MOST_PROFITABLE) is None
+    # a scenario made by dataclasses.replace builds its own bound
+    moved = apply_modifiers(case, 7, case.modifiers.glass_loss_fraction)
+    assert value_bound(moved, Objective.MIN_GHG)[0] == Decimal("49.8248")
+    assert value_bound(case, Objective.MIN_GHG)[0] == Decimal("49.97")
 
 
 def test_value_bound_refuses_a_sum_that_would_round():

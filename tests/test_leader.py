@@ -268,6 +268,27 @@ def test_the_bound_spares_most_floors_on_the_case(case, monkeypatch):
             assert got == _evaluate_all(case, objective, Decimal(budget), candidates)
 
 
+def test_the_value_bound_stops_the_capped_search_at_its_winner(pso_capped, monkeypatch):
+    # leader_floor is None on capped scenarios: value_bound's head, capacities
+    # included, is the bound key, and a winner that reaches it ends the search
+    calls = []
+    evaluate = engine.evaluate_policy
+    monkeypatch.setattr(engine, "evaluate_policy",
+                        lambda *args: calls.append(args[1]) or evaluate(*args))
+    for objective in (Objective.MAX_CIRCULARITY, Objective.MIN_GHG):
+        for budget in (-60, 0, 30, 100):
+            calls.clear()
+            out = closed_form_optimize(pso_capped, objective, budget)
+            candidates = engine.domain_informed_points(pso_capped, budget)
+            if objective is Objective.MAX_CIRCULARITY:  # the winner reaches the bound, 1.336
+                assert len(calls) < len(candidates)
+            else:  # 55.7 lies above the bound, 52.868: every candidate is evaluated
+                assert len(calls) == len(candidates)
+            _, value, result, feasible = _evaluate_all(pso_capped, objective, Decimal(budget),
+                                                       candidates)
+            assert (out.upper_value, out.response, out.feasible) == (value, result, feasible)
+
+
 def test_leader_floor_on_the_case(case, capped_case):
     zero = engine.PolicyVector()  # the strap route alone is cheapest
     assert leader_floor(case, zero, Objective.MIN_GHG) == Decimal("64.24000")
