@@ -16,12 +16,13 @@ from ecolever.analysis import dominant_route
 from ecolever.engine import SUBSIDY_ONLY
 
 
-def show(records, label, unit):
+def show(outcomes, label, unit):
     print(f"-- {label} --")
     print(f"{'budget':>8} {'outlay':>8} {unit:>10}  adopted pathway")
-    for r in records:
-        lead = dominant_route(r) or "(none)"
-        print(f"{r.budget:>8} {r.subsidy_outlay:>8.2f} {r.upper_value:>10.4f}  {lead}")
+    for out in outcomes:
+        lead = dominant_route(out) or "(none)"
+        print(f"{out.budget:>8} {out.response.subsidy_outlay:>8.2f} "
+              f"{out.upper_value:>10.4f}  {lead}")
     print()
 
 
@@ -37,8 +38,8 @@ def main():
 
     # the interior points really are partial adoption, not a modeling artifact:
     # at B=30 the funds cover floor(30/0.061) = 491 landfill conversions
-    mid = ghg[3]
-    converted = mid.units.get("multilayer_landfill", 0)
+    mid = ghg[3].response
+    converted = mid.allocation.units_for("multilayer_landfill")
     print(f"at B=30 the min-GHG sweep converts {converted} of {case.demand} units;"
           f" outlay {mid.subsidy_outlay} $ leaves "
           f"{Decimal(30) - mid.subsidy_outlay} $ unspent (less than one more unit)")

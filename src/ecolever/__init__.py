@@ -24,14 +24,10 @@ from .model import (
     RouteSpec,
     Scenario,
     SensitivityModifiers,
-    apply_modifiers,
     evaluate_allocation,
-    quantize_rate,
-    to_decimal,
 )
 from .lower import (
     TieSet,
-    net_unit_cost,
     optimistic_select,
     solve_lower,
     solve_lower_greedy,
@@ -56,10 +52,7 @@ from .oracle import (
 from .analysis import (
     budget_sweep,
     calibrate_case_study,
-    check_calibration,
-    cheapest_route,
     closed_form_optimize,
-    dominant_route,
     fit_slope,
     required_budget_for_fixed_tax,
     sensitivity_distance,
@@ -68,17 +61,7 @@ from .analysis import (
     tax_budget_line,
     tax_threshold,
 )
-from .scenario_io import (
-    bundled_scenario_path,
-    format_decimal,
-    load_bundled_scenario,
-    load_scenario,
-    save_scenario,
-    write_outcome_json,
-    write_sensitivity_csv,
-    write_svg_line_chart,
-    write_sweep_csv,
-)
+from .scenario_io import load_bundled_scenario
 
 __version__ = "0.1.0"
 
@@ -105,29 +88,19 @@ __all__ = [
     "TAX_ONLY",
     "TieSet",
     "ValidationError",
-    "apply_modifiers",
     "budget_sweep",
-    "bundled_scenario_path",
     "calibrate_case_study",
-    "check_calibration",
-    "cheapest_route",
     "closed_form_optimize",
-    "dominant_route",
     "enumerate_lower",
     "enumerate_optimistic",
     "evaluate_allocation",
     "evaluate_policy",
     "fit_slope",
-    "format_decimal",
     "grid_bilevel",
     "load_bundled_scenario",
-    "load_scenario",
-    "net_unit_cost",
     "optimistic_select",
     "optimize",
-    "quantize_rate",
     "required_budget_for_fixed_tax",
-    "save_scenario",
     "sensitivity_distance",
     "sensitivity_loss",
     "solve_lower",
@@ -136,9 +109,4 @@ __all__ = [
     "subsidy_threshold",
     "tax_budget_line",
     "tax_threshold",
-    "to_decimal",
-    "write_outcome_json",
-    "write_sensitivity_csv",
-    "write_svg_line_chart",
-    "write_sweep_csv",
 ]

@@ -156,35 +156,9 @@ def closed_form_optimize(scenario: Scenario, objective, budget,
     return exact_leader(scenario, objective, budget, mode)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    budget: Decimal
-    tax_rate: Decimal
-    tax_income: Decimal
-    subsidy_outlay: Decimal
-    upper_value: Decimal
-    units: dict
-    industry_cost: Decimal
-    feasible: bool
-
-
-def _record(outcome: BilevelOutcome) -> SweepRecord:
-    r = outcome.response
-    return SweepRecord(
-        budget=outcome.budget,
-        tax_rate=outcome.policy.tax_rate,
-        tax_income=r.tax_payment,
-        subsidy_outlay=r.subsidy_outlay,
-        upper_value=outcome.upper_value,
-        units=dict(r.allocation.units),
-        industry_cost=r.industry_cost,
-        feasible=outcome.feasible,
-    )
-
-
 def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
                  engine: str = "closed-form", params: PsoParams = None):
-    """Optimize once per budget and tabulate the outcomes.
+    """Optimize once per budget; the rows are the leader's `BilevelOutcome`s.
 
     engine is "closed-form" (the exact leader, `closed_form_optimize`) or
     "pso" (`optimize`, which runs the same exact leader on pure-linear
@@ -199,7 +173,7 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
         raise ValidationError([f"unknown engine: {engine!r}"])
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
-    records = []
+    outcomes = []
     for budget in budgets:
         try:
             if engine == "pso":
@@ -209,15 +183,14 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
         except EcoleverError as exc:
             warnings.warn(f"budget {budget}: {exc}", stacklevel=2)
             continue
-        records.append(_record(outcome))
-    return records
+        outcomes.append(outcome)
+    return outcomes
 
 
-def dominant_route(record: SweepRecord):
+def dominant_route(outcome: BilevelOutcome):
     """Route carrying the most units (ties to the first id); None when idle."""
-    if not record.units:
-        return None
-    return max(sorted(record.units), key=lambda rid: record.units[rid])
+    units = outcome.response.allocation.units
+    return max(sorted(units), key=units.get, default=None)
 
 
 def fit_slope(points):
@@ -241,7 +214,7 @@ def fit_slope(points):
 @dataclass(frozen=True)
 class ParameterSweep:
     """Budget sweep at one setting of an operating parameter, plus fitted
-    budget-response slopes over the records where the tax is active (the
+    budget-response slopes over the outcomes where the tax is active (the
     segment the closed forms predict to be linear)."""
 
     parameter: str
@@ -260,9 +233,9 @@ def _parameter_sweep(parameter, value, records) -> ParameterSweep:
         value=to_decimal(value, parameter),
         records=tuple(records),
         dominant_routes=tuple(dominant_route(r) for r in records),
-        tax_income_slope=fit_slope([(r.budget, r.tax_income) for r in taxed]),
-        subsidy_slope=fit_slope([(r.budget, r.subsidy_outlay) for r in taxed]),
-        industry_cost_slope=fit_slope([(r.budget, r.industry_cost) for r in taxed]),
+        tax_income_slope=fit_slope([(r.budget, r.response.tax_payment) for r in taxed]),
+        subsidy_slope=fit_slope([(r.budget, r.response.subsidy_outlay) for r in taxed]),
+        industry_cost_slope=fit_slope([(r.budget, r.response.industry_cost) for r in taxed]),
     )
 
 

@@ -234,19 +234,19 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_case(args)
     budgets = parse_value_list(args.budgets, "budgets")
-    records = budget_sweep(scenario, args.objective, budgets, mode=args.mode,
-                           engine=args.engine, params=_pso_params(args))
+    outcomes = budget_sweep(scenario, args.objective, budgets, mode=args.mode,
+                            engine=args.engine, params=_pso_params(args))
     out = _out_dir(args)
     target = out / "sweep.csv"
-    write_sweep_csv(records, target, route_ids=scenario.route_ids())
-    print(f"wrote {target} ({len(records)} rows)")
+    write_sweep_csv(outcomes, target, route_ids=scenario.route_ids())
+    print(f"wrote {target} ({len(outcomes)} rows)")
     if args.emit_svg:
         svg = out / "sweep.svg"
         write_svg_line_chart(
             svg,
-            [("tax rate", [(r.budget, r.tax_rate) for r in records]),
-             ("tax income", [(r.budget, r.tax_income) for r in records]),
-             ("subsidy outlay", [(r.budget, r.subsidy_outlay) for r in records])],
+            [("tax rate", [(o.budget, o.tax_rate) for o in outcomes]),
+             ("tax income", [(o.budget, o.response.tax_payment) for o in outcomes]),
+             ("subsidy outlay", [(o.budget, o.response.subsidy_outlay) for o in outcomes])],
             title=f"budget sweep ({args.objective}, {args.mode})",
             x_label="budget", y_label="rate / $")
         print(f"wrote {svg}")
@@ -273,7 +273,7 @@ def cmd_sensitivity(args) -> int:
     if args.emit_svg:
         svg = out / "sensitivity.svg"
         series = [(f"{s.parameter}={s.value}",
-                   [(r.budget, r.tax_income) for r in s.records]) for s in sweeps]
+                   [(o.budget, o.response.tax_payment) for o in s.records]) for s in sweeps]
         write_svg_line_chart(svg, series, title=f"tax income vs budget ({args.parameter})",
                              x_label="budget", y_label="tax income")
         print(f"wrote {svg}")

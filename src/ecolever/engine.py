@@ -232,7 +232,7 @@ class BilevelOutcome:
     """Result of one bilevel search at a fixed budget. evaluations counts
     the policies ranked: each by the follower, or by `value_bound` (and,
     in the exact leader, `lower.leader_floor`) where the follower could
-    not change the answer."""
+    not change the answer. A budget sweep's rows are these outcomes."""
 
     policy: PolicyVector
     response: LowerResult
@@ -243,6 +243,10 @@ class BilevelOutcome:
     objective: Objective
     mode: str
     budget: Decimal
+
+    @property
+    def tax_rate(self) -> Decimal:
+        return self.policy.tax_rate
 
 
 def default_bounds(scenario: Scenario, mode: str = COMBINED, tax_max: float = 10.0):

@@ -9,7 +9,7 @@ the leader's best value over every allocation, which no policy can pass.
 Every money, emission, and circularity quantity is an exact `decimal.Decimal`
 so cost ties and policy thresholds reproduce bit for bit across platforms.
 Floats are rejected at construction time; convert optimizer output explicitly
-with `quantize_rate` first.
+with `ecolever.model.quantize_rate` first.
 """
 
 from __future__ import annotations

@@ -209,19 +209,20 @@ def format_decimal(value) -> str:
     return f"{out:f}"
 
 
-def write_sweep_csv(records, path, route_ids) -> None:
+def write_sweep_csv(outcomes, path, route_ids) -> None:
     """One row per budget: policy, funds flows, objective, units per route in `route_ids`."""
     header = (["budget", "tax_rate", "tax_income", "subsidy_outlay", "upper_value"]
               + [f"units_{rid}" for rid in route_ids] + ["industry_cost"])
     lines = [",".join(header)]
-    for rec in records:
-        row = [format_decimal(rec.budget),
-               format_decimal(rec.tax_rate),
-               format_decimal(rec.tax_income),
-               format_decimal(rec.subsidy_outlay),
-               format_decimal(rec.upper_value)]
-        row += [str(rec.units.get(rid, 0)) for rid in route_ids]
-        row.append(format_decimal(rec.industry_cost))
+    for outcome in outcomes:
+        r = outcome.response
+        row = [format_decimal(outcome.budget),
+               format_decimal(outcome.tax_rate),
+               format_decimal(r.tax_payment),
+               format_decimal(r.subsidy_outlay),
+               format_decimal(outcome.upper_value)]
+        row += [str(r.allocation.units_for(rid)) for rid in route_ids]
+        row.append(format_decimal(r.industry_cost))
         lines.append(",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -233,16 +234,17 @@ def write_sensitivity_csv(sweeps, path) -> None:
               "subsidy_outlay", "upper_value", "industry_cost", "dominant_route"]
     lines = [",".join(header)]
     for sweep in sweeps:
-        for rec, dom in zip(sweep.records, sweep.dominant_routes):
+        for outcome, dom in zip(sweep.records, sweep.dominant_routes):
+            r = outcome.response
             lines.append(",".join([
                 sweep.parameter,
                 format_decimal(sweep.value),
-                format_decimal(rec.budget),
-                format_decimal(rec.tax_rate),
-                format_decimal(rec.tax_income),
-                format_decimal(rec.subsidy_outlay),
-                format_decimal(rec.upper_value),
-                format_decimal(rec.industry_cost),
+                format_decimal(outcome.budget),
+                format_decimal(outcome.tax_rate),
+                format_decimal(r.tax_payment),
+                format_decimal(r.subsidy_outlay),
+                format_decimal(outcome.upper_value),
+                format_decimal(r.industry_cost),
                 dom if dom is not None else "",
             ]))
     atomic_write_text(path, "\n".join(lines) + "\n")

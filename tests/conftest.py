@@ -1,4 +1,6 @@
+import os
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -7,6 +9,16 @@ from ecolever import Scenario, calibrate_case_study
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """The environment for a child interpreter: this checkout's `src` first on
+    PYTHONPATH, so the child imports these sources whether or not the package
+    is installed."""
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), inherited]))}
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import src_env
 from ecolever import (
     Objective,
     PolicyVector,
@@ -366,7 +367,7 @@ def test_follower_picks_the_enumerated_optimistic_allocation(instance):
 def _run_cli(args, out_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "ecolever.cli", *args, "--out", str(out_dir)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=src_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

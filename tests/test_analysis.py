@@ -7,18 +7,16 @@ from ecolever import (
     CalibrationError,
     NoThresholdError,
     Objective,
+    PsoParams,
     RouteSpec,
     Scenario,
     ValidationError,
     budget_sweep,
     calibrate_case_study,
-    check_calibration,
-    cheapest_route,
     closed_form_optimize,
-    dominant_route,
     evaluate_policy,
     fit_slope,
-    net_unit_cost,
+    optimize,
     required_budget_for_fixed_tax,
     sensitivity_distance,
     sensitivity_loss,
@@ -26,8 +24,11 @@ from ecolever import (
     tax_budget_line,
     tax_threshold,
 )
-from ecolever.analysis import GLASS_ROUTE, LANDFILL_ROUTE, STRAP_ROUTE
+from ecolever.analysis import (GLASS_ROUTE, LANDFILL_ROUTE, STRAP_ROUTE, check_calibration,
+                               cheapest_route, dominant_route)
 from ecolever.engine import MODES
+from ecolever.lower import net_unit_cost
+from ecolever.model import apply_modifiers
 
 
 def _route(rid, cost, emissions, circ):
@@ -139,7 +140,6 @@ def test_required_budget_beyond_threshold_is_negative(pair):
 
 
 def test_closed_form_matches_pso_on_the_toy(pair):
-    from ecolever import PsoParams, optimize
     closed = closed_form_optimize(pair, Objective.MIN_GHG, 0)
     swarm = optimize(pair, Objective.MIN_GHG, 0,
                      params=PsoParams(swarm_size=8, iterations=20, restarts=1, seed=0))
@@ -165,11 +165,11 @@ def test_budget_sweep_records_are_complete(pair):
     assert [r.budget for r in records] == [0, 2, 10]
     for r in records:
         assert r.feasible
-        assert sum(r.units.values()) == pair.demand
+        assert r.response.allocation.total() == pair.demand
         assert r.upper_value == Decimal("2.00")
     # past the kink the tax vanishes and the subsidy saturates
     assert records[2].tax_rate == 0
-    assert records[2].subsidy_outlay == Decimal("4.00")
+    assert records[2].response.subsidy_outlay == Decimal("4.00")
 
 
 def test_dominant_route_and_fit_slope():
@@ -180,7 +180,7 @@ def test_dominant_route_and_fit_slope():
         )),
         Objective.MIN_GHG, [Decimal(0), Decimal(1), Decimal(2)])
     assert all(dominant_route(r) == "clean" for r in records)
-    slope = fit_slope([(r.budget, r.tax_income) for r in records])
+    slope = fit_slope([(r.budget, r.response.tax_payment) for r in records])
     # income = t * E_clean = (4 - B)/10 * 2 => slope -0.2
     assert slope == Decimal("-0.2")
     assert fit_slope([(Decimal(1), Decimal(5))]) is None
@@ -243,6 +243,27 @@ def test_calibrate_case_study_structure(case):
             continue
         assert any(m.unit_cost < r.unit_cost and m.unit_emissions < r.unit_emissions
                    and m.unit_circularity > r.unit_circularity for m in mains)
+
+
+@pytest.mark.parametrize("engine", ["closed-form", "pso"])
+@pytest.mark.parametrize("scenario_name", ["case", "pso_capped"])
+def test_a_sweep_row_is_the_leader_outcome_at_its_budget(request, scenario_name, engine):
+    scenario = request.getfixturevalue(scenario_name)
+    params = PsoParams(swarm_size=4, iterations=3, restarts=1, seed=2)
+    budgets = [Decimal(-20), Decimal(0), Decimal(30)]
+
+    def leader(s, objective, budget):
+        if engine == "pso":
+            return optimize(s, objective, budget, params=params)
+        return closed_form_optimize(s, objective, budget)
+
+    rows = budget_sweep(scenario, Objective.MIN_GHG, budgets, engine=engine, params=params)
+    assert rows == [leader(scenario, Objective.MIN_GHG, b) for b in budgets]
+    assert [r.tax_rate for r in rows] == [r.policy.tax_rate for r in rows]
+    [sweep] = sensitivity_distance(scenario, [Decimal(15)], budgets, Objective.MAX_CIRCULARITY,
+                                   engine=engine, params=params)
+    moved = apply_modifiers(scenario, 15, scenario.modifiers.glass_loss_fraction)
+    assert list(sweep.records) == [leader(moved, Objective.MAX_CIRCULARITY, b) for b in budgets]
 
 
 @pytest.mark.parametrize("engine", ["closed-form", "pso"])

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from ecolever import (Allocation, CalibrationError, PolicyVector, ValidationError, cli,
-                      net_unit_cost)
+from conftest import src_env
+from ecolever import Allocation, CalibrationError, PolicyVector, ValidationError, cli
+from ecolever.lower import net_unit_cost
 from ecolever.model import price_allocation
 from ecolever.cli import main, parse_value_list
 from ecolever.scenario_io import scenario_to_dict
@@ -294,7 +295,7 @@ def test_cli_subprocess_round_trip(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ecolever.cli", "sweep", "--budgets", "0:30:30",
          "--engine", "closed-form", "--out", str(out)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert (out / "sweep.csv").is_file()
 
@@ -346,7 +347,7 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
         here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
         assert run_cli([*args, "--out", str(here)], capsys)[0] == 0
         proc = subprocess.run([sys.executable, "-m", "ecolever.cli", *args, "--out", str(fresh)],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert (here / name).read_bytes() == (fresh / name).read_bytes()
     code, stdout, stderr = run_cli(["sweep", "--budgets", "0", "--bogus",

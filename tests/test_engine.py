@@ -18,7 +18,6 @@ from ecolever import (
     ValidationError,
     evaluate_policy,
     optimize,
-    quantize_rate,
 )
 from ecolever import engine
 from ecolever.analysis import closed_form_optimize
@@ -32,7 +31,8 @@ from ecolever.engine import (
     vector_to_policy,
 )
 from ecolever.lower import solve_units
-from ecolever.model import Allocation, apply_modifiers, price_allocation, validate_allocation
+from ecolever.model import (Allocation, apply_modifiers, price_allocation, quantize_rate,
+                            validate_allocation)
 from ecolever.oracle import GridAxis, _compositions, grid_bilevel
 
 

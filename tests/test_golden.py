@@ -113,7 +113,8 @@ CAPPED_DIGESTS = {
 def test_capped_swarm_outcomes_are_byte_identical(tmp_path):
     from decimal import Decimal
 
-    from ecolever import Scenario, calibrate_case_study, save_scenario
+    from ecolever import Scenario, calibrate_case_study
+    from ecolever.scenario_io import save_scenario
 
     case = calibrate_case_study()
     capped = Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,

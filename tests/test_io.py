@@ -8,21 +8,24 @@ from ecolever import (
     PsoParams,
     ValidationError,
     budget_sweep,
-    bundled_scenario_path,
     calibrate_case_study,
-    format_decimal,
     load_bundled_scenario,
-    load_scenario,
     optimize,
+)
+from ecolever.analysis import sensitivity_loss
+from ecolever.cli import main
+from ecolever.scenario_io import (
+    bundled_scenario_path,
+    format_decimal,
+    load_scenario,
     save_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
     write_outcome_json,
     write_sensitivity_csv,
     write_svg_line_chart,
     write_sweep_csv,
 )
-from ecolever.analysis import sensitivity_loss
-from ecolever.cli import main
-from ecolever.scenario_io import scenario_from_dict, scenario_to_dict
 
 
 def test_bundled_scenario_exists_and_matches_calibration(tmp_path):

@@ -1,8 +1,10 @@
 """Each private helper has one owner: no module of the package imports an
 underscore-prefixed name from a sibling module. The package runs on the
-standard library alone."""
+standard library alone, and its root exports only what callers take from it."""
 
 import ast
+import dataclasses
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -11,6 +13,7 @@ from pathlib import Path
 import ecolever
 
 PACKAGE = Path(ecolever.__file__).parent
+ROOT = PACKAGE.parents[1]
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
@@ -94,3 +97,40 @@ def test_only_model_spells_out_an_objective():
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                       if isinstance(node, ast.Constant) and node.value in values]
     assert offenders == []
+
+
+def _root_names(source):
+    """Names a source takes from the package root: `from ecolever import x`,
+    or `ecolever.x` and `el.x` reads (the benchmark binds the package as `el`)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "ecolever":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and (
+                isinstance(node.value, ast.Name) and node.value.id in ("ecolever", "el")
+                or isinstance(node.value, ast.Attribute) and node.value.attr == "el"):
+            names.add(node.attr)
+    return names
+
+
+def _is_type_or_mode(name):
+    obj = getattr(ecolever, name)
+    if isinstance(obj, type):
+        return (issubclass(obj, Exception) or dataclasses.is_dataclass(obj)
+                or issubclass(obj, tuple))
+    return name == "MODES" or obj in ecolever.MODES
+
+
+def test_every_root_export_is_taken_from_the_root_or_is_a_type_or_mode():
+    # Callers outside the unit tests: README's snippets, the demos, the
+    # acceptance criteria and the benchmark. Anything else is imported from
+    # its module.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources += [path.read_text(encoding="utf-8")
+                for folder in ("demos", "benchmarks")
+                for path in sorted((ROOT / folder).glob("*.py"))]
+    sources.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used = set().union(*map(_root_names, sources))
+    assert [name for name in ecolever.__all__
+            if name not in used and not _is_type_or_mode(name)] == []

@@ -14,18 +14,18 @@ from ecolever import (
     ResourceBoundError,
     RouteSpec,
     Scenario,
-    apply_modifiers,
     enumerate_lower,
     enumerate_optimistic,
     evaluate_allocation,
     evaluate_policy,
-    net_unit_cost,
     optimistic_select,
     solve_lower,
     solve_lower_greedy,
     solve_lower_milp,
 )
 from ecolever import lower, model
+from ecolever.lower import net_unit_cost
+from ecolever.model import apply_modifiers
 from ecolever.analysis import LANDFILL_ROUTE, STRAP_ROUTE
 
 

@@ -13,14 +13,12 @@ from ecolever import (
     Scenario,
     SensitivityModifiers,
     ValidationError,
-    apply_modifiers,
     evaluate_allocation,
-    quantize_rate,
-    to_decimal,
 )
 from ecolever import model
 from ecolever.errors import InvalidAllocationError
-from ecolever.model import validate_allocation, validate_policy
+from ecolever.model import (apply_modifiers, quantize_rate, to_decimal, validate_allocation,
+                            validate_policy)
 
 
 def _route(rid, cost, emissions, circ, **kw):
