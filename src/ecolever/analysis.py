@@ -227,7 +227,7 @@ class ParameterSweep:
 
 
 def _parameter_sweep(parameter, value, records) -> ParameterSweep:
-    taxed = [r for r in records if r.tax_rate > 0 and r.feasible]
+    taxed = [r for r in records if r.policy.tax_rate > 0 and r.feasible]
     return ParameterSweep(
         parameter=parameter,
         value=to_decimal(value, parameter),

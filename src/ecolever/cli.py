@@ -244,7 +244,7 @@ def cmd_sweep(args) -> int:
         svg = out / "sweep.svg"
         write_svg_line_chart(
             svg,
-            [("tax rate", [(o.budget, o.tax_rate) for o in outcomes]),
+            [("tax rate", [(o.budget, o.policy.tax_rate) for o in outcomes]),
              ("tax income", [(o.budget, o.response.tax_payment) for o in outcomes]),
              ("subsidy outlay", [(o.budget, o.response.subsidy_outlay) for o in outcomes])],
             title=f"budget sweep ({args.objective}, {args.mode})",

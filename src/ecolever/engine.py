@@ -244,10 +244,6 @@ class BilevelOutcome:
     mode: str
     budget: Decimal
 
-    @property
-    def tax_rate(self) -> Decimal:
-        return self.policy.tax_rate
-
 
 def default_bounds(scenario: Scenario, mode: str = COMBINED, tax_max: float = 10.0):
     """Search box per dimension: tax first, then one axis per

@@ -217,7 +217,7 @@ def write_sweep_csv(outcomes, path, route_ids) -> None:
     for outcome in outcomes:
         r = outcome.response
         row = [format_decimal(outcome.budget),
-               format_decimal(outcome.tax_rate),
+               format_decimal(outcome.policy.tax_rate),
                format_decimal(r.tax_payment),
                format_decimal(r.subsidy_outlay),
                format_decimal(outcome.upper_value)]
@@ -240,7 +240,7 @@ def write_sensitivity_csv(sweeps, path) -> None:
                 sweep.parameter,
                 format_decimal(sweep.value),
                 format_decimal(outcome.budget),
-                format_decimal(outcome.tax_rate),
+                format_decimal(outcome.policy.tax_rate),
                 format_decimal(r.tax_payment),
                 format_decimal(r.subsidy_outlay),
                 format_decimal(outcome.upper_value),

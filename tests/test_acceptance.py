@@ -91,7 +91,7 @@ def _check_ghg_subsidy_sweep(records):
     span = Decimal("64.24") - Decimal("49.97")
     for r in records:
         assert r.feasible
-        assert r.tax_rate == 0
+        assert r.policy.tax_rate == 0
         if r.budget == 0:
             assert abs(r.upper_value - Decimal("64.24")) <= Decimal("1e-6")
         elif r.budget >= 61:
@@ -129,7 +129,7 @@ def test_criterion_04_subsidy_only_circularity_sweep(case):
     span = Decimal("1.475") - Decimal("1.275")
     values = []
     for r in records:
-        assert r.feasible and r.tax_rate == 0
+        assert r.feasible and r.policy.tax_rate == 0
         values.append(r.upper_value)
         if r.budget == 0:
             assert abs(r.upper_value - Decimal("1.275")) <= Decimal("1e-6")
@@ -194,15 +194,15 @@ def test_criterion_06_budget_tax_lines_and_kinks(case):
     for r in ghg:
         expected = line.tax_at(r.budget)
         if expected > 0:
-            assert _rel(r.tax_rate, expected) <= Decimal("0.01")
+            assert _rel(r.policy.tax_rate, expected) <= Decimal("0.01")
         else:
-            assert r.tax_rate == 0
-    ghg_root = _fit_root([(r.budget, r.tax_rate) for r in ghg if r.tax_rate > 0])
+            assert r.policy.tax_rate == 0
+    ghg_root = _fit_root([(r.budget, r.policy.tax_rate) for r in ghg if r.policy.tax_rate > 0])
     assert abs(ghg_root - Decimal(61)) <= 1
 
     circ = budget_sweep(case, Objective.MAX_CIRCULARITY, budgets,
                         engine="pso", params=params)
-    circ_root = _fit_root([(r.budget, r.tax_rate) for r in circ if r.tax_rate > 0])
+    circ_root = _fit_root([(r.budget, r.policy.tax_rate) for r in circ if r.policy.tax_rate > 0])
     assert abs(circ_root - Decimal(67)) <= 1
     _pass(6, f"tax lines within 1% at 17 budgets; kinks at {ghg_root:.2f} "
              f"and {circ_root:.2f}")
