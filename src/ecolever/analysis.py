@@ -1,5 +1,5 @@
 """Closed-form policy analysis, budget sweeps, sensitivity drivers, and the
-coffee-packaging case-study calibration.
+coffee-packaging case study: the bundled file, checked against the paper's anchors.
 
 The two-route closed forms price a target route against the pre-policy
 cheapest one: the follower is indifferent exactly when s = dc - de * t (dc
@@ -29,11 +29,11 @@ from .model import (
     Objective,
     RouteSpec,
     Scenario,
-    SensitivityModifiers,
     ZERO,
     apply_modifiers,
     to_decimal,
 )
+from .scenario_io import load_bundled_scenario
 
 
 def cheapest_route(scenario: Scenario) -> RouteSpec:
@@ -279,8 +279,8 @@ class CalibrationAnchors:
     """Published totals the case-study scenario must reproduce, at the stated
     demand: per-pathway cost/emission/circularity aggregates, the operating
     point of the glass wash loop, and the sensitivity coefficients. These
-    are the paper's numbers; `calibrate_case_study` and `check_calibration`
-    read the defaults, and another catalog comes in through `load_scenario`."""
+    are the paper's numbers, which `check_calibration` holds the bundled
+    case to; another catalog comes in through `load_scenario`."""
 
     demand: int = 1000
     strap_total_cost: Decimal = Decimal("-0.93")
@@ -381,103 +381,13 @@ def check_calibration(scenario: Scenario):
 
 
 def calibrate_case_study() -> Scenario:
-    """Build the coffee-packaging scenario from `CalibrationAnchors` and
-    verify it with `check_calibration`.
+    """The bundled case, `load_bundled_scenario`, verified with `check_calibration`.
 
     Three calibrated pathways (multilayer pouch to strapping-based recycling,
     multilayer pouch to landfill, returnable glass jar through a wash loop)
     plus four clearly dominated alternatives that give the solvers a
     non-trivial catalog to reject.
     """
-    anchors = CalibrationAnchors()
-    n = anchors.demand
-
-    def unit(total):
-        return total / n
-
-    routes = (
-        RouteSpec(
-            route_id=STRAP_ROUTE,
-            product_id="coffee_pouch_multilayer",
-            technology_id="strap_recycling_line",
-            unit_cost=unit(anchors.strap_total_cost),
-            unit_emissions=unit(anchors.strap_total_emissions),
-            unit_circularity=anchors.strap_circularity,
-            recovered_outputs=("polyolefin_regranulate",),
-            tags=("multilayer", "mechanical-recycling", "baseline"),
-        ),
-        RouteSpec(
-            route_id=LANDFILL_ROUTE,
-            product_id="coffee_pouch_multilayer",
-            technology_id="landfill_site",
-            unit_cost=unit(anchors.landfill_total_cost),
-            unit_emissions=unit(anchors.landfill_total_emissions),
-            unit_circularity=anchors.landfill_circularity,
-            recovered_outputs=(),
-            tags=("multilayer", "disposal"),
-        ),
-        RouteSpec(
-            route_id=GLASS_ROUTE,
-            product_id="coffee_jar_glass",
-            technology_id="wash_reuse_loop",
-            unit_cost=unit(anchors.glass_total_cost),
-            unit_emissions=unit(anchors.glass_total_emissions),
-            unit_circularity=anchors.glass_circularity,
-            recovered_outputs=("washed_jar",),
-            tags=("reuse", "glass"),
-        ),
-        # Dominated fillers: each costs more and emits more than some
-        # calibrated pathway while recirculating less, so no sane policy
-        # selects them. They keep the catalog from being a 3-way toy.
-        RouteSpec(
-            route_id="multilayer_incineration",
-            product_id="coffee_pouch_multilayer",
-            technology_id="waste_to_energy",
-            unit_cost=Decimal("0.08"),
-            unit_emissions=Decimal("0.095"),
-            unit_circularity=Decimal("0.55"),
-            tags=("multilayer", "energy-recovery"),
-        ),
-        RouteSpec(
-            route_id="multilayer_pyrolysis",
-            product_id="coffee_pouch_multilayer",
-            technology_id="pyrolysis_reactor",
-            unit_cost=Decimal("0.09"),
-            unit_emissions=Decimal("0.088"),
-            unit_circularity=Decimal("0.92"),
-            recovered_outputs=("pyrolysis_oil",),
-            tags=("multilayer", "chemical-recycling"),
-        ),
-        RouteSpec(
-            route_id="monolayer_mechanical",
-            product_id="coffee_pouch_monolayer",
-            technology_id="film_recycling_line",
-            unit_cost=Decimal("0.072"),
-            unit_emissions=Decimal("0.081"),
-            unit_circularity=Decimal("1.15"),
-            recovered_outputs=("pe_regranulate",),
-            tags=("monolayer", "mechanical-recycling"),
-        ),
-        RouteSpec(
-            route_id="rigid_mechanical",
-            product_id="coffee_can_rigid",
-            technology_id="rigid_recycling_line",
-            unit_cost=Decimal("0.075"),
-            unit_emissions=Decimal("0.079"),
-            unit_circularity=Decimal("1.05"),
-            recovered_outputs=("pp_regranulate",),
-            tags=("rigid", "mechanical-recycling"),
-        ),
-    )
-    modifiers = SensitivityModifiers(
-        glass_wash_distance=anchors.glass_wash_distance,
-        glass_loss_fraction=anchors.glass_loss_fraction,
-        distance_cost_coeff=anchors.distance_cost_coeff,
-        distance_emission_coeff=anchors.distance_emission_coeff,
-        loss_cost_coeff=anchors.loss_cost_coeff,
-        loss_emission_coeff=anchors.loss_emission_coeff,
-        affected_route_ids=(GLASS_ROUTE,),
-    )
-    scenario = Scenario(demand=n, routes=routes, modifiers=modifiers)
+    scenario = load_bundled_scenario()
     check_calibration(scenario)
     return scenario

@@ -2,7 +2,7 @@
 
 Subcommands: run (one bilevel solve), sweep (budget series), sensitivity
 (wash-loop distance or breakage series), verify (cross-check the fast solvers
-against brute-force enumeration and the value bound), calibrate (emit the case study).
+against brute-force enumeration and the value bound), calibrate (check the bundled case).
 
 Exit codes: 0 success, 1 bad input (validation or calibration), 2 solver
 failure (NoThresholdError, ResourceBoundError, InvalidAllocationError), 3
@@ -181,7 +181,8 @@ def build_parser() -> _Parser:
                           help="shrunken demand for the enumeration battery")
     p_verify.set_defaults(handler=cmd_verify)
 
-    p_cal = sub.add_parser("calibrate", help="rebuild and check the bundled case study")
+    p_cal = sub.add_parser("calibrate", help="check the bundled case study against the "
+                                             "paper's anchors and write it")
     _add_common(p_cal, solves=False)
     p_cal.set_defaults(handler=cmd_calibrate)
 

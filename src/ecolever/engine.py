@@ -17,9 +17,9 @@ import math
 import random
 from bisect import insort
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
+from decimal import Decimal, InvalidOperation, ROUND_CEILING, ROUND_FLOOR, getcontext
 
-from .errors import ValidationError
+from .errors import ResourceBoundError, ValidationError
 from .lower import leader_floor, solve_lower, solve_units
 from .model import (
     Allocation,
@@ -294,6 +294,15 @@ def price_window(scenario: Scenario, target_route_id: str):
     return None if hi is not None and lo > hi else (lo, hi)
 
 
+def _on_grid(rate: Decimal, rounding) -> Decimal:
+    """A candidate rate on the 1e-12 grid; ResourceBoundError past the context's digits."""
+    try:
+        return rate.quantize(RATE_QUANTUM, rounding=rounding)
+    except InvalidOperation:
+        raise ResourceBoundError(f"rate {rate} needs more than the context's "
+                                 f"{getcontext().prec} digits on the 1e-12 grid") from None
+
+
 def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     """The exact leader's candidates: zero policy first, none repeated.
 
@@ -326,7 +335,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
         target = target if cap is None else min(target, cap)
         tax = max(((target - r.unit_cost) / r.unit_emissions
                    for r in routes if r.unit_cost < target), default=ZERO)
-        return tax.quantize(RATE_QUANTUM, rounding=ROUND_CEILING)
+        return _on_grid(tax, ROUND_CEILING)
 
     def add(tax, rates=()):
         policy = PolicyVector(tax_rate=tax, subsidy_rates=rates)
@@ -350,7 +359,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
             add(tax, {rid: rate})
             if lifted >= goal:
                 continue
-            add(tax, {rid: rate.quantize(RATE_QUANTUM, rounding=ROUND_FLOOR) + RATE_QUANTUM})
+            add(tax, {rid: _on_grid(rate, ROUND_FLOOR) + RATE_QUANTUM})
         # with no tax, an unsubsidized route adds nothing to the zero policy
         window = None if mode == SUBSIDY_ONLY else price_window(scenario, rid)
         if window is None:
@@ -358,13 +367,13 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
         lo, hi = window
         # income demand * tax * emissions grows, and the shortfall shrinks, with the tax
         need = max(lo, -budget / (demand * emissions)) if emissions else lo
-        tax = need.quantize(RATE_QUANTUM, rounding=ROUND_CEILING)
+        tax = _on_grid(need, ROUND_CEILING)
         if hi is not None and tax > hi:
-            tax = (hi - RATE_QUANTUM).quantize(RATE_QUANTUM, rounding=ROUND_CEILING)
+            tax = _on_grid(hi - RATE_QUANTUM, ROUND_CEILING)
         if tax >= lo:
             add(tax)
         if hi is not None:  # the top of the window, where the next route joins
-            mix(hi.quantize(RATE_QUANTUM, rounding=ROUND_FLOOR))
+            mix(_on_grid(hi, ROUND_FLOOR))
     if cap is not None:
         mix(least_tax(cap))
     return points

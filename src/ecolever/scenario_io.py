@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 from dataclasses import fields
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
 from pathlib import Path
 
 from .errors import ValidationError
@@ -32,7 +32,8 @@ _MODIFIER_FIELDS = tuple(f.name for f in fields(SensitivityModifiers))
 _ROUTE_ID_FIELDS = ("route_id", "product_id", "technology_id")
 _TOP_FIELDS = ("format", "version", "demand", "routes", "modifiers",
                "technology_fixed_costs", "capacity_limits")
-_SIX_PLACES = Decimal("1e-6")  # format_decimal's quantum
+_SIX_PLACES = Decimal("1e-6")  # format_decimal's quantum, in a context that fits any value
+_SIX_PLACES_CONTEXT = Context(prec=MAX_PREC, Emax=MAX_EMAX, rounding=ROUND_HALF_EVEN)
 
 
 def bundled_scenario_path() -> Path:
@@ -201,9 +202,10 @@ def format_decimal(value) -> str:
     and printed figure carries.
 
     Quantizes half-even and normalizes negative zero, so equal quantities
-    always produce identical bytes.
+    always produce identical bytes. Every digit is kept: the default 28-digit
+    context would refuse values of 1e22 and more.
     """
-    out = to_decimal(value, "value").quantize(_SIX_PLACES)
+    out = to_decimal(value, "value").quantize(_SIX_PLACES, None, _SIX_PLACES_CONTEXT)
     if out == 0:
         out = out.copy_abs()
     return f"{out:f}"

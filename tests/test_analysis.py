@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -211,23 +212,39 @@ def test_calibration_round_trip_and_anchor_residuals(case):
         assert residuals[key] == 0
 
 
-def test_calibration_rejects_a_perturbed_scenario(case):
-    routes = []
-    for r in case.routes:
-        if r.route_id == LANDFILL_ROUTE:
-            routes.append(RouteSpec(
-                route_id=r.route_id, product_id=r.product_id,
-                technology_id=r.technology_id,
-                unit_cost=r.unit_cost, unit_emissions=r.unit_emissions * 2,
-                unit_circularity=r.unit_circularity,
-                recovered_outputs=r.recovered_outputs,
-                subsidizable=r.subsidizable, tags=r.tags, stages=r.stages))
-        else:
-            routes.append(r)
-    broken = Scenario(demand=case.demand, routes=tuple(routes), modifiers=case.modifiers)
+def _with_route(case, route_id, **changes):
+    return replace(case, routes=tuple(replace(r, **changes) if r.route_id == route_id else r
+                                      for r in case.routes))
+
+
+# one perturbation per violation check_calibration reports
+@pytest.mark.parametrize("perturb, message", [
+    (lambda c: _with_route(c, LANDFILL_ROUTE, unit_emissions=Decimal("0.09994")),
+     "landfill_emissions off by 49.97000"),
+    (lambda c: replace(c, demand=999), "demand is 999, anchors expect 1000"),
+    (lambda c: replace(c, routes=tuple(r for r in c.routes if r.route_id != GLASS_ROUTE)),
+     "missing route glass_wash_reuse"),
+    (lambda c: _with_route(c, STRAP_ROUTE, unit_circularity=Decimal("1.5")),
+     "circularity ordering must be landfill < strap < glass"),
+    (lambda c: _with_route(c, GLASS_ROUTE, unit_cost=Decimal("0.06")),
+     "cost ordering must be strap < landfill < glass"),
+    (lambda c: _with_route(c, "multilayer_incineration", unit_cost=Decimal("-0.01")),
+     "the strap pathway must be the pre-policy choice"),
+    (lambda c: _with_route(c, LANDFILL_ROUTE, unit_cost=Decimal("0.07")),
+     "subsidy thresholds must order landfill below glass"),
+    # tau = 0.061 / 0.01503 = 4.0585..., 5.6% below 4.3
+    (lambda c: _with_route(c, STRAP_ROUTE, unit_emissions=Decimal("0.065")),
+     "landfill tax threshold 4.058549567531603459747172322 strays more than 0.02 from 4.3"),
+    (lambda c: replace(c, modifiers=replace(c.modifiers, loss_cost_coeff=Decimal("2.64"))),
+     "loss_cost_coeff is 2.64, anchors expect 2.63"),
+    (lambda c: replace(c, modifiers=replace(c.modifiers, affected_route_ids=())),
+     "the glass route must respond to the wash-loop modifiers"),
+], ids=["landfill-emissions", "demand", "missing-route", "circularity-order", "cost-order",
+        "pre-policy-choice", "subsidy-order", "tax-threshold", "modifier", "glass-unaffected"])
+def test_calibration_rejects_a_perturbed_scenario(case, perturb, message):
     with pytest.raises(CalibrationError) as err:
-        check_calibration(broken)
-    assert "landfill_emissions" in str(err.value)
+        check_calibration(perturb(case))
+    assert message in err.value.violations
 
 
 def test_calibrate_case_study_structure(case):

@@ -7,11 +7,12 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import src_env
-from ecolever import Allocation, CalibrationError, PolicyVector, ValidationError, cli
+from ecolever import (Allocation, CalibrationError, PolicyVector, RouteSpec, Scenario,
+                      ValidationError, cli)
 from ecolever.lower import net_unit_cost
 from ecolever.model import price_allocation
 from ecolever.cli import main, parse_value_list
-from ecolever.scenario_io import scenario_to_dict
+from ecolever.scenario_io import save_scenario, scenario_to_dict
 
 
 def run_cli(args, capsys):
@@ -33,6 +34,8 @@ def test_parse_value_list_range_and_commas():
         parse_value_list("0:10", "x")
     with pytest.raises(ValidationError):
         parse_value_list("abc", "x")
+    with pytest.raises(ValidationError, match="x: no values given"):
+        parse_value_list(",", "x")
 
 
 def test_run_command_writes_outcome(tmp_path, capsys):
@@ -253,6 +256,43 @@ def test_oversized_verify_exits_2(capsys):
     assert code == 2
     payload = json.loads(stderr.strip())
     assert payload["error"] == "ResourceBoundError"
+
+
+def _write_pair(path, demand, *routes):
+    """A scenario file of two routes, each given as (cost, emissions, circularity)."""
+    save_scenario(Scenario(demand=demand, routes=[
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{i}", unit_cost=Decimal(c),
+                  unit_emissions=Decimal(e), unit_circularity=Decimal(ci))
+        for i, (c, e, ci) in enumerate(routes)]), path)
+    return str(path)
+
+
+def test_a_tax_past_the_rate_grid_exits_2_and_a_sweep_skips_its_budget(tmp_path, capsys):
+    # r1 takes a tax of 4e16 at budget 0: 29 digits on the 1e-12 grid
+    scenario = _write_pair(tmp_path / "grid.scenario", 10,
+                           ("0.01", "1e-18", "1"), ("0.05", "0.1", "1.5"))
+    out = str(tmp_path / "o")
+    code, stdout, stderr = run_cli(["run", "--scenario", scenario, "--out", out], capsys)
+    lines = stderr.strip().splitlines()
+    assert code == 2 and stdout == "" and len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ResourceBoundError"
+    with pytest.warns(UserWarning, match="budget 0: "):
+        code, stdout, _ = run_cli(["sweep", "--scenario", scenario, "--budgets", "0,5",
+                                   "--out", out], capsys)
+    assert code == 0 and "(1 rows)" in stdout
+
+
+def test_costs_of_1e22_and_more_are_reported_in_full(tmp_path, capsys):
+    scenario = _write_pair(tmp_path / "dear.scenario", 1000,
+                           ("1e22", "0.1", "1"), ("2e22", "0.05", "1.5"))
+    out = tmp_path / "o"
+    given = ["--scenario", scenario, "--objective", "most-profitable", "--out", str(out)]
+    cost = "10000000000000000000000000.000000"
+    code, stdout, _ = run_cli(["run", "--engine", "closed-form", *given], capsys)
+    assert code == 0 and f"industry_cost={cost}" in stdout
+    code, _, _ = run_cli(["sweep", "--budgets", "0", *given], capsys)
+    assert code == 0
+    assert (out / "sweep.csv").read_text().splitlines()[1].endswith(f",1000,0,{cost}")
 
 
 def test_invalid_scenario_file_exits_1(tmp_path, capsys):

@@ -29,16 +29,12 @@ from ecolever.scenario_io import (
 
 
 def test_bundled_scenario_exists_and_matches_calibration(tmp_path):
+    # the file is canonical: saving what it loads to reproduces its bytes
     path = bundled_scenario_path()
-    assert path.is_file()
-    bundled = load_bundled_scenario()
-    rebuilt = calibrate_case_study()
-    assert bundled.demand == rebuilt.demand
-    assert bundled.routes == rebuilt.routes
-    assert bundled.modifiers == rebuilt.modifiers
     target = tmp_path / "coffee_case.scenario"
-    save_scenario(rebuilt, target)
+    save_scenario(load_bundled_scenario(), target)
     assert target.read_bytes() == path.read_bytes()
+    assert calibrate_case_study() == load_bundled_scenario()
 
 
 def test_scenario_round_trip_preserves_exact_values(case, tmp_path):
@@ -130,8 +126,17 @@ def _drop_unit_cost(data):
     (lambda data: data["routes"][0].update(colour="teal"), "routes[0]: unknown key 'colour'"),
     (_drop_unit_cost, "routes[0]: missing unit_cost"),
     (lambda data: data["modifiers"].update(speed="1"), "modifiers: unknown key 'speed'"),
+    (lambda data: data["routes"][0].update(route_id=""), "route_id must be nonempty"),
+    (lambda data: data["routes"].clear(), "at least one route is required"),
+    (lambda data: data["modifiers"].update(glass_wash_distance="-1"),
+     "glass_wash_distance must be >= 0"),
+    (lambda data: data["modifiers"].update(glass_loss_fraction="1"),
+     "glass_loss_fraction must lie in [0, 1)"),
+    (lambda data: data["modifiers"].update(loss_cost_coeff="steep"),
+     "loss_cost_coeff: not a decimal literal: 'steep'"),
 ], ids=["non-object-route", "unknown-route-key", "missing-route-field",
-        "unknown-modifiers-key"])
+        "unknown-modifiers-key", "empty-route-id", "no-routes", "negative-distance",
+        "loss-of-one", "non-decimal-modifier"])
 def test_load_rejects_malformed_routes_and_modifiers(case, edit, message):
     data = scenario_to_dict(case)
     edit(data)
@@ -145,11 +150,22 @@ def test_load_missing_file_is_a_validation_error(tmp_path):
         load_scenario(tmp_path / "absent.scenario")
 
 
+def test_load_refuses_a_file_that_is_not_a_json_object(tmp_path):
+    listed = tmp_path / "listed.scenario"
+    listed.write_text("[]")
+    with pytest.raises(ValidationError, match="scenario file must hold a JSON object"):
+        load_scenario(listed)
+
+
 def test_format_decimal_fixed_width_and_negative_zero():
     assert format_decimal(Decimal("1.5")) == "1.500000"
     assert format_decimal(Decimal("-0.0000001")) == "0.000000"
     assert format_decimal(Decimal("0.0000005")) == "0.000000"  # half-even
     assert format_decimal(Decimal("-2")) == "-2.000000"
+    # six places of 1e22 take 29 digits, one more than the default context holds
+    assert format_decimal(Decimal("1e22")) == "10000000000000000000000.000000"
+    assert format_decimal(Decimal("-9999999999999999999999.9999995")) == \
+        "-10000000000000000000000.000000"
 
 
 def test_sweep_csv_layout_and_bytes(case, tmp_path):

@@ -21,7 +21,7 @@ from ecolever import (
     optimize,
 )
 from ecolever import engine
-from ecolever.analysis import STRAP_ROUTE, closed_form_optimize
+from ecolever.analysis import STRAP_ROUTE, budget_sweep, closed_form_optimize
 from ecolever.engine import COMBINED, MODES, SUBSIDY_ONLY, TAX_ONLY, rank
 from ecolever.lower import leader_floor
 
@@ -330,6 +330,22 @@ def test_a_floor_that_would_round_prunes_nothing():
             _evaluate_all(scenario, Objective.MIN_GHG, 0, policies)
         with pytest.raises(ResourceBoundError):
             engine.best_policy(scenario, Objective.MIN_GHG, 0, policies)
+
+
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+def test_a_candidate_tax_past_the_rate_grid_is_a_resource_bound(objective):
+    # r1 takes a tax of 4e16 to become cheapest at budget 0: 29 digits on the 1e-12 grid
+    scenario = Scenario(demand=10, routes=(_route("r0", "0.01", "1e-18"),
+                                           _route("r1", "0.05", "0.1", "1.5")))
+    for leader in (optimize, closed_form_optimize):
+        with pytest.raises(ResourceBoundError, match="28 digits on the 1e-12 grid"):
+            leader(scenario, objective, 0)
+    for engine_name in ("closed-form", "pso"):
+        with pytest.warns(UserWarning, match="28 digits on the 1e-12 grid") as caught:
+            rows = budget_sweep(scenario, objective, [Decimal(-1), Decimal(0), Decimal(5)],
+                                engine=engine_name)
+        assert [str(w.message).split(":")[0] for w in caught] == ["budget -1", "budget 0"]
+        assert [row.budget for row in rows] == [Decimal(5)]
 
 
 def test_an_earlier_equal_key_wins_though_its_floor_is_higher():

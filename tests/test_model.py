@@ -46,6 +46,10 @@ def test_to_decimal_rejects_floats_and_junk():
         to_decimal(0.1, "rate")
     with pytest.raises(ValidationError):
         to_decimal("not a number", "rate")
+    with pytest.raises(ValidationError, match="rate: booleans are not numeric"):
+        to_decimal(True, "rate")
+    with pytest.raises(ValidationError, match="rate: cannot interpret list as a decimal"):
+        to_decimal([1], "rate")
     violations = []
     placeholder = to_decimal(0.25, "rate", violations)
     assert placeholder == 0  # aggregation mode returns a placeholder, not a raise
