@@ -1,11 +1,12 @@
-"""Combined tax+subsidy design at zero net budget, exact leader vs. swarm.
+"""Combined tax+subsidy design at zero net budget, exact leader vs. least-policy LP.
 
 The interesting regime: the regulator spends nothing on net, funding the
 subsidy entirely out of carbon-tax receipts. On the case study `optimize`
 ranks the exact leader's few analytic candidates. A copy with capacities of
-all demand on every route binds nothing, but sends `optimize` to the
-particle swarm; both must land on the same policy, and the books must
-balance to the cent.
+all demand on every route binds nothing, but sends `optimize` down the
+capped path: the exact least-policy LP for the allocation of the value
+bound, which certifies its answer by reaching that bound within funds. Both
+must land on the same policy, and the books must balance to the cent.
 
 Run: python3 demos/03_combined_policy.py
 """
@@ -34,7 +35,7 @@ def main():
     case = calibrate_case_study()
     capped = Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
                       capacity_limits={rid: case.demand for rid in case.route_ids()})
-    params = PsoParams(swarm_size=10, iterations=200, restarts=5, seed=0)
+    params = PsoParams(swarm_size=10, iterations=200, restarts=5, seed=0)  # if the LP certifies nothing
 
     for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
         print(f"== {objective.value}, net budget $0 ==")
@@ -45,9 +46,9 @@ def main():
         swarm = optimize(capped, objective, 0, params=params)
         swarm_s = time.perf_counter() - t0
         describe("exact", closed, closed_s)
-        describe("swarm", swarm, swarm_s)
+        describe("least-policy LP" if len(swarm.trace) == 1 else "swarm", swarm, swarm_s)
         # the funds balance is exact, so no policy below the corner pays for
-        # itself: the swarm finds nothing past the exact leader's corner
+        # itself: the capped path finds nothing past the exact leader's corner
         assert swarm.policy == closed.policy
         assert swarm.upper_value == closed.upper_value
         assert swarm.response.allocation.units == closed.response.allocation.units

@@ -149,10 +149,12 @@ def required_budget_for_fixed_tax(scenario: Scenario, tax_rate,
 def closed_form_optimize(scenario: Scenario, objective, budget,
                          mode: str = COMBINED) -> BilevelOutcome:
     """`engine.exact_leader`: analytic candidates, no swarm, no tax box. A capped or
-    fixed-cost scenario gets only the candidates derived for pure-linear ones: with
-    capacity 400 per route and fixed costs strap 0.5, landfill 0.2, wash 0.3 on the case,
-    min-ghg gives 55.7 kg at every budget from -60 to 100 (the default swarm: 52.868);
-    max-circularity the swarm's 1.336 at tax 1.0430, not 0.0545, at budget 0."""
+    fixed-cost scenario first gets the least policy of `value_bound`'s allocation,
+    certified where it reaches the bound within funds: with capacity 400 per route and
+    fixed costs strap 0.5, landfill 0.2, wash 0.3 on the case, combined min-ghg reaches
+    52.868 kg and max-circularity 1.336 at every budget from -60 to 100. Where nothing
+    is certified it ranks the candidates derived for pure-linear ones, plus that least
+    policy if there is one; `optimize`'s swarm may beat them."""
     return exact_leader(scenario, objective, budget, mode)
 
 
@@ -162,9 +164,10 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
 
     engine is "closed-form" (the exact leader, `closed_form_optimize`) or
     "pso" (`optimize`, which runs the same exact leader on pure-linear
-    scenarios and the seeded swarm on capped and fixed-cost ones, where
-    "closed-form" ranks only pure-linear candidates). Each budget is solved
-    afresh, and nothing is carried from one budget to the next. A budget
+    scenarios; on capped and fixed-cost ones both give the certified least
+    policy where there is one, and where there is none "pso" runs the seeded
+    swarm while "closed-form" ranks the pure-linear candidates). Each budget
+    is solved afresh, and nothing is carried from one budget to the next. A budget
     whose solve fails is skipped with a warning; an unknown objective,
     engine or mode raises before any runs.
     """

@@ -24,7 +24,6 @@ from pathlib import Path
 
 from .analysis import (
     budget_sweep,
-    calibrate_case_study,
     check_calibration,
     closed_form_optimize,
     sensitivity_distance,
@@ -350,7 +349,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    scenario = calibrate_case_study()
+    scenario = load_bundled_scenario()
     residuals = check_calibration(scenario)
     out = _out_dir(args)
     target = out / "coffee_case.scenario"

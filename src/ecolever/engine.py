@@ -6,9 +6,11 @@ policies: funds shortfall first (subsidy outlay beyond budget plus tax
 income, exact), then the leader's objective, tax rate and total subsidy
 rate, so a policy within funds beats every policy beyond them, with no
 penalty weight and no tolerance. On pure-linear scenarios `exact_leader`
-ranks a few analytic candidates (`domain_informed_points`); a seeded
-particle swarm over an exact decimal grid runs only on capped and
-fixed-cost scenarios, where no exact leader exists here.
+ranks a few analytic candidates (`domain_informed_points`). On capped and
+fixed-cost scenarios both leaders first try `least_policy`, an exact LP, on
+the allocation of `value_bound`: a policy that reaches that bound within
+funds is certified. Elsewhere `optimize` runs a seeded particle swarm over
+an exact decimal grid, which is not exact.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_CEILING, ROUND_FLOOR, getcontext
+from fractions import Fraction
 
 from .errors import ResourceBoundError, ValidationError
-from .lower import leader_floor, solve_lower, solve_units
+from .lower import cheaper_fill, leader_floor, solve_lower, solve_units
 from .model import (
     Allocation,
     LowerResult,
@@ -29,9 +32,11 @@ from .model import (
     RATE_QUANTUM,
     Scenario,
     ZERO,
+    exactly,
     price_units,
     quantize_rate,
     to_decimal,
+    validate_allocation,
     validate_policy,
     value_bound,
 )
@@ -42,6 +47,7 @@ SUBSIDY_ONLY = "subsidy-only"
 MODES = (COMBINED, TAX_ONLY, SUBSIDY_ONLY)
 
 INERTIA, COGNITIVE, SOCIAL = 0.7298, 1.49618, 1.49618  # constriction (Clerc and Kennedy, 2002)
+TAX_QUANTA = 4  # grid taxes `least_policy` tries, from the ceiling of the least tax up
 
 
 def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget):
@@ -79,12 +85,13 @@ def best_policy(scenario: Scenario, objective, budget, policies):
     (policy, natural value, LowerResult, feasible): what evaluating every
     policy in order returns, from fewer evaluations.
 
-    No shortfall is negative, and no response's objective head is below
-    `lower.leader_floor` nor below the head of `value_bound`, the bound. So
-    a policy ranks no earlier than its bound key (0, bound, tax rate, total
-    subsidy rate), nor than its floor key. Every policy is validated, then
-    starts with its bound key, and the lowest (key, index) is taken each
-    time: at a bound key its floor is computed, and a floor above the bound
+    No shortfall is negative, nor below -budget with no tax income, and no
+    response's objective head is below `lower.leader_floor` nor below the
+    head of `value_bound`, the bound. So a policy ranks no earlier than its
+    bound key (that least shortfall, bound, tax rate, total subsidy rate),
+    nor than its floor key. Every policy is validated, then starts with its
+    bound key, and the lowest (key, index) is taken each time: at a bound
+    key its floor is computed, and a floor above the bound
     sends it back with its floor key; otherwise, and at a floor key, it is
     evaluated and goes back with its rank key. The first rank key taken is
     the answer: no policy left can rank before it, nor tie it from an
@@ -102,9 +109,11 @@ def best_policy(scenario: Scenario, objective, budget, policies):
         validate_policy(scenario, policy)
     bound = value_bound(scenario, objective)
     bound = Decimal("-Infinity") if bound is None else objective.head(bound[0])
+    untaxed = max(ZERO, -budget)  # the least shortfall with no tax income
     # (key, index, stage): stage is "bound", "floor", or the evaluated
     # (value, result, feasible) behind a rank key; no two entries share an index
-    queue = sorted(((ZERO, bound, policy.tax_rate, policy.total_rates()), index, "bound")
+    queue = sorted(((ZERO if policy.tax_rate else untaxed, bound, policy.tax_rate,
+                     policy.total_rates()), index, "bound")
                    for index, policy in enumerate(policies))
     while True:
         key, index, stage = queue.pop(0)
@@ -112,7 +121,7 @@ def best_policy(scenario: Scenario, objective, budget, policies):
         if stage == "bound":
             floor = leader_floor(scenario, policy, objective)
             if floor is not None and floor > bound:
-                insort(queue, ((ZERO, floor, *key[2:]), index, "floor"))
+                insort(queue, ((key[0], floor, *key[2:]), index, "floor"))
                 continue
         elif stage != "floor":
             return (policy, *stage)
@@ -125,8 +134,8 @@ def best_policy(scenario: Scenario, objective, budget, policies):
 class PsoParams:
     """Swarm settings. `optimize` runs the swarm over `default_bounds(scenario,
     mode, tax_max)`, so tax_max must be finite, >= 0 and fit `quantize_rate`,
-    and seeds it with `domain_informed_points` only; the exact leader reads
-    none of these."""
+    and seeds it with `domain_informed_points` only; the exact leader and a
+    certified answer read none of these."""
 
     swarm_size: int = 10
     iterations: int = 200
@@ -232,7 +241,8 @@ class BilevelOutcome:
     """Result of one bilevel search at a fixed budget. evaluations counts
     the policies ranked: each by the follower, or by `value_bound` (and,
     in the exact leader, `lower.leader_floor`) where the follower could
-    not change the answer. A budget sweep's rows are these outcomes."""
+    not change the answer; a certified answer counts its LP solves plus
+    one. A budget sweep's rows are these outcomes."""
 
     policy: PolicyVector
     response: LowerResult
@@ -379,17 +389,169 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     return points
 
 
+def _simplex(cost, rows, rhs):
+    """Minimize cost . v over v >= 0 with rows . v <= rhs, exactly: the
+    optimal v in Fractions, or None when nothing is feasible (no cost is
+    negative, so nothing is unbounded). Bland's rule cannot cycle (Bland,
+    1977); the rows are scaled to integers and pivoted over one common
+    denominator (Edmonds, 1967); phase one minimizes one auxiliary column
+    (Chvátal, Linear Programming, 1983)."""
+    m, n = len(rows), len(cost)
+    aux, den, basis, table = n + m, 1, list(range(n, n + m)), []
+    for i, row in enumerate(rows):
+        row = [Fraction(a) for a in (*row, rhs[i])]
+        scale = math.lcm(*(a.denominator for a in row))
+        *row, b = (int(a * scale) for a in row)
+        table.append([*row, *(int(i == k) for k in range(m)), -1, b])
+
+    def pivot(r, c):
+        nonlocal den
+        p, top = table[r][c], table[r]
+        for i, row in enumerate(table):
+            if i != r:
+                f = row[c]
+                table[i] = [(a * p - f * b) // den for a, b in zip(row, top)]
+        if p < 0:  # keep the denominator positive
+            table[:] = [[-a for a in row] for row in table]
+        den, basis[r] = abs(p), c
+
+    def minimize(weights, columns):  # Bland: the first improving column, the least ratio
+        while True:
+            basic = [(weights[c], i) for i, c in enumerate(basis) if weights[c]]
+            c = next((c for c in range(columns)
+                      if weights[c] * den < sum(w * table[i][c] for w, i in basic)), None)
+            if c is None:
+                return
+            pivot(min((Fraction(table[i][-1], table[i][c]), basis[i], i)
+                      for i in range(m) if table[i][c] > 0)[2], c)
+
+    low = min(range(m), key=lambda i: table[i][-1])
+    if table[low][-1] < 0:
+        pivot(low, aux)
+        minimize([0] * aux + [1], aux + 1)
+        if aux in basis:
+            r = basis.index(aux)
+            if table[r][-1]:
+                return None
+            pivot(r, next(c for c in range(aux) if table[r][c]))
+    minimize([*cost] + [0] * (m + 1), aux)
+    row_of = {c: i for i, c in enumerate(basis)}
+    return [Fraction(table[row_of[c]][-1], den) if c in row_of else Fraction(0) for c in range(n)]
+
+
+def _decimal_up(q: Fraction) -> Decimal:
+    """q exactly where the context's digits hold it, else rounded up at 17 places."""
+    try:
+        with exactly("a least subsidy"):
+            return Decimal(q.numerator) / q.denominator
+    except ResourceBoundError:
+        return Decimal(f"{math.ceil(q * 10 ** 17)}E-17")
+
+
+def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
+    """The `rank`-least grid policy under which the allocation `units` (route
+    id -> positive units) is a follower optimum within funds, as (policy, LP
+    solves); None when there is none within TAX_QUANTA taxes of the least.
+
+    For a fixed response the leader's problem is an LP (Labbé, Marcotte and
+    Savard, 1998) in the tax t (0 in subsidy-only mode) and a subsidy per
+    subsidizable route the units use (none in tax-only mode; one elsewhere
+    only helps rivals). Its rows: outlay less tax income at most the budget,
+    and cost(units) <= cost(y) for each fill y that `lower.cheaper_fill`
+    finds undercutting the units at the LP's point, added one at a time.
+    Stage one minimizes t, put on the 1e-12 grid by its ceiling; stage two
+    fixes it, one quantum higher while infeasible, and minimizes the total
+    subsidy. A subsidy past the context's digits is rounded up at 17
+    places, so callers evaluate the policy before trusting it.
+    """
+    budget = to_decimal(budget, "budget")
+    if mode not in MODES:
+        raise ValidationError([f"unknown mode: {mode!r}"])
+    validate_allocation(scenario, Allocation(units))
+    used = [] if mode == TAX_ONLY else [r for r in scenario.subsidizable_ids() if units.get(r)]
+    own = price_units(scenario, units, PolicyVector.zero())
+    tax_row = [1] + [0] * len(used)
+    rows, rhs = [[-own.total_emissions, *map(units.get, used)]], [budget]
+    if mode == SUBSIDY_ONLY:
+        rows, rhs = rows + [tax_row], rhs + [0]
+    solves = 0
+
+    def solve(cost, fixed=()):
+        nonlocal solves
+        while True:
+            solves += 1
+            point = _simplex(cost, rows + [row for row, _ in fixed], rhs + [b for _, b in fixed])
+            if point is None:
+                return None
+            rival = cheaper_fill(scenario, point[0], dict(zip(used, point[1:])), units)
+            if rival is None:
+                return point
+            # the row cost(units) <= cost(rival), in the tax and the subsidies
+            theirs = price_units(scenario, rival, PolicyVector.zero())
+            rows.append([own.total_emissions - theirs.total_emissions,
+                         *(rival.get(rid, 0) - units[rid] for rid in used)])
+            rhs.append(theirs.industry_cost - own.industry_cost)
+
+    point = solve(tax_row)
+    if point is None:
+        return None
+    least = math.ceil(point[0] * 10 ** 12)  # in RATE_QUANTUM steps
+    for step in range(least, least + TAX_QUANTA):
+        tax = Fraction(step, 10 ** 12)
+        point = solve([0] + [1] * len(used), [(tax_row, tax), ([-1, *tax_row[1:]], -tax)])
+        if point is not None:
+            rates = {rid: _decimal_up(rate) for rid, rate in zip(used, point[1:])}
+            return PolicyVector(Decimal(f"{step}E-12") if step else ZERO, rates), solves
+    return None
+
+
+def _certificate(scenario: Scenario, objective: Objective, budget, mode):
+    """Where a capped or fixed-cost scenario's `value_bound` allocation is
+    its only one of best value (no two routes of the fill's marginal
+    `Objective.unit_head` can trade units), that allocation's `least_policy`,
+    evaluated once: a one-point BilevelOutcome if its `rank` key is (0,
+    bound head, ...), before which no policy ranks; else the policy alone;
+    None where it does not apply or finds nothing."""
+    bound = None if scenario.is_pure_linear() else value_bound(scenario, objective)
+    if bound is None:  # pure-linear, most-profitable, or a sum that would round
+        return None
+    units = bound[1].units
+    head = {r.route_id: objective.unit_head(r) for r in scenario.routes}
+    top = max(map(head.get, units), default=None)  # the head at the fill's margin
+    margin = [rid for rid in head if head[rid] == top]
+    if any(units.get(a) and units.get(b, 0) < scenario.capacity_of(b)
+           for a in margin for b in margin if a != b):
+        return None
+    try:
+        found = least_policy(scenario, units, budget, mode)
+        if found is None:
+            return None
+        value, result, _ = evaluate_policy(scenario, found[0], objective, budget)
+    except ResourceBoundError:
+        return None
+    if rank(objective, budget, found[0], value, result)[:2] != (ZERO, objective.head(bound[0])):
+        return found[0]
+    return _outcome(objective, budget, mode, (found[0], value, result, True), found[1] + 1,
+                    ((0, value),))
+
+
 def exact_leader(scenario: Scenario, objective, budget,
                  mode: str = COMBINED) -> BilevelOutcome:
     """The first of `domain_informed_points` in `rank` order, less the
     subsidies no unit draws (the zero policy for most-profitable), with a
-    one-point trace."""
+    one-point trace, unless `_certificate` certifies a policy; one it finds
+    short of the bound joins the candidates, last."""
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
+    found = _certificate(scenario, objective, budget, mode)
+    if isinstance(found, BilevelOutcome):
+        return found
     policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
                 else domain_informed_points(scenario, budget, mode))
+    if found is not None:
+        policies.append(found)
     winner = best_policy(scenario, objective, budget, policies)
     return _outcome(objective, budget, mode, winner, len(policies), ((0, winner[1]),))
 
@@ -410,11 +572,14 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
              mode: str = COMBINED) -> BilevelOutcome:
     """The leader's best decision in `rank` order.
 
-    Pure-linear scenarios and most-profitable get `exact_leader`. Otherwise
-    its candidates, `domain_informed_points`, are evaluated exactly and seed
-    the first of the swarm's restarts (each from a reseeded generator); a
-    seed position that quantizes back to its seed reuses its `rank` key, the
-    swarm's fitness. A position whose floor key (0, `value_bound` head, tax,
+    Pure-linear scenarios and most-profitable get `exact_leader`, and a
+    policy `_certificate` certifies is the answer. Otherwise the exact
+    leader's candidates, `domain_informed_points`, are evaluated exactly and
+    seed the first of the swarm's restarts (each from a reseeded generator),
+    and a least policy short of the bound is evaluated but takes no
+    position, so the swarm runs as without it; a seed position that
+    quantizes back to its seed reuses its `rank` key, the swarm's fitness.
+    A position whose floor key (0, `value_bound` head, tax,
     total subsidy) ranks no earlier than its particle's best gets that best
     back with no follower call; the others are ranked from their
     `price_units` totals. The incumbent is the lowest ranked policy seen;
@@ -424,6 +589,9 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
     budget = to_decimal(budget, "budget")
     if objective == Objective.MOST_PROFITABLE or scenario.is_pure_linear():
         return exact_leader(scenario, objective, budget, mode)
+    found = _certificate(scenario, objective, budget, mode)
+    if isinstance(found, BilevelOutcome):
+        return found
     params = params if params is not None else PsoParams()
 
     bounds = default_bounds(scenario, mode, params.tax_max)
@@ -469,6 +637,8 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
         seed_positions.append([min(max(v, lo), hi) for v, (lo, hi) in zip(vec, bounds)])
         if len(seed_positions) <= params.swarm_size:
             seeded.setdefault(tuple(seed_positions[-1]), (pol, key))
+    if found is not None:
+        consider(found)  # ranked, but no position: the swarm runs as it would without it
 
     running = incumbent[0]
     trace = [(0, running)]

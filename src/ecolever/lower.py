@@ -9,7 +9,8 @@ One depth-first search along that order finds the cost-minimal subsets: at
 the first route of each technology in F that a fill meets, it either pays
 the fee or forbids the technology, so only the technologies a fill reaches
 are ever decided. A pure-linear scenario (no F, no capacities) is the case
-in which the cheapest route takes everything.
+in which the cheapest route takes everything. `cheaper_fill` runs the same
+search at an exact rational policy, for the rows of `engine.least_policy`.
 
 The follower's optimal allocations are the faces of the cost-minimal
 subsets: routes priced below a subset's marginal price sit at capacity, and
@@ -146,53 +147,77 @@ def leader_floor(scenario: Scenario, policy: PolicyVector, leader_objective):
 
 
 def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
-    """The cost-minimal fills: price the routes, sort them once, and search
-    that order depth first, taking each route up to its capacity. The search
+    """(priced, `_fills` over them): priced lists (net unit cost under the
+    policy, route id, technology bit, capacity) for every route."""
+    routes, fees = scenario.fill_table()
+    tax, subsidies = policy.tax_rate, policy.subsidy_rates
+    # net_unit_cost, inlined
+    priced = [(cost + tax * emissions - subsidies.get(rid, ZERO), rid, bit, cap)
+              for cost, emissions, rid, bit, cap in routes]
+    return priced, _fills(scenario, priced, fees)
+
+
+def cheaper_fill(scenario: Scenario, tax, subsidies, units):
+    """A cost-minimal fill, as units, where it costs less than `units` at
+    the exact rational policy (tax, subsidies: route id -> rate, as
+    Fractions); None where `units` is cost-minimal there. `_fills` runs on
+    the net unit costs and fees scaled by one common factor to integers."""
+    routes, fees = scenario.fill_table()
+    scaled = _integers([Fraction(cost) + tax * Fraction(emissions) - subsidies.get(rid, 0)
+                        for cost, emissions, rid, _, _ in routes] + list(fees.values()))
+    priced = [(net, rid, bit, cap) for net, (_, _, rid, bit, cap) in zip(scaled, routes)]
+    fees = dict(zip(fees, scaled[len(routes):]))
+
+    def cost(fill):  # unit costs plus the fee of every technology the fill uses
+        used = {bit for _, rid, bit, _ in priced if rid in fill}
+        return (sum(net * fill.get(rid, 0) for net, rid, _, _ in priced)
+                + sum(fees[bit] for bit in used if bit))
+
+    fill = _fills(scenario, priced, fees)[0][1]
+    return fill if cost(fill) < cost(units) else None
+
+
+def _fills(scenario: Scenario, priced, fees):
+    """The cost-minimal fills over priced routes and fees (exact Decimals,
+    or integers scaled alike): sort the routes once, and search that order
+    depth first, taking each route up to its capacity. The search
     branches at the first route of each fixed-cost technology it has not yet
     decided on: pay the technology's fee and use the route, or forbid the
     technology. A branch ends once demand is covered, so technologies its
     fill never reaches stay undecided and are never enumerated. A forbidding
     branch is dropped when its cost so far plus its remaining units at the
     next route's price already exceeds the least cost found: every later
-    route costs at least that and fees are never negative. Call it under
-    `model.exactly`; where that bound would round, the branch is searched.
-    The first branch pays every fee, and `Scenario` checks that the
-    capacities, or an uncapped route, cover demand, so it always ends in a
-    leaf.
+    route costs at least that and fees are never negative. Call it on
+    Decimals under `model.exactly`; where that bound would round, the branch
+    is searched. The first branch pays every fee, and `Scenario` checks that
+    the capacities, or an uncapped route, cover demand, so it always ends in
+    a leaf.
 
-    Returns (priced, fills): priced lists (net unit cost, route id,
-    technology bit, capacity) for every route, and fills holds (face mask,
-    canonical units, marginal price) for each cost-minimal branch, the
-    marginal price being that of the route where its fill stops (None at
-    zero demand, where nothing branches). Ties are ordered by the branches'
-    allowed technologies in (size, `itertools.combinations`) order, so the
-    first fill is that of the first cost-minimal subset of F. The face mask
-    adds every zero-fee technology the branch left undecided: the subsets
-    that add them cost and fill the same, and their faces lie in that one.
-    A technology paid for and left idle only adds its fee, so the least
-    charge is the exact industry cost.
+    Returns (face mask, canonical units, marginal price) for each
+    cost-minimal branch, the marginal price being that of the route where
+    its fill stops (None at zero demand, where nothing branches). Ties are
+    ordered by the branches' allowed technologies in (size,
+    `itertools.combinations`) order, so the first fill is that of the first
+    cost-minimal subset of F. The face mask adds every zero-fee technology
+    the branch left undecided: the subsets that add them cost and fill the
+    same, and their faces lie in that one. A technology paid for and left
+    idle only adds its fee, so the least charge is the exact industry cost.
     """
-    fixed = scenario.technology_fixed_costs
-    if len(fixed) > MAX_FIXED_TECHNOLOGIES:
+    if len(fees) > MAX_FIXED_TECHNOLOGIES:
         raise ResourceBoundError(
-            f"{len(fixed)} fixed-cost technologies exceed {MAX_FIXED_TECHNOLOGIES}")
-    routes, fees = scenario.fill_table()
-    tax, subsidies = policy.tax_rate, policy.subsidy_rates
-    # net_unit_cost, inlined
-    priced = [(cost + tax * emissions - subsidies.get(rid, ZERO), rid, bit, cap)
-              for cost, emissions, rid, bit, cap in routes]
+            f"{len(fees)} fixed-cost technologies exceed {MAX_FIXED_TECHNOLOGIES}")
     demand = scenario.demand
     if scenario.is_pure_linear():  # uncapped and without fixed costs
         net, rid, _, _ = min(priced)
-        return priced, [(0, {rid: demand} if demand else {}, net)]
+        return [(0, {rid: demand} if demand else {}, net)]
     every = sum(fees)
     free = sum(bit for bit, fee in fees.items() if not fee)
     if not demand:
-        return priced, [(free, {}, None)]
+        return [(free, {}, None)]
     order = sorted(priced)
     best_cost, leaves = None, []
     # (next route, cost, undecided bits, forbidden bits, remaining, units)
-    stack = [(0, ZERO, every, 0, demand, {})]
+    stack = [(0, 0, every, 0, demand, {})]
     while stack:
         start, cost, undecided, forbidden, remaining, units = stack.pop()
         if best_cost is not None:  # a forbidding branch: bound it
@@ -228,8 +253,8 @@ def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
     if len(leaves) > 1:
         leaves.sort(key=lambda leaf: (leaf[0].bit_count(),
                                       [i for i in range(leaf[0].bit_length()) if leaf[0] >> i & 1]))
-    return priced, [(allowed | free & ~forbidden, units, marginal)
-                    for allowed, forbidden, units, marginal in leaves]
+    return [(allowed | free & ~forbidden, units, marginal)
+            for allowed, forbidden, units, marginal in leaves]
 
 
 def _face(scenario: Scenario, priced, mask, units, marginal):

@@ -8,6 +8,8 @@ from hypothesis import settings
 from ecolever import Scenario, calibrate_case_study
 
 settings.register_profile("suite", max_examples=50, deadline=None)
+# `--hypothesis-profile=deep` runs every random battery at least 500 times
+settings.register_profile("deep", max_examples=500, deadline=None)
 settings.load_profile("suite")
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -306,9 +306,9 @@ def test_invalid_scenario_file_exits_1(tmp_path, capsys):
 
 
 def test_calibration_failure_exits_1(tmp_path, capsys, monkeypatch):
-    def fail():
+    def fail(scenario):
         raise CalibrationError(["strap_cost off by 1"])
-    monkeypatch.setattr(cli, "calibrate_case_study", fail)
+    monkeypatch.setattr(cli, "check_calibration", fail)
     code, _, stderr = run_cli(["calibrate", "--out", str(tmp_path / "o")], capsys)
     assert code == 1
     payload = json.loads(stderr.strip())

@@ -50,6 +50,13 @@ def pair():
     ))
 
 
+@pytest.fixture
+def swarm_only(monkeypatch):
+    """No least policy is found, so `optimize` answers capped scenarios with
+    the swarm."""
+    monkeypatch.setattr(engine, "least_policy", lambda *args: None)
+
+
 def test_evaluate_policy_feasible_and_infeasible(pair):
     # full-switch subsidy with no funding is flagged, its value left natural
     policy = PolicyVector(subsidy_rates={"clean": Decimal("0.05")})
@@ -313,7 +320,7 @@ def test_optimize_lexicographic_tie_break_prefers_less_intervention(pair, monkey
     assert feasible and value == out.upper_value
 
 
-def test_optimize_ranks_like_best_policy_on_a_capped_pair(monkeypatch):
+def test_optimize_ranks_like_best_policy_on_a_capped_pair(monkeypatch, swarm_only):
     # clean's cap does not bind, but it sends the follower down the integer
     # path, where the (tax 0.4, subsidy 0.008) corner ties and goes to base
     capped = Scenario(demand=100, capacity_limits={"clean": 100}, routes=(
@@ -346,7 +353,7 @@ def test_optimize_lands_on_the_closed_form_corner(case, objective):
     assert swarm.upper_value == closed.upper_value
 
 
-def test_optimize_evaluates_each_distinct_policy_once(capped_case, monkeypatch):
+def test_optimize_evaluates_each_distinct_policy_once(capped_case, monkeypatch, swarm_only):
     # the analytic seeds are ranked exactly and also seed the first restart's
     # swarm; a seed whose rates sit on the rate grid (here the zero policy)
     # needs no second look
@@ -411,7 +418,7 @@ def capped_pair(pair):
 
 
 @pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
-def test_swarm_lands_on_the_closed_form_corner(case, objective):
+def test_swarm_lands_on_the_closed_form_corner(case, objective, swarm_only):
     # capacities of all demand bind nothing but keep optimize on the swarm,
     # seeded with the exact leader's candidates; none of its policies may
     # beat the corner
@@ -436,7 +443,7 @@ def test_swarm_infeasible_budget_is_flagged(capped_pair):
 
 
 @pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
-def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective):
+def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective, swarm_only):
     params = PsoParams(swarm_size=6, iterations=15, restarts=2, seed=4)
     out = optimize(capped_pair, objective, Decimal(5), params=params)
     values = [v for _, v in out.trace]
@@ -531,7 +538,7 @@ def _bound_catalogs(draw):
                     capacity_limits=caps)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(_bound_catalogs(), st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
        st.integers(-20, 20), st.sampled_from([COMBINED, TAX_ONLY, SUBSIDY_ONLY]))
 def test_value_bound_is_the_best_composition_and_no_leader_beats_it(scenario, objective,
@@ -573,7 +580,8 @@ def _same_outcome(a, b):
             == (b.policy, b.response, b.upper_value, b.feasible, b.evaluations, b.trace))
 
 
-def test_the_value_bound_prunes_follower_calls_on_the_capped_case(pso_capped, monkeypatch):
+def test_the_value_bound_prunes_follower_calls_on_the_capped_case(pso_capped, monkeypatch,
+                                                                 swarm_only):
     calls = _counting_solves(monkeypatch)
     out = optimize(pso_capped, Objective.MIN_GHG, 0, PsoParams(iterations=40, restarts=1))
     assert out.upper_value == value_bound(pso_capped, Objective.MIN_GHG)[0]
@@ -583,7 +591,7 @@ def test_the_value_bound_prunes_follower_calls_on_the_capped_case(pso_capped, mo
 @pytest.mark.parametrize("objective, budget", [(Objective.MIN_GHG, 0),
                                                (Objective.MAX_CIRCULARITY, 100)])
 def test_the_value_bound_changes_no_outcome_on_the_capped_case(pso_capped, monkeypatch,
-                                                               objective, budget):
+                                                               objective, budget, swarm_only):
     params = PsoParams(iterations=30, restarts=2, seed=3)
     calls = _counting_solves(monkeypatch)
     pruned = optimize(pso_capped, objective, budget, params)
@@ -611,7 +619,7 @@ def _random_capped(rng):
                     capacity_limits=caps)
 
 
-def test_the_value_bound_changes_no_outcome_on_random_capped_catalogs(monkeypatch):
+def test_the_value_bound_changes_no_outcome_on_random_capped_catalogs(monkeypatch, swarm_only):
     rng = random.Random(21)
     runs = [(_random_capped(rng), rng.choice([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
              Decimal(rng.randint(-30, 30)) / 10, rng.choice([COMBINED, TAX_ONLY, SUBSIDY_ONLY]),
@@ -625,3 +633,119 @@ def test_the_value_bound_changes_no_outcome_on_random_capped_catalogs(monkeypatc
     full = [optimize(s, objective, budget, params, mode) for s, objective, budget, mode, params in runs]
     assert len(calls) - solved == sum(out.evaluations for out in full) > solved
     assert all(map(_same_outcome, pruned, full))
+
+
+# The least policy of value_bound's allocation: a certificate wherever it
+# reaches the bound within funds.
+
+def _key(outcome):
+    return engine.rank(outcome.objective, outcome.budget, outcome.policy, outcome.upper_value,
+                       outcome.response)
+
+
+@pytest.mark.parametrize("objective, budget, tax", [
+    (Objective.MIN_GHG, -60, "1.731008717311"),
+    (Objective.MIN_GHG, 0, "0.797011207971"),
+    (Objective.MIN_GHG, 30, "0.330012453301"),
+    (Objective.MIN_GHG, 100, "0"),
+    (Objective.MAX_CIRCULARITY, -60, "1.120729911276"),
+    (Objective.MAX_CIRCULARITY, 0, "0.043104996588"),
+    (Objective.MAX_CIRCULARITY, 30, "0"),
+    (Objective.MAX_CIRCULARITY, 100, "0"),
+])
+def test_both_leaders_answer_the_capped_case_with_the_least_policy(pso_capped, monkeypatch,
+                                                                   objective, budget, tax):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the swarm ran where the least policy reaches the bound")
+
+    monkeypatch.setattr(engine, "pso_run", refuse)
+    bound, allocation = value_bound(pso_capped, objective)
+    policy, solves = engine.least_policy(pso_capped, allocation.units, budget)
+    for out in (optimize(pso_capped, objective, budget), closed_form_optimize(pso_capped, objective, budget)):
+        assert out.policy == policy and out.policy.tax_rate == Decimal(tax)
+        assert out.feasible and out.upper_value == bound and out.response.allocation == allocation
+        assert out.evaluations == solves + 1 and out.trace == ((0, bound),)
+
+
+def test_the_least_policy_of_a_mix_with_fees():
+    # r0 and r1 each pay a fee; the swarm stopped at 0.273 from {r1: 7, r2: 3}
+    scenario = Scenario(demand=10, routes=(
+        RouteSpec(route_id="r0", product_id="p", technology_id="t0", unit_cost=Decimal("0.051"),
+                  unit_emissions=Decimal("0.055"), unit_circularity=Decimal(1)),
+        RouteSpec(route_id="r1", product_id="p", technology_id="t1", unit_cost=Decimal("0.083"),
+                  unit_emissions=Decimal("0.015"), unit_circularity=Decimal(1)),
+        RouteSpec(route_id="r2", product_id="p", technology_id="t2", unit_cost=Decimal("0.077"),
+                  unit_emissions=Decimal("0.056"), unit_circularity=Decimal(1),
+                  subsidizable=False)),
+        technology_fixed_costs={"t0": Decimal("0.45"), "t1": Decimal("0.26")},
+        capacity_limits={"r0": 9, "r1": 7})
+    for out in (optimize(scenario, Objective.MIN_GHG, 0),
+                closed_form_optimize(scenario, Objective.MIN_GHG, 0)):
+        assert out.feasible and out.upper_value == Decimal("0.270")
+        assert out.response.allocation.units == {"r0": 3, "r1": 7}
+        # the ceiling of the least tax needs no nudge: the selector resolves the tie
+        assert out.policy.tax_rate == Decimal("2.810714285715")
+        assert len(out.trace) == 1
+
+
+def test_tied_heads_at_the_margin_keep_the_least_policy_out():
+    # every allocation emits nothing; value_bound puts a unit on r0, which
+    # needs a subsidy, while the zero policy induces {r1: 11} at the same value
+    scenario = Scenario(demand=11, routes=(_route("r0", "0.082", "0", "1"),
+                                           _route("r1", "0.066", "0", "1")),
+                        capacity_limits={"r0": 1})
+    budget = Decimal("0.363")
+    units = value_bound(scenario, Objective.MIN_GHG)[1].units
+    assert units == {"r0": 1, "r1": 10}
+    policy, _ = engine.least_policy(scenario, units, budget)
+    assert policy == PolicyVector(subsidy_rates={"r0": Decimal("0.016")})
+    params = PsoParams(swarm_size=4, iterations=3, restarts=1)
+    for out in (optimize(scenario, Objective.MIN_GHG, budget, params),
+                closed_form_optimize(scenario, Objective.MIN_GHG, budget)):
+        assert out.policy == PolicyVector.zero() != policy
+        assert out.response.allocation.units == {"r1": 11}
+
+
+@st.composite
+def _capped_catalogs(draw):
+    # 2-4 routes on up to three technologies, the first uncapped so demand
+    # is always covered; fees on some technologies, capacities on some routes
+    count = draw(st.integers(2, 4))
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{draw(st.integers(0, 2))}",
+                  unit_cost=Decimal(draw(st.integers(-20, 100))) / 1000,
+                  unit_emissions=Decimal(draw(st.integers(0, 100))) / 1000,
+                  unit_circularity=Decimal(draw(st.integers(0, 20))) / 10,
+                  subsidizable=draw(st.integers(0, 9)) < 7)
+        for i in range(count))
+    demand = draw(st.integers(1, 40))
+    caps = {r.route_id: draw(st.integers(0, demand)) for r in routes[1:] if draw(st.booleans())}
+    fees = {tech: Decimal(draw(st.integers(0, 50))) / 100
+            for tech in sorted({r.technology_id for r in routes}) if draw(st.booleans())}
+    return Scenario(demand=demand, routes=routes, technology_fixed_costs=fees,
+                    capacity_limits=caps or {"r0": demand})
+
+
+@settings(deadline=None)
+@given(_capped_catalogs(), st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
+       st.integers(-30, 60), st.sampled_from([COMBINED, TAX_ONLY, SUBSIDY_ONLY]))
+def test_a_certified_answer_never_ranks_after_the_grid_or_the_swarm(scenario, objective,
+                                                                    per_unit, mode):
+    budget = Decimal(per_unit) * scenario.demand / 1000
+    out = optimize(scenario, objective, budget, PsoParams(swarm_size=4, iterations=4, restarts=1),
+                   mode)
+    if len(out.trace) > 1:
+        return  # the swarm answered: no certificate here
+    assert out == closed_form_optimize(scenario, objective, budget, mode)
+    assert out.feasible and out.upper_value == value_bound(scenario, objective)[0]
+    assert evaluate_policy(scenario, out.policy, objective, budget)[1] == out.response
+    subsidized = [] if mode == TAX_ONLY else list(scenario.subsidizable_ids())[:2]
+    grid = grid_bilevel(scenario, objective, budget,
+                        GridAxis(lo=0, hi=0 if mode == SUBSIDY_ONLY else 3, steps=4),
+                        {rid: GridAxis(lo=0, hi=Decimal("0.1"), steps=3) for rid in subsidized})
+    assert _key(out) <= engine.rank(objective, budget, grid[0], grid[1], grid[2])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "least_policy", lambda *args: None)
+        swarm = optimize(scenario, objective, budget,
+                         PsoParams(swarm_size=4, iterations=6, restarts=1), mode)
+    assert len(swarm.trace) > 1 and _key(out) <= _key(swarm)

@@ -65,7 +65,8 @@ import sys
 from decimal import Decimal
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import ecolever, ecolever.cli
-from ecolever import PsoParams, Scenario, calibrate_case_study, optimize
+from ecolever import PsoParams, Scenario, calibrate_case_study, engine, optimize
+engine.least_policy = lambda *args: None  # no certificate: the swarm runs
 case = calibrate_case_study()
 capped = Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
                   capacity_limits={rid: 400 for rid in case.route_ids()},

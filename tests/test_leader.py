@@ -139,7 +139,7 @@ def _catalog(routes):
         for i, (c, e, ci, sub) in enumerate(routes))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 @given(routes=_ROUTES, demand=st.one_of(st.integers(1, 12), st.integers(1, 1000)),
        per_unit=st.integers(-80, 60), mode=st.sampled_from(MODES),
        objective=st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]))
@@ -181,7 +181,7 @@ def _evaluate_all(scenario, objective, budget, policies):
     return (*best, best_key[0] == 0)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=max(80, settings.default.max_examples), deadline=None)
 @given(routes=st.lists(_ROUTE, min_size=2, max_size=6),
        demand=st.integers(0, 40), per_unit=st.integers(-80, 60),
        mode=st.sampled_from(MODES), objective=st.sampled_from(list(Objective)),
@@ -254,6 +254,27 @@ def test_the_floor_spares_most_evaluations_on_the_case(case, monkeypatch):
             assert (out.upper_value, out.response, out.feasible) == (value, result, feasible)
 
 
+def test_an_untaxed_policy_starts_at_its_least_shortfall(case, monkeypatch):
+    # with no tax there is no tax income, so below budget 0 every
+    # subsidy-only candidate falls short by at least -budget before its
+    # evaluation; that key puts the candidates the funds can carry first
+    calls = []
+    evaluate = engine.evaluate_policy
+    monkeypatch.setattr(engine, "evaluate_policy",
+                        lambda *args: calls.append(args[1]) or evaluate(*args))
+    budgets = range(-170, 171, 5)
+    for objective, evaluated in ((Objective.MIN_GHG, 292), (Objective.MAX_CIRCULARITY, 200)):
+        calls.clear()
+        candidates = 0
+        for budget in budgets:
+            out = closed_form_optimize(case, objective, budget, mode=SUBSIDY_ONLY)
+            policies = engine.domain_informed_points(case, budget, SUBSIDY_ONLY)
+            candidates += len(policies)
+            _, value, result, feasible = _evaluate_all(case, objective, Decimal(budget), policies)
+            assert (out.upper_value, out.response, out.feasible) == (value, result, feasible)
+        assert candidates == 884 and len(calls) == evaluated
+
+
 def test_the_bound_spares_most_floors_on_the_case(case, monkeypatch):
     floors = []
     floor = engine.leader_floor
@@ -270,7 +291,9 @@ def test_the_bound_spares_most_floors_on_the_case(case, monkeypatch):
 
 def test_the_value_bound_stops_the_capped_search_at_its_winner(pso_capped, monkeypatch):
     # leader_floor is None on capped scenarios: value_bound's head, capacities
-    # included, is the bound key, and a winner that reaches it ends the search
+    # included, is the bound key, and a winner that reaches it ends the search;
+    # with no least policy found, the candidates are all the exact leader ranks
+    monkeypatch.setattr(engine, "least_policy", lambda *args: None)
     calls = []
     evaluate = engine.evaluate_policy
     monkeypatch.setattr(engine, "evaluate_policy",
@@ -282,8 +305,10 @@ def test_the_value_bound_stops_the_capped_search_at_its_winner(pso_capped, monke
             candidates = engine.domain_informed_points(pso_capped, budget)
             if objective is Objective.MAX_CIRCULARITY:  # the winner reaches the bound, 1.336
                 assert len(calls) < len(candidates)
-            else:  # 55.7 lies above the bound, 52.868: every candidate is evaluated
-                assert len(calls) == len(candidates)
+            else:  # 55.7 lies above the bound, 52.868: every candidate is evaluated but
+                # the untaxed ones below budget 0, which fall short by at least -budget
+                untaxed = [p for p in candidates if not p.tax_rate] if budget < 0 else []
+                assert out.feasible and len(calls) == len(candidates) - len(untaxed)
             _, value, result, feasible = _evaluate_all(pso_capped, objective, Decimal(budget),
                                                        candidates)
             assert (out.upper_value, out.response, out.feasible) == (value, result, feasible)
