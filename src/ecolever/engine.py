@@ -9,8 +9,9 @@ penalty weight and no tolerance. On pure-linear scenarios `exact_leader`
 ranks a few analytic candidates (`domain_informed_points`). On capped and
 fixed-cost scenarios both leaders first try `least_policy`, an exact LP, on
 the allocation of `value_bound`: a policy that reaches that bound within
-funds is certified. Elsewhere `optimize` runs a seeded particle swarm over
-an exact decimal grid, which is not exact.
+funds is certified. Elsewhere `optimize` refines the exact leader's winner
+with a seeded particle swarm over the exact decimal rate grid, which is not
+exact, unless that winner already has the least key any policy can have.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
+from itertools import accumulate
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_CEILING, ROUND_FLOOR, getcontext
 from fractions import Fraction
@@ -134,8 +136,8 @@ def best_policy(scenario: Scenario, objective, budget, policies):
 class PsoParams:
     """Swarm settings. `optimize` runs the swarm over `default_bounds(scenario,
     mode, tax_max)`, so tax_max must be finite, >= 0 and fit `quantize_rate`,
-    and seeds it with `domain_informed_points` only; the exact leader and a
-    certified answer read none of these."""
+    and seeds it with `domain_informed_points` only; the exact leader, a
+    certified answer and a winner of the least key read none of these."""
 
     swarm_size: int = 10
     iterations: int = 200
@@ -174,12 +176,10 @@ class PsoRun:
 def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None) -> PsoRun:
     """Global-best PSO over `bounds`, one finite (lo, hi) pair with lo <= hi per dimension.
 
-    evaluator(row, best) maps a position, given as a fresh list of Python
-    floats (one per dimension) that the swarm never modifies, to any
-    orderable fitness (floats and tuples both work); smaller is better. best
-    is the particle's best fitness so far (None in the opening round);
-    returning it for any fitness at least best leaves the run unchanged. rng
-    is anything with a no-argument random() in [0, 1),
+    evaluator(row) maps a position, given as a fresh list of Python floats
+    (one per dimension) that the swarm never modifies, to any orderable
+    fitness (floats and tuples both work); smaller is better. Seed positions
+    are clamped into the box. rng is anything with a no-argument random() in [0, 1),
     random.Random(params.seed) by default. Each iteration moves every
     particle against the previous global best, then evaluates them in order.
     Velocities are clamped to the box width and positions reflect off the
@@ -198,7 +198,7 @@ def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None)
             X[k] = [min(max(float(p), lo), hi) for p, (lo, hi, _) in zip(pos, box)]
     V = [[0.0] * len(box) for _ in range(n)]
 
-    fit = [evaluator(row, None) for row in X]
+    fit = [evaluator(row) for row in X]
     P = list(X)  # rows are never written after they are made, so sharing is safe
     pfit = list(fit)
     g = min(range(n), key=fit.__getitem__)
@@ -225,7 +225,7 @@ def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None)
                 push_speed(v)
             X[i], V[i] = row, speed
         for i, row in enumerate(X):
-            f = evaluator(row, pfit[i])
+            f = evaluator(row)
             if f < pfit[i]:
                 pfit[i], P[i] = f, row
                 if f < gfit:
@@ -239,10 +239,10 @@ def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None)
 @dataclass(frozen=True)
 class BilevelOutcome:
     """Result of one bilevel search at a fixed budget. evaluations counts
-    the policies ranked: each by the follower, or by `value_bound` (and,
-    in the exact leader, `lower.leader_floor`) where the follower could
-    not change the answer; a certified answer counts its LP solves plus
-    one. A budget sweep's rows are these outcomes."""
+    the exact leader's candidates, each ranked by the follower or, where it
+    could not change the answer, by `value_bound` and `lower.leader_floor`,
+    plus every position of the swarm; a certified answer counts its LP
+    solves plus one. A budget sweep's rows are these outcomes."""
 
     policy: PolicyVector
     response: LowerResult
@@ -535,25 +535,33 @@ def _certificate(scenario: Scenario, objective: Objective, budget, mode):
                     ((0, value),))
 
 
+def _exact(scenario: Scenario, objective: Objective, budget, mode):
+    """The exact leader as (outcome, winner, candidates): where `_certificate`
+    certifies a policy, its outcome and no winner; else the outcome of
+    `best_policy`'s winner, (policy, natural value, LowerResult, feasible),
+    over the candidates, `domain_informed_points` (the zero policy alone for
+    most-profitable), then a least policy `_certificate` found short of the
+    bound, which the returned candidates leave out."""
+    if mode not in MODES:
+        raise ValidationError([f"unknown mode: {mode!r}"])
+    found = _certificate(scenario, objective, budget, mode)
+    if isinstance(found, BilevelOutcome):
+        return found, None, None
+    points = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
+              else domain_informed_points(scenario, budget, mode))
+    policies = points if found is None else [*points, found]
+    winner = best_policy(scenario, objective, budget, policies)
+    exact = _outcome(objective, budget, mode, winner, len(policies), ((0, winner[1]),))
+    return exact, winner, points
+
+
 def exact_leader(scenario: Scenario, objective, budget,
                  mode: str = COMBINED) -> BilevelOutcome:
     """The first of `domain_informed_points` in `rank` order, less the
     subsidies no unit draws (the zero policy for most-profitable), with a
     one-point trace, unless `_certificate` certifies a policy; one it finds
     short of the bound joins the candidates, last."""
-    objective = Objective(objective)
-    budget = to_decimal(budget, "budget")
-    if mode not in MODES:
-        raise ValidationError([f"unknown mode: {mode!r}"])
-    found = _certificate(scenario, objective, budget, mode)
-    if isinstance(found, BilevelOutcome):
-        return found
-    policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
-                else domain_informed_points(scenario, budget, mode))
-    if found is not None:
-        policies.append(found)
-    winner = best_policy(scenario, objective, budget, policies)
-    return _outcome(objective, budget, mode, winner, len(policies), ((0, winner[1]),))
+    return _exact(scenario, Objective(objective), to_decimal(budget, "budget"), mode)[0]
 
 
 def _outcome(objective, budget, mode, winner, evaluations, trace) -> BilevelOutcome:
@@ -574,88 +582,49 @@ def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
 
     Pure-linear scenarios and most-profitable get `exact_leader`, and a
     policy `_certificate` certifies is the answer. Otherwise the exact
-    leader's candidates, `domain_informed_points`, are evaluated exactly and
-    seed the first of the swarm's restarts (each from a reseeded generator),
-    and a least policy short of the bound is evaluated but takes no
-    position, so the swarm runs as without it; a seed position that
-    quantizes back to its seed reuses its `rank` key, the swarm's fitness.
-    A position whose floor key (0, `value_bound` head, tax,
-    total subsidy) ranks no earlier than its particle's best gets that best
-    back with no follower call; the others are ranked from their
-    `price_units` totals. The incumbent is the lowest ranked policy seen;
-    the trace holds (iteration, its natural value).
+    leader's winner is the incumbent, and the answer too where its key is
+    (0, `value_bound` head, 0, 0), before which no policy ranks. Elsewhere
+    the swarm refines it: its candidates, `domain_informed_points`, seed the
+    first of the swarm's restarts (each from a reseeded generator), and
+    every position is put on the rate grid by `vector_to_policy` and ranked
+    exactly from its `price_units` totals, its `rank` key being the swarm's
+    fitness. The incumbent is the lowest ranked policy seen; the trace holds
+    (iteration, its natural value).
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
-    if objective == Objective.MOST_PROFITABLE or scenario.is_pure_linear():
-        return exact_leader(scenario, objective, budget, mode)
-    found = _certificate(scenario, objective, budget, mode)
-    if isinstance(found, BilevelOutcome):
-        return found
-    params = params if params is not None else PsoParams()
-
-    bounds = default_bounds(scenario, mode, params.tax_max)
+    exact, winner, points = _exact(scenario, objective, budget, mode)
+    if winner is None or objective == Objective.MOST_PROFITABLE or scenario.is_pure_linear():
+        return exact
+    key = rank(objective, budget, *winner[:3])
     bound = value_bound(scenario, objective)
-    on_bound = None if bound is None else (ZERO, objective.head(bound[0]))
-    incumbent = None  # (rank key, policy, units, Totals) ranked lowest so far
-    evaluations = 0
+    if bound is not None and key == (ZERO, objective.head(bound[0]), ZERO, ZERO):
+        return exact
+    params = params if params is not None else PsoParams()
+    incumbent = (key, *winner[:3])  # (rank key, policy, value, LowerResult) ranked lowest so far
 
-    def consider(policy: PolicyVector):
-        nonlocal incumbent, evaluations
+    def pso_evaluator(x):
+        nonlocal incumbent
+        policy = vector_to_policy(scenario, x)
         units = solve_units(scenario, policy, objective, budget)
         totals = price_units(scenario, units, policy)
-        evaluations += 1
-        key = rank(objective, budget, policy, objective.natural_value(totals), totals)
-        if incumbent is None or key < incumbent[0]:
-            incumbent = (key, policy, units, totals)
+        value = objective.natural_value(totals)
+        key = rank(objective, budget, policy, value, totals)
+        if key < incumbent[0]:
+            incumbent = (key, policy, value, LowerResult(Allocation(units), *totals))
         return key
 
-    # (seed policy, rank key) by the first restart's position for that seed;
-    # each entry is spent on that position's first evaluation.
-    seeded = {}
-
-    def pso_evaluator(x, best):
-        nonlocal evaluations
-        if seeded:  # the first restart's opening round, where best is None
-            policy = vector_to_policy(scenario, x)
-            seed, key = seeded.pop(tuple(x), (None, None))
-            return key if seed == policy else consider(policy)  # a seed round-trips: ranked above
-        if best is None or best[:2] != on_bound:  # no best yet, or the floor key ranks first
-            return consider(vector_to_policy(scenario, x))
-        tax = quantize_rate(max(float(x[0]), 0.0))  # vector_to_policy's, before the rates
-        policy = None if tax > best[2] else vector_to_policy(scenario, x)
-        if policy is not None and (tax, policy.total_rates()) < best[2:]:
-            return consider(policy)
-        evaluations += 1
-        return best
-
-    seed_positions = []
     ids = scenario.subsidizable_ids()
-    for pol in domain_informed_points(scenario, budget, mode):
-        key = consider(pol)  # exact evaluation, never lost to float round-trips
-        vec = [float(pol.tax_rate)] + [float(pol.subsidy_for(rid)) for rid in ids]
-        seed_positions.append([min(max(v, lo), hi) for v, (lo, hi) in zip(vec, bounds)])
-        if len(seed_positions) <= params.swarm_size:
-            seeded.setdefault(tuple(seed_positions[-1]), (pol, key))
-    if found is not None:
-        consider(found)  # ranked, but no position: the swarm runs as it would without it
-
-    running = incumbent[0]
-    trace = [(0, running)]
-    offset = 1
+    seeds = [[float(p.tax_rate), *(float(p.subsidy_for(rid)) for rid in ids)] for p in points]
+    bounds = default_bounds(scenario, mode, params.tax_max)
+    keys, evaluations = [key], exact.evaluations
     for restart in range(params.restarts):
-        rng = random.Random(params.seed + restart)
-        run = pso_run(pso_evaluator, bounds, params, rng=rng,
-                      seed_positions=seed_positions if restart == 0 else None)
-        for t, key in run.trace:
-            running = min(running, key)
-            trace.append((offset + t, running))
-        offset += params.iterations + 1
-
-    key, policy, units, totals = incumbent
-    result = LowerResult(Allocation(units), *totals)
+        run = pso_run(pso_evaluator, bounds, params, rng=random.Random(params.seed + restart),
+                      seed_positions=seeds if restart == 0 else None)
+        keys += [k for _, k in run.trace]
+        evaluations += run.evaluations
+    key, *winner = incumbent
     # Trace keys hold the minimization head; report naturally.
     sign = objective.head(Decimal(1))
-    return _outcome(objective, budget, mode,
-                    (policy, objective.natural_value(result), result, key[0] == 0),
-                    evaluations, tuple((i, sign * k[1]) for i, k in trace))
+    return _outcome(objective, budget, mode, (*winner, key[0] == 0), evaluations,
+                    tuple((i, sign * k[1]) for i, k in enumerate(accumulate(keys, min))))

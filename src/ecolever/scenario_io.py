@@ -285,7 +285,8 @@ def write_outcome_json(outcome, path) -> None:
 def write_svg_line_chart(path, series, title="", x_label="", y_label="") -> None:
     """Minimal multi-series line chart, 720 x 440 pixels, no dependencies.
 
-    series: list of (name, points) with points as (x, y) pairs in data space.
+    series: list of (name, points) with points as (x, y) pairs in data space;
+    a series of one point, which a polyline does not show, also gets a dot.
     Geometry is computed in floats; this is presentation only.
     """
     width, height, pad = 720, 440, 56
@@ -337,6 +338,10 @@ def write_svg_line_chart(path, series, title="", x_label="", y_label="") -> None
         coords = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in pts)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')
+        if len(pts) == 1:
+            (x, y), = pts
+            parts.append(f'<circle cx="{sx(float(x)):.2f}" cy="{sy(float(y)):.2f}" r="3" '
+                         f'fill="{color}"/>')
         parts.append(f'<text x="{width - pad}" y="{pad + 14 * idx}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>')
     parts.append("</svg>")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from ecolever import Scenario, calibrate_case_study
+from ecolever import Scenario, calibrate_case_study, engine
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 # `--hypothesis-profile=deep` runs every random battery at least 500 times
@@ -60,3 +60,12 @@ def pso_capped(case):
                                             "landfill_site": Decimal("0.2"),
                                             "wash_reuse_loop": Decimal("0.3")},
                     capacity_limits={rid: 400 for rid in case.route_ids()})
+
+
+@pytest.fixture
+def no_swarm(monkeypatch):
+    """`optimize` may not run the particle swarm."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the swarm ran")
+
+    monkeypatch.setattr(engine, "pso_run", refuse)

@@ -83,8 +83,12 @@ def test_emit_svg_writes_the_same_chart_on_a_rerun(tmp_path, capsys, args, svg, 
     polylines = [line.split('"')[1].split() for line in charts[0].decode().splitlines()
                  if line.startswith("<polyline")]
     assert len(polylines) == lines and all(polylines)
-    # a one-point trace or a one-budget sweep puts every point on the left axis
+    # a one-point trace or a one-budget sweep puts every point on the left
+    # axis, and a dot on each series
     assert one_x == all(p.startswith("56.00,") for points in polylines for p in points)
+    dots = [line for line in charts[0].decode().splitlines() if line.startswith("<circle")]
+    assert len(dots) == (lines if one_x else 0)
+    assert all(dot.startswith('<circle cx="56.00" ') for dot in dots)
 
 
 def test_sensitivity_command(tmp_path, capsys):

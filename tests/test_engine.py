@@ -1,4 +1,3 @@
-import random
 from dataclasses import replace
 from decimal import Decimal
 
@@ -30,7 +29,6 @@ from ecolever.engine import (
     value_bound,
     vector_to_policy,
 )
-from ecolever.lower import solve_units
 from ecolever.model import (Allocation, apply_modifiers, price_allocation, quantize_rate,
                             validate_allocation)
 from ecolever.oracle import GridAxis, _compositions, grid_bilevel
@@ -211,7 +209,7 @@ def test_a_zero_emission_route_caps_the_level_in_every_mode():
 
 def test_pso_run_minimizes_a_bowl():
     params = PsoParams(swarm_size=12, iterations=60, seed=1)
-    run = pso_run(lambda x, best: float((x[0] - 1) ** 2 + (x[1] + 2) ** 2), ((-4, 4), (-4, 4)),
+    run = pso_run(lambda x: float((x[0] - 1) ** 2 + (x[1] + 2) ** 2), ((-4, 4), (-4, 4)),
                   params, rng=np.random.default_rng(1))
     assert run.value < 1e-3
     assert abs(run.x[0] - 1) < 0.1 and abs(run.x[1] + 2) < 0.1
@@ -223,7 +221,7 @@ def test_pso_run_respects_bounds_and_seed_positions():
     params = PsoParams(swarm_size=6, iterations=30, seed=3)
     seen = []
 
-    def probe(x, best):
+    def probe(x):
         seen.append(float(x[0]))
         return abs(float(x[0]) - 1.5)
 
@@ -239,7 +237,7 @@ def test_pso_run_hands_the_evaluator_rows_it_may_keep():
     params = PsoParams(swarm_size=5, iterations=20, seed=2)
     kept = []
 
-    def keeping(x, best):
+    def keeping(x):
         kept.append((x, list(x)))
         return abs(x[0] - 0.05) + abs(x[1] - 0.9)
 
@@ -252,7 +250,7 @@ def test_pso_run_hands_the_evaluator_rows_it_may_keep():
 def test_pso_run_same_seed_same_run():
     params = PsoParams(swarm_size=6, iterations=12, seed=5)
     box = ((-2, 2), (0, 3))
-    bowl = lambda x, best: (x[0] - 0.5) ** 2 + (x[1] - 1) ** 2
+    bowl = lambda x: (x[0] - 0.5) ** 2 + (x[1] - 1) ** 2
     first, again = pso_run(bowl, box, params), pso_run(bowl, box, params)
     assert (first.x, first.trace) == (again.x, again.trace)
     other = pso_run(bowl, box, replace(params, seed=6))
@@ -279,10 +277,10 @@ def test_pso_params_validation():
 
 def test_pso_run_refuses_a_bad_box():
     with pytest.raises(ValidationError, match="lo <= hi"):
-        pso_run(lambda x, best: 0.0, ((1, 0),), PsoParams())
+        pso_run(lambda x: 0.0, ((1, 0),), PsoParams())
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError, match="finite"):
-            pso_run(lambda x, best: 0.0, ((0.0, bad),), PsoParams())
+            pso_run(lambda x: 0.0, ((0.0, bad),), PsoParams())
 
 
 def test_optimize_finds_the_budget_balanced_corner(pair):
@@ -351,22 +349,6 @@ def test_optimize_lands_on_the_closed_form_corner(case, objective):
     assert swarm.feasible and closed.feasible
     assert swarm.policy == closed.policy
     assert swarm.upper_value == closed.upper_value
-
-
-def test_optimize_evaluates_each_distinct_policy_once(capped_case, monkeypatch, swarm_only):
-    # the analytic seeds are ranked exactly and also seed the first restart's
-    # swarm; a seed whose rates sit on the rate grid (here the zero policy)
-    # needs no second look
-    seen = []
-
-    def counting(scenario, policy, objective, funds):
-        seen.append((policy.tax_rate, tuple(sorted(policy.subsidy_rates.items()))))
-        return solve_units(scenario, policy, objective, funds)
-
-    monkeypatch.setattr(engine, "solve_units", counting)
-    out = optimize(capped_case, "min-ghg", 0,
-                   PsoParams(swarm_size=10, iterations=0, restarts=1))
-    assert len(seen) == len(set(seen)) == out.evaluations == 16
 
 
 def test_optimize_most_profitable_shortcut(pair):
@@ -457,6 +439,14 @@ def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective, swar
         out.policy, out.trace, out.evaluations)
 
 
+def test_the_swarm_counts_the_candidates_and_every_position(capped_case, swarm_only):
+    params = PsoParams(swarm_size=5, iterations=3, restarts=2, seed=1)
+    out = optimize(capped_case, Objective.MIN_GHG, 0, params)
+    assert len(out.trace) == 2 * (params.iterations + 1) + 1
+    assert out.evaluations == (len(domain_informed_points(capped_case, 0))
+                               + params.swarm_size * (params.iterations + 1) * params.restarts)
+
+
 @pytest.mark.parametrize("entry", [
     lambda pair: default_bounds(pair, "tax_only"),
     lambda pair: domain_informed_points(pair, 0, "tax_only"),
@@ -465,22 +455,6 @@ def test_swarm_trace_never_worsens_in_natural_units(capped_pair, objective, swar
 def test_an_unknown_mode_is_refused(pair, entry):
     with pytest.raises(ValidationError, match="unknown mode: 'tax_only'"):
         entry(pair)
-
-
-def test_a_lazy_evaluator_leaves_the_run_as_it_was():
-    # returning best for any fitness at least best is pso_run's contract
-    def bowl(x):
-        return (x[0] - 0.3) ** 2 + abs(x[1] + 1.2)
-
-    def lazy(x, best):
-        return best if best is not None and bowl(x) >= best else bowl(x)
-
-    box = ((-1.0, 1.0), (-2.0, 2.0))
-    for seed in range(4):
-        params = PsoParams(swarm_size=5, iterations=25, seed=seed)
-        seeds = [[0.3, 0.0]] if seed % 2 else None
-        assert (pso_run(lazy, box, params, seed_positions=seeds)
-                == pso_run(lambda x, best: bowl(x), box, params, seed_positions=seeds))
 
 
 def test_value_bound_on_the_capped_case(pso_capped, case):
@@ -563,78 +537,6 @@ def test_value_bound_is_the_best_composition_and_no_leader_beats_it(scenario, ob
     assert all(objective.head(v) >= objective.head(value) for v in reached)
 
 
-def _counting_solves(monkeypatch):
-    """Count the follower calls `optimize` makes."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args[1])
-        return solve_units(*args)
-
-    monkeypatch.setattr(engine, "solve_units", counting)
-    return calls
-
-
-def _same_outcome(a, b):
-    return ((a.policy, a.response, a.upper_value, a.feasible, a.evaluations, a.trace)
-            == (b.policy, b.response, b.upper_value, b.feasible, b.evaluations, b.trace))
-
-
-def test_the_value_bound_prunes_follower_calls_on_the_capped_case(pso_capped, monkeypatch,
-                                                                 swarm_only):
-    calls = _counting_solves(monkeypatch)
-    out = optimize(pso_capped, Objective.MIN_GHG, 0, PsoParams(iterations=40, restarts=1))
-    assert out.upper_value == value_bound(pso_capped, Objective.MIN_GHG)[0]
-    assert 0 < len(calls) < out.evaluations
-
-
-@pytest.mark.parametrize("objective, budget", [(Objective.MIN_GHG, 0),
-                                               (Objective.MAX_CIRCULARITY, 100)])
-def test_the_value_bound_changes_no_outcome_on_the_capped_case(pso_capped, monkeypatch,
-                                                               objective, budget, swarm_only):
-    params = PsoParams(iterations=30, restarts=2, seed=3)
-    calls = _counting_solves(monkeypatch)
-    pruned = optimize(pso_capped, objective, budget, params)
-    solved = len(calls)
-    monkeypatch.setattr(engine, "value_bound", lambda scenario, objective: None)
-    full = optimize(pso_capped, objective, budget, params)
-    assert len(calls) - solved == full.evaluations > solved
-    assert _same_outcome(pruned, full)
-
-
-def _random_capped(rng):
-    routes = tuple(
-        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{rng.randint(0, 2)}",
-                  unit_cost=Decimal(rng.randint(-20, 100)) / 1000,
-                  unit_emissions=Decimal(rng.randint(0, 100)) / 1000,
-                  unit_circularity=Decimal(rng.randint(0, 20)) / 10,
-                  subsidizable=rng.random() < 0.7)
-        for i in range(rng.randint(2, 5)))
-    demand = rng.randint(1, 40)
-    caps = {r.route_id: rng.randint(0, demand) for r in routes[1:] if rng.random() < 0.6}
-    fees = {tech: Decimal(rng.randint(0, 50)) / 100
-            for tech in sorted({r.technology_id for r in routes}) if rng.random() < 0.5}
-    caps = caps if caps or fees else {"r0": demand}
-    return Scenario(demand=demand, routes=routes, technology_fixed_costs=fees,
-                    capacity_limits=caps)
-
-
-def test_the_value_bound_changes_no_outcome_on_random_capped_catalogs(monkeypatch, swarm_only):
-    rng = random.Random(21)
-    runs = [(_random_capped(rng), rng.choice([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
-             Decimal(rng.randint(-30, 30)) / 10, rng.choice([COMBINED, TAX_ONLY, SUBSIDY_ONLY]),
-             PsoParams(swarm_size=rng.randint(1, 8), iterations=rng.randint(0, 25),
-                       restarts=rng.randint(1, 3), seed=seed))
-            for seed in range(40)]
-    calls = _counting_solves(monkeypatch)
-    pruned = [optimize(s, objective, budget, params, mode) for s, objective, budget, mode, params in runs]
-    solved = len(calls)
-    monkeypatch.setattr(engine, "value_bound", lambda scenario, objective: None)
-    full = [optimize(s, objective, budget, params, mode) for s, objective, budget, mode, params in runs]
-    assert len(calls) - solved == sum(out.evaluations for out in full) > solved
-    assert all(map(_same_outcome, pruned, full))
-
-
 # The least policy of value_bound's allocation: a certificate wherever it
 # reaches the bound within funds.
 
@@ -653,12 +555,8 @@ def _key(outcome):
     (Objective.MAX_CIRCULARITY, 30, "0"),
     (Objective.MAX_CIRCULARITY, 100, "0"),
 ])
-def test_both_leaders_answer_the_capped_case_with_the_least_policy(pso_capped, monkeypatch,
+def test_both_leaders_answer_the_capped_case_with_the_least_policy(pso_capped, no_swarm,
                                                                    objective, budget, tax):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the swarm ran where the least policy reaches the bound")
-
-    monkeypatch.setattr(engine, "pso_run", refuse)
     bound, allocation = value_bound(pso_capped, objective)
     policy, solves = engine.least_policy(pso_capped, allocation.units, budget)
     for out in (optimize(pso_capped, objective, budget), closed_form_optimize(pso_capped, objective, budget)):
@@ -688,7 +586,7 @@ def test_the_least_policy_of_a_mix_with_fees():
         assert len(out.trace) == 1
 
 
-def test_tied_heads_at_the_margin_keep_the_least_policy_out():
+def test_tied_heads_at_the_margin_keep_the_least_policy_out(no_swarm):
     # every allocation emits nothing; value_bound puts a unit on r0, which
     # needs a subsidy, while the zero policy induces {r1: 11} at the same value
     scenario = Scenario(demand=11, routes=(_route("r0", "0.082", "0", "1"),
@@ -699,11 +597,13 @@ def test_tied_heads_at_the_margin_keep_the_least_policy_out():
     assert units == {"r0": 1, "r1": 10}
     policy, _ = engine.least_policy(scenario, units, budget)
     assert policy == PolicyVector(subsidy_rates={"r0": Decimal("0.016")})
-    params = PsoParams(swarm_size=4, iterations=3, restarts=1)
-    for out in (optimize(scenario, Objective.MIN_GHG, budget, params),
+    # the zero policy's key, (0, bound head, 0, 0), is the least any policy
+    # can have, so the default swarm does not run
+    for out in (optimize(scenario, Objective.MIN_GHG, budget),
                 closed_form_optimize(scenario, Objective.MIN_GHG, budget)):
         assert out.policy == PolicyVector.zero() != policy
         assert out.response.allocation.units == {"r1": 11}
+        assert out.trace == ((0, Decimal(0)),)
 
 
 @st.composite
@@ -748,4 +648,22 @@ def test_a_certified_answer_never_ranks_after_the_grid_or_the_swarm(scenario, ob
         patch.setattr(engine, "least_policy", lambda *args: None)
         swarm = optimize(scenario, objective, budget,
                          PsoParams(swarm_size=4, iterations=6, restarts=1), mode)
-    assert len(swarm.trace) > 1 and _key(out) <= _key(swarm)
+    least = (Decimal(0), objective.head(out.upper_value), Decimal(0), Decimal(0))
+    assert len(swarm.trace) > 1 or _key(swarm) == least
+    assert _key(out) <= _key(swarm)
+
+
+@settings(deadline=None)
+@given(_capped_catalogs(), st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
+       st.integers(-30, 60), st.sampled_from([COMBINED, TAX_ONLY, SUBSIDY_ONLY]),
+       st.integers(1, 5), st.integers(0, 5), st.integers(1, 2), st.integers(0, 3))
+def test_the_swarm_never_ranks_after_the_exact_leader(scenario, objective, per_unit, mode,
+                                                     swarm_size, iterations, restarts, seed):
+    budget = Decimal(per_unit) * scenario.demand / 1000
+    params = PsoParams(swarm_size=swarm_size, iterations=iterations, restarts=restarts,
+                       seed=seed)
+    out = optimize(scenario, objective, budget, params, mode)
+    exact = closed_form_optimize(scenario, objective, budget, mode)
+    assert _key(out) <= _key(exact)
+    if len(out.trace) == 1:  # certified, or the exact leader's least key
+        assert _key(out) == _key(exact)

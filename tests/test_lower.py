@@ -19,6 +19,7 @@ from ecolever import (
     evaluate_allocation,
     evaluate_policy,
     optimistic_select,
+    optimize,
     solve_lower,
     solve_lower_greedy,
     solve_lower_milp,
@@ -466,6 +467,17 @@ def test_sixteen_fixed_cost_technologies_at_demand_1_answer_quickly():
     for result in results:
         assert result.allocation.units == {"r00": 1}
         assert result.industry_cost == Decimal("0.11")
+
+
+@pytest.mark.parametrize("mode", ["combined", "tax-only", "subsidy-only"])
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+def test_sixteen_equal_technologies_need_no_swarm(no_swarm, objective, mode):
+    # every fill is one unit of the same value, so no certificate applies,
+    # but the zero policy's key is the least any policy can have
+    out = optimize(_sixteen_technologies(), objective, 0, mode=mode)
+    assert out.policy == PolicyVector.zero() and out.feasible
+    assert out.response.allocation.units == {"r00": 1}
+    assert out.trace == ((0, out.upper_value),)
 
 
 def test_a_fill_table_never_goes_stale(capped_case):
