@@ -2,9 +2,10 @@
 
 A government leader sets one carbon tax rate plus per-route subsidies; a
 cost-minimizing industry follower allocates packaging demand across
-end-of-life routes. The leader ranks exact analytic candidates, or where
-capacities or fixed costs apply runs a particle swarm seeded with them,
-subject to a self-financing budget; the follower is solved exactly.
+end-of-life routes. The leader ranks exact analytic candidates, and where
+capacities or fixed costs apply also the least policy of each of the
+follower's vertex responses, subject to a self-financing budget; the
+follower is solved exactly.
 """
 
 from .errors import (

@@ -21,7 +21,6 @@ from .engine import (
     MODES,
     PsoParams,
     exact_leader,
-    optimize,
     price_window,
 )
 from .errors import EcoleverError, NoThresholdError, CalibrationError, ValidationError
@@ -148,13 +147,13 @@ def required_budget_for_fixed_tax(scenario: Scenario, tax_rate,
 
 def closed_form_optimize(scenario: Scenario, objective, budget,
                          mode: str = COMBINED) -> BilevelOutcome:
-    """`engine.exact_leader`: analytic candidates, no swarm, no tax box. A capped or
-    fixed-cost scenario first gets the least policy of `value_bound`'s allocation,
-    certified where it reaches the bound within funds: with capacity 400 per route and
-    fixed costs strap 0.5, landfill 0.2, wash 0.3 on the case, combined min-ghg reaches
-    52.868 kg and max-circularity 1.336 at every budget from -60 to 100. Where nothing
-    is certified it ranks the candidates derived for pure-linear ones, plus that least
-    policy if there is one; `optimize`'s swarm may beat them."""
+    """`engine.exact_leader`, as `optimize` is: analytic candidates, and on a capped or
+    fixed-cost scenario first the least policy of `value_bound`'s allocation, certified
+    where it reaches the bound within funds: with capacity 400 per route and fixed costs
+    strap 0.5, landfill 0.2, wash 0.3 on the case, combined min-ghg reaches 52.868 kg and
+    max-circularity 1.336 at every budget from -60 to 100. Where nothing is certified it
+    ranks the candidates, then searches the follower's vertex responses for a better
+    least policy, so it is exact over vertex responses."""
     return exact_leader(scenario, objective, budget, mode)
 
 
@@ -162,14 +161,11 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
                  engine: str = "closed-form", params: PsoParams = None):
     """Optimize once per budget; the rows are the leader's `BilevelOutcome`s.
 
-    engine is "closed-form" (the exact leader, `closed_form_optimize`) or
-    "pso" (`optimize`, which runs the same exact leader on pure-linear
-    scenarios; on capped and fixed-cost ones both give the certified least
-    policy where there is one, and where there is none "pso" runs the seeded
-    swarm while "closed-form" ranks the pure-linear candidates). Each budget
-    is solved afresh, and nothing is carried from one budget to the next. A budget
-    whose solve fails is skipped with a warning; an unknown objective,
-    engine or mode raises before any runs.
+    engine is "closed-form" or "pso": both are the one exact leader,
+    `closed_form_optimize`, and params, accepted for the swarm this once
+    ran, is not read. Each budget is solved afresh, and nothing is carried
+    from one budget to the next. A budget whose solve fails is skipped with
+    a warning; an unknown objective, engine or mode raises before any runs.
     """
     objective = Objective(objective)
     if engine not in ("closed-form", "pso"):
@@ -179,10 +175,7 @@ def budget_sweep(scenario: Scenario, objective, budgets, mode: str = COMBINED,
     outcomes = []
     for budget in budgets:
         try:
-            if engine == "pso":
-                outcome = optimize(scenario, objective, budget, params=params, mode=mode)
-            else:
-                outcome = closed_form_optimize(scenario, objective, budget, mode=mode)
+            outcome = closed_form_optimize(scenario, objective, budget, mode=mode)
         except EcoleverError as exc:
             warnings.warn(f"budget {budget}: {exc}", stacklevel=2)
             continue

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
@@ -33,7 +34,6 @@ from .engine import (
     COMBINED,
     MODES,
     TAX_ONLY,
-    PsoParams,
     best_policy,
     optimize,
     value_bound,
@@ -125,11 +125,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _pso_params(args) -> PsoParams:
-    return PsoParams(swarm_size=args.swarm, iterations=args.iterations, tax_max=args.tax_max,
-                     restarts=args.restarts, seed=args.seed)
-
-
 def _add_common(parser, solves=True, writes=True, engine=None):
     """--scenario and --seed to solve, --out to write, the search flags to search a leader."""
     if solves:
@@ -213,10 +208,7 @@ def _print_outcome(outcome) -> None:
 def cmd_run(args) -> int:
     scenario = _load_case(args)
     budget = _parse_decimal(args.budget, "budget")
-    if args.engine == "pso":
-        outcome = optimize(scenario, args.objective, budget, params=_pso_params(args), mode=args.mode)
-    else:
-        outcome = closed_form_optimize(scenario, args.objective, budget, mode=args.mode)
+    outcome = optimize(scenario, args.objective, budget, mode=args.mode)
     out = _out_dir(args)
     target = out / "outcome.json"
     write_outcome_json(outcome, target)
@@ -235,7 +227,7 @@ def cmd_sweep(args) -> int:
     scenario = _load_case(args)
     budgets = parse_value_list(args.budgets, "budgets")
     outcomes = budget_sweep(scenario, args.objective, budgets, mode=args.mode,
-                            engine=args.engine, params=_pso_params(args))
+                            engine=args.engine)
     out = _out_dir(args)
     target = out / "sweep.csv"
     write_sweep_csv(outcomes, target, route_ids=scenario.route_ids())
@@ -259,7 +251,7 @@ def cmd_sensitivity(args) -> int:
     budgets = parse_value_list(args.budgets, "budgets")
     runner = sensitivity_distance if args.parameter == "distance" else sensitivity_loss
     sweeps = runner(scenario, values, budgets, args.objective, mode=args.mode,
-                    engine=args.engine, params=_pso_params(args))
+                    engine=args.engine)
     out = _out_dir(args)
     target = out / "sensitivity.csv"
     write_sensitivity_csv(sweeps, target)
@@ -320,28 +312,30 @@ def cmd_verify(args) -> int:
                 checks += 1
 
     sub_ids = [r.route_id for r in scenario.routes if r.subsidizable][:2]
-    for objective, mode, budget, axes in (
-            (Objective.MIN_GHG, COMBINED, Decimal(0), sub_ids),
-            (Objective.MIN_GHG, COMBINED, Decimal(30), sub_ids),
-            (Objective.MAX_CIRCULARITY, TAX_ONLY, Decimal(-60), [])):
-        closed = closed_form_optimize(scenario, objective, budget, mode=mode)
+    for (copy, name), (objective, mode, budget, axes) in itertools.product(
+            ((scenario, ""), (capped, "capped ")),
+            ((Objective.MIN_GHG, COMBINED, Decimal(0), sub_ids),
+             (Objective.MIN_GHG, COMBINED, Decimal(30), sub_ids),
+             (Objective.MAX_CIRCULARITY, TAX_ONLY, Decimal(-60), []))):
+        where = f"{name}{objective.value} {mode} budget {budget}"
+        closed = closed_form_optimize(copy, objective, budget, mode=mode)
         grid_policy, grid_value, _, _ = grid_bilevel(
-            scenario, objective, budget,
+            copy, objective, budget,
             tax_axis=GridAxis(lo=Decimal(0), hi=Decimal(5), steps=11),
             subsidy_axes={rid: GridAxis(lo=Decimal(0), hi=Decimal("0.08"), steps=9)
                           for rid in axes})
-        winner, _, _, _ = best_policy(scenario, objective, budget,
+        winner, _, _, _ = best_policy(copy, objective, budget,
                                       [closed.policy, grid_policy])
         if winner is not closed.policy:
             _emit_error("VerificationError",
-                        f"{objective.value} {mode} budget {budget}: grid search beat "
-                        f"the exact leader ({grid_value} against {closed.upper_value})")
+                        f"{where}: grid search beat the exact leader "
+                        f"({grid_value} against {closed.upper_value})")
             return EXIT_VERIFY
-        bound = value_bound(scenario, objective)  # no leader passes it: a free invariant
+        bound = value_bound(copy, objective)  # no leader passes it: a free invariant
         for leader, value in (("exact leader", closed.upper_value), ("grid search", grid_value)):
             if bound is not None and objective.head(value) < objective.head(bound[0]):
-                _emit_error("VerificationError", f"{objective.value} {mode} budget {budget}: "
-                            f"the {leader} reached {value}, beyond the value bound {bound[0]}")
+                _emit_error("VerificationError", f"{where}: the {leader} reached {value}, "
+                            f"beyond the value bound {bound[0]}")
                 return EXIT_VERIFY
         checks += 1
     print(f"verify ok ({checks} checks, {args.trials} trials, demand {args.demand})")

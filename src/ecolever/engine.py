@@ -5,27 +5,26 @@ The leader fixes (tax rate, subsidy rates), and `rank` orders the evaluated
 policies: funds shortfall first (subsidy outlay beyond budget plus tax
 income, exact), then the leader's objective, tax rate and total subsidy
 rate, so a policy within funds beats every policy beyond them, with no
-penalty weight and no tolerance. On pure-linear scenarios `exact_leader`
-ranks a few analytic candidates (`domain_informed_points`). On capped and
-fixed-cost scenarios both leaders first try `least_policy`, an exact LP, on
-the allocation of `value_bound`: a policy that reaches that bound within
-funds is certified. Elsewhere `optimize` refines the exact leader's winner
-with a seeded particle swarm over the exact decimal rate grid, which is not
-exact, unless that winner already has the least key any policy can have.
+penalty weight and no tolerance. `exact_leader` is the one leader. On
+pure-linear scenarios it ranks a few analytic candidates
+(`domain_informed_points`). On capped and fixed-cost scenarios it first
+tries `least_policy`, an exact LP, on the allocation of `value_bound`: a
+policy that reaches that bound within funds is certified. Elsewhere it ranks
+the same candidates, then walks the follower's vertex responses best first
+and takes the least policy of each, so it is exact over vertex responses.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import insort
-from itertools import accumulate
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_CEILING, ROUND_FLOOR, getcontext
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .errors import ResourceBoundError, ValidationError
-from .lower import cheaper_fill, leader_floor, solve_lower, solve_units
+from .lower import cheaper_fill, leader_floor, solve_lower
 from .model import (
     Allocation,
     LowerResult,
@@ -48,8 +47,8 @@ TAX_ONLY = "tax-only"
 SUBSIDY_ONLY = "subsidy-only"
 MODES = (COMBINED, TAX_ONLY, SUBSIDY_ONLY)
 
-INERTIA, COGNITIVE, SOCIAL = 0.7298, 1.49618, 1.49618  # constriction (Clerc and Kennedy, 2002)
 TAX_QUANTA = 4  # grid taxes `least_policy` tries, from the ceiling of the least tax up
+MAX_RESPONSES = 1_000  # vertex responses the leader's search tries
 
 
 def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget):
@@ -134,10 +133,9 @@ def best_policy(scenario: Scenario, objective, budget, policies):
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm settings. `optimize` runs the swarm over `default_bounds(scenario,
-    mode, tax_max)`, so tax_max must be finite, >= 0 and fit `quantize_rate`,
-    and seeds it with `domain_informed_points` only; the exact leader, a
-    certified answer and a winner of the least key read none of these."""
+    """Settings of the particle swarm that `optimize` once ran. They are
+    still accepted and validated (tax_max must be finite, >= 0 and fit
+    `quantize_rate`), but nothing reads these."""
 
     swarm_size: int = 10
     iterations: int = 200
@@ -156,7 +154,7 @@ class PsoParams:
         if self.seed < 0:
             # random.Random seeds from abs(seed): -1 would silently replay 1
             v.append("seed must be >= 0")
-        try:  # every swarm tax lies in [0, tax_max] and is quantized
+        try:
             if quantize_rate(self.tax_max) < 0:
                 v.append(f"tax_max must be >= 0, got {self.tax_max!r}")
         except ValidationError as exc:
@@ -166,83 +164,13 @@ class PsoParams:
 
 
 @dataclass(frozen=True)
-class PsoRun:
-    x: tuple
-    value: object
-    trace: tuple
-    evaluations: int
-
-
-def pso_run(evaluator, bounds, params: PsoParams, rng=None, seed_positions=None) -> PsoRun:
-    """Global-best PSO over `bounds`, one finite (lo, hi) pair with lo <= hi per dimension.
-
-    evaluator(row) maps a position, given as a fresh list of Python floats
-    (one per dimension) that the swarm never modifies, to any orderable
-    fitness (floats and tuples both work); smaller is better. Seed positions
-    are clamped into the box. rng is anything with a no-argument random() in [0, 1),
-    random.Random(params.seed) by default. Each iteration moves every
-    particle against the previous global best, then evaluates them in order.
-    Velocities are clamped to the box width and positions reflect off the
-    walls. The returned trace of (iteration, best-so-far) never worsens.
-    """
-    box = [(float(lo), float(hi), float(hi) - float(lo)) for lo, hi in bounds]
-    if not all(0 <= width < math.inf for _, _, width in box):  # NaN fails too
-        raise ValidationError(["each bound must be finite, with lo <= hi"])
-    rand = (rng if rng is not None else random.Random(params.seed)).random
-    n = params.swarm_size
-    inertia, cognitive, social = INERTIA, COGNITIVE, SOCIAL
-
-    X = [[lo + rand() * width for lo, _, width in box] for _ in range(n)]
-    if seed_positions is not None:
-        for k, pos in enumerate(seed_positions[:n]):
-            X[k] = [min(max(float(p), lo), hi) for p, (lo, hi, _) in zip(pos, box)]
-    V = [[0.0] * len(box) for _ in range(n)]
-
-    fit = [evaluator(row) for row in X]
-    P = list(X)  # rows are never written after they are made, so sharing is safe
-    pfit = list(fit)
-    g = min(range(n), key=fit.__getitem__)
-    gx, gfit = X[g], fit[g]
-    trace = [(0, gfit)]
-
-    for t in range(1, params.iterations + 1):
-        for i in range(n):
-            row, speed = [], []
-            push, push_speed = row.append, speed.append
-            for x, v, p, best, (lo, hi, width) in zip(X[i], V[i], P[i], gx, box):
-                v = (inertia * v + cognitive * rand() * (p - x)
-                     + social * rand() * (best - x))
-                v = width if v > width else -width if v < -width else v
-                x += v
-                if not lo <= x <= hi:
-                    for _ in range(2):  # a clamped velocity overshoots at most twice
-                        if x > hi:
-                            x = 2 * hi - x
-                        if x < lo:
-                            x = 2 * lo - x
-                    x = lo if x < lo else hi if x > hi else x
-                push(x)
-                push_speed(v)
-            X[i], V[i] = row, speed
-        for i, row in enumerate(X):
-            f = evaluator(row)
-            if f < pfit[i]:
-                pfit[i], P[i] = f, row
-                if f < gfit:
-                    gfit, gx = f, row
-        trace.append((t, gfit))
-
-    return PsoRun(x=tuple(gx), value=gfit, trace=tuple(trace),
-                  evaluations=n * (params.iterations + 1))
-
-
-@dataclass(frozen=True)
 class BilevelOutcome:
     """Result of one bilevel search at a fixed budget. evaluations counts
     the exact leader's candidates, each ranked by the follower or, where it
     could not change the answer, by `value_bound` and `lower.leader_floor`,
-    plus every position of the swarm; a certified answer counts its LP
-    solves plus one. A budget sweep's rows are these outcomes."""
+    plus one per least policy the search over vertex responses evaluates;
+    a certified answer counts its LP solves plus one. trace is the one
+    point (0, upper_value). A budget sweep's rows are these outcomes."""
 
     policy: PolicyVector
     response: LowerResult
@@ -253,37 +181,6 @@ class BilevelOutcome:
     objective: Objective
     mode: str
     budget: Decimal
-
-
-def default_bounds(scenario: Scenario, mode: str = COMBINED, tax_max: float = 10.0):
-    """Search box per dimension: tax first, then one axis per
-    `subsidizable_ids` entry; degenerate [0, 0] axes encode the mode."""
-    if mode not in MODES:
-        raise ValidationError([f"unknown mode: {mode!r}"])
-    cheapest = min(r.unit_cost for r in scenario.routes)
-    gaps = [float(r.unit_cost - cheapest) for r in scenario.routes if r.subsidizable]
-    sub_max = max(0.1, 2.0 * max(gaps, default=0.0))
-    subsidy = (0.0, 0.0 if mode == TAX_ONLY else sub_max)
-    return ((0.0, 0.0 if mode == SUBSIDY_ONLY else tax_max),
-            *[subsidy] * len(scenario.subsidizable_ids()))
-
-
-def vector_to_policy(scenario: Scenario, x) -> PolicyVector:
-    """Quantize a raw swarm position onto the exact decimal rate grid.
-
-    x holds the tax, then one float per `subsidizable_ids` entry (a list
-    or any other sequence); negative coordinates clamp to zero. Only
-    positive subsidy coordinates are quantized, since the rest round to a
-    zero rate that PolicyVector drops; a NaN fails `<= 0.0` too and reaches
-    PolicyVector, which refuses it.
-    """
-    ids = scenario.subsidizable_ids()
-    if len(x) != len(ids) + 1:
-        raise ValidationError([
-            f"position has {len(x)} coordinates; expected {len(ids) + 1}: "
-            f"tax, then one per subsidizable route"])
-    rates = {rid: quantize_rate(float(v)) for rid, v in zip(ids, x[1:]) if not v <= 0.0}
-    return PolicyVector(tax_rate=quantize_rate(max(float(x[0]), 0.0)), subsidy_rates=rates)
 
 
 def price_window(scenario: Scenario, target_route_id: str):
@@ -462,7 +359,10 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     Stage one minimizes t, put on the 1e-12 grid by its ceiling; stage two
     fixes it, one quantum higher while infeasible, and minimizes the total
     subsidy. A subsidy past the context's digits is rounded up at 17
-    places, so callers evaluate the policy before trusting it.
+    places. Where that overdraws the funds or lets a rival undercut the
+    units, stage two is solved again with every row kept by 1e-17 per unit,
+    and a tax where that fails too counts as infeasible. Callers still
+    evaluate the policy: the follower resolves ties.
     """
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
@@ -476,11 +376,12 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
         rows, rhs = rows + [tax_row], rhs + [0]
     solves = 0
 
-    def solve(cost, fixed=()):
+    def solve(cost, fixed=(), margin=0):  # each row but the fixed ones kept with a margin
         nonlocal solves
         while True:
             solves += 1
-            point = _simplex(cost, rows + [row for row, _ in fixed], rhs + [b for _, b in fixed])
+            slack = [Fraction(b) - margin * sum(map(abs, row[1:])) for row, b in zip(rows, rhs)]
+            point = _simplex(cost, rows + [row for row, _ in fixed], slack + [b for _, b in fixed])
             if point is None:
                 return None
             rival = cheaper_fill(scenario, point[0], dict(zip(used, point[1:])), units)
@@ -498,10 +399,19 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     least = math.ceil(point[0] * 10 ** 12)  # in RATE_QUANTUM steps
     for step in range(least, least + TAX_QUANTA):
         tax = Fraction(step, 10 ** 12)
-        point = solve([0] + [1] * len(used), [(tax_row, tax), ([-1, *tax_row[1:]], -tax)])
-        if point is not None:
+        fixed = [(tax_row, tax), ([-1, *tax_row[1:]], -tax)]
+        # rates rounded up may overdraw the funds or let a rival undercut the
+        # units; a margin of 1e-17 per unit in each row absorbs the rounding
+        for margin in (0, Fraction(1, 10 ** 17)):
+            point = solve([0] + [1] * len(used), fixed, margin)
+            if point is None:
+                break
             rates = {rid: _decimal_up(rate) for rid, rate in zip(used, point[1:])}
-            return PolicyVector(Decimal(f"{step}E-12") if step else ZERO, rates), solves
+            exact = {rid: Fraction(rate) for rid, rate in rates.items()}
+            outlay = sum(exact[rid] * units[rid] for rid in used)
+            if (outlay <= Fraction(budget) + tax * Fraction(own.total_emissions)
+                    and cheaper_fill(scenario, tax, exact, units) is None):
+                return PolicyVector(Decimal(f"{step}E-12") if step else ZERO, rates), solves
     return None
 
 
@@ -511,57 +421,132 @@ def _certificate(scenario: Scenario, objective: Objective, budget, mode):
     `Objective.unit_head` can trade units), that allocation's `least_policy`,
     evaluated once: a one-point BilevelOutcome if its `rank` key is (0,
     bound head, ...), before which no policy ranks; else the policy alone;
-    None where it does not apply or finds nothing."""
+    None where it does not apply or finds nothing. Returned with whether
+    `least_policy` ran."""
     bound = None if scenario.is_pure_linear() else value_bound(scenario, objective)
     if bound is None:  # pure-linear, most-profitable, or a sum that would round
-        return None
+        return None, False
     units = bound[1].units
     head = {r.route_id: objective.unit_head(r) for r in scenario.routes}
     top = max(map(head.get, units), default=None)  # the head at the fill's margin
     margin = [rid for rid in head if head[rid] == top]
     if any(units.get(a) and units.get(b, 0) < scenario.capacity_of(b)
            for a in margin for b in margin if a != b):
-        return None
+        return None, False
     try:
         found = least_policy(scenario, units, budget, mode)
         if found is None:
-            return None
+            return None, True
         value, result, _ = evaluate_policy(scenario, found[0], objective, budget)
     except ResourceBoundError:
-        return None
+        return None, True
     if rank(objective, budget, found[0], value, result)[:2] != (ZERO, objective.head(bound[0])):
-        return found[0]
+        return found[0], True
     return _outcome(objective, budget, mode, (found[0], value, result, True), found[1] + 1,
-                    ((0, value),))
+                    ((0, value),)), True
 
 
-def _exact(scenario: Scenario, objective: Objective, budget, mode):
-    """The exact leader as (outcome, winner, candidates): where `_certificate`
-    certifies a policy, its outcome and no winner; else the outcome of
-    `best_policy`'s winner, (policy, natural value, LowerResult, feasible),
-    over the candidates, `domain_informed_points` (the zero policy alone for
-    most-profitable), then a least policy `_certificate` found short of the
-    bound, which the returned candidates leave out."""
-    if mode not in MODES:
-        raise ValidationError([f"unknown mode: {mode!r}"])
-    found = _certificate(scenario, objective, budget, mode)
-    if isinstance(found, BilevelOutcome):
-        return found, None, None
-    points = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
-              else domain_informed_points(scenario, budget, mode))
-    policies = points if found is None else [*points, found]
-    winner = best_policy(scenario, objective, budget, policies)
-    exact = _outcome(objective, budget, mode, winner, len(policies), ((0, winner[1]),))
-    return exact, winner, points
+def _vertex_responses(scenario: Scenario, objective: Objective, first: dict):
+    """The follower's vertex responses, as units, in ascending objective head
+    from `first`, a least one (the `value_bound` allocation): every route at
+    zero or at its capacity but the marginal one, which takes the rest. A
+    Kth-best walk (Bialas and Karwan, 1984): each next vertex is one edge,
+    a move of units from one route to another until either hits a bound,
+    from a vertex already taken. Ties go to the lower (route id, units)
+    sequence. ResourceBoundError where a head would round."""
+    caps = {rid: scenario.capacity_of(rid) for rid in scenario.route_ids()}
+    heads = {r.route_id: objective.unit_head(r) for r in scenario.routes}
+
+    def push(units):
+        key = tuple(sorted((rid, n) for rid, n in units.items() if n))
+        if key not in seen and sum(n < caps[rid] for rid, n in key) <= 1:
+            seen.add(key)
+            with exactly("a response's head"):
+                heappush(queue, (sum((heads[rid] * n for rid, n in key), ZERO), key))
+
+    queue, seen = [], set()
+    push(first)
+    while queue:
+        units = dict(heappop(queue)[1])
+        yield units
+        for a, cap in caps.items():
+            for b, n in units.items():
+                step = min(cap - units.get(a, 0), n)
+                if a != b and step > 0:
+                    push({**units, a: units.get(a, 0) + step, b: n - step})
+
+
+def _search(scenario: Scenario, objective: Objective, budget, mode, winner, bound, priced):
+    """The first in `rank` of `winner` (policy, natural value, LowerResult,
+    feasible) and the least policies of the follower's vertex responses, with
+    the number of them evaluated. Each response, in ascending head, gets its
+    `least_policy`, which is evaluated; the walk stops once the next head
+    exceeds an incumbent within funds, and tries every response while the
+    incumbent is short of funds. So no policy within funds that induces a
+    vertex response ranks before the answer: the search is exact over vertex
+    responses. It keeps its incumbent past MAX_RESPONSES responses, skips a
+    response whose LP or follower hits a ResourceBoundError, and stops where
+    a head would round. A winner of key (0, bound head, 0, 0), the least any
+    policy can have, is kept without a search. priced says `_certificate`
+    has priced the first response, the bound's allocation, already; a
+    policy it found there is among the candidates."""
+    key = rank(objective, budget, *winner[:3])
+    if key == (ZERO, objective.head(bound[0]), ZERO, ZERO):
+        return winner, 0
+    responses, evaluated = _vertex_responses(scenario, objective, bound[1].units), 0
+    if priced:
+        next(responses)
+    for _ in range(MAX_RESPONSES):
+        try:
+            units = next(responses, None)
+            if units is None:
+                break
+            totals = price_units(scenario, units, PolicyVector.zero())
+            if key[0] == 0 and objective.head(objective.natural_value(totals)) > key[1]:
+                break
+            found = least_policy(scenario, units, budget, mode)
+            if found is None:
+                continue
+            value, result, feasible = evaluate_policy(scenario, found[0], objective, budget)
+        except ResourceBoundError:
+            continue
+        evaluated += 1
+        new = rank(objective, budget, found[0], value, result)
+        if new < key:
+            key, winner = new, (found[0], value, result, feasible)
+    return winner, evaluated
 
 
 def exact_leader(scenario: Scenario, objective, budget,
                  mode: str = COMBINED) -> BilevelOutcome:
-    """The first of `domain_informed_points` in `rank` order, less the
-    subsidies no unit draws (the zero policy for most-profitable), with a
-    one-point trace, unless `_certificate` certifies a policy; one it finds
-    short of the bound joins the candidates, last."""
-    return _exact(scenario, Objective(objective), to_decimal(budget, "budget"), mode)[0]
+    """The leader's best decision in `rank` order, less the subsidies no
+    unit draws, with a one-point trace.
+
+    Most-profitable gets the zero policy. A policy `_certificate` certifies
+    is the answer. Otherwise the first of `domain_informed_points` in `rank`
+    order, joined by a least policy `_certificate` found short of the bound,
+    is the incumbent; on capped and fixed-cost scenarios `_search` then
+    walks the follower's vertex responses, so the answer is exact over
+    vertex responses: no policy within funds that induces one ranks first.
+    """
+    objective = Objective(objective)
+    budget = to_decimal(budget, "budget")
+    if mode not in MODES:
+        raise ValidationError([f"unknown mode: {mode!r}"])
+    found, priced = _certificate(scenario, objective, budget, mode)
+    if isinstance(found, BilevelOutcome):
+        return found
+    policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
+                else domain_informed_points(scenario, budget, mode))
+    if found is not None:
+        policies.append(found)
+    winner = best_policy(scenario, objective, budget, policies)
+    evaluations = len(policies)
+    bound = None if scenario.is_pure_linear() else value_bound(scenario, objective)
+    if bound is not None:  # None for most-profitable, or a sum that would round
+        winner, searched = _search(scenario, objective, budget, mode, winner, bound, priced)
+        evaluations += searched
+    return _outcome(objective, budget, mode, winner, evaluations, ((0, winner[1]),))
 
 
 def _outcome(objective, budget, mode, winner, evaluations, trace) -> BilevelOutcome:
@@ -578,53 +563,6 @@ def _outcome(objective, budget, mode, winner, evaluations, trace) -> BilevelOutc
 
 def optimize(scenario: Scenario, objective, budget, params: PsoParams = None,
              mode: str = COMBINED) -> BilevelOutcome:
-    """The leader's best decision in `rank` order.
-
-    Pure-linear scenarios and most-profitable get `exact_leader`, and a
-    policy `_certificate` certifies is the answer. Otherwise the exact
-    leader's winner is the incumbent, and the answer too where its key is
-    (0, `value_bound` head, 0, 0), before which no policy ranks. Elsewhere
-    the swarm refines it: its candidates, `domain_informed_points`, seed the
-    first of the swarm's restarts (each from a reseeded generator), and
-    every position is put on the rate grid by `vector_to_policy` and ranked
-    exactly from its `price_units` totals, its `rank` key being the swarm's
-    fitness. The incumbent is the lowest ranked policy seen; the trace holds
-    (iteration, its natural value).
-    """
-    objective = Objective(objective)
-    budget = to_decimal(budget, "budget")
-    exact, winner, points = _exact(scenario, objective, budget, mode)
-    if winner is None or objective == Objective.MOST_PROFITABLE or scenario.is_pure_linear():
-        return exact
-    key = rank(objective, budget, *winner[:3])
-    bound = value_bound(scenario, objective)
-    if bound is not None and key == (ZERO, objective.head(bound[0]), ZERO, ZERO):
-        return exact
-    params = params if params is not None else PsoParams()
-    incumbent = (key, *winner[:3])  # (rank key, policy, value, LowerResult) ranked lowest so far
-
-    def pso_evaluator(x):
-        nonlocal incumbent
-        policy = vector_to_policy(scenario, x)
-        units = solve_units(scenario, policy, objective, budget)
-        totals = price_units(scenario, units, policy)
-        value = objective.natural_value(totals)
-        key = rank(objective, budget, policy, value, totals)
-        if key < incumbent[0]:
-            incumbent = (key, policy, value, LowerResult(Allocation(units), *totals))
-        return key
-
-    ids = scenario.subsidizable_ids()
-    seeds = [[float(p.tax_rate), *(float(p.subsidy_for(rid)) for rid in ids)] for p in points]
-    bounds = default_bounds(scenario, mode, params.tax_max)
-    keys, evaluations = [key], exact.evaluations
-    for restart in range(params.restarts):
-        run = pso_run(pso_evaluator, bounds, params, rng=random.Random(params.seed + restart),
-                      seed_positions=seeds if restart == 0 else None)
-        keys += [k for _, k in run.trace]
-        evaluations += run.evaluations
-    key, *winner = incumbent
-    # Trace keys hold the minimization head; report naturally.
-    sign = objective.head(Decimal(1))
-    return _outcome(objective, budget, mode, (*winner, key[0] == 0), evaluations,
-                    tuple((i, sign * k[1]) for i, k in enumerate(accumulate(keys, min))))
+    """`exact_leader`. params is accepted for the swarm this once ran;
+    nothing reads it."""
+    return exact_leader(scenario, objective, budget, mode)

@@ -161,10 +161,18 @@ def cheaper_fill(scenario: Scenario, tax, subsidies, units):
     """A cost-minimal fill, as units, where it costs less than `units` at
     the exact rational policy (tax, subsidies: route id -> rate, as
     Fractions); None where `units` is cost-minimal there. `_fills` runs on
-    the net unit costs and fees scaled by one common factor to integers."""
+    the net unit costs and fees scaled by one common factor to integers,
+    built from each term's integer ratio with no Fraction arithmetic."""
     routes, fees = scenario.fill_table()
-    scaled = _integers([Fraction(cost) + tax * Fraction(emissions) - subsidies.get(rid, 0)
-                        for cost, emissions, rid, _, _ in routes] + list(fees.values()))
+    terms = []  # per route, (numerator, denominator) of cost, tax * emissions and -subsidy
+    for cost, emissions, rid, _, _ in routes:
+        e, d = emissions.as_integer_ratio()
+        rate = subsidies.get(rid, 0)
+        terms.append((cost.as_integer_ratio(), (tax.numerator * e, tax.denominator * d),
+                      (-rate.numerator, rate.denominator)))
+    terms += [(fee.as_integer_ratio(),) for fee in fees.values()]
+    scale = math.lcm(*(d for term in terms for _, d in term))
+    scaled = [sum(n * (scale // d) for n, d in term) for term in terms]
     priced = [(net, rid, bit, cap) for net, (_, _, rid, bit, cap) in zip(scaled, routes)]
     fees = dict(zip(fees, scaled[len(routes):]))
 

@@ -8,8 +8,8 @@ the leader's best value over every allocation, which no policy can pass.
 
 Every money, emission, and circularity quantity is an exact `decimal.Decimal`
 so cost ties and policy thresholds reproduce bit for bit across platforms.
-Floats are rejected at construction time; convert optimizer output explicitly
-with `ecolever.model.quantize_rate` first.
+Floats are rejected at construction time; convert a float explicitly with
+`ecolever.model.quantize_rate` first.
 """
 
 from __future__ import annotations
@@ -60,27 +60,12 @@ def to_decimal(value, name="value", violations=None):
 
 
 def quantize_rate(value) -> Decimal:
-    """Snap a float (e.g. a swarm position) half-even onto the 1e-12 rate grid.
+    """Snap a float (e.g. `PsoParams.tax_max`) half-even onto the 1e-12 rate grid.
 
     Raises ValidationError for NaN, infinities, and magnitudes of 1e16 or
     more, whose 1e-12 multiples need more digits than the decimal context
     holds.
-
-    Most floats skip `Decimal(float)`, exactly: 1e12 is an exact float, so
-    y = value * 1e12 is the exact product rounded once, and below 2**44 that
-    puts y within 2**-10 of it. So when 0 < y < 2**44 and y lies less than
-    0.49 from round(y), the exact product lies less than 0.5 from that same
-    integer, and Decimal(round(y)) * RATE_QUANTUM, an exact product of at
-    most 14 digits, equals the half-even quantize below, down to
-    `as_tuple()`. The range is checked before `round`, which raises on NaN
-    and infinities; every other value takes the quantize.
     """
-    if type(value) is float:
-        y = value * 1e12
-        if 0.0 < y < 17592186044416.0:  # 2**44
-            n = round(y)
-            if -0.49 < y - n < 0.49:
-                return Decimal(n) * RATE_QUANTUM
     try:
         rate = Decimal(value).quantize(RATE_QUANTUM, rounding=ROUND_HALF_EVEN)
     except InvalidOperation:

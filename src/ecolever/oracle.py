@@ -292,8 +292,8 @@ class GridAxis:
 def grid_bilevel(scenario: Scenario, objective, budget, tax_axis: GridAxis,
                  subsidy_axes: dict):
     """Dense scan of the leader's policy grid, streamed point by point and
-    evaluating every one; the exhaustive counterpart to the exact leader and
-    the swarm. subsidy_axes maps route id -> GridAxis (absent routes stay
+    evaluating every one; the exhaustive counterpart to the exact leader.
+    subsidy_axes maps route id -> GridAxis (absent routes stay
     unsubsidized). Returns (policy, value, result, feasible) of the first
     grid point that ranks lowest in `engine.rank`: funds shortfall, then
     objective, then tax rate, then total subsidy rate.

@@ -63,9 +63,9 @@ def pso_capped(case):
 
 
 @pytest.fixture
-def no_swarm(monkeypatch):
-    """`optimize` may not run the particle swarm."""
+def no_search(monkeypatch):
+    """The leader may not search the follower's vertex responses."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the swarm ran")
+        raise AssertionError("the search ran")
 
-    monkeypatch.setattr(engine, "pso_run", refuse)
+    monkeypatch.setattr(engine, "_vertex_responses", refuse)

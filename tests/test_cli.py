@@ -148,7 +148,7 @@ def test_non_finite_input_exits_1_with_one_json_line(case, tmp_path, capsys, arg
     ["run", "--tax-max", "nan"],
     ["run", "--tax-max", "inf"],
     ["run", "--tax-max", "1e20", "--iterations", "1", "--restarts", "2"],
-    # the closed-form engine never builds the swarm's box, and still refuses the flag
+    # nothing reads the flag with either engine, and both still refuse it
     ["run", "--engine", "closed-form", "--tax-max", "nan"],
     ["sweep", "--budgets", "0", "--engine", "closed-form", "--tax-max", "inf"],
     ["sensitivity", "--parameter", "loss", "--values", "0.03", "--budgets", "0",
@@ -250,9 +250,10 @@ def test_verify_holds_each_leader_to_the_value_bound(capsys, monkeypatch):
     monkeypatch.setattr(cli, "value_bound",
                         lambda *args: seen.append(args[1]) or bound(*args))
     code, stdout, _ = run_cli(["verify", "--trials", "0"], capsys)
-    # the bound is checked at every leader point, yet counts as no extra check
-    assert code == 0 and stdout == "verify ok (3 checks, 0 trials, demand 12)\n"
-    assert [o.value for o in seen] == ["min-ghg", "min-ghg", "max-circularity"]
+    # the bound is checked at every leader point, on the case and on its
+    # capped copy, yet counts as no extra check
+    assert code == 0 and stdout == "verify ok (6 checks, 0 trials, demand 12)\n"
+    assert [o.value for o in seen] == ["min-ghg", "min-ghg", "max-circularity"] * 2
 
 
 def test_oversized_verify_exits_2(capsys):

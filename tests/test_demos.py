@@ -1,5 +1,5 @@
 """The demos run end to end: each exits 0, so the assertions inside them
-hold (demo 03 checks that the swarm lands exactly on the closed-form corner).
+hold (demo 03 checks that the capped path lands exactly on the closed-form corner).
 README's Quick start block runs too, so every name it imports stays at the
 package root.
 

@@ -65,16 +65,15 @@ import sys
 from decimal import Decimal
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import ecolever, ecolever.cli
-from ecolever import PsoParams, Scenario, calibrate_case_study, engine, optimize
-engine.least_policy = lambda *args: None  # no certificate: the swarm runs
+from ecolever import Scenario, calibrate_case_study, engine, optimize
 case = calibrate_case_study()
 capped = Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
                   capacity_limits={rid: 400 for rid in case.route_ids()},
                   technology_fixed_costs={"strap_recycling_line": Decimal(5),
                                           "wash_reuse_loop": Decimal(3)})
-params = PsoParams(swarm_size=4, iterations=3, restarts=2, seed=1)
-out = optimize(capped, "min-ghg", 0, params=params)
-assert out.evaluations > 2 * 4 * 3 and len(out.trace) == 2 * (3 + 1) + 1
+# subsidy-only is not certified here, so the search over vertex responses runs
+out = optimize(capped, "min-ghg", 0, mode="subsidy-only")
+assert out.evaluations > len(engine.domain_informed_points(capped, 0, "subsidy-only"))
 print(out.upper_value)
 """
 

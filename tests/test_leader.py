@@ -1,5 +1,5 @@
 """The exact leader for pure-linear scenarios: regression instances, its
-place in `optimize`, a differential test against the grid and the swarm,
+place in `optimize`, a differential test against the grid and the capped path,
 and the bound and follower floor that let `best_policy` skip floors and
 evaluations."""
 
@@ -109,11 +109,7 @@ def test_capped_level_mix_goes_to_the_selector():
 
 
 @pytest.mark.parametrize("objective", list(Objective))
-def test_optimize_on_a_pure_linear_scenario_runs_no_swarm(case, monkeypatch, objective):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the swarm ran on a pure-linear scenario")
-
-    monkeypatch.setattr(engine, "pso_run", refuse)
+def test_optimize_on_a_pure_linear_scenario_runs_no_swarm(case, no_search, objective):
     out = optimize(case, objective, 0)
     closed = closed_form_optimize(case, objective, 0)
     assert (out.policy, out.response, out.upper_value) == (
@@ -160,14 +156,15 @@ def test_exact_leader_never_ranks_after_the_grid_or_the_swarm(routes, demand, pe
         {rid: GridAxis(lo=0, hi=Decimal("0.12"), steps=7) for rid in subsidized})
     assert best <= rank(objective, budget, policy, value, result)
 
-    # capacities of all demand bind nothing but send optimize to the swarm
+    # capacities of all demand bind nothing but send optimize to the search
+    # over vertex responses
     capped = Scenario(demand=demand, routes=catalog,
                       capacity_limits={r.route_id: demand for r in catalog})
-    swarm = optimize(capped, objective, budget, mode=mode,
-                     params=PsoParams(swarm_size=6, iterations=15, restarts=1))
-    value, result, _ = evaluate_policy(scenario, swarm.policy, objective, budget)
-    assert result == swarm.response
-    assert best <= rank(objective, budget, swarm.policy, value, result)
+    searched = optimize(capped, objective, budget, mode=mode,
+                        params=PsoParams(swarm_size=6, iterations=15, restarts=1))
+    value, result, _ = evaluate_policy(scenario, searched.policy, objective, budget)
+    assert result == searched.response
+    assert best <= rank(objective, budget, searched.policy, value, result)
 
 
 def _evaluate_all(scenario, objective, budget, policies):

@@ -3,6 +3,7 @@ import itertools
 import time
 import tracemalloc
 from decimal import Decimal, Inexact, getcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from ecolever import (
 from ecolever import lower, model
 from ecolever.lower import net_unit_cost
 from ecolever.model import apply_modifiers
+from ecolever.oracle import _compositions
 from ecolever.analysis import LANDFILL_ROUTE, STRAP_ROUTE
 
 
@@ -224,6 +226,31 @@ def test_milp_matches_enumeration_when_routes_share_technologies(instance):
     reference = enumerate_lower(scenario, policy)
     assert result.industry_cost == reference.best.industry_cost
     assert result.allocation in reference.optima
+
+
+@given(shared_technology_catalogs(), st.integers(1, 9), st.integers(1, 9))
+def test_cheaper_fill_finds_the_least_cost_at_a_rational_policy(instance, over, under):
+    # the drawn policy's rates over small integers: most net prices have no
+    # finite decimal, as at the points of `engine.least_policy`'s LP
+    scenario, policy = instance
+    tax = Fraction(policy.tax_rate) / over
+    subsidies = {rid: Fraction(rate) / under for rid, rate in policy.subsidy_rates.items()}
+    fees = scenario.technology_fixed_costs
+
+    def cost(units):
+        used = {scenario.route(rid).technology_id for rid, n in units.items() if n}
+        return (sum((Fraction(r.unit_cost) + tax * Fraction(r.unit_emissions)
+                     - subsidies.get(r.route_id, 0)) * units.get(r.route_id, 0)
+                    for r in scenario.routes) + sum(Fraction(fees.get(t, 0)) for t in used))
+
+    ids = scenario.route_ids()
+    splits = [{rid: n for rid, n in zip(ids, split) if n}
+              for split in _compositions(scenario.demand, [scenario.capacity_of(r) for r in ids])]
+    costs = [cost(units) for units in splits]
+    least, worst = min(costs), max(costs)
+    assert lower.cheaper_fill(scenario, tax, subsidies, splits[costs.index(least)]) is None
+    fill = lower.cheaper_fill(scenario, tax, subsidies, splits[costs.index(worst)])
+    assert fill is None if worst == least else cost(fill) == least
 
 
 @st.composite
@@ -471,7 +498,7 @@ def test_sixteen_fixed_cost_technologies_at_demand_1_answer_quickly():
 
 @pytest.mark.parametrize("mode", ["combined", "tax-only", "subsidy-only"])
 @pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
-def test_sixteen_equal_technologies_need_no_swarm(no_swarm, objective, mode):
+def test_sixteen_equal_technologies_need_no_swarm(no_search, objective, mode):
     # every fill is one unit of the same value, so no certificate applies,
     # but the zero policy's key is the least any policy can have
     out = optimize(_sixteen_technologies(), objective, 0, mode=mode)

@@ -13,7 +13,7 @@ from ecolever.analysis import closed_form_optimize
 from ecolever.engine import MODES, rank
 
 LEADERS = {
-    "swarm": lambda scenario, objective, budget, mode: optimize(
+    "optimize": lambda scenario, objective, budget, mode: optimize(
         scenario, objective, budget, PsoParams(swarm_size=4, iterations=4, restarts=1), mode),
     "closed-form": closed_form_optimize,
 }
@@ -104,6 +104,18 @@ def test_more_money_never_hurts_a_pure_linear_leader(scenario, objective, low, h
                                                      leader):
     # a policy within funds at one budget is within them at any larger one,
     # so the answer's (shortfall, objective head) never worsens as it grows
+    low, high = sorted((low, high))
+    poorer = LEADERS[leader](scenario, objective, _budget(scenario, low), mode)
+    richer = LEADERS[leader](scenario, objective, _budget(scenario, high), mode)
+    assert _key(richer)[:2] <= _key(poorer)[:2]
+
+
+@settings(deadline=None)
+@given(_catalogs(capped=st.just(True)), _OBJECTIVES, st.integers(-60, 60),
+       st.integers(-60, 60), st.sampled_from(MODES), st.sampled_from(sorted(LEADERS)))
+def test_more_money_never_hurts_a_capped_leader(scenario, objective, low, high, mode, leader):
+    # the same relation where capacities and fees apply: the search over
+    # vertex responses keeps it, as the analytic candidates alone did not
     low, high = sorted((low, high))
     poorer = LEADERS[leader](scenario, objective, _budget(scenario, low), mode)
     richer = LEADERS[leader](scenario, objective, _budget(scenario, high), mode)
