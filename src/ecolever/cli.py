@@ -38,9 +38,9 @@ from .engine import (
     optimize,
     value_bound,
 )
-from .errors import EcoleverError, ValidationError
+from .errors import EcoleverError, ResourceBoundError, ValidationError
 from .lower import solve_lower
-from .model import Objective, PolicyVector, Scenario, quantize_rate, to_decimal
+from .model import Objective, PolicyVector, Scenario, exactly, quantize_rate, to_decimal
 from .oracle import GridAxis, enumerate_lower, enumerate_optimistic, grid_bilevel
 from .scenario_io import (
     atomic_write_text,
@@ -102,9 +102,13 @@ def parse_value_list(text: str, name: str):
             raise ValidationError([f"{name}: range needs lo <= hi"])
         values = []
         current = lo
-        while current <= hi:
-            values.append(current)
-            current += step
+        try:  # a step that rounds away would leave current where it is
+            with exactly(f"stepping {text!r}"):
+                while current <= hi:
+                    values.append(current)
+                    current += step
+        except ResourceBoundError as exc:
+            raise ValidationError([f"{name}: {exc}"]) from None
         return values
     values = [_parse_decimal(piece, name) for piece in text.split(",") if piece.strip()]
     if not values:
@@ -125,8 +129,9 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _add_common(parser, solves=True, writes=True, engine=None):
-    """--scenario and --seed to solve, --out to write, the search flags to search a leader."""
+def _add_common(parser, solves=True, writes=True, engine=None, charts=False):
+    """--scenario and --seed to solve, --out to write, the search flags to search a
+    leader, --emit-svg to chart a series of leaders."""
     if solves:
         parser.add_argument("--scenario", help="scenario file (default: bundled case study)")
     if writes:
@@ -142,6 +147,7 @@ def _add_common(parser, solves=True, writes=True, engine=None):
         parser.add_argument("--iterations", type=int, default=200)
         parser.add_argument("--restarts", type=int, default=5)
         parser.add_argument("--tax-max", type=float, default=10.0)
+    if charts:
         parser.add_argument("--emit-svg", action="store_true")
 
 
@@ -156,13 +162,13 @@ def build_parser() -> _Parser:
     p_run.set_defaults(handler=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="optimize across a budget series")
-    _add_common(p_sweep, engine="closed-form")
+    _add_common(p_sweep, engine="closed-form", charts=True)
     p_sweep.add_argument("--budgets", required=True,
                          help='"lo:hi:step" or comma list, e.g. "-60:100:10"')
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_sens = sub.add_parser("sensitivity", help="budget sweeps across an operating parameter")
-    _add_common(p_sens, engine="closed-form")
+    _add_common(p_sens, engine="closed-form", charts=True)
     p_sens.add_argument("--parameter", choices=["distance", "loss"], required=True)
     p_sens.add_argument("--values", required=True, help='e.g. "7,15,65,140" or "0.01,0.0313,0.1"')
     p_sens.add_argument("--budgets", default="0:60:30")
@@ -214,12 +220,6 @@ def cmd_run(args) -> int:
     write_outcome_json(outcome, target)
     _print_outcome(outcome)
     print(f"wrote {target}")
-    if args.emit_svg:
-        svg = out / "trace.svg"
-        write_svg_line_chart(svg, [("best value", [(i, v) for i, v in outcome.trace])],
-                             title="search trace", x_label="iteration",
-                             y_label="leader objective")
-        print(f"wrote {svg}")
     return EXIT_OK
 
 

@@ -7,11 +7,11 @@ income, exact), then the leader's objective, tax rate and total subsidy
 rate, so a policy within funds beats every policy beyond them, with no
 penalty weight and no tolerance. `exact_leader` is the one leader. On
 pure-linear scenarios it ranks a few analytic candidates
-(`domain_informed_points`). On capped and fixed-cost scenarios it first
-tries `least_policy`, an exact LP, on the allocation of `value_bound`: a
-policy that reaches that bound within funds is certified. Elsewhere it ranks
-the same candidates, then walks the follower's vertex responses best first
-and takes the least policy of each, so it is exact over vertex responses.
+(`domain_informed_points`). On capped and fixed-cost scenarios it walks the
+follower's vertex responses best first, from the allocation of
+`value_bound`, and takes the least policy of each (`least_policy`, an exact
+LP), so it is exact over vertex responses. The walk's first step is a
+certificate: a policy that reaches the bound within funds is the answer.
 """
 
 from __future__ import annotations
@@ -169,15 +169,14 @@ class BilevelOutcome:
     the exact leader's candidates, each ranked by the follower or, where it
     could not change the answer, by `value_bound` and `lower.leader_floor`,
     plus one per least policy the search over vertex responses evaluates;
-    a certified answer counts its LP solves plus one. trace is the one
-    point (0, upper_value). A budget sweep's rows are these outcomes."""
+    a certified answer counts its LP solves plus one. A budget sweep's rows
+    are these outcomes."""
 
     policy: PolicyVector
     response: LowerResult
     upper_value: Decimal
     feasible: bool
     evaluations: int
-    trace: tuple
     objective: Objective
     mode: str
     budget: Decimal
@@ -415,35 +414,18 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     return None
 
 
-def _certificate(scenario: Scenario, objective: Objective, budget, mode):
-    """Where a capped or fixed-cost scenario's `value_bound` allocation is
-    its only one of best value (no two routes of the fill's marginal
-    `Objective.unit_head` can trade units), that allocation's `least_policy`,
-    evaluated once: a one-point BilevelOutcome if its `rank` key is (0,
-    bound head, ...), before which no policy ranks; else the policy alone;
-    None where it does not apply or finds nothing. Returned with whether
-    `least_policy` ran."""
-    bound = None if scenario.is_pure_linear() else value_bound(scenario, objective)
-    if bound is None:  # pure-linear, most-profitable, or a sum that would round
-        return None, False
-    units = bound[1].units
-    head = {r.route_id: objective.unit_head(r) for r in scenario.routes}
-    top = max(map(head.get, units), default=None)  # the head at the fill's margin
-    margin = [rid for rid in head if head[rid] == top]
-    if any(units.get(a) and units.get(b, 0) < scenario.capacity_of(b)
-           for a in margin for b in margin if a != b):
-        return None, False
+def _least_response(scenario: Scenario, objective: Objective, budget, mode, units):
+    """The `least_policy` of the follower response `units`, evaluated, as
+    ((policy, natural value, LowerResult, feasible), LP solves); None where
+    there is none, or where the LP or the follower hits a ResourceBoundError."""
     try:
         found = least_policy(scenario, units, budget, mode)
         if found is None:
-            return None, True
-        value, result, _ = evaluate_policy(scenario, found[0], objective, budget)
+            return None
+        policy, solves = found
+        return (policy, *evaluate_policy(scenario, policy, objective, budget)), solves
     except ResourceBoundError:
-        return None, True
-    if rank(objective, budget, found[0], value, result)[:2] != (ZERO, objective.head(bound[0])):
-        return found[0], True
-    return _outcome(objective, budget, mode, (found[0], value, result, True), found[1] + 1,
-                    ((0, value),)), True
+        return None
 
 
 def _vertex_responses(scenario: Scenario, objective: Objective, first: dict):
@@ -476,80 +458,85 @@ def _vertex_responses(scenario: Scenario, objective: Objective, first: dict):
                     push({**units, a: units.get(a, 0) + step, b: n - step})
 
 
-def _search(scenario: Scenario, objective: Objective, budget, mode, winner, bound, priced):
+def _search(scenario: Scenario, objective: Objective, budget, mode, winner, responses):
     """The first in `rank` of `winner` (policy, natural value, LowerResult,
-    feasible) and the least policies of the follower's vertex responses, with
-    the number of them evaluated. Each response, in ascending head, gets its
-    `least_policy`, which is evaluated; the walk stops once the next head
-    exceeds an incumbent within funds, and tries every response while the
-    incumbent is short of funds. So no policy within funds that induces a
-    vertex response ranks before the answer: the search is exact over vertex
-    responses. It keeps its incumbent past MAX_RESPONSES responses, skips a
-    response whose LP or follower hits a ResourceBoundError, and stops where
-    a head would round. A winner of key (0, bound head, 0, 0), the least any
-    policy can have, is kept without a search. priced says `_certificate`
-    has priced the first response, the bound's allocation, already; a
-    policy it found there is among the candidates."""
-    key = rank(objective, budget, *winner[:3])
-    if key == (ZERO, objective.head(bound[0]), ZERO, ZERO):
-        return winner, 0
-    responses, evaluated = _vertex_responses(scenario, objective, bound[1].units), 0
-    if priced:
-        next(responses)
+    feasible) and the least policies of the rest of `responses`, a
+    `_vertex_responses` walk, with the number of them evaluated. Each
+    response, in ascending head, gets its `_least_response`; the walk stops
+    once the next head exceeds an incumbent within funds, and tries every
+    response while the incumbent is short of funds. So no policy within
+    funds that induces a vertex response ranks before the answer: the search
+    is exact over vertex responses. It keeps its incumbent past
+    MAX_RESPONSES responses, skips a response whose LP or follower hits a
+    ResourceBoundError, and stops where a head would round."""
+    key, evaluated = rank(objective, budget, *winner[:3]), 0
     for _ in range(MAX_RESPONSES):
         try:
             units = next(responses, None)
             if units is None:
                 break
             totals = price_units(scenario, units, PolicyVector.zero())
-            if key[0] == 0 and objective.head(objective.natural_value(totals)) > key[1]:
-                break
-            found = least_policy(scenario, units, budget, mode)
-            if found is None:
-                continue
-            value, result, feasible = evaluate_policy(scenario, found[0], objective, budget)
         except ResourceBoundError:
             continue
+        if key[0] == 0 and objective.head(objective.natural_value(totals)) > key[1]:
+            break
+        found = _least_response(scenario, objective, budget, mode, units)
+        if found is None:
+            continue
         evaluated += 1
-        new = rank(objective, budget, found[0], value, result)
+        new = rank(objective, budget, *found[0][:3])
         if new < key:
-            key, winner = new, (found[0], value, result, feasible)
+            key, winner = new, found[0]
     return winner, evaluated
 
 
 def exact_leader(scenario: Scenario, objective, budget,
                  mode: str = COMBINED) -> BilevelOutcome:
     """The leader's best decision in `rank` order, less the subsidies no
-    unit draws, with a one-point trace.
+    unit draws.
 
-    Most-profitable gets the zero policy. A policy `_certificate` certifies
-    is the answer. Otherwise the first of `domain_informed_points` in `rank`
-    order, joined by a least policy `_certificate` found short of the bound,
-    is the incumbent; on capped and fixed-cost scenarios `_search` then
-    walks the follower's vertex responses, so the answer is exact over
-    vertex responses: no policy within funds that induces one ranks first.
+    Most-profitable gets the zero policy. On capped and fixed-cost
+    scenarios a walk over the follower's vertex responses starts at the
+    `value_bound` allocation. Where that allocation is the only one of best
+    value (no two routes of the fill's marginal `Objective.unit_head` can
+    trade units), its `_least_response` is priced first: at a `rank` key of
+    (0, bound head, ...), before which no policy ranks, it is the answer;
+    else it joins `domain_informed_points`. The first of those candidates in
+    `rank` order is the incumbent, and unless its key is (0, bound head, 0,
+    0), the least any policy can have, `_search` walks on, so the answer is
+    exact over vertex responses: no policy within funds that induces one
+    ranks first.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
-    found, priced = _certificate(scenario, objective, budget, mode)
-    if isinstance(found, BilevelOutcome):
-        return found
+    bound = None if scenario.is_pure_linear() else value_bound(scenario, objective)
+    found = None
+    if bound is not None:  # None for most-profitable, or a sum that would round
+        least, units = objective.head(bound[0]), bound[1].units
+        walk = _vertex_responses(scenario, objective, units)
+        heads = {r.route_id: objective.unit_head(r) for r in scenario.routes}
+        top = max(map(heads.get, units), default=None)  # the head at the fill's margin
+        margin = [rid for rid in heads if heads[rid] == top]
+        if not any(units.get(a) and units.get(b, 0) < scenario.capacity_of(b)
+                   for a in margin for b in margin if a != b):
+            found = _least_response(scenario, objective, budget, mode, next(walk))
+            if found is not None and rank(objective, budget, *found[0][:3])[:2] == (ZERO, least):
+                return _outcome(objective, budget, mode, found[0], found[1] + 1)
     policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
                 else domain_informed_points(scenario, budget, mode))
     if found is not None:
-        policies.append(found)
+        policies.append(found[0][0])
     winner = best_policy(scenario, objective, budget, policies)
     evaluations = len(policies)
-    bound = None if scenario.is_pure_linear() else value_bound(scenario, objective)
-    if bound is not None:  # None for most-profitable, or a sum that would round
-        winner, searched = _search(scenario, objective, budget, mode, winner, bound, priced)
+    if bound is not None and rank(objective, budget, *winner[:3]) != (ZERO, least, ZERO, ZERO):
+        winner, searched = _search(scenario, objective, budget, mode, winner, walk)
         evaluations += searched
-    return _outcome(objective, budget, mode, winner, evaluations, ((0, winner[1]),))
+    return _outcome(objective, budget, mode, winner, evaluations)
 
 
-def _outcome(objective, budget, mode, winner, evaluations, trace) -> BilevelOutcome:
+def _outcome(objective, budget, mode, winner, evaluations) -> BilevelOutcome:
     policy, value, result, feasible = winner
     # dropping a subsidy no unit draws only makes other allocations dearer:
     # the follower keeps the pick, with the same totals, and rank prefers it
@@ -557,7 +544,7 @@ def _outcome(objective, budget, mode, winner, evaluations, trace) -> BilevelOutc
              if result.allocation.units_for(rid)}
     return BilevelOutcome(policy=PolicyVector(tax_rate=policy.tax_rate, subsidy_rates=drawn),
                           response=result, upper_value=value, feasible=feasible,
-                          evaluations=evaluations, trace=trace, objective=objective,
+                          evaluations=evaluations, objective=objective,
                           mode=mode, budget=budget)
 
 

@@ -274,7 +274,6 @@ def outcome_to_dict(outcome) -> dict:
             "tax_payment": str(r.tax_payment),
         },
         "evaluations": outcome.evaluations,
-        "trace": [[i, str(val)] for i, val in outcome.trace],
     }
 
 

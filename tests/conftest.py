@@ -64,8 +64,14 @@ def pso_capped(case):
 
 @pytest.fixture
 def no_search(monkeypatch):
-    """The leader may not search the follower's vertex responses."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the search ran")
+    """The leader may take the first of the follower's vertex responses, the
+    one the certificate prices, but may not search past it."""
+    walk = engine._vertex_responses
 
-    monkeypatch.setattr(engine, "_vertex_responses", refuse)
+    def first_only(*args, **kwargs):
+        for count, units in enumerate(walk(*args, **kwargs)):
+            if count:
+                raise AssertionError("the search ran")
+            yield units
+
+    monkeypatch.setattr(engine, "_vertex_responses", first_only)

@@ -36,6 +36,8 @@ def test_parse_value_list_range_and_commas():
         parse_value_list("abc", "x")
     with pytest.raises(ValidationError, match="x: no values given"):
         parse_value_list(",", "x")
+    with pytest.raises(ValidationError, match="x: stepping '1:2:1e-30' needs more than"):
+        parse_value_list("1:2:1e-30", "x")
 
 
 def test_run_command_writes_outcome(tmp_path, capsys):
@@ -68,10 +70,9 @@ def test_sweep_command_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, svg, lines, one_x", [
-    (["run", "--budget", "0"], "trace.svg", 1, True),
     (["sweep", "--budgets", "0:60:30", "--engine", "closed-form"], "sweep.svg", 3, False),
     (["sweep", "--budgets", "30", "--engine", "closed-form"], "sweep.svg", 3, True),
-], ids=["run", "sweep", "sweep-one-budget"])
+], ids=["sweep", "sweep-one-budget"])
 def test_emit_svg_writes_the_same_chart_on_a_rerun(tmp_path, capsys, args, svg, lines, one_x):
     charts = []
     for out in (tmp_path / "first", tmp_path / "again"):
@@ -83,8 +84,8 @@ def test_emit_svg_writes_the_same_chart_on_a_rerun(tmp_path, capsys, args, svg, 
     polylines = [line.split('"')[1].split() for line in charts[0].decode().splitlines()
                  if line.startswith("<polyline")]
     assert len(polylines) == lines and all(polylines)
-    # a one-point trace or a one-budget sweep puts every point on the left
-    # axis, and a dot on each series
+    # a one-budget sweep puts every point on the left axis, and a dot on
+    # each series
     assert one_x == all(p.startswith("56.00,") for points in polylines for p in points)
     dots = [line for line in charts[0].decode().splitlines() if line.startswith("<circle")]
     assert len(dots) == (lines if one_x else 0)
@@ -131,7 +132,10 @@ def test_bad_budget_spec_exits_1(tmp_path, capsys):
     ["run", "--budget", "inf"],
     ["sweep", "--budgets=1,snan"],
     ["run", "--scenario", "nan_cost.scenario"],
-], ids=["run-budget-nan", "run-budget-inf", "sweep-budgets-snan", "scenario-unit-cost-nan"])
+    # 1e20 + 1e-10 rounds back to 1e20 in the 28-digit context
+    ["sweep", "--budgets=1e20:2e20:1e-10"],
+], ids=["run-budget-nan", "run-budget-inf", "sweep-budgets-snan", "scenario-unit-cost-nan",
+        "sweep-step-rounds-away"])
 def test_non_finite_input_exits_1_with_one_json_line(case, tmp_path, capsys, args):
     data = scenario_to_dict(case)
     data["routes"][0]["unit_cost"] = "NaN"
@@ -347,11 +351,11 @@ def test_cli_subprocess_round_trip(tmp_path):
 
 COMMON = {"--scenario", "--out", "--seed"}
 SEARCH = COMMON | {"--objective", "--mode", "--engine", "--swarm", "--iterations",
-                   "--restarts", "--tax-max", "--emit-svg"}
+                   "--restarts", "--tax-max"}
 FLAGS = {
     "run": SEARCH | {"--budget"},
-    "sweep": SEARCH | {"--budgets"},
-    "sensitivity": SEARCH | {"--parameter", "--values", "--budgets"},
+    "sweep": SEARCH | {"--emit-svg", "--budgets"},
+    "sensitivity": SEARCH | {"--emit-svg", "--parameter", "--values", "--budgets"},
     "verify": {"--scenario", "--seed", "--trials", "--demand"},
     "calibrate": {"--out"},
 }
@@ -363,14 +367,15 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     got = {name: {flag for action in sub._actions for flag in action.option_strings}
            - {"-h", "--help"} for name, sub in commands.items()}
     assert got == FLAGS
-    assert sum(map(len, got.values())) == 43
+    assert sum(map(len, got.values())) == 42
 
 
 @pytest.mark.parametrize("args", [
     ["calibrate", "--seed", "1"],
     ["verify", "--swarm", "3"],
     ["verify", "--out", "o"],  # verify writes no file
-], ids=["calibrate-seed", "verify-swarm", "verify-out"])
+    ["run", "--emit-svg"],  # one leader makes no chart
+], ids=["calibrate-seed", "verify-swarm", "verify-out", "run-emit-svg"])
 def test_a_flag_the_command_does_not_read_exits_1(tmp_path, capsys, monkeypatch, args):
     monkeypatch.setenv("ECOLEVER_OUT_DIR", str(tmp_path / "o"))
     code, stdout, stderr = run_cli(args, capsys)

@@ -208,7 +208,6 @@ def test_optimize_ranks_like_best_policy_on_a_capped_pair(monkeypatch, no_least_
     asked = _with_candidate(monkeypatch, near_miss)
     out = optimize(capped, Objective.MIN_GHG, 0)
     assert asked == [0]
-    assert out.trace == ((0, out.upper_value),)
     candidates = domain_informed_points(capped, Decimal(0), COMBINED) + [near_miss]
     policy, value, result, feasible = best_policy(capped, Objective.MIN_GHG, 0, candidates)
     assert feasible and out.feasible
@@ -234,22 +233,11 @@ def test_optimize_most_profitable_shortcut(pair):
     assert out.response.allocation.units == {"base": 100}
 
 
-def test_optimize_trace_is_monotone_nonincreasing(pair):
-    params = PsoParams(swarm_size=6, iterations=15, restarts=2, seed=4)
-    out = optimize(pair, Objective.MIN_GHG, 0, params=params)
-    values = [v for _, v in out.trace]
-    assert all(values[i + 1] <= values[i] for i in range(len(values) - 1))
-    iterations = [i for i, _ in out.trace]
-    assert iterations == sorted(iterations)
-
-
-def test_optimize_trace_reports_natural_direction_for_maximization(pair):
+def test_optimize_reports_natural_direction_for_maximization(pair):
     params = PsoParams(swarm_size=6, iterations=15, restarts=1, seed=4)
     out = optimize(pair, Objective.MAX_CIRCULARITY, Decimal(5), params=params)
-    values = [v for _, v in out.trace]
-    # best-so-far circularity never decreases once reported naturally
-    assert all(values[i + 1] >= values[i] for i in range(len(values) - 1))
-    assert out.upper_value == values[-1]
+    # the circularity index itself, not its minimization head
+    assert out.upper_value == out.response.circularity_index > 0
 
 
 def test_optimize_infeasible_budget_is_flagged(pair):
@@ -263,9 +251,7 @@ def test_optimize_same_seed_same_answer(pair):
     params = PsoParams(swarm_size=8, iterations=20, restarts=2, seed=11)
     a = optimize(pair, Objective.MIN_GHG, Decimal(2), params=params)
     b = optimize(pair, Objective.MIN_GHG, Decimal(2), params=params)
-    assert a.policy == b.policy
-    assert a.trace == b.trace
-    assert a.evaluations == b.evaluations
+    assert a == b
 
 
 @pytest.fixture
@@ -285,7 +271,6 @@ def test_swarm_lands_on_the_closed_form_corner(case, objective):
     params = PsoParams(swarm_size=10, iterations=200, restarts=1, seed=0)
     out = optimize(capped, objective, 0, params=params)
     closed = closed_form_optimize(case, objective, 0)
-    assert out.trace == ((0, out.upper_value),)
     assert out.feasible and closed.feasible
     assert out.policy == closed.policy
     assert out.upper_value == closed.upper_value
@@ -297,7 +282,6 @@ def test_swarm_infeasible_budget_is_flagged(capped_pair):
     params = PsoParams(swarm_size=4, iterations=5, restarts=1)
     out = optimize(capped_pair, Objective.MIN_GHG, Decimal(-5), mode=SUBSIDY_ONLY,
                    params=params)
-    assert out.trace == ((0, out.upper_value),)
     assert not out.feasible
 
 
@@ -437,7 +421,7 @@ def test_both_leaders_answer_the_capped_case_with_the_least_policy(pso_capped, n
     for out in (optimize(pso_capped, objective, budget), closed_form_optimize(pso_capped, objective, budget)):
         assert out.policy == policy and out.policy.tax_rate == Decimal(tax)
         assert out.feasible and out.upper_value == bound and out.response.allocation == allocation
-        assert out.evaluations == solves + 1 and out.trace == ((0, bound),)
+        assert out.evaluations == solves + 1
 
 
 def test_the_least_policy_of_a_mix_with_fees():
@@ -458,7 +442,6 @@ def test_the_least_policy_of_a_mix_with_fees():
         assert out.response.allocation.units == {"r0": 3, "r1": 7}
         # the ceiling of the least tax needs no nudge: the selector resolves the tie
         assert out.policy.tax_rate == Decimal("2.810714285715")
-        assert len(out.trace) == 1
 
 
 def test_tied_heads_at_the_margin_keep_the_least_policy_out(no_search):
@@ -477,8 +460,7 @@ def test_tied_heads_at_the_margin_keep_the_least_policy_out(no_search):
     for out in (optimize(scenario, Objective.MIN_GHG, budget),
                 closed_form_optimize(scenario, Objective.MIN_GHG, budget)):
         assert out.policy == PolicyVector.zero() != policy
-        assert out.response.allocation.units == {"r1": 11}
-        assert out.trace == ((0, Decimal(0)),)
+        assert out.response.allocation.units == {"r1": 11} and out.upper_value == 0
 
 
 # The 9 points of the capped case that no certificate answers. A particle
@@ -649,7 +631,6 @@ def test_the_swarm_never_ranks_after_the_exact_leader(scenario, objective, per_u
                        seed=seed)
     out = optimize(scenario, objective, budget, params, mode)
     assert out == closed_form_optimize(scenario, objective, budget, mode)
-    assert out.trace == ((0, out.upper_value),)
     assert evaluate_policy(scenario, out.policy, objective, budget)[1] == out.response
     key, units = _grid(scenario, objective, budget, mode)
     if key[0] == 0 and sum(n < scenario.capacity_of(rid) for rid, n in units.items()) <= 1:

@@ -75,7 +75,7 @@ DIGESTS = {
     "loss most-profitable subsidy-only":
         "f515b340bdbf9b93b28ffbe8a145e6d31779f810cd4bb209199f321c765c073f",
     "run closed-form":
-        "a45c5c21e054376397ebc6c121627d978af61099c8029fc0de84ab0df7f3e200",
+        "3c6b1051ed6e0e9c760df5e1a4b381b8d6c831c9a2a95bb317aab901d47cbd76",
 }
 
 
@@ -106,8 +106,8 @@ def test_closed_form_artifacts_are_byte_identical(tmp_path):
 CAPPED_RUN = ["run", "--engine", "pso", "--iterations", "8", "--restarts", "1",
               "--seed", "5"]
 CAPPED_DIGESTS = {
-    "min-ghg 0": "1021cf40f59f1ef4822996989b3fb716f71e7426efc83d32e3297f6dd1542605",
-    "max-circularity 20": "d43952b10ea871d86381f133f699d001c8c8dc3ed298b60d4c4078087af04859",
+    "min-ghg 0": "a790aa176de264579ae2224ac95317f9af0392e2f248f52aa5d9304bd94f7dd0",
+    "max-circularity 20": "51a2e6c4321bcb35fa39488b10e4c86f394d60d438b20d66bbf7a48f98749278",
 }
 
 

@@ -117,7 +117,6 @@ def test_optimize_on_a_pure_linear_scenario_runs_no_swarm(case, no_search, objec
     expected = (1 if objective == Objective.MOST_PROFITABLE
                 else len(engine.domain_informed_points(case, 0)))
     assert out.evaluations == closed.evaluations == expected
-    assert out.trace == ((0, out.upper_value),)
 
 
 _ROUTE = st.tuples(st.integers(-30, 120),                   # unit cost, 1e-3 $

@@ -504,7 +504,6 @@ def test_sixteen_equal_technologies_need_no_swarm(no_search, objective, mode):
     out = optimize(_sixteen_technologies(), objective, 0, mode=mode)
     assert out.policy == PolicyVector.zero() and out.feasible
     assert out.response.allocation.units == {"r00": 1}
-    assert out.trace == ((0, out.upper_value),)
 
 
 def test_a_fill_table_never_goes_stale(capped_case):
