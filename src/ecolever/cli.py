@@ -34,8 +34,8 @@ from .engine import (
     COMBINED,
     MODES,
     TAX_ONLY,
-    best_policy,
     optimize,
+    rank,
     value_bound,
 )
 from .errors import EcoleverError, ResourceBoundError, ValidationError
@@ -58,7 +58,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
-
+MAX_RANGE_VALUES = 100_000  # values one lo:hi:step range may make
 
 
 def _emit_error(kind: str, detail: str, violations=None) -> None:
@@ -86,8 +86,8 @@ def _parse_decimal(text: str, name: str) -> Decimal:
 
 
 def parse_value_list(text: str, name: str):
-    """Either "lo:hi:step" (inclusive, exact decimal stepping) or a
-    comma-separated list of decimals."""
+    """Either "lo:hi:step" (inclusive, exact decimal stepping, at most
+    MAX_RANGE_VALUES values) or a comma-separated list of decimals."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -105,6 +105,8 @@ def parse_value_list(text: str, name: str):
         try:  # a step that rounds away would leave current where it is
             with exactly(f"stepping {text!r}"):
                 while current <= hi:
+                    if len(values) == MAX_RANGE_VALUES:
+                        raise ValidationError([f"{name}: over {MAX_RANGE_VALUES} values"])
                     values.append(current)
                     current += step
         except ResourceBoundError as exc:
@@ -319,14 +321,13 @@ def cmd_verify(args) -> int:
              (Objective.MAX_CIRCULARITY, TAX_ONLY, Decimal(-60), []))):
         where = f"{name}{objective.value} {mode} budget {budget}"
         closed = closed_form_optimize(copy, objective, budget, mode=mode)
-        grid_policy, grid_value, _, _ = grid_bilevel(
+        grid_policy, grid_value, grid_result, _ = grid_bilevel(
             copy, objective, budget,
             tax_axis=GridAxis(lo=Decimal(0), hi=Decimal(5), steps=11),
             subsidy_axes={rid: GridAxis(lo=Decimal(0), hi=Decimal("0.08"), steps=9)
                           for rid in axes})
-        winner, _, _, _ = best_policy(copy, objective, budget,
-                                      [closed.policy, grid_policy])
-        if winner is not closed.policy:
+        if (rank(objective, budget, grid_policy, grid_value, grid_result)
+                < rank(objective, budget, closed.policy, closed.upper_value, closed.response)):
             _emit_error("VerificationError",
                         f"{where}: grid search beat the exact leader "
                         f"({grid_value} against {closed.upper_value})")

@@ -5,10 +5,10 @@ The leader fixes (tax rate, subsidy rates), and `rank` orders the evaluated
 policies: funds shortfall first (subsidy outlay beyond budget plus tax
 income, exact), then the leader's objective, tax rate and total subsidy
 rate, so a policy within funds beats every policy beyond them, with no
-penalty weight and no tolerance. `exact_leader` is the one leader. On
-pure-linear scenarios it ranks a few analytic candidates
-(`domain_informed_points`). On capped and fixed-cost scenarios it walks the
-follower's vertex responses best first, from the allocation of
+penalty weight and no tolerance. `exact_leader` is the one leader, and
+`best_policy` its one best-first queue. It ranks a few analytic candidates
+(`domain_informed_points`). On capped and fixed-cost scenarios the same
+queue walks the follower's vertex responses, from the allocation of
 `value_bound`, and takes the least policy of each (`least_policy`, an exact
 LP), so it is exact over vertex responses. The walk's first step is a
 certificate: a policy that reaches the bound within funds is the answer.
@@ -81,54 +81,86 @@ def rank(objective, budget, policy: PolicyVector, value, result: LowerResult):
             policy.tax_rate, policy.total_rates())
 
 
-def best_policy(scenario: Scenario, objective, budget, policies):
-    """The first of one or more policies that ranks lowest in `rank`, as
-    (policy, natural value, LowerResult, feasible): what evaluating every
-    policy in order returns, from fewer evaluations.
+def best_policy(scenario: Scenario, objective, budget, policies: list, mode: str = COMBINED,
+                walk=()):
+    """The first in `rank` of `policies` and of the least policies of
+    `walk`'s follower responses (`_vertex_responses`), as (policy, natural
+    value, LowerResult, feasible): what evaluating them all in order
+    returns, from fewer evaluations.
 
     No shortfall is negative, nor below -budget with no tax income, and no
-    response's objective head is below `lower.leader_floor` nor below the
-    head of `value_bound`, the bound. So a policy ranks no earlier than its
-    bound key (that least shortfall, bound, tax rate, total subsidy rate),
-    nor than its floor key. Every policy is validated, then starts with its
-    bound key, and the lowest (key, index) is taken each time: at a bound
-    key its floor is computed, and a floor above the bound
-    sends it back with its floor key; otherwise, and at a floor key, it is
-    evaluated and goes back with its rank key. The first rank key taken is
-    the answer: no policy left can rank before it, nor tie it from an
-    earlier index. So a policy whose floor would round is evaluated when
-    its bound key comes up, not first. Where `value_bound` is None (for
-    most-profitable, or a sum that would round) the bound is minus
-    infinity: every floor comes first, the eager order. A policy left
-    unevaluated never reaches the follower, so a follower refusal it would
-    raise (ResourceBoundError) does not surface.
+    head is below `lower.leader_floor` nor below `value_bound`'s, the bound.
+    So a policy ranks no earlier than its bound key (that least shortfall,
+    bound, tax rate, total subsidy rate) nor its floor key, and one that
+    induces a walked response no earlier than (0, its head, 0, 0). One
+    queue holds each policy, validated, at its bound key (at its rank key
+    where it comes evaluated, as such a tuple), and the walk's next
+    response at its key, after every policy on ties; the lowest (key,
+    index) is taken each time. A policy goes back with its floor key where
+    that is above the bound, else is evaluated and goes back with its rank
+    key; a response's `_least_response` (in `mode`) is appended to
+    `policies` and goes back with its rank key, and the walk's next joins.
+    The first rank key taken is the answer, exact over vertex responses.
+    With no `value_bound` the bound is minus infinity. A policy left
+    unevaluated never reaches the follower, so its ResourceBoundError does
+    not surface. The walk takes at most MAX_RESPONSES responses, skips one
+    whose LP or follower refuses, and stops where a head would round.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
-    policies = list(policies)
-    for policy in policies:
-        validate_policy(scenario, policy)
     bound = value_bound(scenario, objective)
     bound = Decimal("-Infinity") if bound is None else objective.head(bound[0])
     untaxed = max(ZERO, -budget)  # the least shortfall with no tax income
-    # (key, index, stage): stage is "bound", "floor", or the evaluated
-    # (value, result, feasible) behind a rank key; no two entries share an index
-    queue = sorted(((ZERO if policy.tax_rate else untaxed, bound, policy.tax_rate,
-                     policy.total_rates()), index, "bound")
-                   for index, policy in enumerate(policies))
+    # (key, index, stage): stage is "bound", "floor", an evaluated policy
+    # behind its rank key, or the walk's response, at index infinity
+    queue = []
+    for index, policy in enumerate(policies):
+        if isinstance(policy, PolicyVector):
+            validate_policy(scenario, policy)
+            queue.append(((ZERO if policy.tax_rate else untaxed, bound, policy.tax_rate,
+                           policy.total_rates()), index, "bound"))
+        else:
+            queue.append((rank(objective, budget, *policy[:3]), index, policy))
+    queue.sort()
+    walk, left = iter(walk), MAX_RESPONSES
+
+    def step():  # the walk's next response joins the queue
+        nonlocal left
+        while left:
+            left -= 1
+            try:
+                units = next(walk, None)
+                if units is None:
+                    return
+                totals = price_units(scenario, units, PolicyVector.zero())
+            except ResourceBoundError:
+                continue
+            head = objective.head(objective.natural_value(totals))
+            insort(queue, ((ZERO, head, ZERO, ZERO), math.inf, units))
+            return
+
+    step()
     while True:
         key, index, stage = queue.pop(0)
-        policy = policies[index]
         if stage == "bound":
-            floor = leader_floor(scenario, policy, objective)
+            floor = leader_floor(scenario, policies[index], objective)
             if floor is not None and floor > bound:
                 insort(queue, ((key[0], floor, *key[2:]), index, "floor"))
                 continue
+        elif isinstance(stage, dict):
+            found = _least_response(scenario, objective, budget, mode, stage)
+            if found is not None:
+                policies.append(found[0])
+                insort(queue, (rank(objective, budget, *found[0][:3]), len(policies) - 1,
+                               found[0]))
+            step()
+            continue
         elif stage != "floor":
-            return (policy, *stage)
+            return stage
+        policy = policies[index]
         value, result, feasible = evaluate_policy(scenario, policy, objective, budget)
         insort(queue, (rank(objective, budget, policy, value, result), index,
-                       (value, result, feasible)))
+                       (policy, value, result, feasible)))
 
 
 @dataclass(frozen=True)
@@ -168,9 +200,10 @@ class BilevelOutcome:
     """Result of one bilevel search at a fixed budget. evaluations counts
     the exact leader's candidates, each ranked by the follower or, where it
     could not change the answer, by `value_bound` and `lower.leader_floor`,
-    plus one per least policy the search over vertex responses evaluates;
-    a certified answer counts its LP solves plus one. A budget sweep's rows
-    are these outcomes."""
+    plus the certificate's least policy where it falls short, plus one per
+    least policy the walk over vertex responses evaluates: the policies
+    `best_policy` ranks. A certified answer counts its LP solves plus one.
+    A budget sweep's rows are these outcomes."""
 
     policy: PolicyVector
     response: LowerResult
@@ -458,38 +491,6 @@ def _vertex_responses(scenario: Scenario, objective: Objective, first: dict):
                     push({**units, a: units.get(a, 0) + step, b: n - step})
 
 
-def _search(scenario: Scenario, objective: Objective, budget, mode, winner, responses):
-    """The first in `rank` of `winner` (policy, natural value, LowerResult,
-    feasible) and the least policies of the rest of `responses`, a
-    `_vertex_responses` walk, with the number of them evaluated. Each
-    response, in ascending head, gets its `_least_response`; the walk stops
-    once the next head exceeds an incumbent within funds, and tries every
-    response while the incumbent is short of funds. So no policy within
-    funds that induces a vertex response ranks before the answer: the search
-    is exact over vertex responses. It keeps its incumbent past
-    MAX_RESPONSES responses, skips a response whose LP or follower hits a
-    ResourceBoundError, and stops where a head would round."""
-    key, evaluated = rank(objective, budget, *winner[:3]), 0
-    for _ in range(MAX_RESPONSES):
-        try:
-            units = next(responses, None)
-            if units is None:
-                break
-            totals = price_units(scenario, units, PolicyVector.zero())
-        except ResourceBoundError:
-            continue
-        if key[0] == 0 and objective.head(objective.natural_value(totals)) > key[1]:
-            break
-        found = _least_response(scenario, objective, budget, mode, units)
-        if found is None:
-            continue
-        evaluated += 1
-        new = rank(objective, budget, *found[0][:3])
-        if new < key:
-            key, winner = new, found[0]
-    return winner, evaluated
-
-
 def exact_leader(scenario: Scenario, objective, budget,
                  mode: str = COMBINED) -> BilevelOutcome:
     """The leader's best decision in `rank` order, less the subsidies no
@@ -500,19 +501,18 @@ def exact_leader(scenario: Scenario, objective, budget,
     `value_bound` allocation. Where that allocation is the only one of best
     value (no two routes of the fill's marginal `Objective.unit_head` can
     trade units), its `_least_response` is priced first: at a `rank` key of
-    (0, bound head, ...), before which no policy ranks, it is the answer;
-    else it joins `domain_informed_points`. The first of those candidates in
-    `rank` order is the incumbent, and unless its key is (0, bound head, 0,
-    0), the least any policy can have, `_search` walks on, so the answer is
-    exact over vertex responses: no policy within funds that induces one
-    ranks first.
+    (0, bound head, ...), before which no policy ranks, it is the answer.
+    Else `best_policy` ranks `domain_informed_points`, that evaluated
+    policy, and the least policies of the rest of the walk in one queue, so
+    the answer is exact over vertex responses: no policy within funds that
+    induces one ranks first.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
     bound = None if scenario.is_pure_linear() else value_bound(scenario, objective)
-    found = None
+    found, walk = None, ()
     if bound is not None:  # None for most-profitable, or a sum that would round
         least, units = objective.head(bound[0]), bound[1].units
         walk = _vertex_responses(scenario, objective, units)
@@ -527,13 +527,9 @@ def exact_leader(scenario: Scenario, objective, budget,
     policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
                 else domain_informed_points(scenario, budget, mode))
     if found is not None:
-        policies.append(found[0][0])
-    winner = best_policy(scenario, objective, budget, policies)
-    evaluations = len(policies)
-    if bound is not None and rank(objective, budget, *winner[:3]) != (ZERO, least, ZERO, ZERO):
-        winner, searched = _search(scenario, objective, budget, mode, winner, walk)
-        evaluations += searched
-    return _outcome(objective, budget, mode, winner, evaluations)
+        policies.append(found[0])
+    winner = best_policy(scenario, objective, budget, policies, mode, walk)
+    return _outcome(objective, budget, mode, winner, len(policies))
 
 
 def _outcome(objective, budget, mode, winner, evaluations) -> BilevelOutcome:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import src_env
 from ecolever import (Allocation, CalibrationError, PolicyVector, RouteSpec, Scenario,
-                      ValidationError, cli)
+                      ValidationError, cli, evaluate_policy)
 from ecolever.lower import net_unit_cost
 from ecolever.model import price_allocation
 from ecolever.cli import main, parse_value_list
@@ -38,6 +38,9 @@ def test_parse_value_list_range_and_commas():
         parse_value_list(",", "x")
     with pytest.raises(ValidationError, match="x: stepping '1:2:1e-30' needs more than"):
         parse_value_list("1:2:1e-30", "x")
+    assert len(parse_value_list(f"1:{cli.MAX_RANGE_VALUES}:1", "x")) == cli.MAX_RANGE_VALUES
+    with pytest.raises(ValidationError, match=f"x: over {cli.MAX_RANGE_VALUES} values"):
+        parse_value_list(f"0:{cli.MAX_RANGE_VALUES}:1", "x")
 
 
 def test_run_command_writes_outcome(tmp_path, capsys):
@@ -134,8 +137,10 @@ def test_bad_budget_spec_exits_1(tmp_path, capsys):
     ["run", "--scenario", "nan_cost.scenario"],
     # 1e20 + 1e-10 rounds back to 1e20 in the 28-digit context
     ["sweep", "--budgets=1e20:2e20:1e-10"],
+    # exact steps, but 1e30 of them
+    ["sensitivity", "--parameter", "loss", "--values=0:1:1e-30"],
 ], ids=["run-budget-nan", "run-budget-inf", "sweep-budgets-snan", "scenario-unit-cost-nan",
-        "sweep-step-rounds-away"])
+        "sweep-step-rounds-away", "sensitivity-range-too-long"])
 def test_non_finite_input_exits_1_with_one_json_line(case, tmp_path, capsys, args):
     data = scenario_to_dict(case)
     data["routes"][0]["unit_cost"] = "NaN"
@@ -225,7 +230,8 @@ def test_verify_exits_3_when_the_follower_misses_the_enumerated_optimum(capsys, 
 
 def test_verify_exits_3_when_the_grid_beats_the_exact_leader(capsys, monkeypatch):
     def idle_leader(scenario, objective, budget, mode):  # the zero policy, whatever the aim
-        return SimpleNamespace(policy=PolicyVector.zero(), upper_value=Decimal(0))
+        value, response, _ = evaluate_policy(scenario, PolicyVector.zero(), objective, budget)
+        return SimpleNamespace(policy=PolicyVector.zero(), upper_value=value, response=response)
 
     monkeypatch.setattr(cli, "closed_form_optimize", idle_leader)
     code, stdout, stderr = run_cli(["verify", "--trials", "0"], capsys)

@@ -25,7 +25,8 @@ from ecolever.engine import (
     exact_leader,
     value_bound,
 )
-from ecolever.model import Allocation, apply_modifiers, price_allocation, validate_allocation
+from ecolever.model import (Allocation, apply_modifiers, price_allocation, price_units,
+                            validate_allocation)
 from ecolever.oracle import GridAxis, _compositions, grid_bilevel
 
 
@@ -285,27 +286,6 @@ def test_swarm_infeasible_budget_is_flagged(capped_pair):
     assert not out.feasible
 
 
-def test_the_search_counts_every_least_policy_it_evaluates(pso_capped, monkeypatch):
-    # subsidy-only at budget 0 is not certified, and the candidates stop at
-    # 55.7, short of the bound: the search tries responses from the bound's
-    # up, and counts the policies it evaluates, not responses or LP solves
-    found, tried = engine.least_policy, []
-
-    def least_policy(*args):
-        tried.append(found(*args))
-        return tried[-1]
-
-    monkeypatch.setattr(engine, "least_policy", least_policy)
-    out = optimize(pso_capped, Objective.MIN_GHG, 0, mode=SUBSIDY_ONLY)
-    evaluated = [policy for policy in tried if policy is not None]
-    # the certificate's try on the bound's allocation finds nothing, and the
-    # search does not price that allocation again
-    assert len(tried) == 2 and len(evaluated) == 1
-    assert out.evaluations == len(domain_informed_points(pso_capped, 0, SUBSIDY_ONLY)) + 1
-    assert out.upper_value == Decimal("55.70000") and out.feasible
-    assert out == closed_form_optimize(pso_capped, Objective.MIN_GHG, 0, SUBSIDY_ONLY)
-
-
 @pytest.mark.parametrize("entry", [
     lambda pair: engine.least_policy(pair, {"base": 100}, 0, "tax_only"),
     lambda pair: domain_informed_points(pair, 0, "tax_only"),
@@ -456,7 +436,8 @@ def test_tied_heads_at_the_margin_keep_the_least_policy_out(no_search):
     policy, _ = engine.least_policy(scenario, units, budget)
     assert policy == PolicyVector(subsidy_rates={"r0": Decimal("0.016")})
     # the zero policy's key, (0, bound head, 0, 0), is the least any policy
-    # can have, so the search does not run
+    # can have; the walk's first response waits there too, after every
+    # policy, so it is not priced and no second one is drawn
     for out in (optimize(scenario, Objective.MIN_GHG, budget),
                 closed_form_optimize(scenario, Objective.MIN_GHG, budget)):
         assert out.policy == PolicyVector.zero() != policy
@@ -522,6 +503,33 @@ def test_a_rounded_least_policy_still_induces_its_units_within_funds(scenario, o
     assert any(rate.as_tuple().exponent == -17 for rate in policy.subsidy_rates.values())
     value, result, feasible = evaluate_policy(scenario, policy, objective, Decimal(budget))
     assert feasible and result.allocation.units == units
+
+
+def test_the_search_counts_every_least_policy_it_evaluates(pso_capped, monkeypatch):
+    # not certified: the least policy of the bound's allocation, {r0: 28},
+    # falls short and joins the candidates, evaluated; the walk's next
+    # response ties its head and takes a lower tax. The count is the
+    # candidates, that policy and each least policy the walk evaluates
+    found, tried = engine.least_policy, []
+    evaluate, evaluated = engine.evaluate_policy, []
+    monkeypatch.setattr(engine, "least_policy",
+                        lambda *args: tried.append(found(*args)) or tried[-1])
+    monkeypatch.setattr(engine, "evaluate_policy",
+                        lambda *args: evaluated.append(args[1]) or evaluate(*args))
+    budget = Decimal("0.056")
+    out = optimize(TIGHT_FUNDS, Objective.MAX_CIRCULARITY, budget)
+    (certificate, _), (walked, _) = tried
+    assert out.evaluations == len(domain_informed_points(TIGHT_FUNDS, budget)) + 2
+    assert out.policy == walked and out.policy.tax_rate == Decimal("0.200000000001")
+    assert evaluated.count(certificate) == 1  # not again among the candidates
+    # subsidy-only at budget 0: the zero policy's key, (0, 55.7, 0, 0), ties
+    # the walk's next response, which goes after every policy and is not priced
+    tried.clear()
+    out = optimize(pso_capped, Objective.MIN_GHG, 0, mode=SUBSIDY_ONLY)
+    assert tried == [None]
+    assert out.evaluations == len(domain_informed_points(pso_capped, 0, SUBSIDY_ONLY))
+    assert out.upper_value == Decimal("55.70000") and out.feasible
+    assert out == closed_form_optimize(pso_capped, Objective.MIN_GHG, 0, SUBSIDY_ONLY)
 
 
 def test_past_max_responses_the_search_keeps_its_incumbent(monkeypatch):
@@ -635,3 +643,27 @@ def test_the_swarm_never_ranks_after_the_exact_leader(scenario, objective, per_u
     key, units = _grid(scenario, objective, budget, mode)
     if key[0] == 0 and sum(n < scenario.capacity_of(rid) for rid, n in units.items()) <= 1:
         assert _key(out) <= key
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(_capped_catalogs(), st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY]),
+       st.integers(-30, 60), st.sampled_from([COMBINED, TAX_ONLY, SUBSIDY_ONLY]))
+def test_no_vertex_response_has_a_least_policy_that_ranks_first(scenario, objective, per_unit,
+                                                                mode):
+    # exact over vertex responses, against every one of them: within funds,
+    # no response of a better head than the answer's can be funded at all,
+    # and none of the same head for less; short of funds, no response's
+    # least policy ranks before the answer
+    budget = Decimal(per_unit) * scenario.demand / 1000
+    bound = value_bound(scenario, objective)
+    assume(bound is not None and not scenario.is_pure_linear())
+    out = optimize(scenario, objective, budget, mode=mode)
+    for units in engine._vertex_responses(scenario, objective, bound[1].units):
+        totals = price_units(scenario, units, PolicyVector.zero())
+        head = objective.head(objective.natural_value(totals))
+        if out.feasible and head > objective.head(out.upper_value):
+            break  # the walk goes in ascending head
+        found = engine._least_response(scenario, objective, budget, mode, units)
+        if found is not None:
+            assert not out.feasible or head == objective.head(out.upper_value)
+            assert engine.rank(objective, budget, *found[0][:3]) >= _key(out)

@@ -3,8 +3,10 @@
 Every closed-form `sweep` and the distance and loss `sensitivity` CSVs, for
 all nine objective x mode pairs, and `run --engine closed-form`'s
 outcome.json are regenerated in process and compared byte for byte, through
-their SHA-256 digests, with the ones recorded here. A change that moves any
-of them must say which rows moved and why, and update the digest.
+their SHA-256 digests, with the ones recorded here; so are two `run`
+outcomes and six sweeps on a capped, fixed-cost variant of the case. A
+change that moves any of them must say which rows moved and why, and update
+the digest.
 """
 
 import contextlib
@@ -111,7 +113,9 @@ CAPPED_DIGESTS = {
 }
 
 
-def test_capped_swarm_outcomes_are_byte_identical(tmp_path):
+def _capped_scenario(tmp_path):
+    """The case with capacity 400 on every route and fixed costs strap 0.5,
+    landfill 0.2 and wash 0.3, saved for `--scenario`."""
     from decimal import Decimal
 
     from ecolever import Scenario, calibrate_case_study
@@ -125,6 +129,11 @@ def test_capped_swarm_outcomes_are_byte_identical(tmp_path):
                       capacity_limits={rid: 400 for rid in case.route_ids()})
     scenario = tmp_path / "capped.scenario"
     save_scenario(capped, scenario)
+    return scenario
+
+
+def test_capped_swarm_outcomes_are_byte_identical(tmp_path):
+    scenario = _capped_scenario(tmp_path)
     got = {}
     for key in CAPPED_DIGESTS:
         objective, budget = key.split()
@@ -132,3 +141,31 @@ def test_capped_swarm_outcomes_are_byte_identical(tmp_path):
                             "--objective", objective, f"--budget={budget}"],
                            tmp_path / key.replace(" ", "_") / "outcome.json")
     assert got == CAPPED_DIGESTS
+
+
+# `sweep` on the same capped case. Combined and min-GHG tax-only are
+# certified at every budget; subsidy-only (short of funds below budget 0)
+# and max-circularity tax-only walk the follower's vertex responses.
+CAPPED_SWEEP = ["sweep", "--budgets=-170:170:10"]
+CAPPED_SWEEP_DIGESTS = {
+    "min-ghg combined": "020b7d2f0bba3c253d0f7a82538c2160b08823c2bedb58418514a95b366634a6",
+    "min-ghg tax-only": "768e091a04c3966a7dd3d5b0992ace5502a475ee1283ebc9420f2d5808ecf444",
+    "min-ghg subsidy-only": "02bada2bf760038c02a149af96d7e6a90ff842b885a654e1e08095f723cec290",
+    "max-circularity combined":
+        "b23239bb12fa1a70de9a3c9eedd5bdb40af918e5622cefecb1059cb574d1fe70",
+    "max-circularity tax-only":
+        "981f6a475c7dd7536da0cc01fb2645b8bddce8330fcd9cf1af99fe9ed7e5047f",
+    "max-circularity subsidy-only":
+        "a7c90bdca6f6dd56fdca79af4aa2d6448d8ee2689926161a0c95924737466728",
+}
+
+
+def test_capped_sweeps_are_byte_identical(tmp_path):
+    scenario = _capped_scenario(tmp_path)
+    got = {}
+    for key in CAPPED_SWEEP_DIGESTS:
+        objective, mode = key.split()
+        got[key] = _digest([*CAPPED_SWEEP, "--scenario", str(scenario),
+                            "--objective", objective, "--mode", mode],
+                           tmp_path / key.replace(" ", "_") / "sweep.csv")
+    assert got == CAPPED_SWEEP_DIGESTS

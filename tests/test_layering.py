@@ -65,15 +65,23 @@ import sys
 from decimal import Decimal
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import ecolever, ecolever.cli
-from ecolever import Scenario, calibrate_case_study, engine, optimize
-case = calibrate_case_study()
-capped = Scenario(demand=case.demand, routes=case.routes, modifiers=case.modifiers,
-                  capacity_limits={rid: 400 for rid in case.route_ids()},
-                  technology_fixed_costs={"strap_recycling_line": Decimal(5),
-                                          "wash_reuse_loop": Decimal(3)})
-# subsidy-only is not certified here, so the search over vertex responses runs
-out = optimize(capped, "min-ghg", 0, mode="subsidy-only")
-assert out.evaluations > len(engine.domain_informed_points(capped, 0, "subsidy-only"))
+from ecolever import RouteSpec, Scenario, calibrate_case_study, engine, optimize
+calibrate_case_study()
+# test_engine's TIGHT_FUNDS: the least policy of the bound's allocation falls
+# short, so the search over vertex responses runs and finds a lower tax
+routes = [("t2", "0.072", "0.087", "2", True), ("t0", "0.015", "0.05", "0", False),
+          ("t2", "0.03", "0.024", "2", True), ("t0", "0.031", "0.072", "0.4", False)]
+scenario = Scenario(demand=28, routes=tuple(
+    RouteSpec(route_id=f"r{i}", product_id="p", technology_id=tech, unit_cost=Decimal(cost),
+              unit_emissions=Decimal(emissions), unit_circularity=Decimal(circ),
+              subsidizable=subsidizable)
+    for i, (tech, cost, emissions, circ, subsidizable) in enumerate(routes)),
+    technology_fixed_costs={"t0": Decimal("0.37"), "t2": Decimal("0.17")},
+    capacity_limits={"r1": 9, "r2": 16, "r3": 12})
+budget = Decimal("0.056")
+out = optimize(scenario, "max-circularity", budget)
+assert out.evaluations == len(engine.domain_informed_points(scenario, budget)) + 2
+assert out.policy.tax_rate == Decimal("0.200000000001")
 print(out.upper_value)
 """
 
