@@ -10,8 +10,9 @@ penalty weight and no tolerance. `exact_leader` is the one leader, and
 (`domain_informed_points`). On capped and fixed-cost scenarios the same
 queue walks the follower's vertex responses, from the allocation of
 `value_bound`, and takes the least policy of each (`least_policy`, an exact
-LP), so it is exact over vertex responses. The walk's first step is a
-certificate: a policy that reaches the bound within funds is the answer.
+LP), so it is exact over vertex responses. On every scenario a certificate
+comes first: that allocation's least policy (in closed form on pure-linear
+scenarios), where it reaches the bound within funds, is the answer.
 """
 
 from __future__ import annotations
@@ -200,10 +201,11 @@ class BilevelOutcome:
     """Result of one bilevel search at a fixed budget. evaluations counts
     the exact leader's candidates, each ranked by the follower or, where it
     could not change the answer, by `value_bound` and `lower.leader_floor`,
-    plus the certificate's least policy where it falls short, plus one per
-    least policy the walk over vertex responses evaluates: the policies
-    `best_policy` ranks. A certified answer counts its LP solves plus one.
-    A budget sweep's rows are these outcomes."""
+    plus the certificate's least policy where it falls short and equals no
+    candidate, plus one per least policy the walk over vertex responses
+    evaluates: the policies `best_policy` ranks. A certified answer counts
+    its LP solves (none on a pure-linear scenario) plus one. A budget
+    sweep's rows are these outcomes."""
 
     policy: PolicyVector
     response: LowerResult
@@ -242,6 +244,45 @@ def _on_grid(rate: Decimal, rounding) -> Decimal:
                                  f"{getcontext().prec} digits on the 1e-12 grid") from None
 
 
+def _lift(scenario: Scenario, target, mode: str):
+    """The least grid tax lifting the level, min of (cost + tax * emissions),
+    to `target` or to its cap (the least cost of a zero-emission route, or of
+    any route in subsidy-only mode), and the level it gives."""
+    routes = scenario.routes
+    target = min(target, min((r.unit_cost for r in routes
+                              if mode == SUBSIDY_ONLY or r.unit_emissions == 0), default=target))
+    tax = _on_grid(max(((target - r.unit_cost) / r.unit_emissions
+                        for r in routes if r.unit_cost < target), default=ZERO), ROUND_CEILING)
+    return tax, min(r.unit_cost + tax * r.unit_emissions for r in routes)
+
+
+def _full_demand(scenario: Scenario, target, budget, mode: str):
+    """A policy under which the whole (nonzero) demand on route `target` is
+    a follower optimum, as (policy, within funds, target's price window).
+    With a subsidy (not in tax-only mode): the least grid tax lifting the
+    level to target's cost less budget / demand, or to its cap, plus the
+    price gap as target's subsidy. Else the least grid tax in the window
+    whose income covers -budget, or in subsidy-only mode the zero policy;
+    (None, False, None) for no window. On a pure-linear scenario a policy
+    within funds is the `rank`-least one (`least_policy`)."""
+    demand, cost, emissions = scenario.demand, target.unit_cost, target.unit_emissions
+    if mode != TAX_ONLY and target.subsidizable:
+        goal = cost - budget / demand
+        tax, lifted = _lift(scenario, goal, mode)
+        rates = {target.route_id: cost + tax * emissions - lifted}
+        return PolicyVector(tax, rates), lifted >= goal, None
+    window = price_window(scenario, target.route_id)
+    if window is None:
+        return None, False, None
+    lo, hi = window
+    if mode == SUBSIDY_ONLY:  # cheapest at no tax, with nothing to pay
+        return PolicyVector.zero(), lo == 0 and budget >= 0, window
+    # income demand * tax * emissions grows, and the shortfall shrinks, with the tax
+    need = max(lo, -budget / (demand * emissions)) if emissions else lo
+    tax = _on_grid(need, ROUND_CEILING)
+    return PolicyVector(tax), (hi is None or tax <= hi) and (emissions > 0 or budget >= 0), window
+
+
 def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     """The exact leader's candidates: zero policy first, none repeated.
 
@@ -250,71 +291,54 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     fits the funds when that cost is at most budget + demand * L. L reaches
     at most level(t) = min over routes of (cost + t * emissions), rising
     with the tax t until a zero-emission route (or subsidy-only mode: t = 0)
-    caps it. Per route: full adoption at the least grid tax lifting the
-    level to its cost less budget / demand (or to the cap, then also a grid
-    step below it); unsubsidized, the least tax in its price window whose
-    income pays, else the largest strictly inside; and at the window's top,
-    or a capped level, every subsidizable route down to the level to mix.
-    Nothing is kept between calls.
+    caps it. Per route, `_full_demand`: full adoption at the least grid tax
+    lifting the level to its cost less budget / demand (or to the cap, then
+    also a grid step below it); unsubsidized, the least tax in its price
+    window whose income pays, else the largest strictly inside; and at the
+    window's top, or a capped level, every subsidizable route down to the
+    level to mix. Nothing is kept between calls.
     """
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
     points = [PolicyVector.zero()]
-    demand, routes = scenario.demand, scenario.routes
-    if demand == 0:
+    if scenario.demand == 0:
         return points
-    cap = min((r.unit_cost for r in routes if mode == SUBSIDY_ONLY or r.unit_emissions == 0),
-              default=None)
 
-    def level(tax):
-        return min(r.unit_cost + tax * r.unit_emissions for r in routes)
-
-    def least_tax(target):  # lifting the level to target, or to its cap
-        target = target if cap is None else min(target, cap)
-        tax = max(((target - r.unit_cost) / r.unit_emissions
-                   for r in routes if r.unit_cost < target), default=ZERO)
-        return _on_grid(tax, ROUND_CEILING)
-
-    def add(tax, rates=()):
-        policy = PolicyVector(tax_rate=tax, subsidy_rates=rates)
+    def add(policy):
         if policy not in points:
             points.append(policy)
 
     def mix(tax):  # every subsidizable route down to the level, for the selector
         if mode == TAX_ONLY:
-            return add(tax)
-        lifted = level(tax)
-        add(tax, {r.route_id: r.unit_cost + tax * r.unit_emissions - lifted
-                  for r in routes if r.subsidizable})
+            return add(PolicyVector(tax))
+        lifted = min(r.unit_cost + tax * r.unit_emissions for r in scenario.routes)
+        add(PolicyVector(tax, {r.route_id: r.unit_cost + tax * r.unit_emissions - lifted
+                               for r in scenario.routes if r.subsidizable}))
 
     for target in map(scenario.route, scenario.route_ids()):
-        rid, cost, emissions = target.route_id, target.unit_cost, target.unit_emissions
+        rid = target.route_id
         if mode != TAX_ONLY and target.subsidizable:
-            goal = cost - budget / demand
-            tax = least_tax(goal)
-            lifted = level(tax)
-            rate = cost + tax * emissions - lifted
-            add(tax, {rid: rate})
-            if lifted >= goal:
+            policy, fits, _ = _full_demand(scenario, target, budget, mode)
+            add(policy)
+            if fits:
                 continue
-            add(tax, {rid: _on_grid(rate, ROUND_FLOOR) + RATE_QUANTUM})
-        # with no tax, an unsubsidized route adds nothing to the zero policy
-        window = None if mode == SUBSIDY_ONLY else price_window(scenario, rid)
+            rate = _on_grid(policy.subsidy_for(rid), ROUND_FLOOR) + RATE_QUANTUM
+            add(PolicyVector(policy.tax_rate, {rid: rate}))
+        if mode == SUBSIDY_ONLY:  # with no tax, an unsubsidized route adds nothing
+            continue
+        policy, _, window = _full_demand(scenario, target, budget, TAX_ONLY)
         if window is None:
             continue
         lo, hi = window
-        # income demand * tax * emissions grows, and the shortfall shrinks, with the tax
-        need = max(lo, -budget / (demand * emissions)) if emissions else lo
-        tax = _on_grid(need, ROUND_CEILING)
-        if hi is not None and tax > hi:
-            tax = _on_grid(hi - RATE_QUANTUM, ROUND_CEILING)
-        if tax >= lo:
-            add(tax)
+        if hi is None or policy.tax_rate <= hi:
+            add(policy)
+        elif (tax := _on_grid(hi - RATE_QUANTUM, ROUND_CEILING)) >= lo:  # strictly inside
+            add(PolicyVector(tax))
         if hi is not None:  # the top of the window, where the next route joins
             mix(_on_grid(hi, ROUND_FLOOR))
-    if cap is not None:
-        mix(least_tax(cap))
+    if mode == SUBSIDY_ONLY or any(r.unit_emissions == 0 for r in scenario.routes):
+        mix(_lift(scenario, Decimal("Infinity"), mode)[0])  # the capped level
     return points
 
 
@@ -394,12 +418,19 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     places. Where that overdraws the funds or lets a rival undercut the
     units, stage two is solved again with every row kept by 1e-17 per unit,
     and a tax where that fails too counts as infeasible. Callers still
-    evaluate the policy: the follower resolves ties.
+    evaluate the policy: the follower resolves ties. Where `units` is the
+    whole demand on one route (or there is none) of a pure-linear scenario,
+    the answer is `_full_demand`'s closed form, and no LP is solved.
     """
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
     validate_allocation(scenario, Allocation(units))
+    if len(units) <= 1 and scenario.is_pure_linear():  # the demand, if any, on one route
+        policy, fits, _ = (_full_demand(scenario, scenario.route(*units), budget, mode)
+                           if scenario.demand else (None, budget >= 0, None))
+        zero = PolicyVector.zero()  # the candidates' own, for an equal policy
+        return (policy if policy and policy != zero else zero, 0) if fits else None
     used = [] if mode == TAX_ONLY else [r for r in scenario.subsidizable_ids() if units.get(r)]
     own = price_units(scenario, units, PolicyVector.zero())
     tax_row = [1] + [0] * len(used)
@@ -496,38 +527,45 @@ def exact_leader(scenario: Scenario, objective, budget,
     """The leader's best decision in `rank` order, less the subsidies no
     unit draws.
 
-    Most-profitable gets the zero policy. On capped and fixed-cost
-    scenarios a walk over the follower's vertex responses starts at the
-    `value_bound` allocation. Where that allocation is the only one of best
-    value (no two routes of the fill's marginal `Objective.unit_head` can
-    trade units), its `_least_response` is priced first: at a `rank` key of
-    (0, bound head, ...), before which no policy ranks, it is the answer.
-    Else `best_policy` ranks `domain_informed_points`, that evaluated
-    policy, and the least policies of the rest of the walk in one queue, so
-    the answer is exact over vertex responses: no policy within funds that
-    induces one ranks first.
+    Most-profitable gets the zero policy. Where `value_bound`'s allocation
+    is the only one of best value (no two routes of the fill's marginal
+    `Objective.unit_head` can trade units), its `_least_response` is priced
+    first, in closed form on pure-linear scenarios: at a `rank` key of (0,
+    bound head, ...), before which no policy ranks, it is the answer. Else
+    `best_policy` ranks `domain_informed_points`, with that evaluated policy
+    in its equal candidate's place (or last), and on capped and fixed-cost
+    scenarios the least policies of a walk over the follower's vertex
+    responses from that allocation, so the answer is exact over vertex
+    responses: no policy within funds that induces one ranks first.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
-    bound = None if scenario.is_pure_linear() else value_bound(scenario, objective)
+    bound = value_bound(scenario, objective)
     found, walk = None, ()
     if bound is not None:  # None for most-profitable, or a sum that would round
         least, units = objective.head(bound[0]), bound[1].units
-        walk = _vertex_responses(scenario, objective, units)
+        # pure-linear: the candidates answer, with no walk (it could move them)
+        walk = () if scenario.is_pure_linear() else _vertex_responses(scenario, objective, units)
         heads = {r.route_id: objective.unit_head(r) for r in scenario.routes}
         top = max(map(heads.get, units), default=None)  # the head at the fill's margin
         margin = [rid for rid in heads if heads[rid] == top]
         if not any(units.get(a) and units.get(b, 0) < scenario.capacity_of(b)
                    for a in margin for b in margin if a != b):
-            found = _least_response(scenario, objective, budget, mode, next(walk))
+            found = _least_response(scenario, objective, budget, mode,
+                                    next(walk) if walk else units)
             if found is not None and rank(objective, budget, *found[0][:3])[:2] == (ZERO, least):
                 return _outcome(objective, budget, mode, found[0], found[1] + 1)
     policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE
                 else domain_informed_points(scenario, budget, mode))
-    if found is not None:
-        policies.append(found[0])
+    if found is not None:  # evaluated, in its equal candidate's place, so ties break by index
+        policy, *evaluated = found[0]
+        if policy in policies:
+            index = policies.index(policy)
+            policies[index] = (policies[index], *evaluated)
+        else:
+            policies.append(found[0])
     winner = best_policy(scenario, objective, budget, policies, mode, walk)
     return _outcome(objective, budget, mode, winner, len(policies))
 

@@ -283,17 +283,18 @@ def _write_pair(path, demand, *routes):
 
 
 def test_a_tax_past_the_rate_grid_exits_2_and_a_sweep_skips_its_budget(tmp_path, capsys):
-    # r1 takes a tax of 4e16 at budget 0: 29 digits on the 1e-12 grid
+    # the more circular r1 takes a tax of 4e16 at budget 0: 29 digits on the
+    # 1e-12 grid (at min-GHG the untaxed r0 is certified first)
     scenario = _write_pair(tmp_path / "grid.scenario", 10,
                            ("0.01", "1e-18", "1"), ("0.05", "0.1", "1.5"))
-    out = str(tmp_path / "o")
-    code, stdout, stderr = run_cli(["run", "--scenario", scenario, "--out", out], capsys)
+    given = ["--scenario", scenario, "--objective", "max-circularity",
+             "--out", str(tmp_path / "o")]
+    code, stdout, stderr = run_cli(["run", *given], capsys)
     lines = stderr.strip().splitlines()
     assert code == 2 and stdout == "" and len(lines) == 1
     assert json.loads(lines[0])["error"] == "ResourceBoundError"
     with pytest.warns(UserWarning, match="budget 0: "):
-        code, stdout, _ = run_cli(["sweep", "--scenario", scenario, "--budgets", "0,5",
-                                   "--out", out], capsys)
+        code, stdout, _ = run_cli(["sweep", "--budgets", "0,5", *given], capsys)
     assert code == 0 and "(1 rows)" in stdout
 
 
@@ -411,3 +412,16 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     payloads = [json.loads(line) for line in stderr.splitlines() if line.startswith("{")]
     assert code == 1 and stdout == "" and [p["error"] for p in payloads] == ["UsageError"]
     assert not (tmp_path / "bad").exists()
+
+
+def test_a_certified_answer_keeps_the_candidates_decimals(tmp_path, capsys):
+    # the closed-form least policy is the candidate's own arithmetic: its tax
+    # stays on the grid's exponent and its subsidy keeps its trailing zeros
+    out = tmp_path / "o"
+    code, _, _ = run_cli(["run", "--engine", "closed-form", "--mode", "subsidy-only",
+                          "--objective", "max-circularity", "--budget", "100",
+                          "--out", str(out)], capsys)
+    outcome = json.loads((out / "outcome.json").read_text())
+    assert code == 0 and outcome["evaluations"] == 1
+    assert outcome["policy"] == {"tax_rate": "0E-12",
+                                 "subsidy_rates": {"glass_wash_reuse": "0.06700000000000000"}}

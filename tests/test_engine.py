@@ -185,16 +185,17 @@ def _with_candidate(monkeypatch, extra):
     return asked
 
 
-def test_optimize_lexicographic_tie_break_prefers_less_intervention(pair, monkeypatch):
-    # inject a feasible but higher-tax policy achieving the same emissions;
-    # the corner must still win on the lexicographic tail
+def test_optimize_lexicographic_tie_break_prefers_less_intervention(pair):
+    # a feasible but higher-tax policy achieving the same emissions, ranked
+    # first: the corner must still win on the lexicographic tail (optimize
+    # certifies the corner before any candidate is generated)
     heavier = PolicyVector(tax_rate=Decimal("1"))  # past the switch threshold
-    asked = _with_candidate(monkeypatch, heavier)
-    out = optimize(pair, Objective.MIN_GHG, 0)
-    assert asked == [0]
-    assert out.policy.tax_rate == Decimal("0.4")
-    value, _, feasible = evaluate_policy(pair, heavier, Objective.MIN_GHG, 0)
-    assert feasible and value == out.upper_value
+    candidates = [heavier, *domain_informed_points(pair, 0)]
+    policy, value, _, feasible = best_policy(pair, Objective.MIN_GHG, 0, candidates)
+    assert feasible and policy.tax_rate == Decimal("0.4")
+    assert optimize(pair, Objective.MIN_GHG, 0).policy == policy
+    heavy_value, _, heavy_feasible = evaluate_policy(pair, heavier, Objective.MIN_GHG, 0)
+    assert heavy_feasible and heavy_value == value
 
 
 def test_optimize_ranks_like_best_policy_on_a_capped_pair(monkeypatch, no_least_policy):
@@ -667,3 +668,71 @@ def test_no_vertex_response_has_a_least_policy_that_ranks_first(scenario, object
         if found is not None:
             assert not out.feasible or head == objective.head(out.upper_value)
             assert engine.rank(objective, budget, *found[0][:3]) >= _key(out)
+
+
+# The closed-form least policy: on a pure-linear scenario every vertex
+# response is one route at full demand, priced with no LP.
+
+@st.composite
+def _pure_linear_catalogs(draw):
+    # 1-4 routes, some costs negative, about 25% zero-emission, 70% subsidizable
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{i}",
+                  unit_cost=Decimal(draw(st.integers(-20, 100))) / 1000,
+                  unit_emissions=Decimal(max(draw(st.integers(-30, 100)), 0)) / 1000,
+                  unit_circularity=Decimal(draw(st.integers(1, 200))) / 100,
+                  subsidizable=draw(st.integers(0, 9)) < 7)
+        for i in range(draw(st.integers(1, 4))))
+    return Scenario(demand=draw(st.integers(1, 40)), routes=routes)
+
+
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
+@given(_pure_linear_catalogs(), st.integers(-60, 60))
+def test_the_closed_form_least_policy_is_the_lps(scenario, per_unit):
+    # capacities of all demand leave the follower as it is but send
+    # least_policy to its LP; both give the same policy, or both none
+    budget = Decimal(per_unit) * scenario.demand / 1000
+    capped = replace(scenario, capacity_limits={rid: scenario.demand
+                                                for rid in scenario.route_ids()})
+    for rid in scenario.route_ids():
+        for mode in (COMBINED, TAX_ONLY, SUBSIDY_ONLY):
+            units = {rid: scenario.demand}
+            closed = engine.least_policy(scenario, units, budget, mode)
+            lp = engine.least_policy(capped, units, budget, mode)
+            assert (closed is None) == (lp is None), (rid, mode)
+            if closed is None:
+                continue
+            assert closed[1] == 0  # no LP solved
+            keys = []
+            for policy in (closed[0], lp[0]):
+                value, result, _ = evaluate_policy(scenario, policy, Objective.MIN_GHG, budget)
+                keys.append(engine.rank(Objective.MIN_GHG, budget, policy, value, result))
+            assert keys[0] == keys[1] and closed[0] == lp[0], (rid, mode)
+
+
+@pytest.mark.parametrize("mode", [COMBINED, TAX_ONLY, SUBSIDY_ONLY])
+@pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+def test_zero_demand_is_certified_as_the_zero_policy(objective, mode, monkeypatch):
+    # value_bound's allocation is empty: the zero policy, within funds from
+    # budget 0 up, with no LP and one evaluation, as the candidates give it
+    monkeypatch.setattr(engine, "_simplex", None)
+    scenario = Scenario(demand=0, routes=(_route("a", "0.1", "0.2", "1.5"),
+                                          _route("b", "0.05", "0.3", "1")))
+    for budget in (0, 1):
+        out = optimize(scenario, objective, budget, mode=mode)
+        assert out.policy == PolicyVector.zero() and out.evaluations == 1
+        assert out.feasible and out.response.allocation.units == {}
+    out = optimize(scenario, objective, -1, mode=mode)  # short of funds: no certificate
+    assert not out.feasible and out.policy == PolicyVector.zero()
+
+
+def test_two_routes_of_one_head_certify_nothing(monkeypatch):
+    # a and b both emit 0.1 kg a unit, so value_bound's allocation is not the
+    # only one of best value: no least policy is priced, every candidate ranks
+    monkeypatch.setattr(engine, "least_policy", None)
+    scenario = Scenario(demand=10, routes=(_route("a", "0.05", "0.1", "1"),
+                                           _route("b", "0.02", "0.1", "1")))
+    for mode in (COMBINED, TAX_ONLY, SUBSIDY_ONLY):
+        out = closed_form_optimize(scenario, Objective.MIN_GHG, 0, mode)
+        assert out.evaluations == len(domain_informed_points(scenario, 0, mode))
+        assert out.policy == PolicyVector.zero() and out.response.allocation.units == {"b": 10}

@@ -110,13 +110,13 @@ def test_capped_level_mix_goes_to_the_selector():
 
 @pytest.mark.parametrize("objective", list(Objective))
 def test_optimize_on_a_pure_linear_scenario_runs_no_swarm(case, no_search, objective):
+    # most-profitable evaluates the zero policy; both other objectives are
+    # certified at budget 0 by the closed-form least policy, evaluated once
     out = optimize(case, objective, 0)
     closed = closed_form_optimize(case, objective, 0)
     assert (out.policy, out.response, out.upper_value) == (
         closed.policy, closed.response, closed.upper_value)
-    expected = (1 if objective == Objective.MOST_PROFITABLE
-                else len(engine.domain_informed_points(case, 0)))
-    assert out.evaluations == closed.evaluations == expected
+    assert out.evaluations == closed.evaluations == 1
 
 
 _ROUTE = st.tuples(st.integers(-30, 120),                   # unit cost, 1e-3 $
@@ -234,6 +234,8 @@ def test_best_policy_returns_what_evaluating_every_policy_returns(routes, demand
 
 
 def test_the_floor_spares_most_evaluations_on_the_case(case, monkeypatch):
+    # the certificate answers these points before any candidate is
+    # generated, so the queue is called on the candidates directly
     calls = []
     evaluate = engine.evaluate_policy
     monkeypatch.setattr(engine, "evaluate_policy",
@@ -241,13 +243,12 @@ def test_the_floor_spares_most_evaluations_on_the_case(case, monkeypatch):
     for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
         for budget in (-60, 0, 30):
             calls.clear()
-            out = closed_form_optimize(case, objective, budget)
             candidates = engine.domain_informed_points(case, budget)
-            assert out.evaluations == len(candidates)
+            got = engine.best_policy(case, objective, budget, candidates)
             assert 1 <= len(calls) < len(candidates)
-            _, value, result, feasible = _evaluate_all(case, objective, Decimal(budget),
-                                                       candidates)
-            assert (out.upper_value, out.response, out.feasible) == (value, result, feasible)
+            assert got == _evaluate_all(case, objective, Decimal(budget), candidates)
+            out = closed_form_optimize(case, objective, budget)
+            assert (out.upper_value, out.response, out.feasible) == got[1:]
 
 
 def test_an_untaxed_policy_starts_at_its_least_shortfall(case, monkeypatch):
@@ -355,18 +356,27 @@ def test_a_floor_that_would_round_prunes_nothing():
 
 @pytest.mark.parametrize("objective", [Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
 def test_a_candidate_tax_past_the_rate_grid_is_a_resource_bound(objective):
-    # r1 takes a tax of 4e16 to become cheapest at budget 0: 29 digits on the 1e-12 grid
+    # r1 takes a tax of 4e16 to become cheapest at budget 0: 29 digits on the
+    # 1e-12 grid. At min-GHG the bound is r0 alone, cheapest with no policy,
+    # so the certificate answers budget 0 before any candidate is generated;
+    # at budget -1, r0 would need a tax of 1e17 to pay for itself
     scenario = Scenario(demand=10, routes=(_route("r0", "0.01", "1e-18"),
                                            _route("r1", "0.05", "0.1", "1.5")))
+    refused = [Decimal(-1)] if objective is Objective.MIN_GHG else [Decimal(-1), Decimal(0)]
     for leader in (optimize, closed_form_optimize):
-        with pytest.raises(ResourceBoundError, match="28 digits on the 1e-12 grid"):
-            leader(scenario, objective, 0)
+        if objective is Objective.MIN_GHG:
+            out = leader(scenario, objective, 0)
+            assert out.policy == engine.PolicyVector.zero() and out.evaluations == 1
+            assert out.feasible and out.response.allocation.units == {"r0": 10}
+        for budget in refused:
+            with pytest.raises(ResourceBoundError, match="28 digits on the 1e-12 grid"):
+                leader(scenario, objective, budget)
     for engine_name in ("closed-form", "pso"):
         with pytest.warns(UserWarning, match="28 digits on the 1e-12 grid") as caught:
             rows = budget_sweep(scenario, objective, [Decimal(-1), Decimal(0), Decimal(5)],
                                 engine=engine_name)
-        assert [str(w.message).split(":")[0] for w in caught] == ["budget -1", "budget 0"]
-        assert [row.budget for row in rows] == [Decimal(5)]
+        assert [str(w.message).split(":")[0] for w in caught] == [f"budget {b}" for b in refused]
+        assert [row.budget for row in rows] == [b for b in (0, 5) if b not in refused]
 
 
 def test_an_earlier_equal_key_wins_though_its_floor_is_higher():
