@@ -38,6 +38,7 @@ from .model import (
     price_units,
     quantize_rate,
     to_decimal,
+    to_integers,
     validate_allocation,
     validate_policy,
     value_bound,
@@ -244,23 +245,28 @@ def _on_grid(rate: Decimal, rounding) -> Decimal:
                                  f"{getcontext().prec} digits on the 1e-12 grid") from None
 
 
-def _lift(scenario: Scenario, target, mode: str):
+def _cap(scenario: Scenario, mode: str) -> Decimal:
+    """The level's cap: the least cost of a zero-emission route, or of any
+    route in subsidy-only mode; infinity where no route caps it."""
+    return min((r.unit_cost for r in scenario.routes
+                if mode == SUBSIDY_ONLY or r.unit_emissions == 0), default=Decimal("Infinity"))
+
+
+def _lift(scenario: Scenario, target, cap):
     """The least grid tax lifting the level, min of (cost + tax * emissions),
-    to `target` or to its cap (the least cost of a zero-emission route, or of
-    any route in subsidy-only mode), and the level it gives."""
+    to `target` or to its `cap`, and the level it gives."""
     routes = scenario.routes
-    target = min(target, min((r.unit_cost for r in routes
-                              if mode == SUBSIDY_ONLY or r.unit_emissions == 0), default=target))
+    target = min(target, cap)
     tax = _on_grid(max(((target - r.unit_cost) / r.unit_emissions
                         for r in routes if r.unit_cost < target), default=ZERO), ROUND_CEILING)
     return tax, min(r.unit_cost + tax * r.unit_emissions for r in routes)
 
 
-def _full_demand(scenario: Scenario, target, budget, mode: str):
+def _full_demand(scenario: Scenario, target, budget, mode: str, cap):
     """A policy under which the whole (nonzero) demand on route `target` is
     a follower optimum, as (policy, within funds, target's price window).
     With a subsidy (not in tax-only mode): the least grid tax lifting the
-    level to target's cost less budget / demand, or to its cap, plus the
+    level to target's cost less budget / demand, or to `cap`, plus the
     price gap as target's subsidy. Else the least grid tax in the window
     whose income covers -budget, or in subsidy-only mode the zero policy;
     (None, False, None) for no window. On a pure-linear scenario a policy
@@ -268,7 +274,7 @@ def _full_demand(scenario: Scenario, target, budget, mode: str):
     demand, cost, emissions = scenario.demand, target.unit_cost, target.unit_emissions
     if mode != TAX_ONLY and target.subsidizable:
         goal = cost - budget / demand
-        tax, lifted = _lift(scenario, goal, mode)
+        tax, lifted = _lift(scenario, goal, cap)
         rates = {target.route_id: cost + tax * emissions - lifted}
         return PolicyVector(tax, rates), lifted >= goal, None
     window = price_window(scenario, target.route_id)
@@ -304,6 +310,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     points = [PolicyVector.zero()]
     if scenario.demand == 0:
         return points
+    cap = _cap(scenario, mode)
 
     def add(policy):
         if policy not in points:
@@ -319,7 +326,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
     for target in map(scenario.route, scenario.route_ids()):
         rid = target.route_id
         if mode != TAX_ONLY and target.subsidizable:
-            policy, fits, _ = _full_demand(scenario, target, budget, mode)
+            policy, fits, _ = _full_demand(scenario, target, budget, mode, cap)
             add(policy)
             if fits:
                 continue
@@ -327,7 +334,7 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
             add(PolicyVector(policy.tax_rate, {rid: rate}))
         if mode == SUBSIDY_ONLY:  # with no tax, an unsubsidized route adds nothing
             continue
-        policy, _, window = _full_demand(scenario, target, budget, TAX_ONLY)
+        policy, _, window = _full_demand(scenario, target, budget, TAX_ONLY, cap)
         if window is None:
             continue
         lo, hi = window
@@ -337,24 +344,24 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
             add(PolicyVector(tax))
         if hi is not None:  # the top of the window, where the next route joins
             mix(_on_grid(hi, ROUND_FLOOR))
-    if mode == SUBSIDY_ONLY or any(r.unit_emissions == 0 for r in scenario.routes):
-        mix(_lift(scenario, Decimal("Infinity"), mode)[0])  # the capped level
+    if cap.is_finite():
+        mix(_lift(scenario, cap, cap)[0])  # the capped level
     return points
 
 
 def _simplex(cost, rows, rhs):
     """Minimize cost . v over v >= 0 with rows . v <= rhs, exactly: the
     optimal v in Fractions, or None when nothing is feasible (no cost is
-    negative, so nothing is unbounded). Bland's rule cannot cycle (Bland,
-    1977); the rows are scaled to integers and pivoted over one common
-    denominator (Edmonds, 1967); phase one minimizes one auxiliary column
-    (Chvátal, Linear Programming, 1983)."""
+    negative, so nothing is unbounded). Each row, and the cost, is scaled to
+    integers from its entries' integer ratios (ints, Decimals or Fractions)
+    and pivoted over one common denominator (Edmonds, 1967), with no Fraction
+    inside. Bland's rule, on reduced costs kept in an objective row and a
+    cross-multiplied ratio test, cannot cycle (Bland, 1977); phase one
+    minimizes one auxiliary column (Chvátal, Linear Programming, 1983)."""
     m, n = len(rows), len(cost)
     aux, den, basis, table = n + m, 1, list(range(n, n + m)), []
     for i, row in enumerate(rows):
-        row = [Fraction(a) for a in (*row, rhs[i])]
-        scale = math.lcm(*(a.denominator for a in row))
-        *row, b = (int(a * scale) for a in row)
+        *row, b = to_integers([*row, rhs[i]])
         table.append([*row, *(int(i == k) for k in range(m)), -1, b])
 
     def pivot(r, c):
@@ -369,14 +376,19 @@ def _simplex(cost, rows, rhs):
         den, basis[r] = abs(p), c
 
     def minimize(weights, columns):  # Bland: the first improving column, the least ratio
-        while True:
-            basic = [(weights[c], i) for i, c in enumerate(basis) if weights[c]]
-            c = next((c for c in range(columns)
-                      if weights[c] * den < sum(w * table[i][c] for w, i in basic)), None)
-            if c is None:
-                return
-            pivot(min((Fraction(table[i][-1], table[i][c]), basis[i], i)
-                      for i in range(m) if table[i][c] > 0)[2], c)
+        # reduced costs times den, below the rows, pivoted with them
+        table.append([w * den for w in weights] + [0])
+        for i, c in enumerate(basis):
+            if weights[c]:
+                table[m] = [a - weights[c] * b for a, b in zip(table[m], table[i])]
+        while (c := next((c for c in range(columns) if table[m][c] < 0), None)) is not None:
+            r = None  # the least (ratio, basic column), ratios cross-multiplied
+            for i in range(m):
+                if table[i][c] > 0 and (r is None or (table[i][-1] * table[r][c], basis[i])
+                                        < (table[r][-1] * table[i][c], basis[r])):
+                    r = i
+            pivot(r, c)
+        table.pop()
 
     low = min(range(m), key=lambda i: table[i][-1])
     if table[low][-1] < 0:
@@ -387,7 +399,7 @@ def _simplex(cost, rows, rhs):
             if table[r][-1]:
                 return None
             pivot(r, next(c for c in range(aux) if table[r][c]))
-    minimize([*cost] + [0] * (m + 1), aux)
+    minimize(to_integers(cost) + [0] * (m + 1), aux)
     row_of = {c: i for i, c in enumerate(basis)}
     return [Fraction(table[row_of[c]][-1], den) if c in row_of else Fraction(0) for c in range(n)]
 
@@ -412,6 +424,9 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     only helps rivals). Its rows: outlay less tax income at most the budget,
     and cost(units) <= cost(y) for each fill y that `lower.cheaper_fill`
     finds undercutting the units at the LP's point, added one at a time.
+    Each row is built in integers from `Scenario.integer_table` and handed
+    to `_simplex` already scaled (`_row`); Fractions appear only at the
+    boundary: the LP's point, the tax ceiling and `_decimal_up`.
     Stage one minimizes t, put on the 1e-12 grid by its ceiling; stage two
     fixes it, one quantum higher while infeasible, and minimizes the total
     subsidy. A subsidy past the context's digits is rounded up at 17
@@ -427,34 +442,48 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
         raise ValidationError([f"unknown mode: {mode!r}"])
     validate_allocation(scenario, Allocation(units))
     if len(units) <= 1 and scenario.is_pure_linear():  # the demand, if any, on one route
-        policy, fits, _ = (_full_demand(scenario, scenario.route(*units), budget, mode)
+        policy, fits, _ = (_full_demand(scenario, scenario.route(*units), budget, mode,
+                                        _cap(scenario, mode))
                            if scenario.demand else (None, budget >= 0, None))
         zero = PolicyVector.zero()  # the candidates' own, for an equal policy
         return (policy if policy and policy != zero else zero, 0) if fits else None
     used = [] if mode == TAX_ONLY else [r for r in scenario.subsidizable_ids() if units.get(r)]
-    own = price_units(scenario, units, PolicyVector.zero())
+    den, routes, fees = scenario.integer_table()
+
+    def charge(fill):  # (industry cost, emissions) with no policy, times den
+        return (sum(routes[rid][0] * n for rid, n in fill.items())
+                + sum(fees[bit] for bit in {routes[rid][2] for rid in fill} if bit),
+                sum(routes[rid][1] * n for rid, n in fill.items()))
+
+    cost, emissions = charge(units)
+    funds, over = budget.as_integer_ratio()
     tax_row = [1] + [0] * len(used)
-    rows, rhs = [[-own.total_emissions, *map(units.get, used)]], [budget]
+    # rows as _simplex scales them: (integers, rhs, scale), the row times scale
+    rows = [_row([-emissions * over, *(units[rid] * den * over for rid in used)], funds * den,
+                 den * over)]
     if mode == SUBSIDY_ONLY:
-        rows, rhs = rows + [tax_row], rhs + [0]
+        rows.append(_row(tax_row, 0, 1))
     solves = 0
 
-    def solve(cost, fixed=(), margin=0):  # each row but the fixed ones kept with a margin
+    def solve(cost_row, fixed=(), margin=False):  # each row but the fixed ones kept by 1e-17
         nonlocal solves
         while True:
             solves += 1
-            slack = [Fraction(b) - margin * sum(map(abs, row[1:])) for row, b in zip(rows, rhs)]
-            point = _simplex(cost, rows + [row for row, _ in fixed], slack + [b for _, b in fixed])
+            kept = [_row([a * 10 ** 17 for a in row], b * 10 ** 17 - sum(map(abs, row[1:])),
+                         scale * 10 ** 17) if margin else (row, b, scale)
+                    for row, b, scale in rows]
+            kept += fixed
+            point = _simplex(cost_row, [row for row, _, _ in kept], [b for _, b, _ in kept])
             if point is None:
                 return None
             rival = cheaper_fill(scenario, point[0], dict(zip(used, point[1:])), units)
             if rival is None:
                 return point
             # the row cost(units) <= cost(rival), in the tax and the subsidies
-            theirs = price_units(scenario, rival, PolicyVector.zero())
-            rows.append([own.total_emissions - theirs.total_emissions,
-                         *(rival.get(rid, 0) - units[rid] for rid in used)])
-            rhs.append(theirs.industry_cost - own.industry_cost)
+            theirs, their_emissions = charge(rival)
+            rows.append(_row([emissions - their_emissions,
+                              *((rival.get(rid, 0) - units[rid]) * den for rid in used)],
+                             theirs - cost, den))
 
     point = solve(tax_row)
     if point is None:
@@ -462,20 +491,30 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     least = math.ceil(point[0] * 10 ** 12)  # in RATE_QUANTUM steps
     for step in range(least, least + TAX_QUANTA):
         tax = Fraction(step, 10 ** 12)
-        fixed = [(tax_row, tax), ([-1, *tax_row[1:]], -tax)]
+        fixed = [_row([10 ** 12, *tax_row[1:]], step, 10 ** 12),
+                 _row([-10 ** 12, *tax_row[1:]], -step, 10 ** 12)]
         # rates rounded up may overdraw the funds or let a rival undercut the
         # units; a margin of 1e-17 per unit in each row absorbs the rounding
-        for margin in (0, Fraction(1, 10 ** 17)):
+        for margin in (False, True):
             point = solve([0] + [1] * len(used), fixed, margin)
             if point is None:
                 break
             rates = {rid: _decimal_up(rate) for rid, rate in zip(used, point[1:])}
-            exact = {rid: Fraction(rate) for rid, rate in rates.items()}
-            outlay = sum(exact[rid] * units[rid] for rid in used)
-            if (outlay <= Fraction(budget) + tax * Fraction(own.total_emissions)
-                    and cheaper_fill(scenario, tax, exact, units) is None):
+            outlay = sum(Fraction(rates[rid]) * units[rid] for rid in used)
+            if (outlay <= Fraction(budget) + tax * Fraction(emissions, den)
+                    and cheaper_fill(scenario, tax, rates, units) is None):
                 return PolicyVector(Decimal(f"{step}E-12") if step else ZERO, rates), solves
     return None
+
+
+def _row(coefficients, rhs, scale):
+    """The LP row (coefficients . v <= rhs) / scale, for integer entries, as
+    (coefficients, rhs, scale) reduced by their common divisor: the row
+    times the least factor that makes every entry whole, which `_simplex`
+    pivots as it would the exact row (its phase one depends on each row's
+    scale)."""
+    g = math.gcd(scale, rhs, *coefficients)
+    return [a // g for a in coefficients], rhs // g, scale // g
 
 
 def _least_response(scenario: Scenario, objective: Objective, budget, mode, units):

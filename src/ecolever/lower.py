@@ -51,6 +51,7 @@ from .model import (
     exactly,
     price_allocation,
     to_decimal,
+    to_integers,
     validate_policy,
 )
 
@@ -160,26 +161,25 @@ def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
 def cheaper_fill(scenario: Scenario, tax, subsidies, units):
     """A cost-minimal fill, as units, where it costs less than `units` at
     the exact rational policy (tax, subsidies: route id -> rate, as
-    Fractions); None where `units` is cost-minimal there. `_fills` runs on
-    the net unit costs and fees scaled by one common factor to integers,
-    built from each term's integer ratio with no Fraction arithmetic."""
-    routes, fees = scenario.fill_table()
-    terms = []  # per route, (numerator, denominator) of cost, tax * emissions and -subsidy
-    for cost, emissions, rid, _, _ in routes:
-        e, d = emissions.as_integer_ratio()
-        rate = subsidies.get(rid, 0)
-        terms.append((cost.as_integer_ratio(), (tax.numerator * e, tax.denominator * d),
-                      (-rate.numerator, rate.denominator)))
-    terms += [(fee.as_integer_ratio(),) for fee in fees.values()]
-    scale = math.lcm(*(d for term in terms for _, d in term))
-    scaled = [sum(n * (scale // d) for n, d in term) for term in terms]
-    priced = [(net, rid, bit, cap) for net, (_, _, rid, bit, cap) in zip(scaled, routes)]
-    fees = dict(zip(fees, scaled[len(routes):]))
+    Fractions or Decimals); None where `units` is cost-minimal there.
+    `_fills` runs on `Scenario.integer_table`, scaled once per scenario,
+    times the policy's common denominator: each net unit cost is a few
+    integer multiplies."""
+    den, routes, fees = scenario.integer_table()
+    tax, over = tax.as_integer_ratio()
+    rates = {rid: rate.as_integer_ratio() for rid, rate in subsidies.items()}
+    scale = math.lcm(over, *(d for _, d in rates.values()))
+    tax *= scale // over
+    rates = {rid: n * (scale // d) * den for rid, (n, d) in rates.items()}
+    # every unit cost and fee times den * scale
+    priced = [(cost * scale + emissions * tax - rates.get(rid, 0), rid, bit, cap)
+              for rid, (cost, emissions, bit, cap) in routes.items()]
+    fees = {bit: fee * scale for bit, fee in fees.items()}
+    nets = {rid: net for net, rid, _, _ in priced}
 
     def cost(fill):  # unit costs plus the fee of every technology the fill uses
-        used = {bit for _, rid, bit, _ in priced if rid in fill}
-        return (sum(net * fill.get(rid, 0) for net, rid, _, _ in priced)
-                + sum(fees[bit] for bit in used if bit))
+        return (sum(nets[rid] * n for rid, n in fill.items())
+                + sum(fees[bit] for bit in {routes[rid][2] for rid in fill} if bit))
 
     fill = _fills(scenario, priced, fees)[0][1]
     return fill if cost(fill) < cost(units) else None
@@ -312,9 +312,9 @@ def _select(scenario: Scenario, policy: PolicyVector, objective: Objective, fund
             cost = [(value(rid), subsidies.get(rid, ZERO)) for rid in ids]
             pick = _best_pair(cost, [weight(rid) for rid in ids], upper, rest, left)
         else:
-            cost = _fold(_integers([value(rid) for rid in ids]),
-                         _integers([subsidies.get(rid, ZERO) for rid in ids]), rest)
-            *weights, budget = _integers([weight(rid) for rid in ids] + [left])
+            cost = _fold(to_integers([value(rid) for rid in ids]),
+                         to_integers([subsidies.get(rid, ZERO) for rid in ids]), rest)
+            *weights, budget = to_integers([weight(rid) for rid in ids] + [left])
             pick = _branch_and_bound(cost, weights, upper, rest, budget)
         if pick is not None:
             picks.append((pinned, bounds, _spread(groups, bounds, pick)))
@@ -339,13 +339,6 @@ def _spread(groups, bounds, pick) -> list:
     """Each group's units over its routes in id order, each up to its bound."""
     return [n for group, units in zip(groups, pick)
             for n in _fill(range(len(group)), [0] * len(group), [bounds[r] for r in group], units)]
-
-
-def _integers(values) -> list:
-    """Exact decimals scaled by one common factor to integers."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*(d for _, d in ratios))
-    return [n * (scale // d) for n, d in ratios]
 
 
 def _fold(value, outlay, rest) -> list:
@@ -380,7 +373,7 @@ def _best_whole(weight, rest, funds):
     """One route in closed form: its only split puts all of rest on it,
     which fits when weight * rest <= funds, decided in the integers the
     search scales them to; None when it does not fit."""
-    drawn, budget = _integers([weight, funds])
+    drawn, budget = to_integers([weight, funds])
     return [rest] if drawn * rest <= budget else None
 
 

@@ -14,6 +14,7 @@ Floats are rejected at construction time; convert a float explicitly with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, InvalidOperation, ROUND_HALF_EVEN, getcontext
 from enum import Enum, EnumMeta
@@ -150,7 +151,7 @@ class SensitivityModifiers:
 class Scenario:
     """Route catalog + demand + optional integer-programming extras. Its dict
     fields must not be mutated after construction: the route index,
-    `fill_table` and `value_bound` are built from them once."""
+    `fill_table`, `integer_table` and `value_bound` are built from them once."""
 
     demand: int
     routes: tuple
@@ -200,10 +201,12 @@ class Scenario:
         object.__setattr__(self, "_route_ids", ids)
         object.__setattr__(self, "_subsidizable_ids",
                            tuple(rid for rid in ids if by_id[rid].subsidizable))
-        # set here and replaced in place by fill_table(): an attribute added
-        # through __dict__ later (as functools.cached_property does) moves
-        # CPython's inline attribute values into a dict and slows every read
+        # set here and replaced in place by fill_table() and integer_table():
+        # an attribute added through __dict__ later (as functools.cached_property
+        # does) moves CPython's inline attribute values into a dict and slows
+        # every read
         object.__setattr__(self, "_fill_table", None)
+        object.__setattr__(self, "_integer_table", None)
         object.__setattr__(self, "_value_bounds", {})  # objective -> value_bound
 
     def route(self, route_id: str) -> RouteSpec:
@@ -231,7 +234,8 @@ class Scenario:
         """The follower's policy-free data, built on the first call: (routes,
         fees). routes holds (unit cost, unit emissions, route id, technology
         bit, capacity); the i-th fixed-cost technology by id has bit 1 << i,
-        any other 0. fees maps each such bit to its technology's fee."""
+        any other 0. fees maps each such bit to its technology's fee. The
+        follower prices it in Decimals; `integer_table` scales it for the LP."""
         if self._fill_table is None:
             fixed, caps, demand = self.technology_fixed_costs, self.capacity_limits, self.demand
             bits = {tech: 1 << i for i, tech in enumerate(sorted(fixed))}
@@ -240,6 +244,25 @@ class Scenario:
             fees = {bit: fixed[tech] for tech, bit in bits.items()}
             object.__setattr__(self, "_fill_table", (routes, fees))
         return self._fill_table
+
+    def integer_table(self) -> tuple:
+        """`fill_table` over one common denominator, built on the first call:
+        (den, routes, fees). routes maps each route id to (unit cost * den,
+        unit emissions * den, technology bit, capacity), and fees each bit to
+        its fee * den, all integers, so exact LP work prices by integer
+        multiplies."""
+        if self._integer_table is None:
+            routes, fees = self.fill_table()
+            ratios = [v.as_integer_ratio() for v in fees.values()]
+            ratios += [v.as_integer_ratio() for cost, emissions, *_ in routes
+                       for v in (cost, emissions)]
+            den = math.lcm(*(d for _, d in ratios))
+            scaled = iter([n * (den // d) for n, d in ratios])
+            fees = {bit: next(scaled) for bit in fees}
+            routes = {rid: (next(scaled), next(scaled), bit, cap)
+                      for _, _, rid, bit, cap in routes}
+            object.__setattr__(self, "_integer_table", (den, routes, fees))
+        return self._integer_table
 
 
 @dataclass(frozen=True)
@@ -383,6 +406,14 @@ class exactly:
         if kind is not None and issubclass(kind, Inexact):
             raise ResourceBoundError(f"{self.what} needs more than the context's "
                                      f"{getcontext().prec} digits") from None
+
+
+def to_integers(values) -> list:
+    """Exact numbers (ints, Decimals, Fractions) scaled by their least
+    common denominator to integers."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios]
 
 
 def validate_allocation(scenario: Scenario, allocation: Allocation) -> None:

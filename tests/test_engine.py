@@ -1,5 +1,10 @@
+import hashlib
+import itertools
+import operator
+import random
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +14,7 @@ from ecolever import (
     Objective,
     PolicyVector,
     PsoParams,
+    ResourceBoundError,
     RouteSpec,
     SUBSIDY_ONLY,
     Scenario,
@@ -736,3 +742,119 @@ def test_two_routes_of_one_head_certify_nothing(monkeypatch):
         out = closed_form_optimize(scenario, Objective.MIN_GHG, 0, mode)
         assert out.evaluations == len(domain_informed_points(scenario, 0, mode))
         assert out.policy == PolicyVector.zero() and out.response.allocation.units == {"b": 10}
+
+
+_ENTRY = st.one_of(st.integers(-4, 4), st.integers(-40, 40).map(lambda k: Decimal(k) / 10))
+
+
+@st.composite
+def _lps(draw):
+    """1-4 columns and 1-5 rows of small integers and decimals, nonnegative
+    costs, rows repeated and right-hand sides of zero (degenerate
+    vertices), and now and then a planted pair of rows no point meets."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cost = draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 40).map(
+        lambda k: Decimal(k) / 10)), min_size=n, max_size=n))
+    rows = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = [draw(st.one_of(st.just(0), _ENTRY)) for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        rows.append(rows[i])
+        rhs.append(rhs[i])
+    if draw(st.integers(0, 9)) == 0:  # v0 <= b and v0 >= b + 1
+        b = draw(st.integers(0, 3))
+        rows += [[1] + [0] * (n - 1), [-1] + [0] * (n - 1)]
+        rhs += [b, -b - 1]
+    return cost, rows[-5:], rhs[-5:]
+
+
+def _vertices(rows, rhs):
+    """Every basic feasible point of rows . v + slack = rhs, v and slack >= 0,
+    in Fractions: each choice of len(rows) basic columns solved exactly."""
+    m, n = len(rows), len(rows[0])
+    full = [[Fraction(a) for a in row] + [Fraction(int(i == k)) for k in range(m)] + [Fraction(b)]
+            for i, (row, b) in enumerate(zip(rows, rhs))]
+    for basic in itertools.combinations(range(n + m), m):
+        system = [[row[c] for c in basic] + [row[-1]] for row in full]
+        for c in range(m):  # Gauss-Jordan; a zero pivot column means a singular basis
+            p = next((r for r in range(c, m) if system[r][c]), None)
+            if p is None:
+                break
+            system[c], system[p] = system[p], system[c]
+            system[c] = [a / system[c][c] for a in system[c]]
+            for r in range(m):
+                if r != c and system[r][c]:
+                    f = system[r][c]
+                    system[r] = [a - f * b for a, b in zip(system[r], system[c])]
+        else:
+            values = dict(zip(basic, (row[-1] for row in system)))
+            if min(values.values()) >= 0:
+                yield [values.get(c, Fraction(0)) for c in range(n)]
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(_lps())
+def test_simplex_reaches_the_least_vertex(lp):
+    # brute force over every basis: the least objective at a feasible
+    # vertex, and None exactly where no vertex is feasible
+    cost, rows, rhs = lp
+    exact_cost = [Fraction(c) for c in cost]
+    values = [sum(map(operator.mul, exact_cost, v)) for v in _vertices(rows, rhs)]
+    point = engine._simplex(cost, rows, rhs)
+    assert (point is None) == (not values)
+    if point is not None:
+        assert min(point) >= 0
+        assert all(sum(Fraction(a) * x for a, x in zip(row, point)) <= Fraction(b)
+                   for row, b in zip(rows, rhs))
+        assert sum(map(operator.mul, exact_cost, point)) == min(values)
+
+
+# The least policies of value_bound's allocations, as policy strings and LP
+# solve counts: pso_capped's 24 points, and every mode on seeded random
+# capped catalogs (test_metamorphic's ranges). Pinned before the LP moved to
+# scaled integers, so any other pivot or row order shows here.
+LEAST_POLICY_DIGESTS = {
+    "pso_capped": "a33f895cb0b266372e8f5ab68b5e8651f017f5eb62b16962fb71dc1467fc66fe",
+    "random capped": "e5223d4d51f66085a246d5b1c46fb0599b1faa49d9bbfc9e2acf0f81d01d5395",
+}
+
+
+def _random_capped(rng):
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{i % 3}",
+                  unit_cost=Decimal(rng.randint(1, 100)) / 1000,
+                  unit_emissions=Decimal(max(rng.randint(-30, 100), 0)) / 1000,
+                  unit_circularity=Decimal(rng.randint(1, 200)) / 100,
+                  subsidizable=rng.randint(0, 9) < 7)
+        for i in range(rng.randint(2, 4)))
+    demand = rng.randint(3, 40)
+    caps = {r.route_id: rng.randint(0, demand) for r in routes[1:] if rng.random() < 0.5}
+    fees = {f"t{k}": Decimal(rng.randint(0, 50)) / 100
+            for k in range(min(3, len(routes))) if rng.random() < 0.5}
+    return Scenario(demand=demand, routes=routes, technology_fixed_costs=fees,
+                    capacity_limits=caps if caps or fees else {"r0": demand})
+
+
+def _least_policy_lines(scenario, budgets):
+    for objective in (Objective.MIN_GHG, Objective.MAX_CIRCULARITY):
+        bound = value_bound(scenario, objective)
+        if bound is None:
+            continue
+        for mode in (COMBINED, TAX_ONLY, SUBSIDY_ONLY):
+            for budget in budgets:
+                try:
+                    found = engine.least_policy(scenario, bound[1].units, budget, mode)
+                except ResourceBoundError:
+                    found = "refused"
+                yield f"{objective.value} {mode} {budget} {found}\n"
+
+
+def test_least_policy_pivots_are_pinned(pso_capped):
+    rng = random.Random(34)
+    lines = {"pso_capped": list(_least_policy_lines(pso_capped, map(Decimal, (-60, 0, 30, 100)))),
+             "random capped": []}
+    for _ in range(300):
+        scenario = _random_capped(rng)
+        budget = Decimal(rng.randint(-60, 60)) * scenario.demand / 1000
+        lines["random capped"] += _least_policy_lines(scenario, [budget])
+    got = {key: hashlib.sha256("".join(rows).encode()).hexdigest() for key, rows in lines.items()}
+    assert got == LEAST_POLICY_DIGESTS

@@ -638,8 +638,8 @@ def test_pair_closed_form_matches_the_search(data, rest):
     weights = data.draw(st.lists(_tenths, min_size=2, max_size=2))
     funds = data.draw(_tenths)
     pair = lower._best_pair(list(zip(values, outlays)), weights, upper, rest, funds)
-    *scaled, budget = lower._integers(weights + [funds])
-    cost = lower._fold(lower._integers(values), lower._integers(outlays), rest)
+    *scaled, budget = model.to_integers(weights + [funds])
+    cost = lower._fold(model.to_integers(values), model.to_integers(outlays), rest)
     assert pair == lower._branch_and_bound(cost, scaled, upper, rest, budget)
 
 
@@ -653,7 +653,7 @@ def test_one_route_closed_form_matches_the_search(digits, sign, rest, ulps, tent
     product = weight * rest
     near = product.next_plus() if ulps > 0 else product.next_minus() if ulps < 0 else product
     for funds in (near, tenths):
-        scaled, budget = lower._integers([weight, funds])
+        scaled, budget = model.to_integers([weight, funds])
         assert lower._best_whole(weight, rest, funds) \
             == lower._branch_and_bound([0], [scaled], [rest], rest, budget)
 
