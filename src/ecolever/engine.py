@@ -35,10 +35,9 @@ from .model import (
     Scenario,
     ZERO,
     exactly,
-    price_units,
+    price_allocation,
     quantize_rate,
     to_decimal,
-    to_integers,
     validate_allocation,
     validate_policy,
     value_bound,
@@ -69,8 +68,7 @@ def evaluate_policy(scenario: Scenario, policy: PolicyVector, objective, budget)
 
 
 def rank(objective, budget, policy: PolicyVector, value, result: LowerResult):
-    """The leader's order on evaluated policies (result: a LowerResult or
-    its `model.Totals`); smaller ranks first.
+    """The leader's order on evaluated policies; smaller ranks first.
 
     Returns (shortfall, objective head, tax rate, total subsidy rate), where
     shortfall = max(0, subsidy outlay - budget - tax income) in exact Decimal
@@ -134,10 +132,10 @@ def best_policy(scenario: Scenario, objective, budget, policies: list, mode: str
                 units = next(walk, None)
                 if units is None:
                     return
-                totals = price_units(scenario, units, PolicyVector.zero())
+                result = price_allocation(scenario, Allocation(units), PolicyVector.zero())
             except ResourceBoundError:
                 continue
-            head = objective.head(objective.natural_value(totals))
+            head = objective.head(objective.natural_value(result))
             insort(queue, ((ZERO, head, ZERO, ZERO), math.inf, units))
             return
 
@@ -350,19 +348,17 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
 
 
 def _simplex(cost, rows, rhs):
-    """Minimize cost . v over v >= 0 with rows . v <= rhs, exactly: the
-    optimal v in Fractions, or None when nothing is feasible (no cost is
-    negative, so nothing is unbounded). Each row, and the cost, is scaled to
-    integers from its entries' integer ratios (ints, Decimals or Fractions)
-    and pivoted over one common denominator (Edmonds, 1967), with no Fraction
-    inside. Bland's rule, on reduced costs kept in an objective row and a
-    cross-multiplied ratio test, cannot cycle (Bland, 1977); phase one
-    minimizes one auxiliary column (Chvátal, Linear Programming, 1983)."""
+    """Minimize cost . v over v >= 0 with rows . v <= rhs, exactly, for
+    integer rows, right-hand sides and cost: the optimal v in Fractions, or
+    None when nothing is feasible (no cost is negative, so nothing is
+    unbounded). The integers are pivoted over one common denominator
+    (Edmonds, 1967), with no Fraction inside. Bland's rule, on reduced costs
+    kept in an objective row and a cross-multiplied ratio test, cannot cycle
+    (Bland, 1977); phase one minimizes one auxiliary column (Chvátal, Linear
+    Programming, 1983)."""
     m, n = len(rows), len(cost)
-    aux, den, basis, table = n + m, 1, list(range(n, n + m)), []
-    for i, row in enumerate(rows):
-        *row, b = to_integers([*row, rhs[i]])
-        table.append([*row, *(int(i == k) for k in range(m)), -1, b])
+    aux, den, basis = n + m, 1, list(range(n, n + m))
+    table = [[*row, *(int(i == k) for k in range(m)), -1, rhs[i]] for i, row in enumerate(rows)]
 
     def pivot(r, c):
         nonlocal den
@@ -399,7 +395,7 @@ def _simplex(cost, rows, rhs):
             if table[r][-1]:
                 return None
             pivot(r, next(c for c in range(aux) if table[r][c]))
-    minimize(to_integers(cost) + [0] * (m + 1), aux)
+    minimize(cost + [0] * (m + 1), aux)
     row_of = {c: i for i, c in enumerate(basis)}
     return [Fraction(table[row_of[c]][-1], den) if c in row_of else Fraction(0) for c in range(n)]
 
@@ -424,9 +420,9 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     only helps rivals). Its rows: outlay less tax income at most the budget,
     and cost(units) <= cost(y) for each fill y that `lower.cheaper_fill`
     finds undercutting the units at the LP's point, added one at a time.
-    Each row is built in integers from `Scenario.integer_table` and handed
-    to `_simplex` already scaled (`_row`); Fractions appear only at the
-    boundary: the LP's point, the tax ceiling and `_decimal_up`.
+    Each row is built in integers from `Scenario.integer_table` and reduced
+    by `_row`; Fractions appear only at the boundary: the LP's point, the
+    tax ceiling and `_decimal_up`.
     Stage one minimizes t, put on the 1e-12 grid by its ceiling; stage two
     fixes it, one quantum higher while infeasible, and minimizes the total
     subsidy. A subsidy past the context's digits is rounded up at 17
@@ -458,22 +454,19 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     cost, emissions = charge(units)
     funds, over = budget.as_integer_ratio()
     tax_row = [1] + [0] * len(used)
-    # rows as _simplex scales them: (integers, rhs, scale), the row times scale
-    rows = [_row([-emissions * over, *(units[rid] * den * over for rid in used)], funds * den,
-                 den * over)]
+    rows = [_row([-emissions * over, *(units[rid] * den * over for rid in used)], funds * den)]
     if mode == SUBSIDY_ONLY:
-        rows.append(_row(tax_row, 0, 1))
+        rows.append(_row(tax_row, 0))
     solves = 0
 
     def solve(cost_row, fixed=(), margin=False):  # each row but the fixed ones kept by 1e-17
         nonlocal solves
         while True:
             solves += 1
-            kept = [_row([a * 10 ** 17 for a in row], b * 10 ** 17 - sum(map(abs, row[1:])),
-                         scale * 10 ** 17) if margin else (row, b, scale)
-                    for row, b, scale in rows]
+            kept = [_row([a * 10 ** 17 for a in row], b * 10 ** 17 - sum(map(abs, row[1:])))
+                    for row, b in rows] if margin else rows[:]
             kept += fixed
-            point = _simplex(cost_row, [row for row, _, _ in kept], [b for _, b, _ in kept])
+            point = _simplex(cost_row, [row for row, _ in kept], [b for _, b in kept])
             if point is None:
                 return None
             rival = cheaper_fill(scenario, point[0], dict(zip(used, point[1:])), units)
@@ -483,7 +476,7 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
             theirs, their_emissions = charge(rival)
             rows.append(_row([emissions - their_emissions,
                               *((rival.get(rid, 0) - units[rid]) * den for rid in used)],
-                             theirs - cost, den))
+                             theirs - cost))
 
     point = solve(tax_row)
     if point is None:
@@ -491,8 +484,7 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     least = math.ceil(point[0] * 10 ** 12)  # in RATE_QUANTUM steps
     for step in range(least, least + TAX_QUANTA):
         tax = Fraction(step, 10 ** 12)
-        fixed = [_row([10 ** 12, *tax_row[1:]], step, 10 ** 12),
-                 _row([-10 ** 12, *tax_row[1:]], -step, 10 ** 12)]
+        fixed = [_row([10 ** 12, *tax_row[1:]], step), _row([-10 ** 12, *tax_row[1:]], -step)]
         # rates rounded up may overdraw the funds or let a rival undercut the
         # units; a margin of 1e-17 per unit in each row absorbs the rounding
         for margin in (False, True):
@@ -507,14 +499,12 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     return None
 
 
-def _row(coefficients, rhs, scale):
-    """The LP row (coefficients . v <= rhs) / scale, for integer entries, as
-    (coefficients, rhs, scale) reduced by their common divisor: the row
-    times the least factor that makes every entry whole, which `_simplex`
-    pivots as it would the exact row (its phase one depends on each row's
-    scale)."""
-    g = math.gcd(scale, rhs, *coefficients)
-    return [a // g for a in coefficients], rhs // g, scale // g
+def _row(coefficients, rhs):
+    """The LP row coefficients . v <= rhs, for integer entries, as
+    (coefficients, rhs) divided by their greatest common divisor (a row of
+    zeros, as a rival may give, as it is)."""
+    g = math.gcd(rhs, *coefficients) or 1
+    return [a // g for a in coefficients], rhs // g
 
 
 def _least_response(scenario: Scenario, objective: Objective, budget, mode, units):

@@ -79,14 +79,8 @@ class TieSet:
 
 def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
                 funds) -> LowerResult:
-    """`solve_units` priced: the follower's pick as a LowerResult."""
-    units = solve_units(scenario, policy, leader_objective, funds)
-    return price_allocation(scenario, Allocation(units), policy)
-
-
-def solve_units(scenario: Scenario, policy: PolicyVector, leader_objective, funds) -> dict:
-    """The follower's optimal allocation that the leader prefers, as a fresh
-    dict of route id -> positive units.
+    """The follower's optimal allocation that the leader prefers, priced
+    (`model.price_allocation`) as a LowerResult.
 
     An allocation fits the funds when its subsidy outlay is at most funds
     plus its tax payment. Among the follower's optimal allocations this
@@ -115,7 +109,7 @@ def solve_units(scenario: Scenario, policy: PolicyVector, leader_objective, fund
                 len(fills) > 1 or list(map(itemgetter(0), priced)).count(fills[0][2]) > 1):
             faces = [_face(scenario, priced, *fill) for fill in fills]
             units = _select(scenario, policy, objective, funds, faces)
-    return units
+    return price_allocation(scenario, Allocation(units), policy)
 
 
 def leader_floor(scenario: Scenario, policy: PolicyVector, leader_objective):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, InvalidOperation, ROUND_HALF_EVEN, getcontext
 from enum import Enum, EnumMeta
-from typing import NamedTuple
 
 from .errors import InvalidAllocationError, ResourceBoundError, ValidationError
 
@@ -335,16 +334,6 @@ class Allocation:
         return self.units.get(route_id, 0)
 
 
-class Totals(NamedTuple):
-    """A `LowerResult` without its allocation, as `rank` reads it."""
-
-    industry_cost: Decimal
-    total_emissions: Decimal
-    circularity_index: Decimal
-    subsidy_outlay: Decimal
-    tax_payment: Decimal
-
-
 @dataclass(frozen=True)
 class LowerResult:
     """Follower-side totals for one allocation under one policy."""
@@ -453,26 +442,20 @@ def evaluate_allocation(scenario: Scenario, allocation: Allocation,
 
 def price_allocation(scenario: Scenario, allocation: Allocation,
                      policy: PolicyVector) -> LowerResult:
-    """`evaluate_allocation` for inputs already known to be valid: the
-    allocation with its `price_units` totals."""
-    return LowerResult(allocation, *price_units(scenario, allocation.units, policy))
+    """`evaluate_allocation` for inputs already known to be valid, in one
+    pass.
 
-
-def price_units(scenario: Scenario, units: dict, policy: PolicyVector) -> Totals:
-    """The totals of valid units (route id -> positive count) under a valid
-    policy, in one pass.
-
-    Fixed costs are charged for each technology the units use; circularity
-    is the demand-weighted mean, reported as 0 at zero demand. Every sum is
-    exact: totals that need more digits than the decimal context holds
-    raise ResourceBoundError instead of rounding; only the circularity mean
-    is a rounded division.
+    Fixed costs are charged for each technology the allocation uses;
+    circularity is the demand-weighted mean, reported as 0 at zero demand.
+    Every sum is exact: totals that need more digits than the decimal
+    context holds raise ResourceBoundError instead of rounding; only the
+    circularity mean is a rounded division.
     """
     by_id, subsidies = scenario._by_id, policy.subsidy_rates
     emissions = outlay = unit_part = circularity = ZERO
     active = set()
     with exactly("exact pricing"):
-        for rid, n in units.items():
+        for rid, n in allocation.units.items():
             route = by_id[rid]
             emissions += route.unit_emissions * n
             outlay += subsidies.get(rid, ZERO) * n
@@ -483,10 +466,9 @@ def price_units(scenario: Scenario, units: dict, policy: PolicyVector) -> Totals
                      if tech in active), ZERO)
         tax_payment = policy.tax_rate * emissions
         industry_cost = unit_part + fixed + tax_payment - outlay
-    # tuple.__new__ skips the generated Totals.__new__, about 0.5 us a call
-    return tuple.__new__(Totals, (industry_cost, emissions,
-                                  circularity / scenario.demand if scenario.demand else ZERO,
-                                  outlay, tax_payment))
+    return LowerResult(allocation, industry_cost, emissions,
+                       circularity / scenario.demand if scenario.demand else ZERO,
+                       outlay, tax_payment)
 
 
 def value_bound(scenario: Scenario, objective):
@@ -495,7 +477,7 @@ def value_bound(scenario: Scenario, objective):
     on the first call per objective and kept with the scenario. Every
     response is an allocation within the capacities, and both objectives
     are linear in the units (the circularity mean rounds as in
-    `price_units`), so filling demand in ascending (`Objective.unit_head`,
+    `price_allocation`), so filling demand in ascending (`Objective.unit_head`,
     route id), each route up to its capacity, reaches the best: the
     high-point relaxation's value (Bard, Practical Bilevel Optimization, 1998).
     """
@@ -511,8 +493,8 @@ def value_bound(scenario: Scenario, objective):
             left -= take
         allocation = Allocation(units)
         try:
-            totals = price_units(scenario, allocation.units, PolicyVector.zero())
-            bound = objective.natural_value(totals), allocation
+            result = price_allocation(scenario, allocation, PolicyVector.zero())
+            bound = objective.natural_value(result), allocation
         except ResourceBoundError:
             pass
     bounds[objective] = bound

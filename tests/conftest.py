@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from ecolever import Scenario, calibrate_case_study, engine
+from ecolever import RouteSpec, Scenario, calibrate_case_study, engine
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 # `--hypothesis-profile=deep` runs every random battery at least 500 times
@@ -21,6 +21,27 @@ def src_env():
     is installed."""
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), inherited]))}
+
+
+def random_catalog(rng, capped):
+    """A catalog drawn from `rng` in test_metamorphic's `_catalogs` ranges:
+    2-4 routes and demand 3-40; a capped catalog puts capacities on some
+    routes after the first and fees on some technologies."""
+    routes = tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{i % 3}",
+                  unit_cost=Decimal(rng.randint(1, 100)) / 1000,
+                  unit_emissions=Decimal(max(rng.randint(-30, 100), 0)) / 1000,
+                  unit_circularity=Decimal(rng.randint(1, 200)) / 100,
+                  subsidizable=rng.randint(0, 9) < 7)
+        for i in range(rng.randint(2, 4)))
+    demand = rng.randint(3, 40)
+    if not capped:
+        return Scenario(demand=demand, routes=routes)
+    caps = {r.route_id: rng.randint(0, demand) for r in routes[1:] if rng.random() < 0.5}
+    fees = {f"t{k}": Decimal(rng.randint(0, 50)) / 100
+            for k in range(min(3, len(routes))) if rng.random() < 0.5}
+    return Scenario(demand=demand, routes=routes, technology_fixed_costs=fees,
+                    capacity_limits=caps if caps or fees else {"r0": demand})
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import random_catalog
 from ecolever import (
     COMBINED,
     Objective,
@@ -31,7 +32,7 @@ from ecolever.engine import (
     exact_leader,
     value_bound,
 )
-from ecolever.model import (Allocation, apply_modifiers, price_allocation, price_units,
+from ecolever.model import (Allocation, apply_modifiers, price_allocation, to_integers,
                             validate_allocation)
 from ecolever.oracle import GridAxis, _compositions, grid_bilevel
 
@@ -550,6 +551,23 @@ def test_past_max_responses_the_search_keeps_its_incumbent(monkeypatch):
     assert kept.evaluations < out.evaluations
 
 
+def test_the_walk_skips_a_response_whose_pricing_refuses():
+    # r0 plus r1 costs 1E+30 + 0.1, more digits than the context holds: the
+    # walk passes over that response and draws the next, and the zero
+    # policy, whose follower fills r0 then r2, is the answer
+    scenario = Scenario(demand=2, routes=(_route("r0", "0.1", "0.001", "1"),
+                                          _route("r1", "1E+30", "0", "1"),
+                                          _route("r2", "0.2", "0.002", "1")),
+                        capacity_limits={"r0": 1})
+    drawn = []
+    walk = (drawn.append(units) or units for units in ({"r0": 1, "r1": 1}, {"r0": 1, "r2": 1}))
+    policy, value, result, feasible = best_policy(scenario, Objective.MIN_GHG, 0,
+                                                  [PolicyVector.zero()], walk=walk)
+    assert drawn == [{"r0": 1, "r1": 1}, {"r0": 1, "r2": 1}]
+    assert policy == PolicyVector.zero() and value == Decimal("0.003") and feasible
+    assert result.allocation.units == {"r0": 1, "r2": 1}
+
+
 def test_short_of_funds_the_search_tries_responses_past_the_incumbents_head():
     # every candidate falls 1.39 short, at circularity up to 1.72; the first
     # response the leader can fund has a worse head, 1.66
@@ -666,8 +684,8 @@ def test_no_vertex_response_has_a_least_policy_that_ranks_first(scenario, object
     assume(bound is not None and not scenario.is_pure_linear())
     out = optimize(scenario, objective, budget, mode=mode)
     for units in engine._vertex_responses(scenario, objective, bound[1].units):
-        totals = price_units(scenario, units, PolicyVector.zero())
-        head = objective.head(objective.natural_value(totals))
+        result = price_allocation(scenario, Allocation(units), PolicyVector.zero())
+        head = objective.head(objective.natural_value(result))
         if out.feasible and head > objective.head(out.upper_value):
             break  # the walk goes in ascending head
         found = engine._least_response(scenario, objective, budget, mode, units)
@@ -799,7 +817,11 @@ def test_simplex_reaches_the_least_vertex(lp):
     cost, rows, rhs = lp
     exact_cost = [Fraction(c) for c in cost]
     values = [sum(map(operator.mul, exact_cost, v)) for v in _vertices(rows, rhs)]
-    point = engine._simplex(cost, rows, rhs)
+    # _simplex takes integers: each row with its right-hand side, and the
+    # cost, scaled by its least common denominator, is the same LP
+    whole = [to_integers([*row, b]) for row, b in zip(rows, rhs)]
+    point = engine._simplex(to_integers(cost), [row[:-1] for row in whole],
+                            [row[-1] for row in whole])
     assert (point is None) == (not values)
     if point is not None:
         assert min(point) >= 0
@@ -816,22 +838,6 @@ LEAST_POLICY_DIGESTS = {
     "pso_capped": "a33f895cb0b266372e8f5ab68b5e8651f017f5eb62b16962fb71dc1467fc66fe",
     "random capped": "e5223d4d51f66085a246d5b1c46fb0599b1faa49d9bbfc9e2acf0f81d01d5395",
 }
-
-
-def _random_capped(rng):
-    routes = tuple(
-        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=f"t{i % 3}",
-                  unit_cost=Decimal(rng.randint(1, 100)) / 1000,
-                  unit_emissions=Decimal(max(rng.randint(-30, 100), 0)) / 1000,
-                  unit_circularity=Decimal(rng.randint(1, 200)) / 100,
-                  subsidizable=rng.randint(0, 9) < 7)
-        for i in range(rng.randint(2, 4)))
-    demand = rng.randint(3, 40)
-    caps = {r.route_id: rng.randint(0, demand) for r in routes[1:] if rng.random() < 0.5}
-    fees = {f"t{k}": Decimal(rng.randint(0, 50)) / 100
-            for k in range(min(3, len(routes))) if rng.random() < 0.5}
-    return Scenario(demand=demand, routes=routes, technology_fixed_costs=fees,
-                    capacity_limits=caps if caps or fees else {"r0": demand})
 
 
 def _least_policy_lines(scenario, budgets):
@@ -853,7 +859,7 @@ def test_least_policy_pivots_are_pinned(pso_capped):
     lines = {"pso_capped": list(_least_policy_lines(pso_capped, map(Decimal, (-60, 0, 30, 100)))),
              "random capped": []}
     for _ in range(300):
-        scenario = _random_capped(rng)
+        scenario = random_catalog(rng, capped=True)
         budget = Decimal(rng.randint(-60, 60)) * scenario.demand / 1000
         lines["random capped"] += _least_policy_lines(scenario, [budget])
     got = {key: hashlib.sha256("".join(rows).encode()).hexdigest() for key, rows in lines.items()}

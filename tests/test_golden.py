@@ -4,16 +4,20 @@ Every closed-form `sweep` and the distance and loss `sensitivity` CSVs, for
 all nine objective x mode pairs, and `run --engine closed-form`'s
 outcome.json are regenerated in process and compared byte for byte, through
 their SHA-256 digests, with the ones recorded here; so are two `run`
-outcomes and six sweeps on a capped, fixed-cost variant of the case. A
-change that moves any of them must say which rows moved and why, and update
-the digest.
+outcomes and six sweeps on a capped, fixed-cost variant of the case, and
+`exact_leader`'s outcomes on seeded random catalogs. A change that moves
+any of them must say which rows moved and why, and update the digest.
 """
 
 import contextlib
 import hashlib
 import io
+import random
+from decimal import Decimal
 
-from ecolever import cli
+from conftest import random_catalog
+from ecolever import Objective, ResourceBoundError, cli
+from ecolever.engine import MODES, exact_leader
 
 SWEEP = ["sweep", "--budgets=-60:100:5"]
 DISTANCE = ["sensitivity", "--parameter", "distance", "--values", "7,15,65,140",
@@ -117,8 +121,6 @@ CAPPED_DIGESTS = {
 def _capped_scenario(tmp_path):
     """The case with capacity 400 on every route and fixed costs strap 0.5,
     landfill 0.2 and wash 0.3, saved for `--scenario`."""
-    from decimal import Decimal
-
     from ecolever import Scenario, calibrate_case_study
     from ecolever.scenario_io import save_scenario
 
@@ -170,3 +172,42 @@ def test_capped_sweeps_are_byte_identical(tmp_path):
                             "--objective", objective, "--mode", mode],
                            tmp_path / key.replace(" ", "_") / "sweep.csv")
     assert got == CAPPED_SWEEP_DIGESTS
+
+
+# `engine.exact_leader` on 300 seeded random catalogs of each class
+# (`conftest.random_catalog`, in test_metamorphic's ranges), at two points
+# each with a random objective, mode and budget of -60 to 60 per mille of
+# demand: every field of each outcome, so a change to the leader, the
+# follower or the LP that moves any answer shows here.
+LEADER_DIGESTS = {
+    "pure-linear": "1e314883e908088c3235d44a98c5c612e4a8e9bb618931054071a0837002fa02",
+    "capped": "6ef15a22f4f3e7831e11d41c961d27b25e613c5dc56fb644a0ad61e8a455ba27",
+}
+
+
+def _leader_line(scenario, objective, budget, mode):
+    try:
+        out = exact_leader(scenario, objective, budget, mode)
+    except ResourceBoundError:
+        return f"{objective.value} {mode} {budget} refused\n"
+    r = out.response
+    return (f"{objective.value} {mode} {budget} {out.policy.tax_rate} "
+            f"{sorted(out.policy.subsidy_rates.items())} {out.upper_value} "
+            f"{sorted(r.allocation.units.items())} {r.industry_cost} {r.total_emissions} "
+            f"{r.circularity_index} {r.subsidy_outlay} {r.tax_payment} {out.feasible} "
+            f"{out.evaluations}\n")
+
+
+def test_the_leader_on_random_catalogs_is_pinned():
+    got = {}
+    for seed, key in enumerate(LEADER_DIGESTS):
+        rng, lines = random.Random(35 + seed), []
+        for _ in range(300):
+            scenario = random_catalog(rng, key == "capped")
+            for _ in range(2):
+                objective = rng.choice([Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+                mode = rng.choice(MODES)
+                budget = Decimal(rng.randint(-60, 60)) * scenario.demand / 1000
+                lines.append(_leader_line(scenario, objective, budget, mode))
+        got[key] = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert got == LEADER_DIGESTS
