@@ -12,7 +12,10 @@ queue walks the follower's vertex responses, from the allocation of
 `value_bound`, and takes the least policy of each (`least_policy`, an exact
 LP), so it is exact over vertex responses. On every scenario a certificate
 comes first: that allocation's least policy (in closed form on pure-linear
-scenarios), where it reaches the bound within funds, is the answer.
+scenarios), where it reaches the bound within funds, is the answer, and its
+response is priced rather than solved where the follower's own exact
+pricing (`lower.least_cost`) confirms it. Subsidy-only mode below budget 0
+answers the zero policy at once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import ResourceBoundError, ValidationError
-from .lower import cheaper_fill, leader_floor, solve_lower
+from .lower import cheaper_fill, leader_floor, least_cost, solve_lower
 from .model import (
     Allocation,
     LowerResult,
@@ -203,8 +206,9 @@ class BilevelOutcome:
     plus the certificate's least policy where it falls short and equals no
     candidate, plus one per least policy the walk over vertex responses
     evaluates: the policies `best_policy` ranks. A certified answer counts
-    its LP solves (none on a pure-linear scenario) plus one. A budget
-    sweep's rows are these outcomes."""
+    its LP solves (none on a pure-linear scenario) plus one, and subsidy-only
+    mode below budget 0 counts one. A budget sweep's rows are these
+    outcomes."""
 
     policy: PolicyVector
     response: LowerResult
@@ -428,10 +432,13 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     subsidy. A subsidy past the context's digits is rounded up at 17
     places. Where that overdraws the funds or lets a rival undercut the
     units, stage two is solved again with every row kept by 1e-17 per unit,
-    and a tax where that fails too counts as infeasible. Callers still
-    evaluate the policy: the follower resolves ties. Where `units` is the
-    whole demand on one route (or there is none) of a pure-linear scenario,
-    the answer is `_full_demand`'s closed form, and no LP is solved.
+    and a tax where that fails too counts as infeasible. Callers evaluate
+    the policy, so that the follower resolves ties, except the certificate
+    of `exact_leader`: where `units` is the only allocation of best value,
+    it prices them, once the follower's own pricing confirms they cost the
+    least. Where `units` is the whole demand on one route (or there is
+    none) of a pure-linear scenario, the answer is `_full_demand`'s closed
+    form, and no LP is solved.
     """
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
@@ -507,15 +514,27 @@ def _row(coefficients, rhs):
     return [a // g for a in coefficients], rhs // g
 
 
-def _least_response(scenario: Scenario, objective: Objective, budget, mode, units):
+def _least_response(scenario: Scenario, objective: Objective, budget, mode, units,
+                    unique=False):
     """The `least_policy` of the follower response `units`, evaluated, as
     ((policy, natural value, LowerResult, feasible), LP solves); None where
-    there is none, or where the LP or the follower hits a ResourceBoundError."""
+    there is none, or where the LP or the follower hits a ResourceBoundError.
+    Where `units` is the only allocation of best value (`unique`), it is
+    priced instead, if it is cost-minimal there (`lower.least_cost`) and
+    within funds: `solve_lower` would return it (`exact_leader`)."""
     try:
         found = least_policy(scenario, units, budget, mode)
         if found is None:
             return None
         policy, solves = found
+        if unique:
+            try:
+                result = price_allocation(scenario, Allocation(units), policy)
+                if (result.subsidy_outlay <= budget + result.tax_payment
+                        and result.industry_cost <= least_cost(scenario, policy)):
+                    return (policy, objective.natural_value(result), result, True), solves
+            except ResourceBoundError:
+                pass  # the follower decides
         return (policy, *evaluate_policy(scenario, policy, objective, budget)), solves
     except ResourceBoundError:
         return None
@@ -556,21 +575,43 @@ def exact_leader(scenario: Scenario, objective, budget,
     """The leader's best decision in `rank` order, less the subsidies no
     unit draws.
 
-    Most-profitable gets the zero policy. Where `value_bound`'s allocation
-    is the only one of best value (no two routes of the fill's marginal
-    `Objective.unit_head` can trade units), its `_least_response` is priced
-    first, in closed form on pure-linear scenarios: at a `rank` key of (0,
-    bound head, ...), before which no policy ranks, it is the answer. Else
-    `best_policy` ranks `domain_informed_points`, with that evaluated policy
-    in its equal candidate's place (or last), and on capped and fixed-cost
-    scenarios the least policies of a walk over the follower's vertex
-    responses from that allocation, so the answer is exact over vertex
-    responses: no policy within funds that induces one ranks first.
+    Most-profitable gets the zero policy. So does subsidy-only mode at a
+    budget below 0, evaluated once. There is no tax, so no tax income, and
+    every policy's shortfall is its outlay less the budget: at least
+    -budget, and -budget only at outlay 0, which the zero policy reaches. A
+    policy whose response draws no subsidy leaves that response costing
+    industry what it costs at the zero policy, where no allocation costs
+    less (subsidies only lower costs), so it is one of the zero policy's
+    optima. Those all have outlay 0, none fits the funds, and the selector
+    takes the least head among them all: no policy ranks before the zero
+    policy, and one that ties it has a larger total subsidy rate.
+
+    Where `value_bound`'s allocation is the only one of best value (no two
+    routes of the fill's marginal `Objective.unit_head` can trade units),
+    its `_least_response` comes first, in closed form on pure-linear
+    scenarios: at a `rank` key of (0, bound head, ...), before which no
+    policy ranks, it is the answer. That response is priced, and the
+    follower is not called, where the allocation is cost-minimal under its
+    least policy (`lower.least_cost`, the follower's own exact pricing) and
+    within funds there: every other allocation has a strictly worse exact
+    head sum, and `solve_lower` returns the first optimum by (leader value,
+    subsidy outlay, canonical key) among those within funds, so it returns
+    this one. Where that check refuses or the funds fall short, the policy
+    is evaluated. Else `best_policy` ranks `domain_informed_points`, with
+    that evaluated policy in its equal candidate's place (or last), and on
+    capped and fixed-cost scenarios the least policies of a walk over the
+    follower's vertex responses from that allocation, so the answer is
+    exact over vertex responses: no policy within funds that induces one
+    ranks first.
     """
     objective = Objective(objective)
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
         raise ValidationError([f"unknown mode: {mode!r}"])
+    if mode == SUBSIDY_ONLY and budget < 0:  # no policy is within funds
+        zero = PolicyVector.zero()
+        return _outcome(objective, budget, mode,
+                        (zero, *evaluate_policy(scenario, zero, objective, budget)), 1)
     bound = value_bound(scenario, objective)
     found, walk = None, ()
     if bound is not None:  # None for most-profitable, or a sum that would round
@@ -583,7 +624,7 @@ def exact_leader(scenario: Scenario, objective, budget,
         if not any(units.get(a) and units.get(b, 0) < scenario.capacity_of(b)
                    for a in margin for b in margin if a != b):
             found = _least_response(scenario, objective, budget, mode,
-                                    next(walk) if walk else units)
+                                    next(walk) if walk else units, unique=True)
             if found is not None and rank(objective, budget, *found[0][:3])[:2] == (ZERO, least):
                 return _outcome(objective, budget, mode, found[0], found[1] + 1)
     policies = ([PolicyVector.zero()] if objective == Objective.MOST_PROFITABLE

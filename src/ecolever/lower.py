@@ -10,7 +10,9 @@ the first route of each technology in F that a fill meets, it either pays
 the fee or forbids the technology, so only the technologies a fill reaches
 are ever decided. A pure-linear scenario (no F, no capacities) is the case
 in which the cheapest route takes everything. `cheaper_fill` runs the same
-search at an exact rational policy, for the rows of `engine.least_policy`.
+search at an exact rational policy, for the rows of `engine.least_policy`,
+and `least_cost` prices its first fill, for the certificate of
+`engine.exact_leader`.
 
 The follower's optimal allocations are the faces of the cost-minimal
 subsets: routes priced below a subset's marginal price sit at capacity, and
@@ -110,6 +112,20 @@ def solve_lower(scenario: Scenario, policy: PolicyVector, leader_objective,
             faces = [_face(scenario, priced, *fill) for fill in fills]
             units = _select(scenario, policy, objective, funds, faces)
     return price_allocation(scenario, Allocation(units), policy)
+
+
+def least_cost(scenario: Scenario, policy: PolicyVector) -> Decimal:
+    """The follower's least industry cost under a validated policy: the
+    cost of `solve_lower`'s first cost-minimal fill, priced in the same
+    exact Decimals. Raises ResourceBoundError where `solve_lower`'s pricing
+    or search would, or where the sum would round."""
+    _, fees = scenario.fill_table()
+    with exactly("exact pricing"):
+        priced, fills = _cheapest_fills(scenario, policy)
+        nets = {rid: (net, bit) for net, rid, bit, _ in priced}
+        units = fills[0][1]
+        return (sum((nets[rid][0] * n for rid, n in units.items()), ZERO)
+                + sum((fees[bit] for bit in {nets[rid][1] for rid in units} if bit), ZERO))
 
 
 def leader_floor(scenario: Scenario, policy: PolicyVector, leader_objective):

@@ -1,10 +1,14 @@
+import ast
 import hashlib
+import inspect
 import itertools
 import operator
 import random
+import textwrap
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -760,6 +764,92 @@ def test_two_routes_of_one_head_certify_nothing(monkeypatch):
         out = closed_form_optimize(scenario, Objective.MIN_GHG, 0, mode)
         assert out.evaluations == len(domain_informed_points(scenario, 0, mode))
         assert out.policy == PolicyVector.zero() and out.response.allocation.units == {"b": 10}
+
+
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+_HEADED = st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(seed=_SEEDS, capped=st.booleans(), objective=_HEADED, per_mille=st.integers(-60, 60),
+       mode=st.sampled_from([COMBINED, TAX_ONLY, SUBSIDY_ONLY]))
+def test_a_certified_answer_is_the_followers(seed, capped, objective, per_mille, mode):
+    # where the certificate answers, it may have priced value_bound's
+    # allocation without the follower; at the answer's policy the follower
+    # returns that response
+    scenario = random_catalog(random.Random(seed), capped)
+    budget = Decimal(per_mille) * scenario.demand / 1000
+    assume(mode != SUBSIDY_ONLY or budget >= 0)  # answered before any certificate
+    with mock.patch.object(engine, "best_policy", wraps=engine.best_policy) as search:
+        out = exact_leader(scenario, objective, budget, mode)
+    assume(not search.called)
+    assert evaluate_policy(scenario, out.policy, objective, budget) == (
+        out.upper_value, out.response, out.feasible)
+
+
+def test_the_certificate_prices_the_case_without_the_follower(case, monkeypatch):
+    # combined min-ghg is certified at every budget, with no LP and no
+    # follower call
+    calls = []
+    solve = engine.solve_lower
+    monkeypatch.setattr(engine, "solve_lower", lambda *args: calls.append(args) or solve(*args))
+    for budget in range(-170, 171, 5):
+        assert exact_leader(case, Objective.MIN_GHG, budget, COMBINED).evaluations == 1
+    assert calls == []
+
+
+def test_the_certificate_refuses_where_the_follower_refuses():
+    # r0's net price at the least policy's tax needs more than 28 digits: the
+    # follower refuses to price it, and so does the certificate's check, which
+    # prices as the follower does (a check in scaled integers would pass)
+    scenario = Scenario(demand=7, routes=(_route("r0", "0.1", "0.1234567890123456789", "1"),
+                                          _route("r1", "0.2", "0", "1")))
+    with pytest.raises(ResourceBoundError,
+                       match="exact pricing needs more than the context's 28 digits"):
+        exact_leader(scenario, Objective.MIN_GHG, 0, COMBINED)
+
+
+@pytest.mark.parametrize("rate, budget, units", [
+    ("0.05", 1, {"a": 10}),  # b still costs more than a: the follower leaves it
+    ("0.1", "0.5", {"a": 5, "b": 5}),  # all of demand on b overdraws the funds
+])
+def test_a_least_policy_the_check_refuses_is_evaluated(monkeypatch, rate, budget, units):
+    # handed a policy under which value_bound's {b: 10} is no follower optimum
+    # within funds, the certificate asks the follower
+    scenario = Scenario(demand=10, routes=(_route("a", "0.1", "0.1", "1"),
+                                           _route("b", "0.2", "0", "1")))
+    policy, budget = PolicyVector(subsidy_rates={"b": Decimal(rate)}), Decimal(budget)
+    monkeypatch.setattr(engine, "least_policy", lambda *args: (policy, 0))
+    found = engine._least_response(scenario, Objective.MIN_GHG, budget, COMBINED, {"b": 10},
+                                   unique=True)
+    evaluated = evaluate_policy(scenario, policy, Objective.MIN_GHG, budget)
+    assert found == ((policy, *evaluated), 0) and evaluated[1].allocation.units == units
+
+
+def _searching_leader():
+    """`exact_leader` compiled from its own source without the early return
+    of subsidy-only mode below budget 0."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(exact_leader)))
+    body = tree.body[0].body
+    [early] = [node for node in body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "mode == SUBSIDY_ONLY and budget < 0"]
+    body.remove(early)
+    namespace = dict(vars(engine))
+    exec(compile(tree, engine.__file__, "exec"), namespace)
+    return namespace["exact_leader"]
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(seed=_SEEDS, capped=st.booleans(), objective=_HEADED, per_mille=st.integers(-60, -1))
+def test_below_budget_0_subsidy_only_answers_the_zero_policy_at_once(seed, capped, objective,
+                                                                     per_mille):
+    scenario = random_catalog(random.Random(seed), capped)
+    budget = Decimal(per_mille) * scenario.demand / 1000
+    out = exact_leader(scenario, objective, budget, SUBSIDY_ONLY)
+    searched = _searching_leader()(scenario, objective, budget, SUBSIDY_ONLY)
+    assert out.policy == PolicyVector.zero() and out.evaluations == 1
+    assert (out.policy, out.upper_value, out.response, out.feasible) == (
+        searched.policy, searched.upper_value, searched.response, searched.feasible)
 
 
 _ENTRY = st.one_of(st.integers(-4, 4), st.integers(-40, 40).map(lambda k: Decimal(k) / 10))

@@ -180,8 +180,8 @@ def test_capped_sweeps_are_byte_identical(tmp_path):
 # demand: every field of each outcome, so a change to the leader, the
 # follower or the LP that moves any answer shows here.
 LEADER_DIGESTS = {
-    "pure-linear": "1e314883e908088c3235d44a98c5c612e4a8e9bb618931054071a0837002fa02",
-    "capped": "6ef15a22f4f3e7831e11d41c961d27b25e613c5dc56fb644a0ad61e8a455ba27",
+    "pure-linear": "d091277a277c1275f19595d089e70b35fa07d1444f68dc745b3d76fe32ef6773",
+    "capped": "1f38c1e3e2b0fed3b1300a25456c8b16b767ea75334f0a86c83da8cc14c61753",
 }
 
 

@@ -226,6 +226,7 @@ def test_milp_matches_enumeration_when_routes_share_technologies(instance):
     reference = enumerate_lower(scenario, policy)
     assert result.industry_cost == reference.best.industry_cost
     assert result.allocation in reference.optima
+    assert lower.least_cost(scenario, policy) == reference.best.industry_cost
 
 
 @given(shared_technology_catalogs(), st.integers(1, 9), st.integers(1, 9))
@@ -707,8 +708,9 @@ TINY_SUBSIDY = PolicyVector(subsidy_rates={"b": Decimal("1E-30")})
                                Objective.MIN_GHG, 0), "exact pricing"),
     (lambda: enumerate_lower(NEAR_TIE, TINY_SUBSIDY), "exact enumeration"),
     (lambda: evaluate_allocation(NEAR_TIE, Allocation({"b": 5}), TINY_SUBSIDY), "exact pricing"),
+    (lambda: lower.least_cost(NEAR_TIE, TINY_SUBSIDY), "exact pricing"),
 ], ids=["solve_lower", "solve_lower_milp", "solve_lower_greedy", "optimistic_select",
-        "enumerate_lower", "evaluate_allocation"])
+        "enumerate_lower", "evaluate_allocation", "least_cost"])
 def test_a_net_price_that_would_round_is_refused_on_every_path(entry, message):
     with pytest.raises(ResourceBoundError,
                        match=f"{message} needs more than the context's 28 digits"):
