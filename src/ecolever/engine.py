@@ -24,7 +24,6 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_CEILING, ROUND_FLOOR, getcontext
-from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import ResourceBoundError, ValidationError
@@ -353,13 +352,13 @@ def domain_informed_points(scenario: Scenario, budget, mode: str = COMBINED):
 
 def _simplex(cost, rows, rhs):
     """Minimize cost . v over v >= 0 with rows . v <= rhs, exactly, for
-    integer rows, right-hand sides and cost: the optimal v in Fractions, or
-    None when nothing is feasible (no cost is negative, so nothing is
-    unbounded). The integers are pivoted over one common denominator
-    (Edmonds, 1967), with no Fraction inside. Bland's rule, on reduced costs
-    kept in an objective row and a cross-multiplied ratio test, cannot cycle
-    (Bland, 1977); phase one minimizes one auxiliary column (Chvátal, Linear
-    Programming, 1983)."""
+    integer rows, right-hand sides and cost: the optimal v as (numerators,
+    den), integers over the tableau's positive denominator, or None when
+    nothing is feasible (no cost is negative, so nothing is unbounded). The
+    integers are pivoted over that one common denominator (Edmonds, 1967).
+    Bland's rule, on reduced costs kept in an objective row and a
+    cross-multiplied ratio test, cannot cycle (Bland, 1977); phase one
+    minimizes one auxiliary column (Chvátal, Linear Programming, 1983)."""
     m, n = len(rows), len(cost)
     aux, den, basis = n + m, 1, list(range(n, n + m))
     table = [[*row, *(int(i == k) for k in range(m)), -1, rhs[i]] for i, row in enumerate(rows)]
@@ -401,16 +400,17 @@ def _simplex(cost, rows, rhs):
             pivot(r, next(c for c in range(aux) if table[r][c]))
     minimize(cost + [0] * (m + 1), aux)
     row_of = {c: i for i, c in enumerate(basis)}
-    return [Fraction(table[row_of[c]][-1], den) if c in row_of else Fraction(0) for c in range(n)]
+    return [table[row_of[c]][-1] if c in row_of else 0 for c in range(n)], den
 
 
-def _decimal_up(q: Fraction) -> Decimal:
-    """q exactly where the context's digits hold it, else rounded up at 17 places."""
+def _decimal_up(n: int, d: int):
+    """n / d for d > 0, as (rate, exact): the rate exactly where the
+    context's digits hold it, else rounded up at 17 places."""
     try:
         with exactly("a least subsidy"):
-            return Decimal(q.numerator) / q.denominator
+            return Decimal(n) / d, True
     except ResourceBoundError:
-        return Decimal(f"{math.ceil(q * 10 ** 17)}E-17")
+        return Decimal(f"{-(-n * 10 ** 17 // d)}E-17"), False
 
 
 def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
@@ -425,20 +425,22 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     and cost(units) <= cost(y) for each fill y that `lower.cheaper_fill`
     finds undercutting the units at the LP's point, added one at a time.
     Each row is built in integers from `Scenario.integer_table` and reduced
-    by `_row`; Fractions appear only at the boundary: the LP's point, the
-    tax ceiling and `_decimal_up`.
-    Stage one minimizes t, put on the 1e-12 grid by its ceiling; stage two
-    fixes it, one quantum higher while infeasible, and minimizes the total
-    subsidy. A subsidy past the context's digits is rounded up at 17
-    places. Where that overdraws the funds or lets a rival undercut the
-    units, stage two is solved again with every row kept by 1e-17 per unit,
-    and a tax where that fails too counts as infeasible. Callers evaluate
-    the policy, so that the follower resolves ties, except the certificate
-    of `exact_leader`: where `units` is the only allocation of best value,
-    it prices them, once the follower's own pricing confirms they cost the
-    least. Where `units` is the whole demand on one route (or there is
-    none) of a pure-linear scenario, the answer is `_full_demand`'s closed
-    form, and no LP is solved.
+    by `_row`; the LP's point, integers over the tableau's denominator, goes
+    to `cheaper_fill` as it is. Stage one minimizes t, put on the 1e-12 grid
+    by its ceiling; stage two fixes it, one quantum higher while infeasible,
+    and minimizes the total subsidy. Where every subsidy is an exact
+    Decimal, the policy is that point, which meets the funds row and under
+    which `cheaper_fill` found no rival, so nothing is checked again. A
+    subsidy past the context's digits is rounded up at 17 places. Where that
+    overdraws the funds or lets a rival undercut the units, stage two is
+    solved again with every row kept by 1e-17 per unit, and a tax where that
+    fails too counts as infeasible. Callers evaluate the policy, so that the
+    follower resolves ties, except the certificate of `exact_leader`: where
+    `units` is the only allocation of best value, it prices them, once the
+    follower's own pricing confirms they cost the least. Where `units` is
+    the whole demand on one route (or there is none) of a pure-linear
+    scenario, the answer is `_full_demand`'s closed form, and no LP is
+    solved.
     """
     budget = to_decimal(budget, "budget")
     if mode not in MODES:
@@ -459,9 +461,9 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
                 sum(routes[rid][1] * n for rid, n in fill.items()))
 
     cost, emissions = charge(units)
-    funds, over = budget.as_integer_ratio()
+    funds, scale = budget.as_integer_ratio()
     tax_row = [1] + [0] * len(used)
-    rows = [_row([-emissions * over, *(units[rid] * den * over for rid in used)], funds * den)]
+    rows = [_row([-emissions * scale, *(units[rid] * den * scale for rid in used)], funds * den)]
     if mode == SUBSIDY_ONLY:
         rows.append(_row(tax_row, 0))
     solves = 0
@@ -476,7 +478,8 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
             point = _simplex(cost_row, [row for row, _ in kept], [b for _, b in kept])
             if point is None:
                 return None
-            rival = cheaper_fill(scenario, point[0], dict(zip(used, point[1:])), units)
+            (tax, *rates), over = point
+            rival = cheaper_fill(scenario, over, tax, dict(zip(used, rates)), units)
             if rival is None:
                 return point
             # the row cost(units) <= cost(rival), in the tax and the subsidies
@@ -488,9 +491,9 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
     point = solve(tax_row)
     if point is None:
         return None
-    least = math.ceil(point[0] * 10 ** 12)  # in RATE_QUANTUM steps
+    (tax, *_), over = point
+    least = -(-tax * 10 ** 12 // over)  # its ceiling, in RATE_QUANTUM steps
     for step in range(least, least + TAX_QUANTA):
-        tax = Fraction(step, 10 ** 12)
         fixed = [_row([10 ** 12, *tax_row[1:]], step), _row([-10 ** 12, *tax_row[1:]], -step)]
         # rates rounded up may overdraw the funds or let a rival undercut the
         # units; a margin of 1e-17 per unit in each row absorbs the rounding
@@ -498,11 +501,22 @@ def least_policy(scenario: Scenario, units, budget, mode: str = COMBINED):
             point = solve([0] + [1] * len(used), fixed, margin)
             if point is None:
                 break
-            rates = {rid: _decimal_up(rate) for rid, rate in zip(used, point[1:])}
-            outlay = sum(Fraction(rates[rid]) * units[rid] for rid in used)
-            if (outlay <= Fraction(budget) + tax * Fraction(emissions, den)
-                    and cheaper_fill(scenario, tax, rates, units) is None):
-                return PolicyVector(Decimal(f"{step}E-12") if step else ZERO, rates), solves
+            (_, *numerators), over = point
+            rates = {rid: _decimal_up(n, over) for rid, n in zip(used, numerators)}
+            policy = PolicyVector(Decimal(f"{step}E-12") if step else ZERO,
+                                  {rid: rate for rid, (rate, _) in rates.items()})
+            if all(exact for _, exact in rates.values()):
+                return policy, solves  # the point solve checked, within the funds row
+            # a rate rounded up: check the policy, over one denominator with the tax
+            ratios = {rid: rate.as_integer_ratio() for rid, (rate, _) in rates.items()}
+            over = math.lcm(10 ** 12, *(d for _, d in ratios.values()))
+            subsidies = {rid: n * (over // d) for rid, (n, d) in ratios.items()}
+            tax = step * (over // 10 ** 12)
+            # outlay <= budget + tax income, times over * den * scale
+            if (sum(subsidies[rid] * units[rid] for rid in used) * den * scale
+                    <= funds * over * den + tax * emissions * scale
+                    and cheaper_fill(scenario, over, tax, subsidies, units) is None):
+                return policy, solves
     return None
 
 

@@ -10,9 +10,9 @@ the first route of each technology in F that a fill meets, it either pays
 the fee or forbids the technology, so only the technologies a fill reaches
 are ever decided. A pure-linear scenario (no F, no capacities) is the case
 in which the cheapest route takes everything. `cheaper_fill` runs the same
-search at an exact rational policy, for the rows of `engine.least_policy`,
-and `least_cost` prices its first fill, for the certificate of
-`engine.exact_leader`.
+search at a policy given as integers over one denominator, for the rows of
+`engine.least_policy`, and `least_cost` prices its first fill, for the
+certificate of `engine.exact_leader`.
 
 The follower's optimal allocations are the faces of the cost-minimal
 subsets: routes priced below a subset's marginal price sit at capacity, and
@@ -168,23 +168,19 @@ def _cheapest_fills(scenario: Scenario, policy: PolicyVector):
     return priced, _fills(scenario, priced, fees)
 
 
-def cheaper_fill(scenario: Scenario, tax, subsidies, units):
+def cheaper_fill(scenario: Scenario, over, tax, subsidies, units):
     """A cost-minimal fill, as units, where it costs less than `units` at
-    the exact rational policy (tax, subsidies: route id -> rate, as
-    Fractions or Decimals); None where `units` is cost-minimal there.
-    `_fills` runs on `Scenario.integer_table`, scaled once per scenario,
-    times the policy's common denominator: each net unit cost is a few
-    integer multiplies."""
+    the policy given in integers over one positive denominator `over` (tax /
+    over, and subsidies: route id -> rate / over); None where `units` is
+    cost-minimal there. `_fills` runs on `Scenario.integer_table`, scaled
+    once per scenario, times `over`: each net unit cost is a few integer
+    multiplies, and every price and fee scaled by one positive factor keeps
+    the order, ties and bound of the search."""
     den, routes, fees = scenario.integer_table()
-    tax, over = tax.as_integer_ratio()
-    rates = {rid: rate.as_integer_ratio() for rid, rate in subsidies.items()}
-    scale = math.lcm(over, *(d for _, d in rates.values()))
-    tax *= scale // over
-    rates = {rid: n * (scale // d) * den for rid, (n, d) in rates.items()}
-    # every unit cost and fee times den * scale
-    priced = [(cost * scale + emissions * tax - rates.get(rid, 0), rid, bit, cap)
+    # every unit cost and fee times den * over
+    priced = [(cost * over + emissions * tax - subsidies.get(rid, 0) * den, rid, bit, cap)
               for rid, (cost, emissions, bit, cap) in routes.items()]
-    fees = {bit: fee * scale for bit, fee in fees.items()}
+    fees = {bit: fee * over for bit, fee in fees.items()}
     nets = {rid: net for net, rid, _, _ in priced}
 
     def cost(fill):  # unit costs plus the fee of every technology the fill uses

@@ -44,6 +44,49 @@ def random_catalog(rng, capped):
                     capacity_limits=caps if caps or fees else {"r0": demand})
 
 
+def fee_catalog(demand, routes, fees, caps):
+    """A catalog of routes r0, r1, ... given as (technology, cost,
+    emissions, circularity, subsidizable)."""
+    return Scenario(demand=demand, technology_fixed_costs=fees, capacity_limits=caps, routes=tuple(
+        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=tech, unit_cost=Decimal(cost),
+                  unit_emissions=Decimal(emissions), unit_circularity=Decimal(circ),
+                  subsidizable=subsidizable)
+        for i, (tech, cost, emissions, circ, subsidizable) in enumerate(routes)))
+
+
+# r0 and r2 tie on circularity 2; the least subsidy on r0 has no finite
+# decimal, and rounded up it overdrew the funds by 4e-17 at tax 0.2
+TIGHT_FUNDS = fee_catalog(28, [("t2", "0.072", "0.087", "2", True),
+                               ("t0", "0.015", "0.05", "0", False),
+                               ("t2", "0.03", "0.024", "2", True),
+                               ("t0", "0.031", "0.072", "0.4", False)],
+                          {"t0": Decimal("0.37"), "t2": Decimal("0.17")},
+                          {"r1": 9, "r2": 16, "r3": 12})
+# r1 must stay dearer than r2 by t0's fee over 15 units, 0.02 / 15; the
+# subsidy on r1 rounded up let {r1: 18} undercut the units
+TIGHT_RIVAL = fee_catalog(18, [("t0", "-0.011", "0.096", "0.4", True),
+                               ("t2", "0.058", "0.072", "0", True),
+                               ("t0", "0.047", "0.025", "0.2", True),
+                               ("t2", "-0.003", "0.096", "1.8", True)],
+                          {"t0": Decimal("0.02"), "t2": Decimal("0.17")}, {"r2": 15})
+
+
+def long_decimal_pair(capped=False):
+    """Two routes at demand 7 near the context's digits: r0 costs 0.1 with
+    emissions 0.1234567890123456789, so its net price needs more than 28
+    digits at most grid taxes, and r1 costs 0.2 with none. The capped pair
+    puts capacity 4 on r0 and a fee of 0.01 on r1's technology."""
+    routes = tuple(RouteSpec(route_id=rid, product_id="p", technology_id=f"tech_{rid}",
+                             unit_cost=Decimal(cost), unit_emissions=Decimal(emissions),
+                             unit_circularity=Decimal(1))
+                   for rid, cost, emissions in (("r0", "0.1", "0.1234567890123456789"),
+                                                ("r1", "0.2", "0")))
+    if not capped:
+        return Scenario(demand=7, routes=routes)
+    return Scenario(demand=7, routes=routes, capacity_limits={"r0": 4},
+                    technology_fixed_costs={"tech_r1": Decimal("0.01")})
+
+
 @pytest.fixture(scope="session")
 def case():
     """The calibrated coffee-packaging scenario."""

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import inspect
 import itertools
+import math
 import operator
 import random
 import textwrap
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_catalog
+from conftest import TIGHT_FUNDS, TIGHT_RIVAL, fee_catalog, long_decimal_pair, random_catalog
 from ecolever import (
     COMBINED,
     Objective,
@@ -28,7 +29,7 @@ from ecolever import (
     evaluate_policy,
     optimize,
 )
-from ecolever import engine
+from ecolever import engine, lower
 from ecolever.analysis import closed_form_optimize
 from ecolever.engine import (
     best_policy,
@@ -478,32 +479,6 @@ def test_the_search_reaches_the_swarms_keys_on_the_uncertified_capped_points(
     assert out.evaluations <= 15
 
 
-def _fee_catalog(demand, routes, fees, caps):
-    """Routes given as (technology, cost, emissions, circularity, subsidizable)."""
-    return Scenario(demand=demand, technology_fixed_costs=fees, capacity_limits=caps, routes=tuple(
-        RouteSpec(route_id=f"r{i}", product_id="p", technology_id=tech, unit_cost=Decimal(cost),
-                  unit_emissions=Decimal(emissions), unit_circularity=Decimal(circ),
-                  subsidizable=subsidizable)
-        for i, (tech, cost, emissions, circ, subsidizable) in enumerate(routes)))
-
-
-# r0 and r2 tie on circularity 2; the least subsidy on r0 has no finite
-# decimal, and rounded up it overdrew the funds by 4e-17 at tax 0.2
-TIGHT_FUNDS = _fee_catalog(28, [("t2", "0.072", "0.087", "2", True),
-                                ("t0", "0.015", "0.05", "0", False),
-                                ("t2", "0.03", "0.024", "2", True),
-                                ("t0", "0.031", "0.072", "0.4", False)],
-                           {"t0": Decimal("0.37"), "t2": Decimal("0.17")},
-                           {"r1": 9, "r2": 16, "r3": 12})
-# r1 must stay dearer than r2 by t0's fee over 15 units, 0.02 / 15; the
-# subsidy on r1 rounded up let {r1: 18} undercut the units
-TIGHT_RIVAL = _fee_catalog(18, [("t0", "-0.011", "0.096", "0.4", True),
-                                ("t2", "0.058", "0.072", "0", True),
-                                ("t0", "0.047", "0.025", "0.2", True),
-                                ("t2", "-0.003", "0.096", "1.8", True)],
-                           {"t0": Decimal("0.02"), "t2": Decimal("0.17")}, {"r2": 15})
-
-
 @pytest.mark.parametrize("scenario, objective, budget, units, tax", [
     (TIGHT_FUNDS, Objective.MAX_CIRCULARITY, "0.056", {"r0": 12, "r2": 16}, "0.200000000001"),
     (TIGHT_RIVAL, Objective.MIN_GHG, "0.594", {"r1": 3, "r2": 15}, "0.881365740741"),
@@ -575,12 +550,12 @@ def test_the_walk_skips_a_response_whose_pricing_refuses():
 def test_short_of_funds_the_search_tries_responses_past_the_incumbents_head():
     # every candidate falls 1.39 short, at circularity up to 1.72; the first
     # response the leader can fund has a worse head, 1.66
-    scenario = _fee_catalog(15, [("t1", "0.052", "0.031", "0.9", True),
-                                 ("t1", "0.009", "0.018", "1.8", True),
-                                 ("t2", "0.034", "0", "1.5", True),
-                                 ("t2", "0.058", "0.071", "1.4", False)],
-                            {"t1": Decimal("0.15"), "t2": Decimal("0.03")},
-                            {"r1": 11, "r2": 7, "r3": 13})
+    scenario = fee_catalog(15, [("t1", "0.052", "0.031", "0.9", True),
+                                ("t1", "0.009", "0.018", "1.8", True),
+                                ("t2", "0.034", "0", "1.5", True),
+                                ("t2", "0.058", "0.071", "1.4", False)],
+                           {"t1": Decimal("0.15"), "t2": Decimal("0.03")},
+                           {"r1": 11, "r2": 7, "r3": 13})
     out = optimize(scenario, Objective.MAX_CIRCULARITY, Decimal("-1.665"))
     assert out.feasible and out.upper_value == Decimal("1.66")
     assert out.response.allocation.units == {"r1": 8, "r2": 7}
@@ -770,6 +745,50 @@ _SEEDS = st.integers(0, 2 ** 32 - 1)
 _HEADED = st.sampled_from([Objective.MIN_GHG, Objective.MAX_CIRCULARITY])
 
 
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
+@given(seed=_SEEDS, objective=_HEADED, per_mille=st.integers(-60, 60))
+def test_a_least_policy_with_no_rate_rounded_needs_no_second_check(seed, objective, per_mille):
+    # where no stage-two rate rounds, least_policy returns the LP's point
+    # unchecked: it met the funds row, and cheaper_fill found no rival
+    # there. The check least_policy skips passes at every such policy
+    scenario = random_catalog(random.Random(seed), capped=True)
+    budget = Decimal(per_mille) * scenario.demand / 1000
+    bound = value_bound(scenario, objective)
+    if bound is None:
+        return
+    exact, decimal_up = [], engine._decimal_up
+
+    def recording(n, d):  # whether each rate least_policy makes is exact
+        rate = decimal_up(n, d)
+        exact.append(rate[1])
+        return rate
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_decimal_up", recording)
+        for units in itertools.islice(engine._vertex_responses(scenario, objective,
+                                                               bound[1].units), 3):
+            for mode in (COMBINED, TAX_ONLY, SUBSIDY_ONLY):
+                exact.clear()
+                try:
+                    found = engine.least_policy(scenario, units, budget, mode)
+                except ResourceBoundError:
+                    continue
+                used = [] if mode == TAX_ONLY else [
+                    rid for rid in scenario.subsidizable_ids() if units.get(rid)]
+                if found is None or not all(exact[len(exact) - len(used):]):
+                    continue  # none, or a rate of the returned point rounded
+                tax = Fraction(found[0].tax_rate)
+                rates = {rid: Fraction(rate) for rid, rate in found[0].subsidy_rates.items()}
+                over = math.lcm(tax.denominator, *(rate.denominator for rate in rates.values()))
+                assert lower.cheaper_fill(scenario, over, int(tax * over),
+                                          {rid: int(rate * over) for rid, rate in rates.items()},
+                                          units) is None
+                outlay = sum(rates.get(rid, 0) * n for rid, n in units.items())
+                income = tax * sum(Fraction(scenario.route(rid).unit_emissions) * n
+                                   for rid, n in units.items())
+                assert outlay <= Fraction(budget) + income
+
+
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(seed=_SEEDS, capped=st.booleans(), objective=_HEADED, per_mille=st.integers(-60, 60),
        mode=st.sampled_from([COMBINED, TAX_ONLY, SUBSIDY_ONLY]))
@@ -802,11 +821,9 @@ def test_the_certificate_refuses_where_the_follower_refuses():
     # r0's net price at the least policy's tax needs more than 28 digits: the
     # follower refuses to price it, and so does the certificate's check, which
     # prices as the follower does (a check in scaled integers would pass)
-    scenario = Scenario(demand=7, routes=(_route("r0", "0.1", "0.1234567890123456789", "1"),
-                                          _route("r1", "0.2", "0", "1")))
     with pytest.raises(ResourceBoundError,
                        match="exact pricing needs more than the context's 28 digits"):
-        exact_leader(scenario, Objective.MIN_GHG, 0, COMBINED)
+        exact_leader(long_decimal_pair(), Objective.MIN_GHG, 0, COMBINED)
 
 
 @pytest.mark.parametrize("rate, budget, units", [
@@ -910,10 +927,13 @@ def test_simplex_reaches_the_least_vertex(lp):
     # _simplex takes integers: each row with its right-hand side, and the
     # cost, scaled by its least common denominator, is the same LP
     whole = [to_integers([*row, b]) for row, b in zip(rows, rhs)]
-    point = engine._simplex(to_integers(cost), [row[:-1] for row in whole],
+    found = engine._simplex(to_integers(cost), [row[:-1] for row in whole],
                             [row[-1] for row in whole])
-    assert (point is None) == (not values)
-    if point is not None:
+    assert (found is None) == (not values)
+    if found is not None:  # integers over the tableau's positive denominator
+        numerators, den = found
+        assert den > 0 and len(numerators) == len(cost)
+        point = [Fraction(v, den) for v in numerators]
         assert min(point) >= 0
         assert all(sum(Fraction(a) * x for a, x in zip(row, point)) <= Fraction(b)
                    for row, b in zip(rows, rhs))

@@ -67,7 +67,7 @@ sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import ecolever, ecolever.cli
 from ecolever import RouteSpec, Scenario, calibrate_case_study, engine, optimize
 calibrate_case_study()
-# test_engine's TIGHT_FUNDS: the least policy of the bound's allocation falls
+# conftest's TIGHT_FUNDS: the least policy of the bound's allocation falls
 # short, so the search over vertex responses runs and finds a lower tax
 routes = [("t2", "0.072", "0.087", "2", True), ("t0", "0.015", "0.05", "0", False),
           ("t2", "0.03", "0.024", "2", True), ("t0", "0.031", "0.072", "0.4", False)]

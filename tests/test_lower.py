@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import time
 import tracemalloc
 from decimal import Decimal, Inexact, getcontext
@@ -249,8 +250,11 @@ def test_cheaper_fill_finds_the_least_cost_at_a_rational_policy(instance, over, 
               for split in _compositions(scenario.demand, [scenario.capacity_of(r) for r in ids])]
     costs = [cost(units) for units in splits]
     least, worst = min(costs), max(costs)
-    assert lower.cheaper_fill(scenario, tax, subsidies, splits[costs.index(least)]) is None
-    fill = lower.cheaper_fill(scenario, tax, subsidies, splits[costs.index(worst)])
+    # the policy as integers over their least common denominator
+    over = math.lcm(tax.denominator, *(rate.denominator for rate in subsidies.values()))
+    policy = (over, int(tax * over), {rid: int(rate * over) for rid, rate in subsidies.items()})
+    assert lower.cheaper_fill(scenario, *policy, splits[costs.index(least)]) is None
+    fill = lower.cheaper_fill(scenario, *policy, splits[costs.index(worst)])
     assert fill is None if worst == least else cost(fill) == least
 
 

@@ -14,6 +14,11 @@ and message of the `EcoleverError` it raised. The points:
 - 24 points drawn as the `pso_capped` benchmark workload draws its units:
   combined mode, a random objective and a budget of -60 to 100, on the
   capped case;
+- a block of points near the context's digits, at both objectives and the
+  three modes: `long_decimal_pair` as it is and capped, at budgets -1, 0
+  and 1 (36 points, some of which refuse), and `TIGHT_FUNDS` and
+  `TIGHT_RIVAL` at budgets 0.056 and 0.594, where least subsidies round
+  (12 points), all from `tests/conftest.py`;
 - N catalogs per class (default 1,000) from `tests/conftest.random_catalog`,
   at 2 points each, drawn as `LEADER_DIGESTS` draws them: a random
   objective, mode and budget of -60 to 60 per mille of demand.
@@ -51,7 +56,7 @@ def describe(el, scenario, objective, budget, mode) -> str:
         out.objective.value, out.mode, out.budget)))
 
 
-def points(el, random_catalog, catalogs):
+def points(el, conftest, catalogs):
     """(label, scenario, objective, budget, mode) for every point, in order."""
     case = el.calibrate_case_study()
     capped = el.Scenario(
@@ -70,10 +75,19 @@ def points(el, random_catalog, catalogs):
     for _ in range(24):
         yield ("pso_capped", capped, rng.choice(objectives),
                Decimal(rng.randint(-60, 100)), el.COMBINED)
+    for label, scenario, budgets in (
+            ("refusal", conftest.long_decimal_pair(), (-1, 0, 1)),
+            ("refusal-capped", conftest.long_decimal_pair(capped=True), (-1, 0, 1)),
+            ("tight-funds", conftest.TIGHT_FUNDS, ("0.056",)),
+            ("tight-rival", conftest.TIGHT_RIVAL, ("0.594",))):
+        for objective in objectives:
+            for mode in el.MODES:
+                for budget in budgets:
+                    yield label, scenario, objective, Decimal(budget), mode
     for seed, klass in enumerate(("pure-linear", "capped")):
         rng = random.Random(36 + seed)
         for index in range(catalogs):
-            scenario = random_catalog(rng, klass == "capped")
+            scenario = conftest.random_catalog(rng, klass == "capped")
             for _ in range(2):
                 objective = rng.choice(objectives)
                 mode = rng.choice(el.MODES)
@@ -88,12 +102,12 @@ def main(argv=None):
                         help="random catalogs per class (default 1000)")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(TESTS)]
+    import conftest
     import ecolever as el
-    from conftest import random_catalog
 
     if Path(el.__file__).resolve().parent.parent != args.src.resolve():
         parser.error(f"imported ecolever from {el.__file__}, not from {args.src}")
-    for label, scenario, objective, budget, mode in points(el, random_catalog, args.catalogs):
+    for label, scenario, objective, budget, mode in points(el, conftest, args.catalogs):
         print(f"{label} {objective.value} {mode} {budget}: "
               f"{describe(el, scenario, objective, budget, mode)}")
 
